@@ -43,8 +43,6 @@ from .quotient import (
     ModulusBranch,
     NullspaceResult,
     SplitRequired,
-    branch_invert,
-    nullspace_dim,
 )
 from .reps import (
     AlexanderMismatch,

@@ -26,13 +26,13 @@ from .polynomials import (
     squarefree_part,
     sturm_count,
 )
-from .quotient import ModulusBranch
+from .quotient import ModulusBranch, QuotientRing
 from .reps import (
     AlexanderMismatch,
-    RepAssignment,
     alexander_via_fox,
     alexander_via_rep,
     burde_de_rham_assignment,
+    meridian_rep,
 )
 from .twobridge import TwoBridgeFraction, build_presentation
 
@@ -149,16 +149,18 @@ def check_rigidity(
     if xi_factor is None or multiplicity is None:
         xi_factor, multiplicity = _locate_factor(fraction, branch)
     rep = burde_de_rham_assignment(branch, pres.relator)
-    knot_leaves = cohomology_dims([pres.relator], rep)
     reports: List[RootBranchReport] = []
-    for knot_leaf in knot_leaves:
-        leaf_branch = knot_leaf.branch if knot_leaf.branch is not None else branch
-        leaf_rep = _rep_on(leaf_branch, pres.relator)
+    for knot_leaf in cohomology_dims([pres.relator], rep):
+        # Every leaf modulus divides the branch modulus, and reducing
+        # modulo a factor is a ring homomorphism, so the relator maps to
+        # the identity on the leaf too: burde_de_rham_assignment has
+        # checked it on the branch.
+        ring = QuotientRing(knot_leaf.branch)
+        t, t_inverse = rep.image_x.a, rep.image_x.d
+        leaf_rep = meridian_rep(ring, ring.coerce(t), ring.coerce(t_inverse))
         filled_leaves = cohomology_dims([pres.relator, pres.longitude], leaf_rep)
         for filled_leaf in filled_leaves:
-            final_branch = (
-                filled_leaf.branch if filled_leaf.branch is not None else leaf_branch
-            )
+            final_branch = filled_leaf.branch
             intervals = tuple(isolate_real_roots(final_branch.modulus))
             traces = meridian_trace_check(final_branch, intervals)
             reports.append(
@@ -180,10 +182,6 @@ def check_rigidity(
             )
     reports.sort(key=lambda r: (r.modulus.degree, r.modulus.coeffs))
     return reports
-
-
-def _rep_on(branch: ModulusBranch, relator) -> RepAssignment:
-    return burde_de_rham_assignment(branch, relator)
 
 
 def _locate_factor(
@@ -237,7 +235,7 @@ class CertifyResult:
     certificate: Certificate
 
 
-def certify(fraction: TwoBridgeFraction, threads: int = 1) -> CertifyResult:
+def certify(fraction: TwoBridgeFraction) -> CertifyResult:
     """Run the full pipeline: Alexander polynomial by two independent
     routes, root analysis, and per-branch rigidity."""
     delta = alexander_via_rep(fraction)
@@ -249,25 +247,14 @@ def certify(fraction: TwoBridgeFraction, threads: int = 1) -> CertifyResult:
         )
     analysis = analyze_roots(delta)
 
-    jobs = []
+    reports: List[RootBranchReport] = []
     for factor, multiplicity in analysis.factors:
         modulus = admissible_modulus(factor)
         if modulus is None:
             continue
-        jobs.append((factor, multiplicity, ModulusBranch(modulus)))
-
-    def run(job) -> List[RootBranchReport]:
-        factor, multiplicity, branch = job
-        return check_rigidity(fraction, branch, factor, multiplicity)
-
-    if threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run, jobs))
-    else:
-        chunks = [run(job) for job in jobs]
-    reports: List[RootBranchReport] = [r for chunk in chunks for r in chunk]
+        reports.extend(
+            check_rigidity(fraction, ModulusBranch(modulus), factor, multiplicity)
+        )
     reports.sort(
         key=lambda r: (r.xi_factor.coeffs, r.modulus.degree, r.modulus.coeffs)
     )

@@ -2,14 +2,15 @@
 
 Exit codes: 0 when the certificate verdict is APPLIES (or a
 non-certifying command succeeds), 1 when the criterion is inapplicable
-or a self-check fails, 2 on invalid input or an internal cross-check
-failure.
+or a self-check fails, 2 on invalid input or an internal failure
+(a failed cross-check or assertion, or an unwritable report path).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -174,8 +175,12 @@ def _add_selector(parser: argparse.ArgumentParser) -> None:
 
 def cmd_certify(args) -> int:
     fraction, echo = _resolve_fraction(args)
+    if args.json:
+        directory = os.path.dirname(os.path.abspath(args.json))
+        if not os.path.isdir(directory):
+            raise ValueError(f"--json: directory {directory!r} does not exist")
     started = time.monotonic()
-    result = certify(fraction, threads=args.threads)
+    result = certify(fraction)
     elapsed = time.monotonic() - started
     report = build_report(result, echo, {"total_seconds": elapsed})
     if args.json:
@@ -210,6 +215,8 @@ def _print_certify_summary(result: CertifyResult) -> None:
 
 
 def cmd_alexander(args) -> int:
+    if args.digits < 0:
+        raise ValueError(f"--digits must be >= 0, got {args.digits}")
     fraction, _ = _resolve_fraction(args)
     delta = alexander_via_rep(fraction)
     if delta != alexander_via_fox(fraction):
@@ -357,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--json", help="write the JSON report to this path")
     p_cert.add_argument("--quiet", action="store_true",
                         help="suppress the stdout summary")
-    p_cert.add_argument("--threads", type=int, default=1,
-                        help="parallel branch checks (ordering unchanged)")
     p_cert.set_defaults(func=cmd_certify)
 
     p_alex = sub.add_parser("alexander", help="print the Alexander polynomial")
@@ -384,7 +389,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, AlexanderMismatch) as err:
+    except (
+        ValueError, OSError, AssertionError, AlexanderMismatch, ClosedFormMismatch
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -24,16 +24,9 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .polynomials import LaurentPoly
-from .quotient import (
-    BranchArithmetic,
-    MatrixOverField,
-    ModulusBranch,
-    RationalArithmetic,
-)
+from .quotient import Field, MatrixOverField, ModulusBranch, QuotientRing
 from .reps import (
     Mat3,
-    QuotientRing,
-    RationalRing,
     RepAssignment,
     adjoint,
     eval_word_matrix,
@@ -94,28 +87,16 @@ def word_value_blocks(word: Word, rep: RepAssignment) -> Tuple[Mat3, Mat3]:
     return mx, my
 
 
-def _arithmetic_for(rep: RepAssignment):
-    if isinstance(rep.ring, QuotientRing):
-        return BranchArithmetic(rep.ring.branch)
-    if isinstance(rep.ring, RationalRing):
-        return RationalArithmetic()
-    raise TypeError("linear algebra needs rational or quotient-ring coefficients")
-
-
 def relator_system(relators: Sequence[Word], rep: RepAssignment) -> MatrixOverField:
-    """Stacked 3x6 blocks, one per relator; the nullspace is the space
-    of cocycle value pairs of the presented group."""
-    rows = relator_system_rows(relators, rep)
-    return MatrixOverField(rows, _arithmetic_for(rep))
-
-
-def relator_system_rows(relators: Sequence[Word], rep: RepAssignment) -> List[List]:
-    rows: List[List] = []
+    """Stacked 3x6 blocks, one per relator (a single zero row when there
+    are none); the nullspace is the space of cocycle value pairs of the
+    presented group."""
+    rows: List[Tuple] = []
     for relator in relators:
         mx, my = word_value_blocks(relator, rep)
         for i in range(3):
-            rows.append(list(mx.rows[i]) + list(my.rows[i]))
-    return rows
+            rows.append(mx.rows[i] + my.rows[i])
+    return MatrixOverField(rows or [(rep.ring.zero,) * 6], rep.ring)
 
 
 def coboundary_values(v: Sequence, rep: RepAssignment) -> CocycleValues:
@@ -160,51 +141,31 @@ def cohomology_dims(
     Every coboundary is checked to lie in the computed cocycle space;
     a failure would falsify the linear systems and raises.
     """
-    arith = _arithmetic_for(rep)
-    sys_rows = relator_system_rows(relators, rep)
+    system = relator_system(relators, rep)
     results: List[BranchCohomology] = []
-    if sys_rows:
-        z1_leaves = MatrixOverField(sys_rows, arith).nullspace()
-    else:
-        z1_leaves = MatrixOverField([[arith.zero] * 6], arith).nullspace()
-    for z1_leaf in z1_leaves:
-        if z1_leaf.branch is None:
-            leaf_arith = arith
-        else:
-            leaf_arith = BranchArithmetic(z1_leaf.branch)
-        fixed_rows = [
-            [leaf_arith.coerce(e) for e in row] for row in _fixed_space_rows(rep)
-        ]
-        for h0_leaf in MatrixOverField(fixed_rows, leaf_arith).nullspace():
+    for z1_leaf in system.nullspace():
+        fixed = MatrixOverField(_fixed_space_rows(rep), z1_leaf.ring)
+        for h0_leaf in fixed.nullspace():
             h0 = h0_leaf.dim
             dims = CohomologyDims(
                 z1=z1_leaf.dim, b1=3 - h0, h0=h0, h1=z1_leaf.dim - (3 - h0)
             )
-            final_arith = (
-                BranchArithmetic(h0_leaf.branch)
-                if h0_leaf.branch is not None
-                else arith
-            )
-            _check_coboundaries_are_cocycles(sys_rows, rep, final_arith)
-            basis = [
-                tuple(final_arith.coerce(c) for c in vec)
-                for vec in z1_leaf.basis
-            ]
-            results.append(BranchCohomology(h0_leaf.branch, dims, basis))
+            ring = h0_leaf.ring
+            _check_coboundaries_are_cocycles(system, rep, ring)
+            basis = [tuple(ring.coerce(c) for c in vec) for vec in z1_leaf.basis]
+            results.append(BranchCohomology(ring.branch, dims, basis))
     return results
 
 
-def _check_coboundaries_are_cocycles(sys_rows, rep, arith) -> None:
-    if not sys_rows:
-        return
-    matrix = MatrixOverField(
-        [[arith.coerce(e) for e in row] for row in sys_rows], arith
-    )
+def _check_coboundaries_are_cocycles(
+    system: MatrixOverField, rep: RepAssignment, ring: Field
+) -> None:
+    matrix = MatrixOverField(system.entries, ring)
     for k in range(3):
         unit = [1 if i == k else 0 for i in range(3)]
         cb = coboundary_values(unit, rep)
         image = matrix.apply(list(cb.z_x) + list(cb.z_y))
-        if any(not arith.is_zero(entry) for entry in image):
+        if any(not ring.is_zero(entry) for entry in image):
             raise AssertionError("a coboundary escaped the cocycle space")
 
 

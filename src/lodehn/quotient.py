@@ -1,5 +1,9 @@
-"""Arithmetic in Q[t]/(m) with dynamic zero-divisor splitting, and exact
-linear algebra over Q or over such quotient rings.
+"""The coefficient rings Q, Q[t]/(m) and Q[t, t^-1], one class each,
+and exact linear algebra over Q or over Q[t]/(m).
+
+Every ring class offers ``zero``, ``one`` and ``coerce``; the two that
+:class:`MatrixOverField` eliminates over add ``is_zero`` and ``invert``,
+and carry a ``branch`` (``None`` for Q).
 
 The modulus m is kept monic and square-free.  Inverting a zero divisor
 splits m into two coprime factors (D5-style dynamic evaluation); the
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .polynomials import Poly, poly_gcd, poly_xgcd
+from .polynomials import LaurentPoly, Poly, poly_gcd, poly_xgcd
 
 Scalar = Union[int, Fraction]
 
@@ -173,34 +177,23 @@ class AlgebraicElement:
         low, high = self.branch.split(g)
         raise SplitRequired(low, high)
 
-    def reduce_to(self, branch: ModulusBranch) -> "AlgebraicElement":
-        return AlgebraicElement(branch, self.value % branch.modulus)
-
     def __repr__(self) -> str:
         return f"AlgebraicElement({self.value!r} mod {self.branch.modulus!r})"
 
 
-def branch_invert(
-    element: AlgebraicElement,
-) -> Union[AlgebraicElement, Tuple[ModulusBranch, ModulusBranch]]:
-    """Invert, or surface the branch split a zero divisor forces."""
-    try:
-        return element.inverse()
-    except SplitRequired as split:
-        return (split.low, split.high)
-
-
-class RationalArithmetic:
-    """Field operations for plain Fraction entries."""
+class RationalRing:
+    """The field Q, with Fraction elements."""
 
     branch: Optional[ModulusBranch] = None
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def coerce(self, x) -> Fraction:
         if isinstance(x, Fraction):
             return x
         if isinstance(x, int):
             return Fraction(x)
-        raise TypeError(f"expected a rational entry, got {type(x).__name__}")
+        raise TypeError(f"cannot coerce {type(x).__name__} into Q")
 
     def is_zero(self, x: Fraction) -> bool:
         return x == 0
@@ -208,35 +201,25 @@ class RationalArithmetic:
     def invert(self, x: Fraction) -> Fraction:
         return 1 / x
 
-    def reduce_rows(self, rows, branch):
-        raise AssertionError("rational elimination cannot split")
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
+class QuotientRing:
+    """Q[t]/(m) for one modulus branch.  Inverting a zero divisor raises
+    :class:`SplitRequired`; coercing an element of another branch reduces
+    its representative modulo this branch's modulus."""
 
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def sort_key(self) -> Tuple:
-        return ()
-
-
-class BranchArithmetic:
-    """Field-like operations in Q[t]/(m); inversion may split."""
+    __slots__ = ("branch", "zero", "one")
 
     def __init__(self, branch: ModulusBranch):
         self.branch = branch
+        self.zero = branch.element(0)
+        self.one = branch.element(1)
 
     def coerce(self, x) -> AlgebraicElement:
         if isinstance(x, AlgebraicElement):
-            if x.branch != self.branch:
-                return x.reduce_to(self.branch)
-            return x
-        if isinstance(x, (int, Fraction)):
-            return self.branch.element(x)
-        if isinstance(x, Poly):
+            if x.branch == self.branch:
+                return x
+            x = x.value
+        if isinstance(x, (int, Fraction, Poly)):
             return self.branch.element(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into the quotient ring")
 
@@ -246,66 +229,67 @@ class BranchArithmetic:
     def invert(self, x: AlgebraicElement) -> AlgebraicElement:
         return x.inverse()
 
-    def reduce_rows(self, rows, branch):
-        return [[e.reduce_to(branch) for e in row] for row in rows]
 
-    @property
-    def zero(self) -> AlgebraicElement:
-        return self.branch.element(0)
+class LaurentRing:
+    """Q[t, t^-1], with LaurentPoly elements; used for symbolic checks,
+    never for elimination."""
 
-    @property
-    def one(self) -> AlgebraicElement:
-        return self.branch.element(1)
+    zero = LaurentPoly()
+    one = LaurentPoly(0, (1,))
 
-    def sort_key(self) -> Tuple:
-        return self.branch.sort_key()
+    def coerce(self, x) -> LaurentPoly:
+        if isinstance(x, LaurentPoly):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return LaurentPoly(0, (x,))
+        raise TypeError(f"cannot coerce {type(x).__name__} into Q[t, t^-1]")
 
 
-Arithmetic = Union[RationalArithmetic, BranchArithmetic]
+Field = Union[RationalRing, QuotientRing]
+CoefficientRing = Union[RationalRing, QuotientRing, LaurentRing]
 
 
 @dataclass
 class NullspaceResult:
-    branch: Optional[ModulusBranch]
+    ring: Field
     rank: int
     dim: int
     basis: List[Tuple]
+
+    @property
+    def branch(self) -> Optional[ModulusBranch]:
+        return self.ring.branch
 
 
 class MatrixOverField:
     """Rectangular matrix over Q or over one quotient-ring branch."""
 
-    __slots__ = ("rows", "cols", "entries", "arithmetic")
+    __slots__ = ("rows", "cols", "entries", "ring")
 
-    def __init__(self, entries: Sequence[Sequence], arithmetic: Arithmetic):
-        self.arithmetic = arithmetic
-        self.entries = tuple(
-            tuple(arithmetic.coerce(e) for e in row) for row in entries
-        )
+    def __init__(self, entries: Sequence[Sequence], ring: Field):
+        self.ring = ring
+        self.entries = tuple(tuple(ring.coerce(e) for e in row) for row in entries)
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(row) != self.cols for row in self.entries):
             raise ValueError("matrix rows have unequal lengths")
 
     def apply(self, vector: Sequence) -> List:
-        vec = [self.arithmetic.coerce(v) for v in vector]
+        vec = [self.ring.coerce(v) for v in vector]
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
         return [
-            sum((row[k] * vec[k] for k in range(self.cols)), self.arithmetic.zero)
+            sum((row[k] * vec[k] for k in range(self.cols)), self.ring.zero)
             for row in self.entries
         ]
 
     def nullspace(self) -> List[NullspaceResult]:
-        return _nullspace(self.entries, self.cols, self.arithmetic)
+        """Rank, nullity and an exact kernel basis, one result per leaf
+        branch, sorted by leaf modulus."""
+        return _nullspace(self)
 
 
-def nullspace_dim(matrix: MatrixOverField) -> List[NullspaceResult]:
-    """Per-branch nullspace dimension, rank and an exact kernel basis."""
-    return matrix.nullspace()
-
-
-def _echelon(rows, cols, arith):
+def _echelon(rows, cols, ring):
     """Reduced row echelon form with deterministic pivoting: for every
     column take the first nonzero entry in row order.  Raises
     :class:`SplitRequired` if a pivot is a zero divisor."""
@@ -315,16 +299,16 @@ def _echelon(rows, cols, arith):
     for col in range(cols):
         sel = None
         for r in range(pr, len(work)):
-            if not arith.is_zero(work[r][col]):
+            if not ring.is_zero(work[r][col]):
                 sel = r
                 break
         if sel is None:
             continue
-        inv = arith.invert(work[sel][col])
+        inv = ring.invert(work[sel][col])
         work[pr], work[sel] = work[sel], work[pr]
         work[pr] = [e * inv for e in work[pr]]
         for r in range(len(work)):
-            if r != pr and not arith.is_zero(work[r][col]):
+            if r != pr and not ring.is_zero(work[r][col]):
                 f = work[r][col]
                 work[r] = [work[r][k] - f * work[pr][k] for k in range(cols)]
         pivots.append(col)
@@ -334,27 +318,27 @@ def _echelon(rows, cols, arith):
     return pivots, work
 
 
-def _nullspace(rows, cols, arith) -> List[NullspaceResult]:
+def _nullspace(matrix: MatrixOverField) -> List[NullspaceResult]:
+    ring = matrix.ring
     try:
-        pivots, work = _echelon(rows, cols, arith)
+        pivots, work = _echelon(matrix.entries, matrix.cols, ring)
     except SplitRequired as split:
         out: List[NullspaceResult] = []
         for sub in (split.low, split.high):
-            sub_rows = arith.reduce_rows(rows, sub)
-            out.extend(_nullspace(sub_rows, cols, BranchArithmetic(sub)))
+            out.extend(_nullspace(MatrixOverField(matrix.entries, QuotientRing(sub))))
         out.sort(key=lambda res: res.branch.sort_key())
         return out
-    free_cols = [c for c in range(cols) if c not in pivots]
+    free_cols = [c for c in range(matrix.cols) if c not in pivots]
     basis = []
     for fc in free_cols:
-        vec = [arith.zero] * cols
-        vec[fc] = arith.one
+        vec = [ring.zero] * matrix.cols
+        vec[fc] = ring.one
         for r, pc in enumerate(pivots):
             vec[pc] = -work[r][fc]
         basis.append(tuple(vec))
     return [
         NullspaceResult(
-            branch=arith.branch,
+            ring=ring,
             rank=len(pivots),
             dim=len(free_cols),
             basis=basis,

@@ -15,12 +15,10 @@ so conjugation by [[a,b],[c,d]] becomes the 3x3 matrix
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple, Union
 
 from .polynomials import LaurentPoly, Poly, poly_gcd
-from .quotient import AlgebraicElement, ModulusBranch
+from .quotient import CoefficientRing, LaurentRing, ModulusBranch, QuotientRing
 from .twobridge import TwoBridgeFraction, build_presentation
 from .words import Word
 
@@ -155,71 +153,6 @@ def adjoint(m: Mat2) -> Mat3:
     ))
 
 
-@dataclass(frozen=True)
-class LaurentRing:
-    """Coefficient-ring descriptor for Q[t, t^-1]."""
-
-    @property
-    def zero(self) -> LaurentPoly:
-        return LaurentPoly()
-
-    @property
-    def one(self) -> LaurentPoly:
-        return LaurentPoly(0, (1,))
-
-    def coerce(self, x) -> LaurentPoly:
-        if isinstance(x, LaurentPoly):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return LaurentPoly(0, (x,))
-        raise TypeError(f"cannot coerce {type(x).__name__} into Q[t, t^-1]")
-
-
-@dataclass(frozen=True)
-class QuotientRing:
-    """Coefficient-ring descriptor for Q[t]/(m)."""
-
-    branch: ModulusBranch
-
-    @property
-    def zero(self) -> AlgebraicElement:
-        return self.branch.element(0)
-
-    @property
-    def one(self) -> AlgebraicElement:
-        return self.branch.element(1)
-
-    def coerce(self, x) -> AlgebraicElement:
-        if isinstance(x, AlgebraicElement):
-            if x.branch != self.branch:
-                return x.reduce_to(self.branch)
-            return x
-        if isinstance(x, (int, Fraction, Poly)):
-            return self.branch.element(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into the quotient ring")
-
-
-@dataclass(frozen=True)
-class RationalRing:
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into Q")
-
-
-CoefficientRing = Union[LaurentRing, QuotientRing, RationalRing]
-
-
 class RepAssignment:
     """Images of the generators x and y, with cached inverses and
     adjoint matrices.  Both images must have determinant 1."""
@@ -256,15 +189,20 @@ def eval_word_matrix(word: Word, rep: RepAssignment) -> Mat2:
     return m
 
 
-def meridian_rep_laurent() -> RepAssignment:
-    """x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] over Q[t, t^-1]."""
-    t = LaurentPoly.monomial(1)
-    tinv = LaurentPoly.monomial(-1)
-    ring = LaurentRing()
+def meridian_rep(ring: CoefficientRing, t, t_inverse) -> RepAssignment:
+    """x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] over ``ring``, given
+    the elements t and 1/t of that ring."""
     return RepAssignment(
         ring,
-        Mat2(t, ring.zero, ring.zero, tinv),
-        Mat2(t, ring.one, ring.zero, tinv),
+        Mat2(t, ring.zero, ring.zero, t_inverse),
+        Mat2(t, ring.one, ring.zero, t_inverse),
+    )
+
+
+def meridian_rep_laurent() -> RepAssignment:
+    """The meridian representation over Q[t, t^-1]."""
+    return meridian_rep(
+        LaurentRing(), LaurentPoly.monomial(1), LaurentPoly.monomial(-1)
     )
 
 
@@ -347,14 +285,8 @@ def burde_de_rham_assignment(
         raise ValueError("branch contains t = 0")
     if poly_gcd(modulus, Poly([-1, 0, 1])).degree != 0:
         raise ValueError("branch contains t = +-1; rejected")
-    ring = QuotientRing(branch)
     t = branch.t()
-    tinv = t.inverse()
-    rep = RepAssignment(
-        ring,
-        Mat2(t, ring.zero, ring.zero, tinv),
-        Mat2(t, ring.one, ring.zero, tinv),
-    )
+    rep = meridian_rep(QuotientRing(branch), t, t.inverse())
     image = eval_word_matrix(relator, rep)
     if not image.is_identity():
         raise ValueError(

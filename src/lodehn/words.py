@@ -130,8 +130,3 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word.parse({str(self)!r})"
-
-
-def reduce_letters(letters: Iterable[Letter]) -> Word:
-    """Freely reduce a raw letter sequence into a :class:`Word`."""
-    return Word(letters)

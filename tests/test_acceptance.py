@@ -27,7 +27,7 @@ from lodehn.cohomology import (
     vanishing_identity,
 )
 from lodehn.polynomials import LaurentPoly, Poly, squarefree_decomposition, sturm_count
-from lodehn.quotient import BranchArithmetic, MatrixOverField, ModulusBranch
+from lodehn.quotient import MatrixOverField, ModulusBranch, QuotientRing
 from lodehn.reps import (
     adjoint,
     alexander_via_fox,
@@ -208,14 +208,11 @@ def test_criterion_8_property_suites():
     branch = ModulusBranch(modulus)
     t = branch.t()
     rows = [[t - 1, branch.element(0)], [branch.element(0), t * (t - 5)]]
-    results = MatrixOverField(rows, BranchArithmetic(branch)).nullspace()
+    results = MatrixOverField(rows, QuotientRing(branch)).nullspace()
     product = Poly([1])
     for res in results:
         product = product * res.branch.modulus
-        sub = MatrixOverField(
-            [[e.reduce_to(res.branch) for e in row] for row in rows],
-            BranchArithmetic(res.branch),
-        )
+        sub = MatrixOverField(rows, res.ring)
         for vec in res.basis:
             assert all(v.is_zero for v in sub.apply(vec))
     assert product == modulus

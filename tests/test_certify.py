@@ -14,8 +14,14 @@ from lodehn.certify import (
     verdict_from,
 )
 from lodehn.polynomials import Poly, sturm_count
-from lodehn.quotient import ModulusBranch
-from lodehn.twobridge import TwoBridgeFraction, family_fraction
+from lodehn.quotient import ModulusBranch, QuotientRing
+from lodehn.reps import (
+    alexander_via_rep,
+    burde_de_rham_assignment,
+    eval_word_matrix,
+    meridian_rep,
+)
+from lodehn.twobridge import TwoBridgeFraction, build_presentation, family_fraction
 
 DELTA1 = Poly([1, -7, 13, -7, 1])
 
@@ -80,6 +86,24 @@ def test_check_rigidity_locates_factor_when_not_given():
     )
     assert reports[0].xi_factor == DELTA1
     assert reports[0].multiplicity == 1
+
+
+def test_relator_is_identity_on_a_proper_factor_of_the_branch():
+    # check_rigidity checks the relator on the branch only; on a leaf it
+    # reduces t and 1/t modulo the leaf modulus, a ring homomorphism
+    phi12 = Poly([1, 0, -1, 0, 1])
+    phi36 = Poly([1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1])
+    fraction = TwoBridgeFraction(9, 1)
+    pres = build_presentation(fraction)
+    modulus = admissible_modulus(alexander_via_rep(fraction))
+    assert modulus == phi12 * phi36
+    rep = burde_de_rham_assignment(ModulusBranch(modulus), pres.relator)
+    for factor in (phi12, phi36):
+        ring = QuotientRing(ModulusBranch(factor))
+        leaf_rep = meridian_rep(
+            ring, ring.coerce(rep.image_x.a), ring.coerce(rep.image_x.d)
+        )
+        assert eval_word_matrix(pres.relator, leaf_rep).is_identity()
 
 
 def test_figure_eight_matches_independent_oracle():
@@ -249,12 +273,3 @@ def test_certify_deterministic():
     a = json.dumps(canonical_report(build_report(first, echo)), sort_keys=False)
     b = json.dumps(canonical_report(build_report(second, echo)), sort_keys=False)
     assert a == b
-
-
-def test_certify_threads_matches_sequential():
-    from lodehn.cli import build_report, canonical_report
-
-    echo = {"mode": "pq", "value": "9/1", "fraction": "9/1"}
-    seq = build_report(certify(TwoBridgeFraction(9, 1), threads=1), echo)
-    par = build_report(certify(TwoBridgeFraction(9, 1), threads=4), echo)
-    assert canonical_report(seq) == canonical_report(par)

@@ -1,18 +1,28 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
+
+from lodehn import cli
 from lodehn.cli import build_parser, canonical_report, decimal_string, main
+from lodehn.cohomology import ClosedFormMismatch
 from fractions import Fraction
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys; from lodehn.cli import main; sys.exit(main(sys.argv[1:]))",
          *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -127,10 +137,38 @@ def test_certify_rejects_family_index_zero(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_threads_flag_does_not_change_output():
-    one = run_cli("certify", "--pq", "9/1", "--threads", "1")
-    four = run_cli("certify", "--pq", "9/1", "--threads", "4")
-    assert one == four
+def test_json_path_without_directory_exits_2_before_computing(
+    tmp_path, monkeypatch, capsys
+):
+    calls = []
+    monkeypatch.setattr(cli, "certify", calls.append)
+    out = tmp_path / "missing" / "report.json"
+    code = main(["certify", "--pq", "9/1", "--json", str(out), "--quiet"])
+    assert code == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: --json")
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [AssertionError("escaped"), ClosedFormMismatch("differs"), OSError("disk")],
+)
+def test_internal_failure_exits_2(failure, monkeypatch, capsys):
+    def crash(fraction):
+        raise failure
+
+    monkeypatch.setattr(cli, "certify", crash)
+    code = main(["certify", "--pq", "5/2", "--quiet"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("digits", ["-1", "-3"])
+def test_alexander_rejects_negative_digits(digits, capsys):
+    code = main(["alexander", "--pq", "5/2", "--roots", "--digits", digits])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --digits must be >= 0")
 
 
 def test_unknown_subcommand_exit_2():

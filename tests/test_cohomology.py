@@ -15,11 +15,10 @@ from lodehn.cohomology import (
     word_value_blocks,
 )
 from lodehn.polynomials import LaurentPoly, Poly, poly_gcd
-from lodehn.quotient import ModulusBranch
+from lodehn.quotient import MatrixOverField, ModulusBranch, QuotientRing, RationalRing
 from lodehn.reps import (
     Mat2,
     Mat3,
-    RationalRing,
     RepAssignment,
     adjoint,
     burde_de_rham_assignment,
@@ -182,27 +181,21 @@ def test_no_common_fixed_vector_at_root_branches():
     # each generator image alone fixes the line spanned by its own
     # traceless part, but the pair has trivial common fixed space
     # whenever t^2 != 1, which is what drives B^1 = 3
-    from lodehn.quotient import BranchArithmetic, MatrixOverField
-
     _, rep = _k1_rep()
-    branch = rep.ring.branch
-    arith = BranchArithmetic(branch)
     for gen in ("x", "y"):
         ad = rep.ad(gen, 1)
         rows = [
-            [arith.coerce(ad.rows[i][j] - (1 if i == j else 0)) for j in range(3)]
+            [ad.rows[i][j] - (1 if i == j else 0) for j in range(3)]
             for i in range(3)
         ]
-        single = MatrixOverField(rows, arith).nullspace()
+        single = MatrixOverField(rows, rep.ring).nullspace()
         assert all(res.dim == 1 for res in single)
     ad_x, ad_y = rep.ad("x", 1), rep.ad("y", 1)
     rows = []
     for ad in (ad_x, ad_y):
         for i in range(3):
-            rows.append(
-                [arith.coerce(ad.rows[i][j] - (1 if i == j else 0)) for j in range(3)]
-            )
-    joint = MatrixOverField(rows, arith).nullspace()
+            rows.append([ad.rows[i][j] - (1 if i == j else 0) for j in range(3)])
+    joint = MatrixOverField(rows, rep.ring).nullspace()
     assert all(res.dim == 0 for res in joint)
 
 
@@ -264,8 +257,6 @@ def test_normalized_cocycles_satisfy_delta_equals_alpha():
 
 
 def test_normalized_representative_rejects_t2_equal_1():
-    from lodehn.reps import QuotientRing
-
     branch = ModulusBranch(Poly([-1, 0, 1]))
     ring_t = branch.t()
     rep = RepAssignment(
