@@ -16,8 +16,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cohomology import CohomologyDims, cohomology_dims
+from .cohomology import CohomologyDims, cohomology_dims, relator_system
 from .polynomials import (
+    T2_MINUS_1,
+    T_POLY,
     Poly,
     isolate_real_roots,
     poly_gcd,
@@ -26,18 +28,14 @@ from .polynomials import (
     squarefree_part,
     sturm_count,
 )
-from .quotient import ModulusBranch, QuotientRing
+from .quotient import MatrixOverField, ModulusBranch
 from .reps import (
     AlexanderMismatch,
     alexander_via_fox,
     alexander_via_rep,
     burde_de_rham_assignment,
-    meridian_rep,
 )
 from .twobridge import TwoBridgeFraction, build_presentation
-
-T_POLY = Poly([0, 1])
-T2_MINUS_1 = Poly([-1, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -149,17 +147,16 @@ def check_rigidity(
     if xi_factor is None or multiplicity is None:
         xi_factor, multiplicity = _locate_factor(fraction, branch)
     rep = burde_de_rham_assignment(branch, pres.relator)
+    knot = relator_system([pres.relator], rep)
+    longitude = relator_system([pres.longitude], rep)
     reports: List[RootBranchReport] = []
-    for knot_leaf in cohomology_dims([pres.relator], rep):
+    for knot_leaf in cohomology_dims(knot, rep):
         # Every leaf modulus divides the branch modulus, and reducing
-        # modulo a factor is a ring homomorphism, so the relator maps to
-        # the identity on the leaf too: burde_de_rham_assignment has
-        # checked it on the branch.
-        ring = QuotientRing(knot_leaf.branch)
-        t, t_inverse = rep.image_x.a, rep.image_x.d
-        leaf_rep = meridian_rep(ring, ring.coerce(t), ring.coerce(t_inverse))
-        filled_leaves = cohomology_dims([pres.relator, pres.longitude], leaf_rep)
-        for filled_leaf in filled_leaves:
+        # modulo a factor is a ring homomorphism, so the branch's rows
+        # reduced onto the leaf are the rows the leaf's own
+        # representation would give, and its relator is the identity.
+        filled = MatrixOverField(knot.entries + longitude.entries, knot_leaf.ring)
+        for filled_leaf in cohomology_dims(filled, rep):
             final_branch = filled_leaf.branch
             intervals = tuple(isolate_real_roots(final_branch.modulus))
             traces = meridian_trace_check(final_branch, intervals)
@@ -260,14 +257,10 @@ def certify(fraction: TwoBridgeFraction) -> CertifyResult:
     )
 
     qualifying = analysis.simple_positive_roots
-    rigid_leaves = [
-        r for r in reports
-        if r.multiplicity == 1 and r.real_root_intervals and r.rigid
-    ]
     real_leaves = [
         r for r in reports if r.multiplicity == 1 and r.real_root_intervals
     ]
-    any_rigid = bool(rigid_leaves) and qualifying > 0
+    any_rigid = qualifying > 0 and any(r.rigid for r in real_leaves)
     all_rigid = qualifying > 0 and bool(real_leaves) and all(
         r.rigid for r in real_leaves
     )

@@ -173,20 +173,44 @@ def _add_selector(parser: argparse.ArgumentParser) -> None:
                        help="index j of the [1,1,2,2,2j] family")
 
 
+def _check_json_path(path: str) -> None:
+    """Reject a report path that no write could succeed on, before any
+    computation."""
+    if not path:
+        raise ValueError("--json: empty path")
+    if os.path.isdir(path) or not os.path.basename(path):
+        raise ValueError(f"--json: {path!r} names a directory")
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"--json: directory {directory!r} does not exist")
+
+
+def _write_json(path: str, report: Dict) -> None:
+    """Write the report to a temporary file next to ``path`` and rename
+    it onto ``path``, so a failed write leaves no partial file."""
+    directory, name = os.path.split(os.path.abspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    handle = open(temporary, "x", encoding="utf-8")
+    try:
+        with handle:
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
 def cmd_certify(args) -> int:
     fraction, echo = _resolve_fraction(args)
-    if args.json:
-        directory = os.path.dirname(os.path.abspath(args.json))
-        if not os.path.isdir(directory):
-            raise ValueError(f"--json: directory {directory!r} does not exist")
+    if args.json is not None:
+        _check_json_path(args.json)
     started = time.monotonic()
     result = certify(fraction)
     elapsed = time.monotonic() - started
     report = build_report(result, echo, {"total_seconds": elapsed})
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+    if args.json is not None:
+        _write_json(args.json, report)
     if not args.quiet:
         _print_certify_summary(result)
     return 0 if result.certificate.verdict is Verdict.APPLIES else 1

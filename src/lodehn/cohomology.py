@@ -6,6 +6,8 @@ of the representation, and z(g^-1) = -Ad(g^-1) z(g).  A value pair is a
 genuine cocycle of a presented group exactly when it kills every
 relator, which turns cocycle spaces into nullspaces of explicit linear
 systems (one 3x6 block per relator, columns ordered z(x) then z(y)).
+The 0-filled group's system is the knot group's relator rows plus the
+longitude rows, both built once on a branch and reduced onto its leaves.
 
 Coboundaries are the value pairs ((Ad x - 1) V, (Ad y - 1) V); their
 span has dimension 3 - dim H^0, so
@@ -127,21 +129,25 @@ class CohomologyDims:
 
 @dataclass
 class BranchCohomology:
-    branch: Optional[ModulusBranch]
+    ring: Field
     dims: CohomologyDims
     cocycle_basis: List[Tuple]
 
+    @property
+    def branch(self) -> Optional[ModulusBranch]:
+        return self.ring.branch
+
 
 def cohomology_dims(
-    relators: Sequence[Word], rep: RepAssignment
+    system: MatrixOverField, rep: RepAssignment
 ) -> List[BranchCohomology]:
-    """Dimensions of Z^1, B^1, H^0 and H^1 for the presentation with the
-    given relators, one record per leaf branch.
+    """Dimensions of Z^1, B^1, H^0 and H^1 for the presentation with
+    relator system ``system``, one record per leaf branch.  ``rep`` may
+    live on a branch whose modulus the system's modulus divides.
 
     Every coboundary is checked to lie in the computed cocycle space;
     a failure would falsify the linear systems and raises.
     """
-    system = relator_system(relators, rep)
     results: List[BranchCohomology] = []
     for z1_leaf in system.nullspace():
         fixed = MatrixOverField(_fixed_space_rows(rep), z1_leaf.ring)
@@ -153,7 +159,7 @@ def cohomology_dims(
             ring = h0_leaf.ring
             _check_coboundaries_are_cocycles(system, rep, ring)
             basis = [tuple(ring.coerce(c) for c in vec) for vec in z1_leaf.basis]
-            results.append(BranchCohomology(ring.branch, dims, basis))
+            results.append(BranchCohomology(ring, dims, basis))
     return results
 
 

@@ -206,6 +206,12 @@ class Poly:
         return f"Poly({[str(c) for c in self.coeffs]})"
 
 
+# The guard polynomials t and t^2 - 1: moduli sharing a root with them
+# would put t = 0 or t = +-1 on a branch.
+T_POLY = Poly([0, 1])
+T2_MINUS_1 = Poly([-1, 0, 1])
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd via the exact Euclidean algorithm over Q."""
     if a.is_zero and b.is_zero:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .polynomials import LaurentPoly, Poly, poly_gcd, poly_xgcd
+from .polynomials import T_POLY, LaurentPoly, Poly, poly_gcd, poly_xgcd
 
 Scalar = Union[int, Fraction]
 
@@ -56,7 +56,7 @@ class ModulusBranch:
 
     def t(self) -> "AlgebraicElement":
         """The residue class of the variable t."""
-        return self.element(Poly([0, 1]))
+        return self.element(T_POLY)
 
     def split(self, factor: Poly) -> Tuple["ModulusBranch", "ModulusBranch"]:
         """Split off a proper monic divisor of the modulus."""

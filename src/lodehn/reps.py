@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Tuple, Union
 
-from .polynomials import LaurentPoly, Poly, poly_gcd
+from .polynomials import T2_MINUS_1, T_POLY, LaurentPoly, Poly, poly_gcd
 from .quotient import CoefficientRing, LaurentRing, ModulusBranch, QuotientRing
 from .twobridge import TwoBridgeFraction, build_presentation
 from .words import Word
@@ -280,10 +280,9 @@ def burde_de_rham_assignment(
     error.  Branches touching t = 0 or t = +-1 are rejected.
     """
     modulus = branch.modulus
-    t_poly = Poly([0, 1])
-    if poly_gcd(modulus, t_poly).degree != 0:
+    if poly_gcd(modulus, T_POLY).degree != 0:
         raise ValueError("branch contains t = 0")
-    if poly_gcd(modulus, Poly([-1, 0, 1])).degree != 0:
+    if poly_gcd(modulus, T2_MINUS_1).degree != 0:
         raise ValueError("branch contains t = +-1; rejected")
     t = branch.t()
     rep = meridian_rep(QuotientRing(branch), t, t.inverse())

@@ -1,0 +1,69 @@
+"""The verdict table of every two-bridge knot with p <= 23.
+
+``fixtures/census_p23.json`` records, per knot, the verdict, the number
+of qualifying roots, the Alexander coefficients and, per branch, the
+modulus, multiplicity, cohomology dimensions and rigidity.  It pins the
+verdicts: regenerate it only for a change meant to alter them, from a
+checkout with
+
+    PYTHONPATH=src python3 tests/test_census_table.py
+"""
+
+import json
+import os
+from math import gcd
+
+from helpers import FIXTURES, load_fixture
+from lodehn.cli import build_report
+from lodehn.certify import certify
+from lodehn.twobridge import TwoBridgeFraction
+
+FIXTURE = "census_p23.json"
+P_MAX = 23
+
+
+def census(p_max):
+    """One fraction per knot with p <= p_max: the smallest q of its
+    class under q ~ -q and q ~ q^-1 mod p."""
+    out = []
+    for p in range(3, p_max + 1, 2):
+        seen = set()
+        for q in range(1, p):
+            if gcd(p, q) != 1 or q in seen:
+                continue
+            inv = pow(q, -1, p)
+            orbit = {q, p - q, inv, p - inv}
+            seen |= orbit
+            out.append(f"{p}/{min(orbit)}")
+    return out
+
+
+def verdict_row(fraction):
+    p, q = (int(part) for part in fraction.split("/"))
+    report = build_report(certify(TwoBridgeFraction(p, q)), {})
+    return {
+        "fraction": fraction,
+        "verdict": report["certificate"]["verdict"],
+        "qualifying_roots": report["certificate"]["qualifying_roots"],
+        "alexander": report["alexander"],
+        "branches": [
+            {key: branch[key] for key in (
+                "modulus", "multiplicity", "dims_knot", "dims_filled", "rigid"
+            )}
+            for branch in report["branches"]
+        ],
+    }
+
+
+def test_census_verdict_table_is_reproduced():
+    table = load_fixture(FIXTURE)
+    assert [row["fraction"] for row in table] == census(P_MAX)
+    for row in table:
+        assert verdict_row(row["fraction"]) == row
+
+
+if __name__ == "__main__":
+    rows = [verdict_row(fraction) for fraction in census(P_MAX)]
+    with open(os.path.join(FIXTURES, FIXTURE), "w", encoding="utf-8") as handle:
+        json.dump(rows, handle, indent=1)
+        handle.write("\n")

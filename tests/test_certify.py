@@ -13,14 +13,10 @@ from lodehn.certify import (
     meridian_trace_check,
     verdict_from,
 )
-from lodehn.polynomials import Poly, sturm_count
-from lodehn.quotient import ModulusBranch, QuotientRing
-from lodehn.reps import (
-    alexander_via_rep,
-    burde_de_rham_assignment,
-    eval_word_matrix,
-    meridian_rep,
-)
+from lodehn.cohomology import cohomology_dims, relator_system
+from lodehn.polynomials import Poly, squarefree_decomposition, sturm_count
+from lodehn.quotient import MatrixOverField, ModulusBranch, QuotientRing
+from lodehn.reps import alexander_via_rep, burde_de_rham_assignment
 from lodehn.twobridge import TwoBridgeFraction, build_presentation, family_fraction
 
 DELTA1 = Poly([1, -7, 13, -7, 1])
@@ -88,22 +84,56 @@ def test_check_rigidity_locates_factor_when_not_given():
     assert reports[0].multiplicity == 1
 
 
+PHI12 = Poly([1, 0, -1, 0, 1])
+PHI36 = Poly([1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1])
+
+
 def test_relator_is_identity_on_a_proper_factor_of_the_branch():
-    # check_rigidity checks the relator on the branch only; on a leaf it
-    # reduces t and 1/t modulo the leaf modulus, a ring homomorphism
-    phi12 = Poly([1, 0, -1, 0, 1])
-    phi36 = Poly([1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1])
-    fraction = TwoBridgeFraction(9, 1)
-    pres = build_presentation(fraction)
-    modulus = admissible_modulus(alexander_via_rep(fraction))
-    assert modulus == phi12 * phi36
-    rep = burde_de_rham_assignment(ModulusBranch(modulus), pres.relator)
-    for factor in (phi12, phi36):
-        ring = QuotientRing(ModulusBranch(factor))
-        leaf_rep = meridian_rep(
-            ring, ring.coerce(rep.image_x.a), ring.coerce(rep.image_x.d)
-        )
-        assert eval_word_matrix(pres.relator, leaf_rep).is_identity()
+    # check_rigidity builds the relator and longitude rows once on the
+    # branch and reduces them onto each leaf.  Every leaf modulus divides
+    # the branch modulus and reduction is a ring homomorphism, so the
+    # reduced rows are the rows of the leaf's own representation (whose
+    # relator burde_de_rham_assignment checks again), and the branch
+    # representation gives the leaf's cohomology.
+    cases = (
+        # one Alexander factor, whose lifted modulus is Phi12 * Phi36
+        (TwoBridgeFraction(9, 1), (PHI12, PHI36), False),
+        # two Alexander factors; only the filled system splits the branch
+        (TwoBridgeFraction(147, 53), (PHI12, Poly([1, 0, Fraction(-3, 2), 0, 1])),
+         True),
+    )
+    for fraction, factors, filled_splits in cases:
+        pres = build_presentation(fraction)
+        modulus = factors[0] * factors[1]
+        lifted = Poly([1])
+        for factor, _ in squarefree_decomposition(alexander_via_rep(fraction)):
+            lifted = lifted * admissible_modulus(factor)
+        assert lifted == modulus
+        rep = burde_de_rham_assignment(ModulusBranch(modulus), pres.relator)
+        knot = relator_system([pres.relator], rep)
+        longitude = relator_system([pres.longitude], rep)
+        filled = MatrixOverField(knot.entries + longitude.entries, rep.ring)
+        assert len(knot.nullspace()) == 1
+        assert (len(filled.nullspace()) > 1) == filled_splits
+        for factor in factors:
+            ring = QuotientRing(ModulusBranch(factor))
+            own_rep = burde_de_rham_assignment(ring.branch, pres.relator)
+            own_knot = relator_system([pres.relator], own_rep)
+            own_longitude = relator_system([pres.longitude], own_rep)
+            assert MatrixOverField(knot.entries, ring).entries == own_knot.entries
+            assert (
+                MatrixOverField(longitude.entries, ring).entries
+                == own_longitude.entries
+            )
+            for rows, own_rows in (
+                (knot.entries, own_knot.entries),
+                (filled.entries, own_knot.entries + own_longitude.entries),
+            ):
+                reduced = cohomology_dims(MatrixOverField(rows, ring), rep)
+                own = cohomology_dims(MatrixOverField(own_rows, ring), own_rep)
+                assert [(r.branch, r.dims, r.cocycle_basis) for r in reduced] == [
+                    (r.branch, r.dims, r.cocycle_basis) for r in own
+                ]
 
 
 def test_figure_eight_matches_independent_oracle():

@@ -142,11 +142,27 @@ def test_json_path_without_directory_exits_2_before_computing(
 ):
     calls = []
     monkeypatch.setattr(cli, "certify", calls.append)
-    out = tmp_path / "missing" / "report.json"
-    code = main(["certify", "--pq", "9/1", "--json", str(out), "--quiet"])
+    # a missing directory, an existing directory, a path with a trailing
+    # separator, and the empty path
+    missing = tmp_path / "missing"
+    for out in (missing / "report.json", tmp_path, f"{missing}{os.sep}", ""):
+        code = main(["certify", "--pq", "9/1", "--json", str(out), "--quiet"])
+        assert code == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error: --json")
+
+
+def test_failed_json_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    def fail(report, handle, **kwargs):
+        handle.write("{")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", fail)
+    out = tmp_path / "report.json"
+    code = main(["certify", "--pq", "5/2", "--json", str(out), "--quiet"])
     assert code == 2
-    assert calls == []
-    assert capsys.readouterr().err.startswith("error: --json")
+    assert capsys.readouterr().err.startswith("error: no space left")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

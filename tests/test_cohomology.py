@@ -160,7 +160,7 @@ def test_k1_filled_system_rank_three():
 
 def test_k1_knot_cohomology_dims():
     pres, rep = _k1_rep()
-    for leaf in cohomology_dims([pres.relator], rep):
+    for leaf in cohomology_dims(relator_system([pres.relator], rep), rep):
         d = leaf.dims
         assert (d.z1, d.b1, d.h0, d.h1) == (4, 3, 0, 1)
 
@@ -171,7 +171,8 @@ def test_family_filled_cohomology_vanishes(j):
     delta = Poly([j, -(6 * j + 1), 10 * j + 3, -(6 * j + 1), j])
     branch = ModulusBranch(delta.monic().inflate(2))
     rep = burde_de_rham_assignment(branch, pres.relator)
-    for leaf in cohomology_dims([pres.relator, pres.longitude], rep):
+    system = relator_system([pres.relator, pres.longitude], rep)
+    for leaf in cohomology_dims(system, rep):
         assert leaf.dims.h1 == 0
         assert leaf.dims.h0 == 0
         assert leaf.dims.b1 == 3
@@ -201,7 +202,7 @@ def test_no_common_fixed_vector_at_root_branches():
 
 def test_trivial_representation_dims():
     rep = RepAssignment(RationalRing(), Mat2(1, 0, 0, 1), Mat2(1, 0, 0, 1))
-    leaves = cohomology_dims([], rep)
+    leaves = cohomology_dims(relator_system([], rep), rep)
     assert len(leaves) == 1
     d = leaves[0].dims
     assert (d.z1, d.b1, d.h0, d.h1) == (6, 0, 3, 6)
@@ -243,7 +244,7 @@ def test_normalized_cocycles_satisfy_delta_equals_alpha():
     rng = random.Random(12)
     pres, rep = _k1_rep()
     for relators in ([pres.relator], [pres.relator, pres.longitude]):
-        for leaf in cohomology_dims(relators, rep):
+        for leaf in cohomology_dims(relator_system(relators, rep), rep):
             branch = leaf.branch or rep.ring.branch
             leaf_rep = burde_de_rham_assignment(branch, pres.relator)
             for _ in range(5):
