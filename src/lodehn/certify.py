@@ -35,7 +35,7 @@ from .reps import (
     alexander_via_rep,
     burde_de_rham_assignment,
 )
-from .twobridge import TwoBridgeFraction, build_presentation
+from .twobridge import KnotPresentation, TwoBridgeFraction, build_presentation
 
 
 @dataclass(frozen=True)
@@ -135,17 +135,17 @@ def meridian_trace_check(
 
 
 def check_rigidity(
-    fraction: TwoBridgeFraction,
+    pres: KnotPresentation,
     branch: ModulusBranch,
     xi_factor: Optional[Poly] = None,
     multiplicity: Optional[int] = None,
 ) -> List[RootBranchReport]:
     """Build the reducible non-abelian representation on the branch and
     compute the twisted cohomology of the knot group and of the 0-filled
-    group.  One report per leaf if dynamic evaluation splits."""
-    pres = build_presentation(fraction)
+    group of the presentation ``pres``.  One report per leaf if dynamic
+    evaluation splits."""
     if xi_factor is None or multiplicity is None:
-        xi_factor, multiplicity = _locate_factor(fraction, branch)
+        xi_factor, multiplicity = _locate_factor(pres.fraction, branch)
     rep = burde_de_rham_assignment(branch, pres.relator)
     knot = relator_system([pres.relator], rep)
     longitude = relator_system([pres.longitude], rep)
@@ -226,6 +226,7 @@ class Certificate:
 @dataclass(frozen=True)
 class CertifyResult:
     fraction: TwoBridgeFraction
+    presentation: KnotPresentation
     alexander: Poly
     analysis: RootAnalysis
     reports: Tuple[RootBranchReport, ...]
@@ -234,7 +235,9 @@ class CertifyResult:
 
 def certify(fraction: TwoBridgeFraction) -> CertifyResult:
     """Run the full pipeline: Alexander polynomial by two independent
-    routes, root analysis, and per-branch rigidity."""
+    routes, root analysis, and per-branch rigidity.  Each Alexander
+    route builds its own presentation; the rigidity checks and the
+    report share one."""
     delta = alexander_via_rep(fraction)
     delta_fox = alexander_via_fox(fraction)
     if delta != delta_fox:
@@ -243,6 +246,7 @@ def certify(fraction: TwoBridgeFraction) -> CertifyResult:
             f"free-derivative route {delta_fox!r}"
         )
     analysis = analyze_roots(delta)
+    pres = build_presentation(fraction)
 
     reports: List[RootBranchReport] = []
     for factor, multiplicity in analysis.factors:
@@ -250,7 +254,7 @@ def certify(fraction: TwoBridgeFraction) -> CertifyResult:
         if modulus is None:
             continue
         reports.extend(
-            check_rigidity(fraction, ModulusBranch(modulus), factor, multiplicity)
+            check_rigidity(pres, ModulusBranch(modulus), factor, multiplicity)
         )
     reports.sort(
         key=lambda r: (r.xi_factor.coeffs, r.modulus.degree, r.modulus.coeffs)
@@ -273,6 +277,7 @@ def certify(fraction: TwoBridgeFraction) -> CertifyResult:
     )
     return CertifyResult(
         fraction=fraction,
+        presentation=pres,
         alexander=delta,
         analysis=analysis,
         reports=tuple(reports),

@@ -65,7 +65,7 @@ def _dims_json(dims) -> Dict[str, int]:
 def build_report(
     result: CertifyResult, input_echo: Dict, timings: Optional[Dict] = None
 ) -> Dict:
-    pres = build_presentation(result.fraction)
+    pres = result.presentation
     branches = []
     for report in result.reports:
         branches.append({
@@ -328,15 +328,13 @@ def _check_vanishing_identity(j: int) -> bool:
 
 
 def _check_cohomology(j: int) -> bool:
-    fraction = family_fraction(j)
+    pres = build_presentation(family_fraction(j))
     delta = _expected_family_alexander(j)
     for factor, multiplicity in squarefree_decomposition(delta):
         modulus = admissible_modulus(factor)
         if modulus is None:
             return False
-        reports = check_rigidity(
-            fraction, ModulusBranch(modulus), factor, multiplicity
-        )
+        reports = check_rigidity(pres, ModulusBranch(modulus), factor, multiplicity)
         for report in reports:
             knot, filled = report.dims_knot, report.dims_filled
             if (knot.z1, knot.b1, knot.h0, knot.h1) != (4, 3, 0, 1):

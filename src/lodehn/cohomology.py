@@ -9,6 +9,15 @@ systems (one 3x6 block per relator, columns ordered z(x) then z(y)).
 The 0-filled group's system is the knot group's relator rows plus the
 longitude rows, both built once on a branch and reduced onto its leaves.
 
+The blocks of a word are the signed sums of the adjoints of its
+prefixes.  Under the meridian representation those adjoints are upper
+triangular with monomial diagonals, so :func:`word_value_blocks` takes
+them from the integer walk of :func:`reps.meridian_walk` over
+Z[t, t^-1] and maps each of the 12 live entries into Q[t]/(m) (or
+Q[t, t^-1]) once, by evaluation at t.  Evaluation at t is a ring
+homomorphism, so the blocks are exactly the letter-by-letter products
+over that ring; :func:`eval_cocycle` stays the independent oracle.
+
 Coboundaries are the value pairs ((Ad x - 1) V, (Ad y - 1) V); their
 span has dimension 3 - dim H^0, so
 
@@ -34,6 +43,7 @@ from .reps import (
     eval_word_matrix,
     f_upper_entry,
     meridian_rep_laurent,
+    meridian_walk,
 )
 from .twobridge import FAMILY_S, FAMILY_U, family_v, family_word
 from .words import Word
@@ -69,24 +79,14 @@ def eval_cocycle(word: Word, z: CocycleValues, rep: RepAssignment) -> Tuple:
 
 def word_value_blocks(word: Word, rep: RepAssignment) -> Tuple[Mat3, Mat3]:
     """The pair (Mx, My) with z(word) = Mx z(x) + My z(y) for every
-    value assignment z.  Single pass over the word."""
-    mx = Mat3.zero()
-    my = Mat3.zero()
-    acc = Mat3.identity()
-    for gen, sign in word:
-        if sign > 0:
-            if gen == "x":
-                mx = mx + acc
-            else:
-                my = my + acc
-            acc = acc @ rep.ad(gen, 1)
-        else:
-            acc = acc @ rep.ad(gen, -1)
-            if gen == "x":
-                mx = mx - acc
-            else:
-                my = my - acc
-    return mx, my
+    value assignment z, over ``rep.ring``.  By the cocycle law, a letter
+    g^+1 adds Ad of the prefix before it to Mg and a letter g^-1
+    subtracts Ad of the prefix ending with it; :func:`meridian_walk`
+    sums those over Z[t, t^-1] and maps each entry into the ring once.
+    ``rep`` must be the meridian representation; any other raises
+    ValueError."""
+    _, blocks = meridian_walk(word, rep, blocks=True)
+    return blocks
 
 
 def relator_system(relators: Sequence[Word], rep: RepAssignment) -> MatrixOverField:

@@ -237,6 +237,53 @@ def poly_xgcd(a: Poly, b: Poly) -> Tuple[Poly, Poly, Poly]:
     return r0.monic(), s0 * (1 / lead), u0 * (1 / lead)
 
 
+def laurent_residues(
+    polys: Sequence[Dict[int, int]], modulus: Poly
+) -> List[Poly]:
+    """Residues modulo ``modulus`` of integer Laurent polynomials given
+    as ``{exponent: coefficient}`` dicts, that is, their images under
+    the ring homomorphism Z[t, t^-1] -> Q[t]/(m) sending t to t.
+
+    ``modulus`` must have a nonzero constant term, so that t is a unit.
+    The residue of t^e is built once for every exponent e in range, one
+    multiplication by t or 1/t at a time, as an integer vector over one
+    common denominator; each polynomial is then an integer combination
+    of those vectors, divided once at the end.
+    """
+    d = modulus.degree
+    if d < 1:
+        raise ValueError("modulus must have degree >= 1")
+    den = lcm(*(c.denominator for c in modulus.coeffs))
+    m = [int(c * den) for c in modulus.coeffs]  # den * modulus, m[d] = den
+    if m[0] == 0:
+        raise ValueError("t is not a unit modulo a modulus divisible by t")
+    exponents = [e for p in polys for e in p]
+    lo, hi = min(exponents + [0]), max(exponents + [0])
+    # The residue of t^e has a denominator dividing den^e for e > 0 and
+    # m[0]^-e for e < 0, so common * t^e has integer coefficients for
+    # every e in range, and each division below is exact.
+    common = lcm(den**hi, m[0] ** -lo)
+    powers = {0: [common] + [0] * (d - 1)}
+    num = powers[0]
+    for e in range(1, hi + 1):
+        top = num[-1]
+        num = [a - top * mk // den for a, mk in zip([0] + num[:-1], m)]
+        powers[e] = num
+    num = powers[0]
+    for e in range(-1, lo - 1, -1):
+        low = num[0]
+        num = [a - low * mk // m[0] for a, mk in zip(num[1:] + [0], m[1:])]
+        powers[e] = num
+    out = []
+    for p in polys:
+        acc = [0] * d
+        for e, c in p.items():
+            if c:
+                acc = [a + c * s for a, s in zip(acc, powers[e])]
+        out.append(Poly([Fraction(a, common) for a in acc]))
+    return out
+
+
 def squarefree_decomposition(a: Poly) -> List[Tuple[Poly, int]]:
     """Yun's algorithm: pairwise-coprime monic square-free factors with
     multiplicities whose product (with multiplicity) rebuilds the input

@@ -3,7 +3,10 @@ and exact linear algebra over Q or over Q[t]/(m).
 
 Every ring class offers ``zero``, ``one`` and ``coerce``; the two that
 :class:`MatrixOverField` eliminates over add ``is_zero`` and ``invert``,
-and carry a ``branch`` (``None`` for Q).
+and carry a ``branch`` (``None`` for Q).  The two rings of the meridian
+representation, Q[t]/(m) and Q[t, t^-1], add ``evaluate``: the images
+of integer Laurent polynomials under the ring homomorphism that sends t
+to t (reduction mod m on Q[t]/(m), the identity on Q[t, t^-1]).
 
 The modulus m is kept monic and square-free.  Inverting a zero divisor
 splits m into two coprime factors (D5-style dynamic evaluation); the
@@ -17,9 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .polynomials import T_POLY, LaurentPoly, Poly, poly_gcd, poly_xgcd
+from .polynomials import (
+    T_POLY,
+    LaurentPoly,
+    Poly,
+    laurent_residues,
+    poly_gcd,
+    poly_xgcd,
+)
 
 Scalar = Union[int, Fraction]
 
@@ -229,6 +239,14 @@ class QuotientRing:
     def invert(self, x: AlgebraicElement) -> AlgebraicElement:
         return x.inverse()
 
+    def evaluate(self, polys: Sequence[Dict[int, int]]) -> List[AlgebraicElement]:
+        """The residues of integer Laurent polynomials ``{exponent:
+        coefficient}`` at t mod m."""
+        return [
+            AlgebraicElement(self.branch, residue)
+            for residue in laurent_residues(polys, self.branch.modulus)
+        ]
+
 
 class LaurentRing:
     """Q[t, t^-1], with LaurentPoly elements; used for symbolic checks,
@@ -243,6 +261,11 @@ class LaurentRing:
         if isinstance(x, (int, Fraction)):
             return LaurentPoly(0, (x,))
         raise TypeError(f"cannot coerce {type(x).__name__} into Q[t, t^-1]")
+
+    def evaluate(self, polys: Sequence[Dict[int, int]]) -> List[LaurentPoly]:
+        """Integer Laurent polynomials ``{exponent: coefficient}`` as
+        elements of Q[t, t^-1]."""
+        return [LaurentPoly.from_terms(p) for p in polys]
 
 
 Field = Union[RationalRing, QuotientRing]

@@ -11,11 +11,30 @@ so conjugation by [[a,b],[c,d]] becomes the 3x3 matrix
     [ a^2   -2ab       -b^2 ]
     [ -ac   ad + bc     bd  ]
     [ -c^2   2cd        d^2 ].
+
+Words are evaluated under the meridian representation
+x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] by one integer walk
+(:func:`meridian_walk`).  Both generator images are upper triangular
+with monomial diagonals, so the image of a prefix is
+[[t^n, b], [0, t^-n]] and its adjoint is
+
+    [ t^2n   -2u   -t^-2n u^2 ]
+    [ 0       1     t^-2n u   ]
+    [ 0       0     t^-2n     ]      with u = t^n b.
+
+A letter x^+-1 changes only n, and a letter y^+-1 adds the monomial
++-t^(2n+-1) to u, so the walk runs over Z[t, t^-1] with machine-int
+coefficients: shifts and integer additions, no Fraction and no
+polynomial division.  Each resulting entry is mapped into the ring of
+the representation once, by evaluation at t.  That map is a ring
+homomorphism (reduction mod m on Q[t]/(m), the identity on
+Q[t, t^-1]), so the results are exactly the letter-by-letter products
+over that ring.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .polynomials import T2_MINUS_1, T_POLY, LaurentPoly, Poly, poly_gcd
 from .quotient import CoefficientRing, LaurentRing, ModulusBranch, QuotientRing
@@ -199,6 +218,101 @@ def meridian_rep(ring: CoefficientRing, t, t_inverse) -> RepAssignment:
     )
 
 
+IntLaurent = Dict[int, int]  # {exponent: coefficient}
+
+
+def _meridian_walk(
+    word: Word, blocks: bool
+) -> Tuple[int, IntLaurent, Optional[Dict[str, List[IntLaurent]]]]:
+    """The integer kernel of :func:`meridian_walk`.
+
+    Returns n and the upper-right entry b of the word's image
+    [[t^n, b], [0, t^-n]] and, when ``blocks`` is set, for each
+    generator the six upper-triangular entries (00, 01, 02, 11, 12, 22)
+    of the signed sum of prefix adjoints that :func:`meridian_walk`
+    describes.
+    """
+    n = 0
+    u: IntLaurent = {}
+    u_squared: IntLaurent = {}  # needed only for the blocks
+    sums = {"x": [{} for _ in range(6)], "y": [{} for _ in range(6)]}
+
+    def add_adjoint(entries, eps):
+        e00, e01, e02, e11, e12, e22 = entries
+        e00[2 * n] = e00.get(2 * n, 0) + eps
+        e11[0] = e11.get(0, 0) + eps
+        e22[-2 * n] = e22.get(-2 * n, 0) + eps
+        for k, c in u.items():
+            e01[k] = e01.get(k, 0) - 2 * eps * c
+            e12[k - 2 * n] = e12.get(k - 2 * n, 0) + eps * c
+        for k, c in u_squared.items():
+            e02[k - 2 * n] = e02.get(k - 2 * n, 0) - eps * c
+
+    for gen, sign in word:
+        if blocks and sign > 0:
+            add_adjoint(sums[gen], 1)
+        if gen == "y":
+            e = 2 * n + sign
+            if blocks:  # (u + sign t^e)^2
+                for k, c in u.items():
+                    u_squared[k + e] = u_squared.get(k + e, 0) + 2 * sign * c
+                u_squared[2 * e] = u_squared.get(2 * e, 0) + 1
+            c = u.get(e, 0) + sign
+            if c:
+                u[e] = c
+            else:
+                del u[e]
+        n += sign
+        if blocks and sign < 0:
+            add_adjoint(sums[gen], -1)
+    b = {k - n: c for k, c in u.items()}
+    return n, b, (sums if blocks else None)
+
+
+def meridian_walk(
+    word: Word, rep: RepAssignment, blocks: bool = False
+) -> Tuple[Mat2, Optional[Tuple[Mat3, Mat3]]]:
+    """The image of ``word`` under the meridian representation ``rep``
+    (equal to ``eval_word_matrix(word, rep)``) and, when ``blocks`` is
+    set, the pair (Mx, My) of signed sums of prefix adjoints: a letter
+    g^+1 adds Ad of the prefix before it to Mg, a letter g^-1 subtracts
+    Ad of the prefix ending with it.  One walk over Z[t, t^-1], then one
+    evaluation at t into ``rep.ring`` per entry (see the module
+    docstring).
+
+    ``rep`` must be x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] over
+    Q[t]/(m) or Q[t, t^-1]; any other representation raises ValueError.
+    """
+    ring = rep.ring
+    if not isinstance(ring, (QuotientRing, LaurentRing)):
+        raise ValueError(
+            "the meridian walk needs a representation over Q[t]/(m) or Q[t, t^-1]"
+        )
+    t, t_inverse = ring.evaluate([{1: 1}, {-1: 1}])
+    if (
+        rep.image_x != Mat2(t, 0, 0, t_inverse)
+        or rep.image_y != Mat2(t, 1, 0, t_inverse)
+    ):
+        raise ValueError(
+            "not the meridian representation x -> [[t,0],[0,1/t]], "
+            "y -> [[t,1],[0,1/t]]"
+        )
+    n, b, sums = _meridian_walk(word, blocks)
+    polys: List[IntLaurent] = [{n: 1}, b, {-n: 1}]
+    if sums is not None:
+        polys += sums["x"] + sums["y"]
+    values = ring.evaluate(polys)
+    zero = ring.zero
+    image = Mat2(values[0], values[1], zero, values[2])
+    if sums is None:
+        return image, None
+    mx, my = (
+        Mat3(((e00, e01, e02), (zero, e11, e12), (zero, zero, e22)))
+        for e00, e01, e02, e11, e12, e22 in (values[3:9], values[9:15])
+    )
+    return image, (mx, my)
+
+
 def meridian_rep_laurent() -> RepAssignment:
     """The meridian representation over Q[t, t^-1]."""
     return meridian_rep(
@@ -236,7 +350,7 @@ def alexander_via_rep(fraction: TwoBridgeFraction) -> Poly:
     polynomial evaluated at t^2."""
     pres = build_presentation(fraction)
     rep = meridian_rep_laurent()
-    pw = eval_word_matrix(pres.w, rep)
+    pw, _ = meridian_walk(pres.w, rep)
     left = rep.image_x @ pw
     right = pw @ rep.image_y
     difference = left.b - right.b
@@ -286,7 +400,7 @@ def burde_de_rham_assignment(
         raise ValueError("branch contains t = +-1; rejected")
     t = branch.t()
     rep = meridian_rep(QuotientRing(branch), t, t.inverse())
-    image = eval_word_matrix(relator, rep)
+    image, _ = meridian_walk(relator, rep)
     if not image.is_identity():
         raise ValueError(
             "relator does not map to the identity on this branch: the "

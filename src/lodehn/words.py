@@ -26,6 +26,10 @@ class WordParseError(ValueError):
         self.position = position
 
 
+# The four letters; words share these tuples instead of one per letter.
+_LETTERS = {(gen, sign): (gen, sign) for gen in GENERATORS for sign in (1, -1)}
+
+
 def _reduced(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
     out: list[Letter] = []
     for letter in letters:
@@ -37,7 +41,7 @@ def _reduced(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
         if out and out[-1][0] == gen and out[-1][1] == -sign:
             out.pop()
         else:
-            out.append((gen, sign))
+            out.append(_LETTERS[gen, sign])
     return tuple(out)
 
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: random generators and the floating oracle."""
+"""Shared test utilities: random generators, the step-by-step word-block
+oracle and the floating oracle."""
 
 import json
 import os
@@ -6,7 +7,7 @@ import os
 import mpmath as mp
 
 from lodehn.polynomials import LaurentPoly
-from lodehn.reps import Mat2
+from lodehn.reps import Mat2, Mat3
 from lodehn.words import Word
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -26,6 +27,29 @@ def random_word(rng, length):
         (rng.choice(("x", "y")), rng.choice((1, -1))) for _ in range(length)
     ]
     return Word(letters)
+
+
+def word_value_blocks_oracle(word, rep):
+    """The pair (Mx, My) of ``cohomology.word_value_blocks`` by the
+    letter-by-letter product of 3x3 adjoint matrices over ``rep.ring``,
+    for any representation."""
+    mx = Mat3.zero()
+    my = Mat3.zero()
+    acc = Mat3.identity()
+    for gen, sign in word:
+        if sign > 0:
+            if gen == "x":
+                mx = mx + acc
+            else:
+                my = my + acc
+            acc = acc @ rep.ad(gen, 1)
+        else:
+            acc = acc @ rep.ad(gen, -1)
+            if gen == "x":
+                mx = mx - acc
+            else:
+                my = my - acc
+    return mx, my
 
 
 def random_laurent(rng, max_terms=2, span=2, coeff=3):

@@ -117,7 +117,7 @@ def test_criterion_6_main_vanishing():
         delta = _family_delta(j)
         for factor, mult in squarefree_decomposition(delta):
             branch = ModulusBranch(admissible_modulus(factor))
-            reports = check_rigidity(fraction, branch, factor, mult)
+            reports = check_rigidity(build_presentation(fraction), branch, factor, mult)
             assert reports
             for report in reports:
                 knot, filled = report.dims_knot, report.dims_filled
@@ -234,7 +234,7 @@ def test_criterion_9_cross_knot_oracles():
     fixture = load_fixture("figure_eight_dims.json")
     delta = Poly(fixture["alexander"])
     branch = ModulusBranch(admissible_modulus(delta))
-    reports = check_rigidity(fig8, branch, delta, 1)
+    reports = check_rigidity(build_presentation(fig8), branch, delta, 1)
     assert reports
     for report in reports:
         knot, filled = report.dims_knot, report.dims_filled

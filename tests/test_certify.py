@@ -54,7 +54,10 @@ def test_admissible_modulus_strips_unit_roots():
 
 def test_check_rigidity_k1():
     reports = check_rigidity(
-        TwoBridgeFraction(29, 17), ModulusBranch(DELTA1.inflate(2)), DELTA1, 1
+        build_presentation(TwoBridgeFraction(29, 17)),
+        ModulusBranch(DELTA1.inflate(2)),
+        DELTA1,
+        1,
     )
     assert len(reports) >= 1
     for report in reports:
@@ -71,14 +74,14 @@ def test_check_rigidity_family(j):
     fraction = family_fraction(j)
     delta = Poly([j, -(6 * j + 1), 10 * j + 3, -(6 * j + 1), j])
     branch = ModulusBranch(admissible_modulus(delta))
-    for report in check_rigidity(fraction, branch, delta, 1):
+    for report in check_rigidity(build_presentation(fraction), branch, delta, 1):
         assert report.rigid
         assert report.dims_knot.h1 == 1
 
 
 def test_check_rigidity_locates_factor_when_not_given():
     reports = check_rigidity(
-        TwoBridgeFraction(29, 17), ModulusBranch(DELTA1.inflate(2))
+        build_presentation(TwoBridgeFraction(29, 17)), ModulusBranch(DELTA1.inflate(2))
     )
     assert reports[0].xi_factor == DELTA1
     assert reports[0].multiplicity == 1
@@ -142,7 +145,7 @@ def test_figure_eight_matches_independent_oracle():
     delta = Poly(fixture["alexander"])
     assert certify(fraction).alexander == delta
     branch = ModulusBranch(admissible_modulus(delta))
-    reports = check_rigidity(fraction, branch, delta, 1)
+    reports = check_rigidity(build_presentation(fraction), branch, delta, 1)
     # the oracle dims agree at every root, so each leaf (whatever the
     # split pattern) must carry exactly those dimensions
     for report in reports:

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from helpers import L, random_word
+from helpers import L, random_word, word_value_blocks_oracle
+from lodehn.certify import admissible_modulus
 from lodehn.cohomology import (
     CocycleValues,
     cohomology_dims,
@@ -14,13 +15,20 @@ from lodehn.cohomology import (
     vanishing_identity,
     word_value_blocks,
 )
-from lodehn.polynomials import LaurentPoly, Poly, poly_gcd
-from lodehn.quotient import MatrixOverField, ModulusBranch, QuotientRing, RationalRing
+from lodehn.polynomials import LaurentPoly, Poly, poly_gcd, squarefree_decomposition
+from lodehn.quotient import (
+    AlgebraicElement,
+    MatrixOverField,
+    ModulusBranch,
+    QuotientRing,
+    RationalRing,
+)
 from lodehn.reps import (
     Mat2,
     Mat3,
     RepAssignment,
     adjoint,
+    alexander_via_rep,
     burde_de_rham_assignment,
     eval_word_matrix,
     f_upper_entry,
@@ -130,6 +138,64 @@ def test_word_value_blocks_match_eval():
             mx.apply(z.z_x)[i] + my.apply(z.z_y)[i] for i in range(3)
         )
         assert direct == via_blocks
+
+
+def _branch_reps(fraction):
+    """The presentation of ``fraction`` and the meridian representation
+    on each of its branches."""
+    pres = build_presentation(fraction)
+    reps = []
+    for factor, _ in squarefree_decomposition(alexander_via_rep(fraction)):
+        modulus = admissible_modulus(factor)
+        if modulus is not None:
+            reps.append(burde_de_rham_assignment(ModulusBranch(modulus), pres.relator))
+    return pres, reps
+
+
+def _assert_blocks_match_oracle(word, rep):
+    blocks = word_value_blocks(word, rep)
+    assert blocks == word_value_blocks_oracle(word, rep)
+    assert all(
+        isinstance(e, AlgebraicElement) and e.branch == rep.ring.branch
+        for block in blocks for row in block.rows for e in row
+    )
+
+
+def test_word_value_blocks_match_step_by_step_products():
+    # The integer walk maps each entry into Q[t]/(m) once at the end;
+    # the oracle multiplies 3x3 adjoints over Q[t]/(m) letter by letter.
+    # 9/1 has the modulus Phi12 * Phi36, 147/53 has two branches.
+    for fraction, degrees in (
+        (TwoBridgeFraction(29, 17), [8]),
+        (TwoBridgeFraction(23, 7), [8]),
+        (TwoBridgeFraction(9, 1), [16]),
+        (TwoBridgeFraction(147, 53), [4, 4]),
+    ):
+        pres, reps = _branch_reps(fraction)
+        assert [rep.ring.branch.degree for rep in reps] == degrees
+        for rep in reps:
+            _assert_blocks_match_oracle(pres.relator, rep)
+            _assert_blocks_match_oracle(pres.longitude, rep)
+    _, (rep,) = _branch_reps(TwoBridgeFraction(201, 77))
+    rng = random.Random(201)
+    for _ in range(20):
+        _assert_blocks_match_oracle(random_word(rng, rng.randint(0, 60)), rep)
+
+
+def test_word_value_blocks_rejects_a_non_meridian_representation():
+    word = Word.parse("xyx^-1y^-1x")
+    trivial = RepAssignment(RationalRing(), Mat2(1, 0, 0, 1), Mat2(1, 0, 0, 1))
+    with pytest.raises(ValueError, match="meridian"):
+        word_value_blocks(word, trivial)
+    _, (rep,) = _branch_reps(TwoBridgeFraction(29, 17))
+    swapped = RepAssignment(rep.ring, rep.image_y, rep.image_x)
+    with pytest.raises(ValueError, match="meridian"):
+        word_value_blocks(word, swapped)
+    laurent = meridian_rep_laurent()
+    t, t_inverse = laurent.image_x.a, laurent.image_x.d
+    other = RepAssignment(laurent.ring, laurent.image_x, Mat2(t, 2, 0, t_inverse))
+    with pytest.raises(ValueError, match="meridian"):
+        word_value_blocks(word, other)
 
 
 def _k1_rep():

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import L, random_unimodular_laurent, random_word
+from lodehn.certify import admissible_modulus
 from lodehn.polynomials import Poly
-from lodehn.quotient import ModulusBranch
+from lodehn.quotient import ModulusBranch, QuotientRing
 from lodehn.reps import (
     Mat2,
     adjoint,
@@ -14,7 +15,9 @@ from lodehn.reps import (
     burde_de_rham_assignment,
     eval_word_matrix,
     f_upper_entry,
+    meridian_rep,
     meridian_rep_laurent,
+    meridian_walk,
     normalize_alexander,
 )
 from lodehn.twobridge import TwoBridgeFraction, build_presentation, family_fraction, family_word
@@ -188,6 +191,44 @@ def test_burde_de_rham_rejects_non_root_branch():
     pres = build_presentation(TwoBridgeFraction(3, 1))
     with pytest.raises(ValueError, match="relator"):
         burde_de_rham_assignment(ModulusBranch(Poly([-2, 1])), pres.relator)
+
+
+def test_meridian_walk_image_matches_eval_word_matrix():
+    rng = random.Random(5)
+    branch = ModulusBranch(admissible_modulus(alexander_via_rep(TwoBridgeFraction(201, 77))))
+    t = branch.t()
+    for rep in (meridian_rep_laurent(), meridian_rep(QuotientRing(branch), t, t.inverse())):
+        for _ in range(20):
+            word = random_word(rng, rng.randint(0, 60))
+            image, blocks = meridian_walk(word, rep)
+            assert blocks is None
+            assert image == eval_word_matrix(word, rep)
+
+
+def test_relator_check_rejects_a_nonzero_exponent_sum():
+    # The check is t^n = 1 mod m, not n = 0: on 9/1's branch
+    # Phi12 * Phi36, x^36 maps to the identity and x^12 does not
+    # (the upper-right entry of a power of x is 0, so only t^n decides).
+    branch = ModulusBranch(admissible_modulus(alexander_via_rep(TwoBridgeFraction(9, 1))))
+    assert branch.degree == 16
+    for word in (Word.parse("x"), Word.parse("x") ** 12, Word.parse("y") ** 12):
+        with pytest.raises(ValueError, match="relator"):
+            burde_de_rham_assignment(branch, word)
+    rep = burde_de_rham_assignment(branch, Word.parse("x") ** 36)
+    assert eval_word_matrix(Word.parse("x") ** 36, rep).is_identity()
+
+
+def test_relator_check_rejects_another_knots_branch():
+    # 29/17's relator on the branch of the figure-eight knot, t^4 - 3t^2 + 1:
+    # the exponent sum is 0 and t^0 = 1, so the nonzero upper-right entry
+    # decides.
+    pres = build_presentation(TwoBridgeFraction(29, 17))
+    branch = ModulusBranch(Poly([1, 0, -3, 0, 1]))
+    t = branch.t()
+    image, _ = meridian_walk(pres.relator, meridian_rep(QuotientRing(branch), t, t.inverse()))
+    assert image.a == 1 and image.d == 1 and not image.b.is_zero
+    with pytest.raises(ValueError, match="relator"):
+        burde_de_rham_assignment(branch, pres.relator)
 
 
 def test_burde_de_rham_trefoil():

@@ -14,6 +14,16 @@ def test_reduce_cancels_adjacent_inverses():
     assert Word([("x", 1), ("x", -1), ("y", 1)]) == Word([("y", 1)])
 
 
+def test_words_share_the_four_letter_tuples():
+    # A presentation of p = 485 holds about 2900 letters; one tuple per
+    # letter made it the largest object of a certify call.
+    pres = build_presentation(TwoBridgeFraction(485, 283))
+    letters = {id(letter) for word in (pres.w, pres.v, pres.relator, pres.longitude)
+               for letter in word}
+    assert len(letters) == 4
+    assert Word([["x", 1]]).letters[0] is pres.relator.letters[0]
+
+
 def test_reduce_empty_is_identity():
     assert Word([]).is_identity()
 
