@@ -406,9 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# No parse changes the parser, so one serves every call in the process;
+# a parser built per call is left to the cycle collector as garbage.
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -5,6 +5,20 @@
 real-root machinery (Sturm chains, isolation, refinement) is exact:
 every interval endpoint is a rational that is not a root of the query
 polynomial, so counts are unconditional.
+
+Every sign it needs comes from one integer evaluator, ``_sign_int``.
+A polynomial (or each member of a Sturm chain) is scaled once by a
+positive rational to coprime integer coefficients, which keeps every
+sign; at x = a/b with b > 0 the sign of p(x) is then that of the
+integer b^d p(a/b), computed by homogeneous Horner without a single
+Fraction.  ``isolate_real_roots`` builds and scales its Sturm chain
+once and counts every sub-interval with it.  ``refine_isolating_interval``
+needs no chain: its interval holds exactly one root of a square-free
+polynomial, a root of odd (indeed first) multiplicity, so the
+polynomial has opposite signs at the two endpoints, and of the two
+halves at a non-root midpoint exactly the one whose endpoint signs
+differ holds the root.  That is the half a Sturm count picks, so the
+intervals are the ones per-step Sturm counting gives.
 """
 
 from __future__ import annotations
@@ -338,27 +352,57 @@ def sturm_chain(p: Poly) -> List[Poly]:
     return chain
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _int_multiple(p: Poly) -> List[int]:
+    """Coprime integer coefficients of a positive rational multiple of
+    the nonzero ``p``, so every value keeps its sign (unlike
+    :meth:`Poly.primitive`, which makes the leading coefficient
+    positive)."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = gcd(*ints)
+    return [n // g for n in ints]
 
 
-def _sign_at(p: Poly, x: Optional[Fraction], at_plus_infinity: bool) -> int:
-    if x is not None:
-        return _sign(p(x))
-    if p.is_zero:
-        return 0
-    s = _sign(p.leading)
-    if not at_plus_infinity and p.degree % 2 == 1:
-        s = -s
-    return s
+def _sign_int(coeffs: Sequence[int], x: Fraction) -> int:
+    """Sign of p(x), where ``coeffs`` are the integer coefficients
+    (ascending, degree d) of a positive multiple of p: with x = a/b and
+    b > 0, the sign of b^d * p(a/b), by homogeneous Horner over ints."""
+    a, b = x.numerator, x.denominator
+    acc, power = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * power
+        power *= b
+    return (acc > 0) - (acc < 0)
 
 
-def _variations(signs: Sequence[int]) -> int:
+def _variations(signs: Iterable[int]) -> int:
     nonzero = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(nonzero, nonzero[1:]) if a != b)
 
 
+def _int_sturm_chain(p: Poly) -> List[List[int]]:
+    """The Sturm chain of ``p``, each member scaled to integers by a
+    positive factor, which keeps every sign and so every count."""
+    return [_int_multiple(q) for q in sturm_chain(p)]
+
+
 Endpoint = Optional[Fraction]  # None encodes the infinite endpoint
+
+
+def _chain_variations(
+    chain: Sequence[Sequence[int]], x: Endpoint, at_plus_infinity: bool = False
+) -> int:
+    """Sign variations of an integer Sturm chain at x; ``None`` is +oo
+    when ``at_plus_infinity`` is set and -oo otherwise."""
+    if x is not None:
+        return _variations(_sign_int(q, x) for q in chain)
+    # A member of degree d = len(q) - 1 has the sign of its leading
+    # coefficient at +oo, and that sign times (-1)^d at -oo.
+    return _variations(
+        (q[-1] > 0) - (q[-1] < 0) if at_plus_infinity or len(q) % 2
+        else (q[-1] < 0) - (q[-1] > 0)
+        for q in chain
+    )
 
 
 def sturm_count(p: Poly, interval: Tuple[Endpoint, Endpoint]) -> int:
@@ -378,13 +422,12 @@ def sturm_count(p: Poly, interval: Tuple[Endpoint, Endpoint]) -> int:
     hi = None if hi is None else _frac(hi)
     if lo is not None and hi is not None and lo >= hi:
         raise ValueError(f"empty interval ({lo}, {hi})")
+    chain = _int_sturm_chain(p)
     for endpoint in (lo, hi):
-        if endpoint is not None and p(endpoint) == 0:
+        if endpoint is not None and _sign_int(chain[0], endpoint) == 0:
             raise RootAtEndpoint(endpoint)
-    chain = sturm_chain(p)
-    at_lo = _variations([_sign_at(q, lo, at_plus_infinity=False) for q in chain])
-    at_hi = _variations([_sign_at(q, hi, at_plus_infinity=True) for q in chain])
-    return at_lo - at_hi
+    return (_chain_variations(chain, lo)
+            - _chain_variations(chain, hi, at_plus_infinity=True))
 
 
 def root_bound(p: Poly) -> Fraction:
@@ -395,16 +438,22 @@ def root_bound(p: Poly) -> Fraction:
     return 1 + max((abs(c) / lead for c in p.coeffs[:-1]), default=Fraction(0))
 
 
-def _interior_non_root(p: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    """An interior point of (lo, hi) that is not a root of p."""
+def _interior_non_root(
+    coeffs: Sequence[int], lo: Fraction, hi: Fraction
+) -> Tuple[Fraction, int]:
+    """An interior point of (lo, hi) that is not a root of the
+    polynomial whose positive multiple has integer coefficients
+    ``coeffs``, with the polynomial's (nonzero) sign there."""
     mid = (lo + hi) / 2
     step = (hi - lo) / 4
-    while p(mid) == 0:
+    while True:
+        sign = _sign_int(coeffs, mid)
+        if sign:
+            return mid, sign
         mid += step
         step /= 2
         if not lo < mid < hi:
             raise AssertionError("failed to dodge a root inside the interval")
-    return mid
 
 
 def isolate_real_roots(p: Poly) -> List[Tuple[Fraction, Fraction]]:
@@ -419,8 +468,13 @@ def isolate_real_roots(p: Poly) -> List[Tuple[Fraction, Fraction]]:
         raise ValueError("input must be square-free")
     if p.degree == 0:
         return []
+    chain = _int_sturm_chain(p)
+
+    def roots_between(lo: Fraction, hi: Fraction) -> int:
+        return _chain_variations(chain, lo) - _chain_variations(chain, hi)
+
     bound = root_bound(p)
-    total = sturm_count(p, (-bound, bound))
+    total = roots_between(-bound, bound)
     out: List[Tuple[Fraction, Fraction]] = []
     stack: List[Tuple[Fraction, Fraction, int]] = [(-bound, bound, total)]
     while stack:
@@ -430,8 +484,8 @@ def isolate_real_roots(p: Poly) -> List[Tuple[Fraction, Fraction]]:
         if count == 1:
             out.append((lo, hi))
             continue
-        mid = _interior_non_root(p, lo, hi)
-        left = sturm_count(p, (lo, mid))
+        mid, _ = _interior_non_root(chain[0], lo, hi)
+        left = roots_between(lo, mid)
         stack.append((mid, hi, count - left))
         stack.append((lo, mid, left))
     out.sort()
@@ -445,14 +499,23 @@ def refine_isolating_interval(
 ) -> Tuple[Fraction, Fraction]:
     """Shrink an isolating interval below ``max_width`` by bisection.
 
-    The interval must contain exactly one root of ``p``; the returned
+    ``p`` must be square-free and the interval must contain exactly one
+    root of ``p``.  That root is then simple, so ``p`` has opposite
+    signs at the two endpoints, and each step keeps the half whose
+    endpoint signs differ; no Sturm chain is needed.  Raises
+    ``ValueError`` when the endpoints do not bracket a sign change (no
+    root, two roots, or an endpoint that is a root).  The returned
     endpoints are again non-roots.
     """
     lo, hi = _frac(lo), _frac(hi)
     max_width = _frac(max_width)
+    coeffs = _int_multiple(p)
+    sign_lo = _sign_int(coeffs, lo)
+    if sign_lo * _sign_int(coeffs, hi) >= 0:
+        raise ValueError(f"p does not change sign across ({lo}, {hi})")
     while hi - lo > max_width:
-        mid = _interior_non_root(p, lo, hi)
-        if sturm_count(p, (lo, mid)) == 1:
+        mid, sign_mid = _interior_non_root(coeffs, lo, hi)
+        if sign_mid != sign_lo:
             hi = mid
         else:
             lo = mid

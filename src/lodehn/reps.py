@@ -174,7 +174,8 @@ def adjoint(m: Mat2) -> Mat3:
 
 class RepAssignment:
     """Images of the generators x and y, with cached inverses and
-    adjoint matrices.  Both images must have determinant 1."""
+    adjoint matrices (each built on first use).  Both images must have
+    determinant 1."""
 
     __slots__ = ("ring", "image_x", "image_y", "_images", "_adjoints")
 
@@ -190,13 +191,18 @@ class RepAssignment:
             ("x", 1): image_x, ("x", -1): inv_x,
             ("y", 1): image_y, ("y", -1): inv_y,
         }
-        self._adjoints = {key: adjoint(m) for key, m in self._images.items()}
+        # Each adjoint is built on first use: certify reads only those
+        # of x and y; the inverses serve eval_cocycle, the oracle.
+        self._adjoints: Dict[Tuple[str, int], Mat3] = {}
 
     def image(self, gen: str, sign: int = 1) -> Mat2:
         return self._images[(gen, sign)]
 
     def ad(self, gen: str, sign: int = 1) -> Mat3:
-        return self._adjoints[(gen, sign)]
+        key = (gen, sign)
+        if key not in self._adjoints:
+            self._adjoints[key] = adjoint(self._images[key])
+        return self._adjoints[key]
 
 
 def eval_word_matrix(word: Word, rep: RepAssignment) -> Mat2:

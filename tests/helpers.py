@@ -1,12 +1,12 @@
 """Shared test utilities: random generators, the step-by-step word-block
-oracle and the floating oracle."""
+oracle, the Sturm bisection oracle and the floating oracle."""
 
 import json
 import os
 
 import mpmath as mp
 
-from lodehn.polynomials import LaurentPoly
+from lodehn.polynomials import LaurentPoly, squarefree_part, sturm_chain
 from lodehn.reps import Mat2, Mat3
 from lodehn.words import Word
 
@@ -50,6 +50,36 @@ def word_value_blocks_oracle(word, rep):
             else:
                 my = my - acc
     return mx, my
+
+
+def sturm_count_oracle(p, lo, hi):
+    """Distinct real roots of ``p`` in the open interval (lo, hi), both
+    finite and non-roots, from the Sturm chain of its square-free part
+    evaluated member by member in Fraction arithmetic."""
+    chain = sturm_chain(squarefree_part(p))
+
+    def variations(x):
+        signs = [s for s in ((q(x) > 0) - (q(x) < 0) for q in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return variations(lo) - variations(hi)
+
+
+def refine_isolating_interval_oracle(p, lo, hi, max_width):
+    """``polynomials.refine_isolating_interval`` by bisection that
+    recounts the roots of the left half with a fresh Sturm chain at
+    every step, with the same choice of interior non-root."""
+    while hi - lo > max_width:
+        mid = (lo + hi) / 2
+        step = (hi - lo) / 4
+        while p(mid) == 0:
+            mid += step
+            step /= 2
+        if sturm_count_oracle(p, lo, mid) == 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def random_laurent(rng, max_terms=2, span=2, coeff=3):

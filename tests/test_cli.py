@@ -102,6 +102,23 @@ def test_alexander_roots_figure_eight(capsys):
     assert "2.618034" in root_lines[1] and "multiplicity 1" in root_lines[1]
 
 
+def test_consecutive_in_process_calls_match_fresh_processes(capsys):
+    # main keeps one parser for the process; no call may see another's
+    # flags, so the last call's missing --roots must print no roots.
+    calls = (
+        ["alexander", "--pq", "5/2", "--roots"],
+        ["certify", "--pq", "29/17"],
+        ["alexander", "--pq", "5/2"],
+    )
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        in_process.append((code, out, err))
+    assert in_process == [run_cli(*argv) for argv in calls]
+    assert in_process[2][1] == "1 -3 1\n"
+
+
 def test_alexander_cf_equals_pq(capsys):
     main(["alexander", "--cf", "1,1,2,2,2"])
     via_cf = capsys.readouterr().out

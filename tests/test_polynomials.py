@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import refine_isolating_interval_oracle, sturm_count_oracle
+from lodehn.certify import admissible_modulus
 from lodehn.polynomials import (
     LaurentPoly,
     Poly,
     RootAtEndpoint,
+    _int_multiple,
+    _sign_int,
     isolate_real_roots,
     poly_gcd,
     poly_xgcd,
@@ -15,6 +19,8 @@ from lodehn.polynomials import (
     squarefree_part,
     sturm_count,
 )
+from lodehn.reps import alexander_via_rep
+from lodehn.twobridge import TwoBridgeFraction
 
 DELTA1 = Poly([1, -7, 13, -7, 1])
 
@@ -168,6 +174,114 @@ def test_refinement_keeps_the_root():
     assert hi2 - lo2 <= Fraction(1, 2**30)
     assert sturm_count(p, (lo2, hi2)) == 1
     assert p(lo2) != 0 and p(hi2) != 0
+
+
+def random_fraction(rng, num=20, den=12):
+    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+
+def random_squarefree(rng):
+    """A square-free polynomial with Fraction coefficients, a random
+    (possibly negative) leading coefficient, rational roots that
+    bisection midpoints can hit, and an irreducible quadratic or
+    cubic factor."""
+    while True:
+        p = Poly([random_fraction(rng) for _ in range(rng.randint(3, 4))])
+        for _ in range(rng.randint(0, 3)):
+            p = p * Poly([random_fraction(rng, 6, 4), 1])
+        p = p * random_fraction(rng)
+        if p.degree >= 1 and poly_gcd(p, p.derivative()).degree == 0:
+            return p
+
+
+def test_sign_helper_matches_fraction_evaluation():
+    rng = random.Random(11)
+    for _ in range(200):
+        p = Poly([random_fraction(rng, 50, 30) for _ in range(rng.randint(1, 9))])
+        if p.is_zero:
+            continue
+        coeffs = _int_multiple(p)
+        assert all(isinstance(c, int) for c in coeffs)
+        scale = coeffs[-1] / p.leading
+        assert scale > 0 and Poly(coeffs) == p * scale
+        points = [
+            Fraction(0),
+            -Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)),
+            Fraction(rng.randint(-(2**110), 2**110), rng.randint(2**100, 2**101)),
+            random_fraction(rng),
+        ]
+        for x in points:
+            value = p(x)
+            assert _sign_int(coeffs, x) == (value > 0) - (value < 0)
+    # At a root the sign is 0, on either side of it +-1.
+    p = Poly([Fraction(-2, 3), Fraction(1, 1)]) * Fraction(-5, 7)
+    coeffs = _int_multiple(p)
+    assert coeffs[-1] < 0
+    assert [_sign_int(coeffs, Fraction(k, 3)) for k in (1, 2, 3)] == [1, 0, -1]
+
+
+def test_sturm_count_matches_the_fraction_chain_oracle():
+    rng = random.Random(12)
+    for _ in range(60):
+        p = Poly([rng.randint(-6, 6) for _ in range(rng.randint(2, 7))])
+        if p.degree < 1:
+            continue
+        # Squared input now and then: both count distinct roots.
+        p = p * p * random_fraction(rng) if rng.random() < 0.3 else p
+        if p.is_zero:
+            continue
+        lo, hi = sorted((random_fraction(rng, 40, 7), random_fraction(rng, 40, 7)))
+        if lo == hi or p(lo) == 0 or p(hi) == 0:
+            continue
+        assert sturm_count(p, (lo, hi)) == sturm_count_oracle(p, lo, hi)
+
+
+def test_refinement_matches_the_sturm_bisection_oracle():
+    rng = random.Random(13)
+    cases = []
+    for _ in range(25):
+        p = random_squarefree(rng)
+        cases.append((p, Fraction(1, 2 ** rng.randint(1, 40))))
+    for p_q in ((29, 17), (41, 1), (485, 283)):
+        delta = alexander_via_rep(TwoBridgeFraction(*p_q))
+        for factor, _ in squarefree_decomposition(delta):
+            cases.append((factor, Fraction(1, 10**32)))
+            modulus = admissible_modulus(factor)
+            if modulus is not None:
+                cases.append((modulus, Fraction(1, 10**8)))
+    # Bisection midpoints that hit the root itself: 1/2 at once, 3/8 on
+    # the third step, and 0 at once, so the interior non-root is nudged.
+    nudged = [
+        (Poly([-1, 2]), Fraction(0), Fraction(1)),
+        (Poly([-3, 8]) * Poly([-5, 0, 1]), Fraction(0), Fraction(1)),
+        (Poly([0, -2, 0, 1]), Fraction(-1), Fraction(1)),
+    ]
+    for p, lo, hi in nudged:
+        width = Fraction(1, 10**6)
+        assert refine_isolating_interval(p, lo, hi, width) == (
+            refine_isolating_interval_oracle(p, lo, hi, width)
+        )
+    refined = 0
+    for p, width in cases:
+        for lo, hi in isolate_real_roots(p):
+            assert refine_isolating_interval(p, lo, hi, width) == (
+                refine_isolating_interval_oracle(p, lo, hi, width)
+            )
+            refined += 1
+    assert refined > 40
+
+
+def test_refinement_rejects_an_interval_without_a_sign_change():
+    p = Poly([-2, 0, 1])  # roots -sqrt(2), sqrt(2)
+    for lo, hi in (
+        (Fraction(2), Fraction(3)),  # no root
+        (Fraction(-2), Fraction(2)),  # two roots
+        (Fraction(0), Fraction(1)),  # no root, p < 0 throughout
+    ):
+        with pytest.raises(ValueError):
+            refine_isolating_interval(p, lo, hi, Fraction(1, 10**6))
+    with pytest.raises(ValueError):  # an endpoint is the root
+        refine_isolating_interval(Poly([-1, 1]), Fraction(1), Fraction(2), Fraction(1, 8))
 
 
 def test_inflate_linear():

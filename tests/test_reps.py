@@ -187,6 +187,18 @@ def test_burde_de_rham_on_k1_branch():
     assert eval_word_matrix(pres.longitude, rep).is_identity()
 
 
+def test_adjoints_built_on_first_use_invert_each_other():
+    from lodehn.reps import Mat3
+
+    pres = build_presentation(TwoBridgeFraction(29, 17))
+    rep = burde_de_rham_assignment(ModulusBranch(DELTA1.inflate(2)), pres.relator)
+    for gen in "xy":
+        inverse = rep.ad(gen, -1)
+        assert inverse == adjoint(rep.image(gen, -1))
+        assert rep.ad(gen, 1) @ inverse == Mat3.identity()
+        assert rep.ad(gen, -1) is inverse
+
+
 def test_burde_de_rham_rejects_non_root_branch():
     pres = build_presentation(TwoBridgeFraction(3, 1))
     with pytest.raises(ValueError, match="relator"):
