@@ -20,7 +20,6 @@ from .cohomology import (
     CohomologyDims,
     FamilyCocycleForms,
     cohomology_dims,
-    eval_cocycle,
     family_cocycle_forms,
     normalized_representative,
     relator_system,
@@ -53,7 +52,6 @@ from .reps import (
     alexander_via_fox,
     alexander_via_rep,
     burde_de_rham_assignment,
-    eval_word_matrix,
     f_upper_entry,
     meridian_rep_laurent,
     normalize_alexander,

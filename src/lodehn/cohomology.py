@@ -16,7 +16,7 @@ them from the integer walk of :func:`reps.meridian_walk` over
 Z[t, t^-1] and maps each of the 12 live entries into Q[t]/(m) (or
 Q[t, t^-1]) once, by evaluation at t.  Evaluation at t is a ring
 homomorphism, so the blocks are exactly the letter-by-letter products
-over that ring; :func:`eval_cocycle` stays the independent oracle.
+over that ring; the step-by-step oracles live in the tests.
 
 Coboundaries are the value pairs ((Ad x - 1) V, (Ad y - 1) V); their
 span has dimension 3 - dim H^0, so
@@ -24,8 +24,10 @@ span has dimension 3 - dim H^0, so
     dim H^1 = dim Z^1 - (3 - dim H^0).
 
 The closed forms of the family cocycle values and the two vanishing
-identities they satisfy are exposed at the end of the module; they are
-rechecked symbolically over Q[t, t^-1] on every call.
+identities they satisfy are exposed at the end of the module.  On every
+call the forms are checked against the meridian walk over
+Q[t, t^-1] (the blocks of w and v, the images of u and s), and the
+identities are checked symbolically from the forms.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .reps import (
     Mat3,
     RepAssignment,
     adjoint,
-    eval_word_matrix,
     f_upper_entry,
     meridian_rep_laurent,
     meridian_walk,
@@ -58,23 +59,6 @@ class CocycleValues:
 
     def value(self, gen: str) -> Tuple:
         return self.z_x if gen == "x" else self.z_y
-
-
-def eval_cocycle(word: Word, z: CocycleValues, rep: RepAssignment) -> Tuple:
-    """Extend the generator values along ``word`` by the cocycle law."""
-    val = (rep.ring.zero,) * 3
-    acc = Mat3.identity()
-    for gen, sign in word:
-        zg = z.value(gen)
-        if sign > 0:
-            step = acc.apply(zg)
-            val = tuple(val[i] + step[i] for i in range(3))
-            acc = acc @ rep.ad(gen, 1)
-        else:
-            acc = acc @ rep.ad(gen, -1)
-            step = acc.apply(zg)
-            val = tuple(val[i] - step[i] for i in range(3))
-    return tuple(rep.ring.coerce(v) for v in val)
 
 
 def word_value_blocks(word: Word, rep: RepAssignment) -> Tuple[Mat3, Mat3]:
@@ -280,10 +264,20 @@ def _family_closed_forms(j: int):
     return omega1_alpha, omega2_beta, nu2_beta, omega3_beta, nu3_beta, sum_u, sum_s
 
 
+def _alpha_beta_parts(word: Word, rep: RepAssignment) -> Tuple[Tuple, Tuple]:
+    """The alpha and beta parts of z(word) for z(x) = (0, alpha, beta),
+    z(y) = (0, alpha, 0): column 1 of Mx plus column 1 of My, and
+    column 2 of Mx."""
+    mx, my = word_value_blocks(word, rep)
+    alpha = tuple(mx.rows[i][1] + my.rows[i][1] for i in range(3))
+    beta = tuple(mx.rows[i][2] for i in range(3))
+    return alpha, beta
+
+
 def family_cocycle_forms(j: int) -> FamilyCocycleForms:
     """Closed forms for z(w), z(v) and the two geometric-sum matrices of
-    the family, each verified against a direct symbolic cocycle
-    evaluation over Q[t, t^-1]."""
+    the family, each verified against the meridian walk over
+    Q[t, t^-1]."""
     if j < 1:
         raise ValueError(f"family index must be >= 1, got {j}")
     (omega1_alpha, omega2_beta, nu2_beta, omega3_beta, nu3_beta,
@@ -291,14 +285,8 @@ def family_cocycle_forms(j: int) -> FamilyCocycleForms:
 
     rep = meridian_rep_laurent()
     ring = rep.ring
-    zero, one = ring.zero, ring.one
-    z_alpha = CocycleValues((zero, one, zero), (zero, one, zero))
-    z_beta = CocycleValues((zero, zero, one), (zero, zero, zero))
-    w, v = family_word(j), family_v(j)
-    ew_alpha = eval_cocycle(w, z_alpha, rep)
-    ew_beta = eval_cocycle(w, z_beta, rep)
-    ev_alpha = eval_cocycle(v, z_alpha, rep)
-    ev_beta = eval_cocycle(v, z_beta, rep)
+    ew_alpha, ew_beta = _alpha_beta_parts(family_word(j), rep)
+    ev_alpha, ev_beta = _alpha_beta_parts(family_v(j), rep)
 
     checks = [
         ("z(w) v+ alpha part", ew_alpha[0], omega1_alpha),
@@ -316,8 +304,8 @@ def family_cocycle_forms(j: int) -> FamilyCocycleForms:
             raise ClosedFormMismatch(
                 f"{label} disagrees at j={j}: {computed!r} != {closed!r}"
             )
-    ad_u = adjoint(eval_word_matrix(FAMILY_U, rep))
-    ad_s = adjoint(eval_word_matrix(FAMILY_S, rep))
+    ad_u = adjoint(meridian_walk(FAMILY_U, rep)[0])
+    ad_s = adjoint(meridian_walk(FAMILY_S, rep)[0])
     if _geometric_sum(ad_u, j) != sum_u:
         raise ClosedFormMismatch(f"geometric sum over u disagrees at j={j}")
     if _geometric_sum(ad_s, j) != sum_s:

@@ -1,7 +1,8 @@
 """Exact univariate polynomial and Laurent polynomial arithmetic over Q.
 
-``Poly`` stores Fraction coefficients in ascending degree order;
-``LaurentPoly`` adds an integer offset for the lowest exponent.  The
+``Poly`` stores Fraction coefficients in ascending degree order and is
+the only coefficient arithmetic; ``LaurentPoly`` is an offset over it,
+t^offset times a Poly with a nonzero constant term.  The
 real-root machinery (Sturm chains, isolation, refinement) is exact:
 every interval endpoint is a rational that is not a root of the query
 polynomial, so counts are unconditional.
@@ -177,14 +178,6 @@ class Poly:
     def __mod__(self, divisor: "Poly") -> "Poly":
         return self.divmod(divisor)[1]
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by t^k (k >= 0)."""
-        if k < 0:
-            raise ValueError("negative shift on a plain polynomial")
-        if self.is_zero:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
     def inflate(self, k: int) -> "Poly":
         """Substitute t -> t^k, e.g. p(t) -> p(t^2) for k = 2."""
         if k < 1:
@@ -212,9 +205,6 @@ class Poly:
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
-
-    def to_laurent(self) -> "LaurentPoly":
-        return LaurentPoly(0, self.coeffs)
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
@@ -464,11 +454,12 @@ def isolate_real_roots(p: Poly) -> List[Tuple[Fraction, Fraction]]:
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    if poly_gcd(p, p.derivative() if p.degree > 0 else Poly([1])).degree > 0:
-        raise ValueError("input must be square-free")
     if p.degree == 0:
         return []
     chain = _int_sturm_chain(p)
+    # The chain's last member is gcd(p, p') up to a constant factor.
+    if len(chain[-1]) > 1:
+        raise ValueError("input must be square-free")
 
     def roots_between(lo: Fraction, hi: Fraction) -> int:
         return _chain_variations(chain, lo) - _chain_variations(chain, hi)
@@ -523,36 +514,28 @@ def refine_isolating_interval(
 
 
 class LaurentPoly:
-    """Laurent polynomial: ``coeffs[i]`` is the coefficient of
-    t^(offset + i).  Stored trimmed on both ends; zero has no coeffs."""
+    """Laurent polynomial t^offset * poly, where ``poly`` is a
+    :class:`Poly` with a nonzero constant term (zero is offset 0 and the
+    zero Poly).  Every operation aligns offsets and defers to Poly."""
 
-    __slots__ = ("offset", "coeffs")
+    __slots__ = ("offset", "poly")
 
-    def __init__(self, offset: int = 0, coeffs: Iterable[Scalar] = ()):
-        cs = [_frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        drop = 0
-        while drop < len(cs) and cs[drop] == 0:
-            drop += 1
-        if drop:
-            cs = cs[drop:]
-            offset += drop
-        if not cs:
-            offset = 0
-        self.offset = offset
-        self.coeffs = tuple(cs)
+    def __init__(
+        self, offset: int = 0, coeffs: Union[Poly, Iterable[Scalar]] = ()
+    ):
+        poly = coeffs if isinstance(coeffs, Poly) else Poly(coeffs)
+        low = next((i for i, c in enumerate(poly.coeffs) if c), 0)
+        if low:
+            poly = Poly(poly.coeffs[low:])
+        self.offset = offset + low if poly else 0
+        self.poly = poly
 
     @classmethod
     def from_terms(cls, terms: Dict[int, Scalar]) -> "LaurentPoly":
         if not terms:
             return cls()
         low = min(terms)
-        high = max(terms)
-        coeffs = [Fraction(0)] * (high - low + 1)
-        for k, c in terms.items():
-            coeffs[k - low] = _frac(c)
-        return cls(low, coeffs)
+        return cls(low, [terms.get(e, 0) for e in range(low, max(terms) + 1)])
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: Scalar = 1) -> "LaurentPoly":
@@ -560,7 +543,7 @@ class LaurentPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.poly.is_zero
 
     @property
     def valuation(self) -> int:
@@ -572,61 +555,46 @@ class LaurentPoly:
     def degree(self) -> int:
         if self.is_zero:
             raise ValueError("zero Laurent polynomial has no degree")
-        return self.offset + len(self.coeffs) - 1
+        return self.offset + self.poly.degree
 
     def terms(self) -> Dict[int, Fraction]:
-        return {self.offset + i: c for i, c in enumerate(self.coeffs) if c != 0}
+        return {self.offset + i: c for i, c in enumerate(self.poly.coeffs) if c}
 
-    def coefficient(self, exponent: int) -> Fraction:
-        i = exponent - self.offset
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
+    def _raised(self, low: int) -> Poly:
+        """``poly`` times t^(offset - low), for low <= offset."""
+        k = self.offset - low
+        return Poly((0,) * k + self.poly.coeffs) if k else self.poly
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
-            return self.offset == other.offset and self.coeffs == other.coeffs
+            return self.offset == other.offset and self.poly == other.poly
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return self.is_zero
-            return self.offset == 0 and self.coeffs == (_frac(other),)
+            return self.offset == 0 and self.poly == other
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.offset, self.coeffs))
+        return hash((self.offset, self.poly))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly(self.offset, tuple(-c for c in self.coeffs))
+        return LaurentPoly(self.offset, -self.poly)
 
     def __add__(self, other: Union["LaurentPoly", Scalar]) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self
             other = LaurentPoly(0, (other,))
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
         low = min(self.offset, other.offset)
-        high = max(self.offset + len(self.coeffs), other.offset + len(other.coeffs))
-        out = [Fraction(0)] * (high - low)
-        for i, c in enumerate(self.coeffs):
-            out[self.offset - low + i] = c
-        for i, c in enumerate(other.coeffs):
-            out[other.offset - low + i] += c
-        return LaurentPoly(low, out)
+        return LaurentPoly(low, self._raised(low) + other._raised(low))
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["LaurentPoly", Scalar]) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            return self + (-_frac(other))
-        if not isinstance(other, LaurentPoly):
+        if not isinstance(other, (int, Fraction, LaurentPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -635,72 +603,33 @@ class LaurentPoly:
 
     def __mul__(self, other: Union["LaurentPoly", Scalar]) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return LaurentPoly()
-            if other == 1:
-                return self
-            q = _frac(other)
-            return LaurentPoly(self.offset, tuple(c * q for c in self.coeffs))
+            return LaurentPoly(self.offset, self.poly * other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return LaurentPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for k, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + k] += a * b
-        return LaurentPoly(self.offset + other.offset, out)
+        return LaurentPoly(self.offset + other.offset, self.poly * other.poly)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by t^k (any integer k)."""
-        if self.is_zero:
-            return self
-        return LaurentPoly(self.offset + k, self.coeffs)
+        return LaurentPoly(self.offset + k, self.poly)
 
     def reciprocal(self) -> "LaurentPoly":
         """Substitute t -> 1/t."""
         if self.is_zero:
             return self
-        return LaurentPoly(-(self.offset + len(self.coeffs) - 1),
-                           tuple(reversed(self.coeffs)))
-
-    def has_only_even_exponents(self) -> bool:
-        return all((self.offset + i) % 2 == 0
-                   for i, c in enumerate(self.coeffs) if c != 0)
-
-    def deflate(self, k: int) -> "LaurentPoly":
-        """Substitute t^k -> t; every exponent must be divisible by k."""
-        if k < 1:
-            raise ValueError("deflation factor must be >= 1")
-        if self.is_zero or k == 1:
-            return self
-        terms = {}
-        for e, c in self.terms().items():
-            if e % k != 0:
-                raise ValueError(f"exponent {e} not divisible by {k}")
-            terms[e // k] = c
-        return LaurentPoly.from_terms(terms)
+        return LaurentPoly(-self.degree, reversed(self.poly.coeffs))
 
     def to_poly(self) -> Poly:
-        if self.is_zero:
-            return Poly()
         if self.offset < 0:
             raise ValueError("negative exponents; shift before converting")
-        return Poly((Fraction(0),) * self.offset + self.coeffs)
+        return self._raised(0)
 
     def __call__(self, x: Scalar) -> Fraction:
         x = _frac(x)
         if self.offset < 0 and x == 0:
             raise ZeroDivisionError("evaluating a Laurent polynomial at 0")
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc * x**self.offset
+        return self.poly(x) * x**self.offset
 
     def __repr__(self) -> str:
         return f"LaurentPoly.from_terms({{{', '.join(f'{e}: {c}' for e, c in sorted(self.terms().items()))}}})"

@@ -29,7 +29,9 @@ polynomial division.  Each resulting entry is mapped into the ring of
 the representation once, by evaluation at t.  That map is a ring
 homomorphism (reduction mod m on Q[t]/(m), the identity on
 Q[t, t^-1]), so the results are exactly the letter-by-letter products
-over that ring.
+over that ring.  The representation route of the Alexander polynomial
+reads n and b off the walk and, like the Fox route, stays in integer
+``{exponent: coefficient}`` dicts up to the shared normalizer.
 """
 
 from __future__ import annotations
@@ -192,7 +194,8 @@ class RepAssignment:
             ("y", 1): image_y, ("y", -1): inv_y,
         }
         # Each adjoint is built on first use: certify reads only those
-        # of x and y; the inverses serve eval_cocycle, the oracle.
+        # of x and y, and only the step-by-step test oracles read the
+        # inverses.
         self._adjoints: Dict[Tuple[str, int], Mat3] = {}
 
     def image(self, gen: str, sign: int = 1) -> Mat2:
@@ -203,15 +206,6 @@ class RepAssignment:
         if key not in self._adjoints:
             self._adjoints[key] = adjoint(self._images[key])
         return self._adjoints[key]
-
-
-def eval_word_matrix(word: Word, rep: RepAssignment) -> Mat2:
-    """Product of generator images in word order; empty word gives the
-    identity."""
-    m = Mat2.identity()
-    for gen, sign in word:
-        m = m @ rep.image(gen, sign)
-    return m
 
 
 def meridian_rep(ring: CoefficientRing, t, t_inverse) -> RepAssignment:
@@ -279,12 +273,12 @@ def meridian_walk(
     word: Word, rep: RepAssignment, blocks: bool = False
 ) -> Tuple[Mat2, Optional[Tuple[Mat3, Mat3]]]:
     """The image of ``word`` under the meridian representation ``rep``
-    (equal to ``eval_word_matrix(word, rep)``) and, when ``blocks`` is
-    set, the pair (Mx, My) of signed sums of prefix adjoints: a letter
-    g^+1 adds Ad of the prefix before it to Mg, a letter g^-1 subtracts
-    Ad of the prefix ending with it.  One walk over Z[t, t^-1], then one
-    evaluation at t into ``rep.ring`` per entry (see the module
-    docstring).
+    (the product of the generator images in word order) and, when
+    ``blocks`` is set, the pair (Mx, My) of signed sums of prefix
+    adjoints: a letter g^+1 adds Ad of the prefix before it to Mg, a
+    letter g^-1 subtracts Ad of the prefix ending with it.  One walk
+    over Z[t, t^-1], then one evaluation at t into ``rep.ring`` per
+    entry (see the module docstring).
 
     ``rep`` must be x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] over
     Q[t]/(m) or Q[t, t^-1]; any other representation raises ValueError.
@@ -338,42 +332,50 @@ class AlexanderMismatch(RuntimeError):
     """The two independent Alexander computations disagree."""
 
 
-def normalize_alexander(value: Union[Poly, LaurentPoly]) -> Poly:
-    """Canonical representative: shift by a unit so the constant term is
-    nonzero, clear denominators to coprime integer coefficients, and
-    make the leading coefficient positive.  Idempotent."""
-    laurent = value if isinstance(value, LaurentPoly) else value.to_laurent()
-    if laurent.is_zero:
+def normalize_alexander(value: Union[Poly, LaurentPoly, IntLaurent]) -> Poly:
+    """Canonical representative of a Laurent polynomial, given as a
+    Poly, a LaurentPoly or an ``{exponent: coefficient}`` dict: shift by
+    a unit so the constant term is nonzero, clear denominators to
+    coprime integer coefficients, and make the leading coefficient
+    positive.  Idempotent."""
+    if isinstance(value, Poly):
+        value = dict(enumerate(value.coeffs))
+    elif isinstance(value, LaurentPoly):
+        value = value.terms()
+    terms = {e: c for e, c in value.items() if c}
+    if not terms:
         raise ValueError("cannot normalize the zero polynomial")
-    shifted = Poly(laurent.coeffs)
-    return shifted.primitive()
+    low = min(terms)
+    return Poly([terms.get(e, 0) for e in range(low, max(terms) + 1)]).primitive()
 
 
 def alexander_via_rep(fraction: TwoBridgeFraction) -> Poly:
-    """Alexander polynomial from the meridian representation over
-    Q[t, t^-1]: the two sides of the defining relation agree exactly
-    when t^2 is a root, so their upper-right difference is the
-    polynomial evaluated at t^2."""
+    """Alexander polynomial from the meridian representation.  With the
+    image [[t^n, b], [0, t^-n]] of w from the integer walk, the
+    upper-right entry of x W - W y is (t - 1/t) b - t^n; the two sides
+    of the defining relation agree exactly when t^2 is a root, so that
+    difference is the polynomial evaluated at t^2, up to a unit."""
     pres = build_presentation(fraction)
-    rep = meridian_rep_laurent()
-    pw, _ = meridian_walk(pres.w, rep)
-    left = rep.image_x @ pw
-    right = pw @ rep.image_y
-    difference = left.b - right.b
-    if difference.is_zero:
+    n, b, _ = _meridian_walk(pres.w, blocks=False)
+    difference: IntLaurent = {n: -1}
+    for k, c in b.items():
+        difference[k + 1] = difference.get(k + 1, 0) + c
+        difference[k - 1] = difference.get(k - 1, 0) - c
+    difference = {e: c for e, c in difference.items() if c}
+    if not difference:
         raise AssertionError("degenerate relator difference")
-    if not difference.has_only_even_exponents():
+    if any(e % 2 for e in difference):
         raise AssertionError(
             "odd exponents in the relator difference: presentation bug"
         )
-    return normalize_alexander(difference.deflate(2))
+    return normalize_alexander({e // 2: c for e, c in difference.items()})
 
 
 def alexander_via_fox(fraction: TwoBridgeFraction) -> Poly:
     """Alexander polynomial by the classical free-derivative route,
     abelianizing the derivative of the relator with respect to x."""
     pres = build_presentation(fraction)
-    terms: dict[int, int] = {}
+    terms: IntLaurent = {}
     total = 0
     for gen, sign in pres.relator:
         if gen == "x":
@@ -382,10 +384,9 @@ def alexander_via_fox(fraction: TwoBridgeFraction) -> Poly:
             else:
                 terms[total - 1] = terms.get(total - 1, 0) - 1
         total += sign
-    derivative = LaurentPoly.from_terms(terms)
-    if derivative.is_zero:
+    if not any(terms.values()):
         raise AssertionError("vanishing free derivative: presentation bug")
-    return normalize_alexander(derivative)
+    return normalize_alexander(terms)
 
 
 def burde_de_rham_assignment(

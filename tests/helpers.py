@@ -1,13 +1,16 @@
-"""Shared test utilities: random generators, the step-by-step word-block
-oracle, the Sturm bisection oracle and the floating oracle."""
+"""Shared test utilities: random generators, the step-by-step word and
+cocycle oracles, the Q[t, t^-1] Alexander oracle, the dict oracle for
+Laurent arithmetic, the Sturm bisection oracle and the floating oracle."""
 
 import json
 import os
+from fractions import Fraction
 
 import mpmath as mp
 
 from lodehn.polynomials import LaurentPoly, squarefree_part, sturm_chain
-from lodehn.reps import Mat2, Mat3
+from lodehn.reps import Mat2, Mat3, meridian_rep_laurent, meridian_walk
+from lodehn.twobridge import build_presentation
 from lodehn.words import Word
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -27,6 +30,72 @@ def random_word(rng, length):
         (rng.choice(("x", "y")), rng.choice((1, -1))) for _ in range(length)
     ]
     return Word(letters)
+
+
+def eval_word_matrix(word, rep):
+    """Product of generator images in word order; empty word gives the
+    identity."""
+    m = Mat2.identity()
+    for gen, sign in word:
+        m = m @ rep.image(gen, sign)
+    return m
+
+
+def eval_cocycle(word, z, rep):
+    """Extend the generator values ``z`` (a ``CocycleValues``) along
+    ``word`` by the cocycle law z(gh) = z(g) + g.z(h),
+    z(g^-1) = -Ad(g^-1) z(g), letter by letter."""
+    val = (rep.ring.zero,) * 3
+    acc = Mat3.identity()
+    for gen, sign in word:
+        zg = z.value(gen)
+        if sign > 0:
+            step = acc.apply(zg)
+            val = tuple(val[i] + step[i] for i in range(3))
+            acc = acc @ rep.ad(gen, 1)
+        else:
+            acc = acc @ rep.ad(gen, -1)
+            step = acc.apply(zg)
+            val = tuple(val[i] - step[i] for i in range(3))
+    return tuple(rep.ring.coerce(v) for v in val)
+
+
+def alexander_via_rep_oracle(fraction):
+    """``reps.alexander_via_rep`` over Q[t, t^-1]: the upper-right entry
+    of x W - W y as a LaurentPoly, W the image of w, then t^2 -> t and
+    the shift, denominators and sign of the canonical representative."""
+    pres = build_presentation(fraction)
+    rep = meridian_rep_laurent()
+    pw, _ = meridian_walk(pres.w, rep)
+    difference = (rep.image_x @ pw).b - (pw @ rep.image_y).b
+    terms = difference.terms()
+    assert terms and all(e % 2 == 0 for e in terms)
+    deflated = LaurentPoly.from_terms({e // 2: c for e, c in terms.items()})
+    return deflated.shift(-deflated.valuation).to_poly().primitive()
+
+
+def laurent_dict_add(a, b):
+    """Sum of two Laurent polynomials given as {exponent: Fraction}
+    dicts with no zero values."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: Fraction(c) for e, c in out.items() if c}
+
+
+def laurent_dict_mul(a, b):
+    """Product of two Laurent polynomials given as {exponent: Fraction}
+    dicts with no zero values, term by term."""
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            out[e + f] = out.get(e + f, 0) + c * d
+    return {e: Fraction(c) for e, c in out.items() if c}
+
+
+def laurent_dict_value(a, x):
+    """Value at the rational ``x`` of a {exponent: Fraction} dict."""
+    return sum((c * Fraction(x) ** e for e, c in a.items()), Fraction(0))
 
 
 def word_value_blocks_oracle(word, rep):

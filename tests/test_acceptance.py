@@ -10,6 +10,8 @@ import time
 from fractions import Fraction
 
 from helpers import (
+    eval_cocycle,
+    eval_word_matrix,
     load_fixture,
     numeric_roots,
     random_unimodular_laurent,
@@ -21,7 +23,6 @@ from lodehn.cli import main
 from lodehn.cohomology import (
     CocycleValues,
     coboundary_values,
-    eval_cocycle,
     family_cocycle_forms,
     relator_system,
     vanishing_identity,
@@ -33,7 +34,6 @@ from lodehn.reps import (
     alexander_via_fox,
     alexander_via_rep,
     burde_de_rham_assignment,
-    eval_word_matrix,
     meridian_rep_laurent,
 )
 from lodehn.twobridge import (

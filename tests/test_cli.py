@@ -8,6 +8,7 @@ import pytest
 from lodehn import cli
 from lodehn.cli import build_parser, canonical_report, decimal_string, main
 from lodehn.cohomology import ClosedFormMismatch
+from lodehn.polynomials import LaurentPoly
 from fractions import Fraction
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -117,6 +118,23 @@ def test_consecutive_in_process_calls_match_fresh_processes(capsys):
         in_process.append((code, out, err))
     assert in_process == [run_cli(*argv) for argv in calls]
     assert in_process[2][1] == "1 -3 1\n"
+
+
+def test_alexander_and_certify_construct_no_laurent_poly(monkeypatch, capsys):
+    # Both Alexander routes and the certify pipeline work over integer
+    # dicts, Poly and Q[t]/(m); Q[t, t^-1] is for the family checks.
+    constructed = []
+    original = LaurentPoly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        constructed.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", counting_init)
+    assert main(["alexander", "--pq", "201/77", "--roots"]) == 0
+    assert len(constructed) == 0
+    assert main(["certify", "--pq", "485/283", "--quiet"]) == 0
+    assert len(constructed) == 0
 
 
 def test_alexander_cf_equals_pq(capsys):

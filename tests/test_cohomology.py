@@ -2,13 +2,18 @@ import random
 
 import pytest
 
-from helpers import L, random_word, word_value_blocks_oracle
+from helpers import (
+    L,
+    eval_cocycle,
+    eval_word_matrix,
+    random_word,
+    word_value_blocks_oracle,
+)
 from lodehn.certify import admissible_modulus
 from lodehn.cohomology import (
     CocycleValues,
     cohomology_dims,
     coboundary_values,
-    eval_cocycle,
     family_cocycle_forms,
     normalized_representative,
     relator_system,
@@ -30,7 +35,6 @@ from lodehn.reps import (
     adjoint,
     alexander_via_rep,
     burde_de_rham_assignment,
-    eval_word_matrix,
     f_upper_entry,
     meridian_rep_laurent,
 )
@@ -40,6 +44,8 @@ from lodehn.twobridge import (
     TwoBridgeFraction,
     build_presentation,
     family_fraction,
+    family_v,
+    family_word,
 )
 from lodehn.words import Word
 
@@ -367,6 +373,28 @@ def test_family_forms_expose_unspecified_parts():
 @pytest.mark.parametrize("j", [1, 2, 3, 4])
 def test_family_forms_verify(j):
     family_cocycle_forms(j)  # raises ClosedFormMismatch on any failure
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_family_forms_match_the_step_by_step_oracles(j):
+    rep = _laurent_rep()
+    z_alpha, z_beta = _normal_values(rep)
+    forms = family_cocycle_forms(j)
+    w, v = family_word(j), family_v(j)
+    assert eval_cocycle(w, z_alpha, rep) == (forms.omega1_alpha, 0, 0)
+    assert eval_cocycle(w, z_beta, rep) == (
+        forms.h_beta, forms.omega2_beta, forms.omega3_beta
+    )
+    assert eval_cocycle(v, z_alpha, rep) == (forms.nu1_alpha, 0, 0)
+    assert eval_cocycle(v, z_beta, rep) == (
+        forms.nu1_beta, forms.nu2_beta, forms.nu3_beta
+    )
+    for word, expected in ((FAMILY_U, forms.sum_u), (FAMILY_S, forms.sum_s)):
+        ad = adjoint(eval_word_matrix(word, rep))
+        total, power = Mat3.zero(), Mat3.identity()
+        for _ in range(j):
+            total, power = total + power, power @ ad
+        assert total == expected
 
 
 def test_vanishing_identity_j1():

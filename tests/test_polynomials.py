@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import refine_isolating_interval_oracle, sturm_count_oracle
+from helpers import (
+    laurent_dict_add,
+    laurent_dict_mul,
+    laurent_dict_value,
+    refine_isolating_interval_oracle,
+    sturm_count_oracle,
+)
 from lodehn.certify import admissible_modulus
 from lodehn.polynomials import (
     LaurentPoly,
@@ -151,8 +157,14 @@ def test_isolate_linear():
 
 
 def test_isolate_rejects_nonsquarefree():
-    with pytest.raises(ValueError):
-        isolate_real_roots(Poly([1, -2, 1]))
+    for p in (
+        Poly([1, -2, 1]),
+        Poly([-1, 1]) ** 2 * Poly([2, 1]),
+        Poly([Fraction(-1, 3), Fraction(2, 5)]) ** 2 * Poly([Fraction(7, 2), 1]),
+        Poly([Fraction(1, 2), 0, 1]) ** 3 * Poly([Fraction(-5, 4), Fraction(3, 7)]),
+    ):
+        with pytest.raises(ValueError, match="square-free"):
+            isolate_real_roots(p)
 
 
 def test_isolation_count_matches_sturm_for_random_polys():
@@ -310,15 +322,60 @@ def test_laurent_reciprocal():
     assert a.reciprocal() == LaurentPoly.from_terms({3: 1, -1: 5})
 
 
-def test_laurent_deflate():
-    a = LaurentPoly.from_terms({-4: 1, 0: 2, 2: -3})
-    assert a.has_only_even_exponents()
-    assert a.deflate(2) == LaurentPoly.from_terms({-2: 1, 0: 2, 1: -3})
-    with pytest.raises(ValueError):
-        LaurentPoly.from_terms({1: 1}).deflate(2)
-
-
 def test_laurent_zero_and_scalar_comparisons():
     assert LaurentPoly() == 0
     assert LaurentPoly.from_terms({0: 7}) == 7
     assert LaurentPoly.monomial(1) != 1
+
+
+def _random_laurent_terms(rng):
+    """Up to five terms with exponents in [-6, 6]; zero coefficients,
+    repeated exponents and the empty dict all occur."""
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        terms[rng.randint(-6, 6)] = rng.choice(
+            (rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+        )
+    return terms
+
+
+def test_laurent_arithmetic_matches_the_dict_oracle():
+    rng = random.Random(61)
+    scalars = (0, 1, -3, Fraction(2, 5), Fraction(-7, 3))
+    for _ in range(400):
+        ta, tb = _random_laurent_terms(rng), _random_laurent_terms(rng)
+        a, b = LaurentPoly.from_terms(ta), LaurentPoly.from_terms(tb)
+        da, db = laurent_dict_add(ta, {}), laurent_dict_add(tb, {})
+        assert a.terms() == da
+        if da:
+            assert a.poly.constant != 0
+            assert (a.valuation, a.degree) == (min(da), max(da))
+            if a.valuation >= 0:
+                assert a.to_poly() == Poly([da.get(e, 0) for e in range(a.degree + 1)])
+        else:
+            assert a.is_zero and a == LaurentPoly()
+        neg_b = {e: -c for e, c in db.items()}
+        assert (a + b).terms() == laurent_dict_add(da, db)
+        assert (a - b).terms() == laurent_dict_add(da, neg_b)
+        assert (a * b).terms() == laurent_dict_mul(da, db)
+        assert (-a).terms() == {e: -c for e, c in da.items()}
+        k = rng.randint(-5, 5)
+        assert a.shift(k).terms() == {e + k: c for e, c in da.items()}
+        assert a.reciprocal().terms() == {-e: c for e, c in da.items()}
+        s = rng.choice(scalars)
+        ds = laurent_dict_add({0: s}, {})
+        assert (a + s).terms() == (s + a).terms() == laurent_dict_add(da, ds)
+        assert (a - s).terms() == laurent_dict_add(da, {0: -s})
+        assert (s - a).terms() == laurent_dict_add(ds, {e: -c for e, c in da.items()})
+        assert (a * s).terms() == (s * a).terms() == laurent_dict_mul(da, ds)
+        assert (a == b) == (da == db)
+        assert (a == s) == (s == a) == (da == ds)
+        rebuilt = (a + b) - b
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+        x = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+        assert a(x) == laurent_dict_value(da, x)
+        if all(e >= 0 for e in da):
+            assert a(0) == da.get(0, 0)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a(0)

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import L, random_unimodular_laurent, random_word
+from helpers import (
+    L,
+    alexander_via_rep_oracle,
+    eval_word_matrix,
+    random_unimodular_laurent,
+    random_word,
+)
 from lodehn.certify import admissible_modulus
 from lodehn.polynomials import Poly
 from lodehn.quotient import ModulusBranch, QuotientRing
@@ -13,7 +19,6 @@ from lodehn.reps import (
     alexander_via_fox,
     alexander_via_rep,
     burde_de_rham_assignment,
-    eval_word_matrix,
     f_upper_entry,
     meridian_rep,
     meridian_rep_laurent,
@@ -104,6 +109,21 @@ def test_alexander_via_rep_values():
     assert alexander_via_rep(TwoBridgeFraction(29, 17)) == DELTA1
     assert alexander_via_rep(TwoBridgeFraction(5, 2)) == Poly([1, -3, 1])
     assert alexander_via_rep(TwoBridgeFraction(3, 1)) == Poly([1, -1, 1])
+
+
+def test_alexander_via_rep_matches_the_laurent_route_oracle():
+    from math import gcd
+
+    rng = random.Random(301)
+    seen = 0
+    while seen < 30:
+        p = rng.randrange(3, 302, 2)
+        q = rng.randrange(1, p)
+        if gcd(p, q) != 1:
+            continue
+        seen += 1
+        fraction = TwoBridgeFraction(p, q)
+        assert alexander_via_rep(fraction) == alexander_via_rep_oracle(fraction)
 
 
 def test_alexander_via_fox_values():
