@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from .polynomials import LaurentPoly
@@ -88,8 +89,8 @@ def relator_system(relators: Sequence[Word], rep: RepAssignment) -> MatrixOverFi
 def coboundary_values(v: Sequence, rep: RepAssignment) -> CocycleValues:
     """The coboundary of V: gamma -> (Ad gamma - 1) V on the generators."""
     ad_x, ad_y = rep.ad("x", 1), rep.ad("y", 1)
-    dx = tuple(ad_x.apply(v)[i] - v[i] for i in range(3))
-    dy = tuple(ad_y.apply(v)[i] - v[i] for i in range(3))
+    dx = tuple([ad_x.apply(v)[i] - v[i] for i in range(3)])
+    dy = tuple([ad_y.apply(v)[i] - v[i] for i in range(3)])
     return CocycleValues(dx, dy)
 
 
@@ -142,7 +143,7 @@ def cohomology_dims(
             )
             ring = h0_leaf.ring
             _check_coboundaries_are_cocycles(system, rep, ring)
-            basis = [tuple(ring.coerce(c) for c in vec) for vec in z1_leaf.basis]
+            basis = [tuple([ring.coerce(c) for c in vec]) for vec in z1_leaf.basis]
             results.append(BranchCohomology(ring, dims, basis))
     return results
 
@@ -150,13 +151,26 @@ def cohomology_dims(
 def _check_coboundaries_are_cocycles(
     system: MatrixOverField, rep: RepAssignment, ring: Field
 ) -> None:
-    matrix = MatrixOverField(system.entries, ring)
+    """The coboundary of the basis vector e_k is the pair of columns k
+    of Ad(x) - 1 and of Ad(y) - 1; each must be a nullvector of
+    ``system`` over ``ring``, onto whose branch the system is reduced
+    when it lives on another."""
+    rows = system.entries
+    if ring.branch is not system.ring.branch and ring.branch != system.ring.branch:
+        rows = [[ring.coerce(e) for e in row] for row in rows]
+    ad_x, ad_y = rep.ad("x", 1), rep.ad("y", 1)
     for k in range(3):
-        unit = [1 if i == k else 0 for i in range(3)]
-        cb = coboundary_values(unit, rep)
-        image = matrix.apply(list(cb.z_x) + list(cb.z_y))
-        if any(not ring.is_zero(entry) for entry in image):
-            raise AssertionError("a coboundary escaped the cocycle space")
+        column = [
+            ring.coerce(ad.rows[i][k] - (1 if i == k else 0))
+            for ad in (ad_x, ad_y)
+            for i in range(3)
+        ]
+        for row in rows:
+            entry = ring.zero
+            for a, b in zip(row, column):
+                entry = entry + a * b
+            if not ring.is_zero(entry):
+                raise AssertionError("a coboundary escaped the cocycle space")
 
 
 def normalized_representative(
@@ -184,8 +198,8 @@ def normalized_representative(
     dx = (t2m1 * a, branch.element(0), tinv2m1 * c)
     dy = (t2m1 * a - 2 * t * b - c, tinv * c, tinv2m1 * c)
     out = CocycleValues(
-        tuple(rep.ring.coerce(z.z_x[i]) - dx[i] for i in range(3)),
-        tuple(rep.ring.coerce(z.z_y[i]) - dy[i] for i in range(3)),
+        tuple([rep.ring.coerce(z.z_x[i]) - dx[i] for i in range(3)]),
+        tuple([rep.ring.coerce(z.z_y[i]) - dy[i] for i in range(3)]),
     )
     if not (out.z_x[0].is_zero and out.z_y[0].is_zero and out.z_y[2].is_zero):
         raise AssertionError("coboundary correction failed to normalize")
@@ -219,12 +233,22 @@ class FamilyCocycleForms:
 
 
 def _geometric_sum(m: Mat3, count: int) -> Mat3:
-    acc = Mat3.zero()
-    power = Mat3.identity()
-    for _ in range(count):
-        acc = acc + power
-        power = power @ m
-    return acc
+    """m^0 + m^1 + ... + m^(count-1) for a unipotent m, in two products:
+    N = m - 1 must satisfy N^3 = 0 (else ClosedFormMismatch), and then
+    m^i = 1 + i N + C(i, 2) N^2, which sums to
+    count + C(count, 2) N + C(count, 3) N^2."""
+    n = m - Mat3.identity()
+    n2 = n @ n
+    if n2 @ n != Mat3.zero():
+        raise ClosedFormMismatch("the matrix is not unipotent of order 3")
+    c2, c3 = comb(count, 2), comb(count, 3)
+    return Mat3([
+        [
+            (count if i == j else 0) + c2 * n.rows[i][j] + c3 * n2.rows[i][j]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ])
 
 
 def _half(n: int) -> Fraction:
@@ -269,8 +293,8 @@ def _alpha_beta_parts(word: Word, rep: RepAssignment) -> Tuple[Tuple, Tuple]:
     z(y) = (0, alpha, 0): column 1 of Mx plus column 1 of My, and
     column 2 of Mx."""
     mx, my = word_value_blocks(word, rep)
-    alpha = tuple(mx.rows[i][1] + my.rows[i][1] for i in range(3))
-    beta = tuple(mx.rows[i][2] for i in range(3))
+    alpha = tuple([mx.rows[i][1] + my.rows[i][1] for i in range(3)])
+    beta = tuple([mx.rows[i][2] for i in range(3)])
     return alpha, beta
 
 

@@ -1,7 +1,8 @@
 """Exact univariate polynomial and Laurent polynomial arithmetic over Q.
 
 ``Poly`` stores Fraction coefficients in ascending degree order and is
-the only coefficient arithmetic; ``LaurentPoly`` is an offset over it,
+the only rational polynomial arithmetic (Q[t]/(m) has its own integer
+kernel in ``quotient``); ``LaurentPoly`` is an offset over it,
 t^offset times a Poly with a nonzero constant term.  The
 real-root machinery (Sturm chains, isolation, refinement) is exact:
 every interval endpoint is a rational that is not a root of the query
@@ -86,7 +87,7 @@ class Poly:
         return hash(self.coeffs)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly([-c for c in self.coeffs])
 
     def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -112,7 +113,7 @@ class Poly:
     def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
             q = _frac(other)
-            return Poly(tuple(c * q for c in self.coeffs))
+            return Poly([c * q for c in self.coeffs])
         if not isinstance(other, Poly):
             return NotImplemented
         if self.is_zero or other.is_zero:
@@ -147,13 +148,13 @@ class Poly:
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        return Poly([k * c for k, c in enumerate(self.coeffs) if k > 0])
 
     def monic(self) -> "Poly":
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
         lead = self.leading
-        return self if lead == 1 else Poly(tuple(c / lead for c in self.coeffs))
+        return self if lead == 1 else Poly([c / lead for c in self.coeffs])
 
     def divmod(self, divisor: "Poly") -> Tuple["Poly", "Poly"]:
         if divisor.is_zero:
@@ -201,7 +202,7 @@ class Poly:
             g = gcd(g, n)
         if ints[-1] < 0:
             g = -g
-        return Poly(tuple(Fraction(n, g) for n in ints))
+        return Poly([Fraction(n, g) for n in ints])
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -225,34 +226,20 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_xgcd(a: Poly, b: Poly) -> Tuple[Poly, Poly, Poly]:
-    """Return (g, s, u) with g = gcd(a, b) monic and s*a + u*b = g."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    r0, r1 = a, b
-    s0, s1 = Poly([1]), Poly()
-    u0, u1 = Poly(), Poly([1])
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        u0, u1 = u1, u0 - q * u1
-    lead = r0.leading
-    return r0.monic(), s0 * (1 / lead), u0 * (1 / lead)
-
-
 def laurent_residues(
     polys: Sequence[Dict[int, int]], modulus: Poly
-) -> List[Poly]:
+) -> Tuple[int, List[List[int]]]:
     """Residues modulo ``modulus`` of integer Laurent polynomials given
     as ``{exponent: coefficient}`` dicts, that is, their images under
     the ring homomorphism Z[t, t^-1] -> Q[t]/(m) sending t to t.
 
-    ``modulus`` must have a nonzero constant term, so that t is a unit.
-    The residue of t^e is built once for every exponent e in range, one
-    multiplication by t or 1/t at a time, as an integer vector over one
-    common denominator; each polynomial is then an integer combination
-    of those vectors, divided once at the end.
+    Returns one positive common denominator and, per polynomial, the
+    integer numerators of its residue over it (``modulus.degree`` of
+    them, constant term first).  ``modulus`` must have a nonzero
+    constant term, so that t is a unit.  The residue of t^e is built
+    once for every exponent e in range, one multiplication by t or 1/t
+    at a time, as an integer vector over the common denominator; each
+    polynomial is then an integer combination of those vectors.
     """
     d = modulus.degree
     if d < 1:
@@ -284,8 +271,8 @@ def laurent_residues(
         for e, c in p.items():
             if c:
                 acc = [a + c * s for a, s in zip(acc, powers[e])]
-        out.append(Poly([Fraction(a, common) for a in acc]))
-    return out
+        out.append(acc)
+    return common, out
 
 
 def squarefree_decomposition(a: Poly) -> List[Tuple[Poly, int]]:

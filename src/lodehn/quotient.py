@@ -14,24 +14,47 @@ linear algebra below forks when that happens and reports one result per
 leaf branch, with the split lineage preserved for reporting.  Products
 of leaf moduli always rebuild the original modulus, so no root is ever
 lost or duplicated.
+
+Q[t]/(m) runs on integers.  An element is its residue of degree below
+d = deg m, stored as one tuple of integer numerators (constant term
+first, trailing zeros trimmed, empty for zero) over one positive
+denominator, coprime to them as a whole.  Every residue thus has exactly
+one representation, and equality compares integers.  The branch keeps m
+also as a primitive integer polynomial with leading coefficient l > 0.
+
+* Products use Kronecker substitution: each operand's numerators are
+  packed into one Python int, one slot of w bits per coefficient, with w
+  chosen from a bound on the result so that no slot overflows; one
+  bigint product then gives the whole product polynomial.  Its terms of
+  degree d .. 2d-2 are reduced through a table that the branch builds on
+  first use: the integer vectors scale * t^e mod m with
+  scale = l^(d-1), each packed once per slot width.  The reduced
+  product is scale times the low part plus one packed row per high
+  coefficient, over the denominator scale times the operands'
+  denominators; it is unpacked once and divided by its content.
+* Inversion is the extended Euclidean algorithm over the integers: a
+  primitive pseudo-remainder sequence from m and the element's
+  numerators A.  Each step scales the dividend once, by the power of the
+  divisor's leading coefficient that makes the quotient integral, and
+  carries the cofactor s of A with an integer multiplier k,
+  k r = s A mod m.  A constant last remainder gives the inverse; a
+  nonconstant one is the gcd with m, and the branch splits on it.
+
+The arithmetic, inversion and evaluation build no Fraction; the
+read-only ``value`` gives the residue as a Poly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .polynomials import (
-    T_POLY,
-    LaurentPoly,
-    Poly,
-    laurent_residues,
-    poly_gcd,
-    poly_xgcd,
-)
+from .polynomials import T_POLY, LaurentPoly, Poly, laurent_residues, poly_gcd
 
 Scalar = Union[int, Fraction]
+IntPoly = List[int]  # integer coefficients, constant term first
 
 
 @dataclass(frozen=True)
@@ -42,9 +65,12 @@ class SplitRecord:
 
 
 class ModulusBranch:
-    """A monic square-free modulus together with its split lineage."""
+    """A monic square-free modulus together with its split lineage.  It
+    also holds the modulus as a primitive integer polynomial and, once a
+    product needs them, the reduction table and its packed rows (see the
+    module docstring); these live as long as the branch."""
 
-    __slots__ = ("modulus", "lineage")
+    __slots__ = ("modulus", "lineage", "_ints", "_table", "_packed")
 
     def __init__(self, modulus: Poly, lineage: Tuple[SplitRecord, ...] = ()):
         if modulus.is_zero or modulus.degree < 1:
@@ -54,6 +80,9 @@ class ModulusBranch:
             raise ValueError("modulus must be square-free")
         self.modulus = modulus
         self.lineage = lineage
+        self._ints = [c.numerator for c in modulus.primitive().coeffs]
+        self._table: Optional[Tuple[int, int, List[IntPoly]]] = None
+        self._packed: Dict[int, List[int]] = {}
 
     @property
     def degree(self) -> int:
@@ -62,7 +91,7 @@ class ModulusBranch:
     def element(self, value: Union[Poly, Scalar]) -> "AlgebraicElement":
         if not isinstance(value, Poly):
             value = Poly([value])
-        return AlgebraicElement(self, value % self.modulus)
+        return AlgebraicElement(self, value)
 
     def t(self) -> "AlgebraicElement":
         """The residue class of the variable t."""
@@ -79,6 +108,35 @@ class ModulusBranch:
         record = SplitRecord(self.modulus, factor, cofactor)
         lineage = self.lineage + (record,)
         return ModulusBranch(factor, lineage), ModulusBranch(cofactor, lineage)
+
+    def _reduction(self) -> Tuple[int, int, List[IntPoly]]:
+        """(scale, bits, rows): rows[k] = scale * t^(d+k) mod m as an
+        integer vector for k = 0 .. d-2, with scale = l^(d-1), and a bit
+        length that bounds scale and every row entry."""
+        if self._table is None:
+            m = self._ints
+            d = len(m) - 1
+            lead = m[-1]
+            # v = l^(k+1) t^(d+k) mod m is integral; it starts from
+            # l t^d = -(m_0 + ... + m_(d-1) t^(d-1)) mod m.
+            v = [-c for c in m[:-1]]
+            rows = []
+            for k in range(d - 1):
+                rows.append([lead ** (d - 2 - k) * c for c in v] if lead != 1 else v)
+                top = v[-1]
+                v = [lead * a - top * c for a, c in zip([0] + v[:-1], m)]
+            scale = lead ** (d - 1)
+            bound = max([scale] + [max(map(abs, row)) for row in rows])
+            self._table = (scale, bound.bit_length(), rows)
+        return self._table
+
+    def _packed_rows(self, width: int) -> List[int]:
+        """The reduction table's rows packed at slot width ``width``."""
+        rows = self._packed.get(width)
+        if rows is None:
+            rows = [_pack(row, width) for row in self._reduction()[2]]
+            self._packed[width] = rows
+        return rows
 
     def sort_key(self) -> Tuple:
         return (self.modulus.degree, self.modulus.coeffs)
@@ -104,88 +162,317 @@ class SplitRequired(Exception):
         self.high = high
 
 
-class AlgebraicElement:
-    """An element of Q[t]/(m), stored as its reduced representative."""
+def _slot_width(bits: int) -> int:
+    """A Kronecker slot width, a multiple of 8, that holds every signed
+    coefficient of absolute value below 2^bits.  Widths come from the
+    ladder 48, 64, 96, 128, 192, ..., so that a branch packs its table
+    rows at few widths."""
+    width = 1 << max(6, bits.bit_length())
+    return 3 * width // 4 if 4 * bits < 3 * width else width
 
-    __slots__ = ("branch", "value")
+
+def _bias(width: int, n: int) -> int:
+    """2^(width-1) in each of n slots."""
+    half = (1 << (width - 1)).to_bytes(width >> 3, "little")
+    return int.from_bytes(half * n, "little")
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """The sum of coeffs[i] * 2^(width * i); each coefficient must be
+    below 2^(width-1) in absolute value."""
+    size = width >> 3
+    half = 1 << (width - 1)
+    raw = b"".join([(c + half).to_bytes(size, "little") for c in coeffs])
+    return int.from_bytes(raw, "little") - _bias(width, len(coeffs))
+
+
+def _unpack(packed: int, width: int, n: int) -> IntPoly:
+    """The n coefficients that :func:`_pack` packed into ``packed``."""
+    size = width >> 3
+    half = 1 << (width - 1)
+    raw = (packed + _bias(width, n)).to_bytes(n * size, "little")
+    return [
+        int.from_bytes(raw[i:i + size], "little") - half
+        for i in range(0, n * size, size)
+    ]
+
+
+def _lincomb(ku: int, u: Sequence[int], kv: int, v: Sequence[int]) -> IntPoly:
+    """ku * u + kv * v for integer polynomials, trailing zeros trimmed."""
+    if len(u) < len(v):
+        ku, u, kv, v = kv, v, ku, u
+    out = [ku * x + kv * y for x, y in zip(u, v)]
+    out += [ku * x for x in u[len(v):]]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _short_product(u: Sequence[int], v: Sequence[int]) -> IntPoly:
+    """u * v by rows of u, for a short u (a pseudo-quotient)."""
+    out = [0] * (len(u) + len(v) - 1)
+    n = len(v)
+    for i, x in enumerate(u):
+        if x:
+            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], v)]
+    return out
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[int, IntPoly, IntPoly]:
+    """(f, q, r) with f a = q b + r and deg r < deg b, for integer
+    polynomials with deg a >= deg b and b nonzero.  f is
+    lc(b)^(deg a - deg b + 1), which makes q integral, so the dividend is
+    scaled once and every step of the long division divides exactly."""
+    db = len(b) - 1
+    lead = b[-1]
+    steps = len(a) - db
+    f = lead**steps
+    r = [f * x for x in a]
+    q = [0] * steps
+    for i in range(steps - 1, -1, -1):
+        c = r[i + db]
+        if c:
+            c //= lead
+            q[i] = c
+            r[i:i + db] = [x - c * y for x, y in zip(r[i:i + db], b)]
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return f, q, r
+
+
+_new = object.__new__
+
+
+def _make(branch: ModulusBranch, num: Tuple[int, ...], den: int) -> "AlgebraicElement":
+    """An element from numerators and a denominator already in normal
+    form."""
+    element = _new(AlgebraicElement)
+    element.branch = branch
+    element.num = num
+    element.den = den
+    return element
+
+
+def _element(branch: ModulusBranch, nums: IntPoly, den: int) -> "AlgebraicElement":
+    """The element nums / den (den nonzero, fewer than d numerators),
+    brought to normal form; ``nums`` may be consumed."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _make(branch, (), 1)
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [c // g for c in nums]
+        den //= g
+    return _make(branch, tuple(nums), den)
+
+
+def _reduced(branch: ModulusBranch, nums: IntPoly, den: int) -> "AlgebraicElement":
+    """The residue of nums / den for numerators of any degree."""
+    m = branch._ints
+    if len(nums) > len(m) - 1:
+        f, _, nums = _pseudo_divmod(nums, m)
+        den *= f
+    return _element(branch, nums, den)
+
+
+def _product(a: "AlgebraicElement", b: "AlgebraicElement") -> "AlgebraicElement":
+    """a * b for nonzero a and b on one branch (see the module
+    docstring)."""
+    branch = a.branch
+    u, v = a.num, b.num
+    den = a.den * b.den
+    if len(u) == 1 or len(v) == 1:
+        if len(u) != 1:
+            u, v = v, u
+        c = u[0]
+        return _element(branch, [c * x for x in v], den)
+    n = len(u) + len(v) - 1
+    d = len(branch._ints) - 1
+    bits = (
+        max(map(abs, u)).bit_length()
+        + max(map(abs, v)).bit_length()
+        + min(len(u), len(v)).bit_length()
+    )
+    if n <= d:
+        width = _slot_width(bits)
+        product = _pack(u, width) * _pack(v, width)
+        return _element(branch, _unpack(product, width, n), den)
+    # Every reduced coefficient is scale * c_i + sum_k c_(d+k) row_k[i],
+    # below 2^bits * 2^table_bits * (n - d + 1) in absolute value.
+    scale, table_bits, _ = branch._reduction()
+    width = _slot_width(bits + table_bits + (n - d + 1).bit_length())
+    rows = branch._packed_rows(width)
+    size = width >> 3
+    half = 1 << (width - 1)
+    product = _pack(u, width) * _pack(v, width)
+    raw = (product + _bias(width, n)).to_bytes(n * size, "little")
+    acc = int.from_bytes(raw[:d * size], "little") - _bias(width, d)
+    if scale != 1:
+        acc *= scale
+    for i, row in zip(range(d * size, n * size, size), rows):
+        c = int.from_bytes(raw[i:i + size], "little") - half
+        if c:
+            acc += c * row
+    return _element(branch, _unpack(acc, width, d), den * scale)
+
+
+def _inverse(a: "AlgebraicElement") -> "AlgebraicElement":
+    """1 / a for nonzero a, or :class:`SplitRequired` (see the module
+    docstring)."""
+    branch = a.branch
+    numerators = a.num
+    if len(numerators) == 1:
+        return _element(branch, [a.den], numerators[0])
+    # With A = a.num, each remainder r_i has a cofactor s_i and a
+    # multiplier k_i, k_i r_i = s_i A mod m; r_0 = m, r_1 = A / content.
+    content = gcd(*numerators)
+    r0, r1 = branch._ints, [c // content for c in numerators]
+    s0, s1 = [], [1]
+    k0, k1 = 1, content
+    while True:
+        f, q, r2 = _pseudo_divmod(r0, r1)
+        if not r2:
+            low, high = branch.split(Poly(r1))
+            raise SplitRequired(low, high)
+        # f r0 = q r1 + r2, so k0 k1 r2 = (f k1 s0 - k0 q s1) A mod m.
+        s2 = _lincomb(f * k1, s0, -k0, _short_product(q, s1))
+        content = gcd(*r2)
+        if content != 1:
+            r2 = [c // content for c in r2]
+        k2 = k0 * k1 * content
+        g = gcd(k2, *s2)
+        if g != 1:
+            s2 = [c // g for c in s2]
+            k2 //= g
+        if len(r2) == 1:
+            # k2 r2[0] = s2 A, so 1 / a = a.den s2 / (k2 r2[0]).
+            return _element(branch, [a.den * c for c in s2], k2 * r2[0])
+        r0, r1, s0, s1, k0, k1 = r1, r2, s1, s2, k1, k2
+
+
+class AlgebraicElement:
+    """An element of Q[t]/(m): the residue num / den, with ``num`` a
+    tuple of integer numerators of degree below deg m and ``den > 0``
+    coprime to them (see the module docstring)."""
+
+    __slots__ = ("branch", "num", "den")
 
     def __init__(self, branch: ModulusBranch, value: Poly):
-        if value.degree >= branch.modulus.degree:
-            value = value % branch.modulus
+        den = lcm(*[c.denominator for c in value.coeffs])
+        nums = [c.numerator * (den // c.denominator) for c in value.coeffs]
+        normal = _reduced(branch, nums, den)
         self.branch = branch
-        self.value = value
+        self.num = normal.num
+        self.den = normal.den
+
+    @property
+    def value(self) -> Poly:
+        """The reduced representative, as a Poly."""
+        return Poly([Fraction(c, self.den) for c in self.num])
 
     @property
     def is_zero(self) -> bool:
-        return self.value.is_zero
+        return not self.num
 
     def __bool__(self) -> bool:
-        return not self.is_zero
+        return bool(self.num)
 
-    def _coerce(self, other) -> Optional["AlgebraicElement"]:
-        if isinstance(other, AlgebraicElement):
-            if other.branch != self.branch:
-                raise ValueError("mixed moduli in quotient-ring arithmetic")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return AlgebraicElement(self.branch, Poly([other]))
-        return None
+    def _same_branch(self, other: "AlgebraicElement") -> None:
+        if other.branch is not self.branch and other.branch != self.branch:
+            raise ValueError("mixed moduli in quotient-ring arithmetic")
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.value == Poly([other])
         if isinstance(other, AlgebraicElement):
-            return self.branch == other.branch and self.value == other.value
+            return (
+                self.num == other.num
+                and self.den == other.den
+                and (self.branch is other.branch or self.branch == other.branch)
+            )
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return not self.num
+            return (
+                len(self.num) == 1
+                and self.num[0] == other.numerator
+                and self.den == other.denominator
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.branch, self.value))
+        if len(self.num) > 1:
+            return hash((self.branch, self.num, self.den))
+        # A constant equals the scalar of its value, so it hashes alike.
+        return hash(Fraction(self.num[0], self.den)) if self.num else 0
 
     def __neg__(self) -> "AlgebraicElement":
-        return AlgebraicElement(self.branch, -self.value)
+        return _make(self.branch, tuple([-c for c in self.num]), self.den)
+
+    def _plus(self, other, sign: int) -> "AlgebraicElement":
+        """self + sign * other."""
+        if isinstance(other, AlgebraicElement):
+            self._same_branch(other)
+            if not other.num:
+                return self
+            if not self.num:
+                return other if sign > 0 else -other
+            a, b = self.den, other.den
+            if a == b:
+                fa, fb, den = 1, sign, a
+            else:
+                g = gcd(a, b)
+                fa, fb = b // g, sign * (a // g)
+                den = a * (b // g)
+            return _element(self.branch, _lincomb(fa, self.num, fb, other.num), den)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return self
+        # self + sign * n / q puts n * den into the constant term of the
+        # numerators taken over den * q.
+        n, q = sign * other.numerator, other.denominator
+        nums = [q * c for c in self.num] if q != 1 else list(self.num)
+        if nums:
+            nums[0] += n * self.den
+        else:
+            nums = [n]
+        return _element(self.branch, nums, self.den * q)
 
     def __add__(self, other) -> "AlgebraicElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return AlgebraicElement(self.branch, self.value + o.value)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "AlgebraicElement":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return AlgebraicElement(self.branch, self.value - o.value)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "AlgebraicElement":
-        return (-self) + other
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other) -> "AlgebraicElement":
-        if isinstance(other, int):
-            if other == 0:
-                return AlgebraicElement(self.branch, Poly())
-            if other == 1:
-                return self
-            if other == -1:
-                return -self
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, AlgebraicElement):
+            self._same_branch(other)
+            if not self.num or not other.num:
+                return _make(self.branch, (), 1)
+            return _product(self, other)
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return AlgebraicElement(self.branch, (self.value * o.value) % self.branch.modulus)
+        n, q = other.numerator, other.denominator
+        if n == q:
+            return self
+        return _element(self.branch, [n * c for c in self.num], self.den * q)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "AlgebraicElement":
         """Extended-Euclid inverse, raising :class:`SplitRequired` when
         the representative is a zero divisor."""
-        if self.is_zero:
+        if not self.num:
             raise ZeroDivisionError("inverting zero in a quotient ring")
-        g, s, _ = poly_xgcd(self.value, self.branch.modulus)
-        if g.degree == 0:
-            return AlgebraicElement(self.branch, s % self.branch.modulus)
-        low, high = self.branch.split(g)
-        raise SplitRequired(low, high)
+        return _inverse(self)
 
     def __repr__(self) -> str:
         return f"AlgebraicElement({self.value!r} mod {self.branch.modulus!r})"
@@ -226,9 +513,9 @@ class QuotientRing:
 
     def coerce(self, x) -> AlgebraicElement:
         if isinstance(x, AlgebraicElement):
-            if x.branch == self.branch:
+            if x.branch is self.branch or x.branch == self.branch:
                 return x
-            x = x.value
+            return _reduced(self.branch, list(x.num), x.den)
         if isinstance(x, (int, Fraction, Poly)):
             return self.branch.element(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into the quotient ring")
@@ -242,10 +529,8 @@ class QuotientRing:
     def evaluate(self, polys: Sequence[Dict[int, int]]) -> List[AlgebraicElement]:
         """The residues of integer Laurent polynomials ``{exponent:
         coefficient}`` at t mod m."""
-        return [
-            AlgebraicElement(self.branch, residue)
-            for residue in laurent_residues(polys, self.branch.modulus)
-        ]
+        common, residues = laurent_residues(polys, self.branch.modulus)
+        return [_element(self.branch, residue, common) for residue in residues]
 
 
 class LaurentRing:
@@ -291,7 +576,7 @@ class MatrixOverField:
 
     def __init__(self, entries: Sequence[Sequence], ring: Field):
         self.ring = ring
-        self.entries = tuple(tuple(ring.coerce(e) for e in row) for row in entries)
+        self.entries = tuple([tuple([ring.coerce(e) for e in row]) for row in entries])
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
         if any(len(row) != self.cols for row in self.entries):

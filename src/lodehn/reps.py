@@ -92,7 +92,7 @@ class Mat3:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(row) for row in rows)
+        self.rows = tuple([tuple(row) for row in rows])
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
             raise ValueError("expected a 3x3 entry grid")
 
@@ -121,20 +121,16 @@ class Mat3:
         return Mat3(out)
 
     def __add__(self, other: "Mat3") -> "Mat3":
-        return Mat3(
-            tuple(
-                tuple(self.rows[i][j] + other.rows[i][j] for j in range(3))
-                for i in range(3)
-            )
-        )
+        return Mat3([
+            [self.rows[i][j] + other.rows[i][j] for j in range(3)]
+            for i in range(3)
+        ])
 
     def __sub__(self, other: "Mat3") -> "Mat3":
-        return Mat3(
-            tuple(
-                tuple(self.rows[i][j] - other.rows[i][j] for j in range(3))
-                for i in range(3)
-            )
-        )
+        return Mat3([
+            [self.rows[i][j] - other.rows[i][j] for j in range(3)]
+            for i in range(3)
+        ])
 
     def apply(self, vec) -> Tuple:
         out = []

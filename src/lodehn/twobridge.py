@@ -85,7 +85,7 @@ def riley_exponents(fraction: TwoBridgeFraction) -> Tuple[int, ...]:
     p, q = fraction.p, fraction.q
     if q % 2 == 0:
         q -= p
-    return tuple(-1 if ((i * q) // p) % 2 else 1 for i in range(1, p))
+    return tuple([-1 if ((i * q) // p) % 2 else 1 for i in range(1, p)])
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,7 @@ def build_presentation(fraction: TwoBridgeFraction) -> KnotPresentation:
     exponent signs cancel and the correction is empty.
     """
     exps = riley_exponents(fraction)
-    w_letters = tuple(
-        ("y" if i % 2 == 0 else "x", exps[i]) for i in range(len(exps))
-    )
-    w = Word(w_letters)
+    w = Word([("y" if i % 2 == 0 else "x", exps[i]) for i in range(len(exps))])
     if len(w) != fraction.p - 1:
         raise AssertionError("alternating word unexpectedly reduced")
     v = w.spelled_backwards()

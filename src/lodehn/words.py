@@ -109,7 +109,7 @@ class Word:
 
     def inverse(self) -> "Word":
         """Reversed letter sequence with all signs negated."""
-        return Word(tuple((gen, -sign) for gen, sign in reversed(self.letters)))
+        return Word([(gen, -sign) for gen, sign in reversed(self.letters)])
 
     def __invert__(self) -> "Word":
         return self.inverse()

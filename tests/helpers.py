@@ -1,6 +1,8 @@
 """Shared test utilities: random generators, the step-by-step word and
 cocycle oracles, the Q[t, t^-1] Alexander oracle, the dict oracle for
-Laurent arithmetic, the Sturm bisection oracle and the floating oracle."""
+Laurent arithmetic, the Sturm bisection oracle, the floating oracle, the
+Fraction oracle for Q[t]/(m) arithmetic (with the extended Euclidean
+algorithm over Q) and the power-by-power geometric sum."""
 
 import json
 import os
@@ -8,7 +10,8 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from lodehn.polynomials import LaurentPoly, squarefree_part, sturm_chain
+from lodehn.polynomials import LaurentPoly, Poly, squarefree_part, sturm_chain
+from lodehn.quotient import SplitRequired
 from lodehn.reps import Mat2, Mat3, meridian_rep_laurent, meridian_walk
 from lodehn.twobridge import build_presentation
 from lodehn.words import Word
@@ -229,3 +232,125 @@ def system_numeric_rank_at(system, root):
         for row in system.entries
     ]
     return numeric_rank(rows)
+
+
+def poly_xgcd(a, b):
+    """Return (g, s, u) with g = gcd(a, b) monic and s*a + u*b = g, by
+    the extended Euclidean algorithm over Q."""
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    r0, r1 = a, b
+    s0, s1 = Poly([1]), Poly()
+    u0, u1 = Poly(), Poly([1])
+    while not r1.is_zero:
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    lead = r0.leading
+    return r0.monic(), s0 * (1 / lead), u0 * (1 / lead)
+
+
+class QuotientOracle:
+    """``quotient.AlgebraicElement`` in Fraction polynomial arithmetic:
+    the reduced representative as a Poly, products reduced by
+    ``Poly.divmod`` and inverses by the extended Euclidean algorithm
+    over Q."""
+
+    __slots__ = ("branch", "value")
+
+    def __init__(self, branch, value):
+        if value.degree >= branch.modulus.degree:
+            value = value % branch.modulus
+        self.branch = branch
+        self.value = value
+
+    @property
+    def is_zero(self):
+        return self.value.is_zero
+
+    def _coerce(self, other):
+        if isinstance(other, QuotientOracle):
+            if other.branch != self.branch:
+                raise ValueError("mixed moduli in quotient-ring arithmetic")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QuotientOracle(self.branch, Poly([other]))
+        return None
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.value == Poly([other])
+        if isinstance(other, QuotientOracle):
+            return self.branch == other.branch and self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.branch, self.value))
+
+    def __neg__(self):
+        return QuotientOracle(self.branch, -self.value)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuotientOracle(self.branch, self.value + o.value)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuotientOracle(self.branch, self.value - o.value)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return QuotientOracle(
+            self.branch, (self.value * o.value) % self.branch.modulus
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.is_zero:
+            raise ZeroDivisionError("inverting zero in a quotient ring")
+        g, s, _ = poly_xgcd(self.value, self.branch.modulus)
+        if g.degree == 0:
+            return QuotientOracle(self.branch, s % self.branch.modulus)
+        low, high = self.branch.split(g)
+        raise SplitRequired(low, high)
+
+
+def quotient_evaluate_oracle(branch, polys):
+    """``QuotientRing.evaluate`` by QuotientOracle arithmetic: each
+    integer Laurent polynomial ``{exponent: coefficient}`` summed term by
+    term, t^-1 from the oracle's inverse."""
+    t = QuotientOracle(branch, Poly([0, 1]))
+    t_inverse = t.inverse()
+    out = []
+    for poly in polys:
+        acc = QuotientOracle(branch, Poly())
+        for e, c in poly.items():
+            power = QuotientOracle(branch, Poly([1]))
+            for _ in range(abs(e)):
+                power = power * (t if e > 0 else t_inverse)
+            acc = acc + c * power
+        out.append(acc)
+    return out
+
+
+def geometric_sum_oracle(m, count):
+    """m^0 + m^1 + ... + m^(count-1) for a Mat3, power by power."""
+    acc = Mat3.zero()
+    power = Mat3.identity()
+    for _ in range(count):
+        acc = acc + power
+        power = power @ m
+    return acc

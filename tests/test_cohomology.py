@@ -6,12 +6,15 @@ from helpers import (
     L,
     eval_cocycle,
     eval_word_matrix,
+    geometric_sum_oracle,
     random_word,
     word_value_blocks_oracle,
 )
 from lodehn.certify import admissible_modulus
 from lodehn.cohomology import (
+    ClosedFormMismatch,
     CocycleValues,
+    _geometric_sum,
     cohomology_dims,
     coboundary_values,
     family_cocycle_forms,
@@ -290,6 +293,38 @@ def test_coboundaries_lie_in_every_cocycle_space():
         assert all(entry.is_zero for entry in image)
 
 
+def test_coboundary_check_catches_a_corrupted_system():
+    # One relator entry off by 1 on the 29/17 branch: row 0 then sends
+    # the coboundary of e_0 to t^2 - 1, a unit on every leaf.
+    pres, (rep,) = _branch_reps(TwoBridgeFraction(29, 17))
+    system = relator_system([pres.relator], rep)
+    assert [leaf.dims.h1 for leaf in cohomology_dims(system, rep)] == [1]
+    rows = [list(row) for row in system.entries]
+    rows[0][0] = rows[0][0] + 1
+    corrupted = MatrixOverField(rows, rep.ring)
+    with pytest.raises(AssertionError, match="a coboundary escaped the cocycle space"):
+        cohomology_dims(corrupted, rep)
+
+
+def test_cohomology_dims_on_a_system_that_splits():
+    # On the product of 147/53's two branch moduli the filled system's
+    # elimination splits; each leaf's dimensions, including the
+    # coboundary check reduced onto the leaf, are those of its own
+    # branch.
+    pres, reps = _branch_reps(TwoBridgeFraction(147, 53))
+    product = reps[0].ring.branch.modulus * reps[1].ring.branch.modulus
+    rep = burde_de_rham_assignment(ModulusBranch(product), pres.relator)
+    leaves = cohomology_dims(relator_system([pres.relator, pres.longitude], rep), rep)
+    assert len(leaves) == 2
+    assert leaves[0].branch.modulus * leaves[1].branch.modulus == product
+    for leaf in leaves:
+        (own,) = [r for r in reps if r.ring.branch == leaf.branch]
+        (expected,) = cohomology_dims(
+            relator_system([pres.relator, pres.longitude], own), own
+        )
+        assert leaf.dims == expected.dims
+
+
 def test_normalized_representative_fixes_normal_form():
     pres, rep = _k1_rep()
     branch = rep.ring.branch
@@ -391,10 +426,23 @@ def test_family_forms_match_the_step_by_step_oracles(j):
     )
     for word, expected in ((FAMILY_U, forms.sum_u), (FAMILY_S, forms.sum_s)):
         ad = adjoint(eval_word_matrix(word, rep))
-        total, power = Mat3.zero(), Mat3.identity()
-        for _ in range(j):
-            total, power = total + power, power @ ad
-        assert total == expected
+        assert geometric_sum_oracle(ad, j) == expected
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_geometric_sum_matches_the_power_by_power_oracle(j):
+    rep = _laurent_rep()
+    for word in (FAMILY_U, FAMILY_S):
+        ad = adjoint(eval_word_matrix(word, rep))
+        assert _geometric_sum(ad, j) == geometric_sum_oracle(ad, j)
+
+
+def test_geometric_sum_rejects_a_matrix_that_is_not_unipotent():
+    ad_x = _laurent_rep().ad("x", 1)  # diag(t^2, 1, t^-2)
+    with pytest.raises(ClosedFormMismatch):
+        _geometric_sum(ad_x, 3)
+    shear = Mat3(((1, 1, 0), (0, 1, 1), (0, 0, 1)))
+    assert _geometric_sum(shear, 5) == geometric_sum_oracle(shear, 5)
 
 
 def test_vanishing_identity_j1():

@@ -7,6 +7,7 @@ from helpers import (
     laurent_dict_add,
     laurent_dict_mul,
     laurent_dict_value,
+    poly_xgcd,
     refine_isolating_interval_oracle,
     sturm_count_oracle,
 )
@@ -19,7 +20,6 @@ from lodehn.polynomials import (
     _sign_int,
     isolate_real_roots,
     poly_gcd,
-    poly_xgcd,
     refine_isolating_interval,
     squarefree_decomposition,
     squarefree_part,

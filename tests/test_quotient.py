@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from lodehn.polynomials import Poly
+from helpers import QuotientOracle, quotient_evaluate_oracle
+from lodehn.certify import admissible_modulus
+from lodehn.polynomials import Poly, squarefree_decomposition
 from lodehn.quotient import (
     AlgebraicElement,
     MatrixOverField,
@@ -11,7 +14,12 @@ from lodehn.quotient import (
     QuotientRing,
     RationalRing,
     SplitRequired,
+    _pack,
+    _slot_width,
+    _unpack,
 )
+from lodehn.reps import alexander_via_rep
+from lodehn.twobridge import TwoBridgeFraction
 
 T2_MINUS_1 = Poly([-1, 0, 1])
 
@@ -143,3 +151,199 @@ def test_split_required_reports_both_leaves():
     with pytest.raises(SplitRequired) as err:
         branch.element(Poly([-1, 1])).inverse()
     assert err.value.low.modulus * err.value.high.modulus == T2_MINUS_1
+
+
+def _oracle_moduli():
+    """Seeded square-free moduli of degree 1 to 100 with rational
+    coefficients, and the lifted Alexander factors of 7/3 and 9/2,
+    whose primitive integer forms have leading coefficient 2.  Those of
+    degree 40 and 100 are trinomials: the square-free check runs Euclid
+    over Q, which takes seconds on a denser modulus of that degree."""
+    rng = random.Random(7)
+    branches = []
+    for degree in (1, 2, 3, 5, 8, 13, 21, 40, 100):
+        while True:
+            if degree < 40:
+                coeffs = [
+                    Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7)))
+                    for _ in range(degree)
+                ]
+            else:
+                coeffs = [Fraction(0)] * degree
+                coeffs[rng.randrange(1, degree)] = Fraction(rng.randint(-9, 9), 7)
+            coeffs[0] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 5)))
+            coeffs.append(Fraction(rng.randint(1, 5), rng.choice((1, 3))))
+            try:
+                branches.append(ModulusBranch(Poly(coeffs)))
+            except ValueError:  # not square-free
+                continue
+            break
+    for p, q in ((7, 3), (9, 2)):
+        for factor, _ in squarefree_decomposition(alexander_via_rep(TwoBridgeFraction(p, q))):
+            branches.append(ModulusBranch(admissible_modulus(factor)))
+    assert sum(b.modulus.primitive().leading == 2 for b in branches) >= 2
+    return branches
+
+
+ORACLE_MODULI = _oracle_moduli()
+SCALARS = (0, 1, -1, 3, -7, Fraction(-5, 12), Fraction(2**205 + 3, 7), 2**201 + 1)
+
+
+def _random_poly(rng, length):
+    bits = rng.choice((3, 60, 210))
+    den = rng.choice((1, 1, 2, 9, 2**70 + 1))
+    return Poly([
+        Fraction(rng.randint(-2**bits, 2**bits), rng.choice((1, den)))
+        for _ in range(length)
+    ])
+
+
+def _operand_polys(rng, branch, count):
+    """Zero, units, negative and huge coefficients, and representatives
+    of degree up to 2 deg m, which the constructor must reduce."""
+    d = branch.degree
+    polys = [Poly(), Poly([1]), Poly([-1]), Poly([Fraction(-3, 7)]), Poly([2**201 + 1])]
+    polys.append(Poly([-5] * d))
+    polys += [_random_poly(rng, rng.randint(1, d)) for _ in range(count)]
+    polys.append(_random_poly(rng, 2 * d + 1))
+    return polys
+
+
+def _pair(branch, poly):
+    return AlgebraicElement(branch, poly), QuotientOracle(branch, poly)
+
+
+def _assert_same(kernel, oracle):
+    assert isinstance(kernel, AlgebraicElement)
+    assert kernel.value == oracle.value
+    # normal form: positive denominator coprime to the numerators, no
+    # trailing zero
+    assert kernel.den > 0 and gcd(kernel.den, *kernel.num) == 1
+    assert not kernel.num or kernel.num[-1] != 0
+
+
+def _assert_same_inverse(kernel, oracle):
+    try:
+        expected = oracle.inverse()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            kernel.inverse()
+        return
+    except SplitRequired as split:
+        with pytest.raises(SplitRequired) as err:
+            kernel.inverse()
+        assert err.value.low.modulus == split.low.modulus
+        assert err.value.high.modulus == split.high.modulus
+        assert err.value.low.lineage == split.low.lineage
+        return
+    _assert_same(kernel.inverse(), expected)
+
+
+@pytest.mark.parametrize(
+    "branch", ORACLE_MODULI, ids=lambda b: f"degree{b.degree}"
+)
+def test_kernel_matches_the_fraction_oracle(branch):
+    rng = random.Random(branch.degree * 1009 + len(branch.modulus.coeffs))
+    count = 6 if branch.degree < 40 else 2
+    polys = _operand_polys(rng, branch, count)
+    pairs = [_pair(branch, poly) for poly in polys]
+    for kernel, oracle in pairs:
+        _assert_same(kernel, oracle)
+        _assert_same(-kernel, -oracle)
+        assert AlgebraicElement(branch, oracle.value) == kernel
+        assert hash(AlgebraicElement(branch, oracle.value)) == hash(kernel)
+        for s in SCALARS:
+            _assert_same(kernel + s, oracle + s)
+            _assert_same(s + kernel, s + oracle)
+            _assert_same(kernel - s, oracle - s)
+            _assert_same(s - kernel, s - oracle)
+            _assert_same(kernel * s, oracle * s)
+            _assert_same(s * kernel, s * oracle)
+            assert (kernel == s) == (oracle == s)
+            if kernel == s:
+                assert hash(kernel) == hash(s)
+    for ka, oa in pairs:
+        for kb, ob in rng.sample(pairs, 4):
+            _assert_same(ka + kb, oa + ob)
+            _assert_same(ka - kb, oa - ob)
+            _assert_same(ka * kb, oa * ob)
+            assert (ka == kb) == (oa == ob)
+    # The oracle's Euclid over Q takes seconds on large operands from
+    # degree 13 on, so there the operands have small coefficients, and
+    # at degree 100 the inverse is checked by its product.
+    d = branch.degree
+    inverse_polys = [
+        Poly(),
+        Poly([Fraction(-3, 7)]),
+        Poly([rng.randint(-3, 3) for _ in range(min(d, 40))]),
+        Poly([Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(min(d, 12))]),
+    ] + (polys[6:] if d <= 8 else [])
+    for poly in inverse_polys:
+        kernel, oracle = _pair(branch, poly)
+        if d < 100:
+            _assert_same_inverse(kernel, oracle)
+        elif poly:
+            assert kernel * kernel.inverse() == 1
+
+
+@pytest.mark.parametrize(
+    "branch", [b for b in ORACLE_MODULI if b.degree <= 40],
+    ids=lambda b: f"degree{b.degree}",
+)
+def test_evaluate_matches_the_fraction_oracle(branch):
+    rng = random.Random(branch.degree)
+    d = branch.degree
+    polys = [{}, {0: 1}, {1: 1}, {-1: 1}, {2 * d + 3: -2}, {-2 * d - 3: 5}]
+    for _ in range(4):
+        polys.append({
+            rng.randint(-d - 3, d + 3): rng.randint(-2**65, 2**65)
+            for _ in range(rng.randint(1, 6))
+        })
+    values = QuotientRing(branch).evaluate(polys)
+    for kernel, oracle in zip(values, quotient_evaluate_oracle(branch, polys)):
+        _assert_same(kernel, oracle)
+
+
+def test_zero_divisors_split_like_the_oracle():
+    t4_minus_1 = ModulusBranch(Poly([-1, 0, 0, 0, 1]))
+    lifted = [
+        admissible_modulus(alexander_via_rep(TwoBridgeFraction(p, q)))
+        for p, q in ((5, 2), (7, 3))
+    ]
+    product = ModulusBranch(lifted[0] * lifted[1])
+    cases = [
+        (t4_minus_1, Poly([-1, 1])),
+        (t4_minus_1, Poly([-3, 0, 3])),
+        (t4_minus_1, Poly([Fraction(1, 2), 0, Fraction(1, 2)])),
+        (t4_minus_1, Poly([1, 1, 1, 1])),
+        (product, lifted[0]),
+        (product, lifted[1] * Poly([Fraction(-2, 3)])),
+        (product, lifted[0] * Poly([5, 1])),
+    ]
+    for branch, poly in cases:
+        kernel, oracle = _pair(branch, poly)
+        with pytest.raises(SplitRequired):
+            oracle.inverse()
+        _assert_same_inverse(kernel, oracle)
+
+
+def test_kronecker_slots_at_their_bounds():
+    # Every width the ladder gives holds signed values up to
+    # 2^(w-1) - 1, the largest a slot of w bits may carry.
+    widths = sorted({_slot_width(bits) for bits in range(0, 1200)})
+    assert widths[:4] == [48, 64, 96, 128]
+    for bits in range(0, 1200):
+        width = _slot_width(bits)
+        assert width % 8 == 0 and width >= bits + 1
+    for width in widths:
+        top = 2 ** (width - 1) - 1
+        coeffs = [top, -top, 0, -top, top, top, 1, -1, -top]
+        assert _unpack(_pack(coeffs, width), width, len(coeffs)) == coeffs
+    # Products whose operands sit at those bounds.
+    branch = ModulusBranch(Poly([3, -1, 0, 2, 0, 1]))
+    for k in (48, 64, 96, 128, 192):
+        top = 2 ** (k - 1) - 1
+        for poly in (Poly([top, -top, top, -top, top]), Poly([-top, 0, 0, 0, -top])):
+            ka, oa = _pair(branch, poly)
+            _assert_same(ka * ka, oa * oa)
+            _assert_same(ka * (ka + 1), oa * (oa + 1))
