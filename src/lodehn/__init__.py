@@ -47,13 +47,12 @@ from .reps import (
     AlexanderMismatch,
     Mat2,
     Mat3,
-    RepAssignment,
+    MeridianRep,
     adjoint,
     alexander_via_fox,
     alexander_via_rep,
     burde_de_rham_assignment,
     f_upper_entry,
-    meridian_rep_laurent,
     normalize_alexander,
 )
 from .twobridge import (

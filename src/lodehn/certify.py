@@ -137,15 +137,15 @@ def meridian_trace_check(
 def check_rigidity(
     pres: KnotPresentation,
     branch: ModulusBranch,
-    xi_factor: Optional[Poly] = None,
-    multiplicity: Optional[int] = None,
+    xi_factor: Poly,
+    multiplicity: int,
 ) -> List[RootBranchReport]:
     """Build the reducible non-abelian representation on the branch and
     compute the twisted cohomology of the knot group and of the 0-filled
-    group of the presentation ``pres``.  One report per leaf if dynamic
-    evaluation splits."""
-    if xi_factor is None or multiplicity is None:
-        xi_factor, multiplicity = _locate_factor(pres.fraction, branch)
+    group of the presentation ``pres``.  ``xi_factor`` is the Alexander
+    factor, of multiplicity ``multiplicity``, whose lifted modulus the
+    branch modulus divides; both go into the reports.  One report per
+    leaf if dynamic evaluation splits."""
     rep = burde_de_rham_assignment(branch, pres.relator)
     knot = relator_system([pres.relator], rep)
     longitude = relator_system([pres.longitude], rep)
@@ -179,17 +179,6 @@ def check_rigidity(
             )
     reports.sort(key=lambda r: (r.modulus.degree, r.modulus.coeffs))
     return reports
-
-
-def _locate_factor(
-    fraction: TwoBridgeFraction, branch: ModulusBranch
-) -> Tuple[Poly, int]:
-    delta = alexander_via_rep(fraction)
-    for factor, multiplicity in squarefree_decomposition(delta):
-        lifted = factor.monic().inflate(2)
-        if (lifted % branch.modulus).is_zero:
-            return factor, multiplicity
-    raise ValueError("branch does not divide any Alexander factor at t^2")
 
 
 class Verdict(str, Enum):

@@ -35,18 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .polynomials import LaurentPoly
-from .quotient import Field, MatrixOverField, ModulusBranch, QuotientRing
-from .reps import (
-    Mat3,
-    RepAssignment,
-    adjoint,
-    f_upper_entry,
-    meridian_rep_laurent,
-    meridian_walk,
-)
+from .quotient import LaurentRing, MatrixOverField, ModulusBranch, QuotientRing
+from .reps import Mat3, MeridianRep, adjoint, f_upper_entry, meridian_walk
 from .twobridge import FAMILY_S, FAMILY_U, family_v, family_word
 from .words import Word
 
@@ -62,19 +55,17 @@ class CocycleValues:
         return self.z_x if gen == "x" else self.z_y
 
 
-def word_value_blocks(word: Word, rep: RepAssignment) -> Tuple[Mat3, Mat3]:
+def word_value_blocks(word: Word, rep: MeridianRep) -> Tuple[Mat3, Mat3]:
     """The pair (Mx, My) with z(word) = Mx z(x) + My z(y) for every
     value assignment z, over ``rep.ring``.  By the cocycle law, a letter
     g^+1 adds Ad of the prefix before it to Mg and a letter g^-1
     subtracts Ad of the prefix ending with it; :func:`meridian_walk`
-    sums those over Z[t, t^-1] and maps each entry into the ring once.
-    ``rep`` must be the meridian representation; any other raises
-    ValueError."""
+    sums those over Z[t, t^-1] and maps each entry into the ring once."""
     _, blocks = meridian_walk(word, rep, blocks=True)
     return blocks
 
 
-def relator_system(relators: Sequence[Word], rep: RepAssignment) -> MatrixOverField:
+def relator_system(relators: Sequence[Word], rep: MeridianRep) -> MatrixOverField:
     """Stacked 3x6 blocks, one per relator (a single zero row when there
     are none); the nullspace is the space of cocycle value pairs of the
     presented group."""
@@ -86,17 +77,17 @@ def relator_system(relators: Sequence[Word], rep: RepAssignment) -> MatrixOverFi
     return MatrixOverField(rows or [(rep.ring.zero,) * 6], rep.ring)
 
 
-def coboundary_values(v: Sequence, rep: RepAssignment) -> CocycleValues:
+def coboundary_values(v: Sequence, rep: MeridianRep) -> CocycleValues:
     """The coboundary of V: gamma -> (Ad gamma - 1) V on the generators."""
-    ad_x, ad_y = rep.ad("x", 1), rep.ad("y", 1)
+    ad_x, ad_y = rep.ad_x, rep.ad_y
     dx = tuple([ad_x.apply(v)[i] - v[i] for i in range(3)])
     dy = tuple([ad_y.apply(v)[i] - v[i] for i in range(3)])
     return CocycleValues(dx, dy)
 
 
-def _fixed_space_rows(rep: RepAssignment) -> List[List]:
+def _fixed_space_rows(rep: MeridianRep) -> List[List]:
     rows = []
-    for ad in (rep.ad("x", 1), rep.ad("y", 1)):
+    for ad in (rep.ad_x, rep.ad_y):
         for i in range(3):
             rows.append(
                 [ad.rows[i][j] - (1 if i == j else 0) for j in range(3)]
@@ -114,17 +105,17 @@ class CohomologyDims:
 
 @dataclass
 class BranchCohomology:
-    ring: Field
+    ring: QuotientRing
     dims: CohomologyDims
     cocycle_basis: List[Tuple]
 
     @property
-    def branch(self) -> Optional[ModulusBranch]:
+    def branch(self) -> ModulusBranch:
         return self.ring.branch
 
 
 def cohomology_dims(
-    system: MatrixOverField, rep: RepAssignment
+    system: MatrixOverField, rep: MeridianRep
 ) -> List[BranchCohomology]:
     """Dimensions of Z^1, B^1, H^0 and H^1 for the presentation with
     relator system ``system``, one record per leaf branch.  ``rep`` may
@@ -149,7 +140,7 @@ def cohomology_dims(
 
 
 def _check_coboundaries_are_cocycles(
-    system: MatrixOverField, rep: RepAssignment, ring: Field
+    system: MatrixOverField, rep: MeridianRep, ring: QuotientRing
 ) -> None:
     """The coboundary of the basis vector e_k is the pair of columns k
     of Ad(x) - 1 and of Ad(y) - 1; each must be a nullvector of
@@ -158,7 +149,7 @@ def _check_coboundaries_are_cocycles(
     rows = system.entries
     if ring.branch is not system.ring.branch and ring.branch != system.ring.branch:
         rows = [[ring.coerce(e) for e in row] for row in rows]
-    ad_x, ad_y = rep.ad("x", 1), rep.ad("y", 1)
+    ad_x, ad_y = rep.ad_x, rep.ad_y
     for k in range(3):
         column = [
             ring.coerce(ad.rows[i][k] - (1 if i == k else 0))
@@ -169,12 +160,12 @@ def _check_coboundaries_are_cocycles(
             entry = ring.zero
             for a, b in zip(row, column):
                 entry = entry + a * b
-            if not ring.is_zero(entry):
+            if entry:
                 raise AssertionError("a coboundary escaped the cocycle space")
 
 
 def normalized_representative(
-    z: CocycleValues, rep: RepAssignment
+    z: CocycleValues, rep: MeridianRep
 ) -> CocycleValues:
     """Correct z by a coboundary so that z(x) = (0, a, b) and
     z(y) = (0, d, 0).
@@ -185,9 +176,7 @@ def normalized_representative(
     """
     if not isinstance(rep.ring, QuotientRing):
         raise TypeError("normalization needs quotient-ring coefficients")
-    branch = rep.ring.branch
-    t = branch.t()
-    tinv = t.inverse()
+    t, tinv = rep.t, rep.t_inverse
     t2m1 = t * t - 1
     if t2m1.is_zero:
         raise ValueError("t^2 = 1 is rejected")
@@ -195,7 +184,7 @@ def normalized_representative(
     a = z.z_x[0] * t2m1.inverse()
     c = z.z_y[2] * tinv2m1.inverse()
     b = (t2m1 * a - c - z.z_y[0]) * (2 * t).inverse()
-    dx = (t2m1 * a, branch.element(0), tinv2m1 * c)
+    dx = (t2m1 * a, rep.ring.zero, tinv2m1 * c)
     dy = (t2m1 * a - 2 * t * b - c, tinv * c, tinv2m1 * c)
     out = CocycleValues(
         tuple([rep.ring.coerce(z.z_x[i]) - dx[i] for i in range(3)]),
@@ -288,7 +277,7 @@ def _family_closed_forms(j: int):
     return omega1_alpha, omega2_beta, nu2_beta, omega3_beta, nu3_beta, sum_u, sum_s
 
 
-def _alpha_beta_parts(word: Word, rep: RepAssignment) -> Tuple[Tuple, Tuple]:
+def _alpha_beta_parts(word: Word, rep: MeridianRep) -> Tuple[Tuple, Tuple]:
     """The alpha and beta parts of z(word) for z(x) = (0, alpha, beta),
     z(y) = (0, alpha, 0): column 1 of Mx plus column 1 of My, and
     column 2 of Mx."""
@@ -307,7 +296,7 @@ def family_cocycle_forms(j: int) -> FamilyCocycleForms:
     (omega1_alpha, omega2_beta, nu2_beta, omega3_beta, nu3_beta,
      sum_u, sum_s) = _family_closed_forms(j)
 
-    rep = meridian_rep_laurent()
+    rep = MeridianRep(LaurentRing())
     ring = rep.ring
     ew_alpha, ew_beta = _alpha_beta_parts(family_word(j), rep)
     ev_alpha, ev_beta = _alpha_beta_parts(family_v(j), rep)

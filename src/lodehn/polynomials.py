@@ -21,6 +21,10 @@ polynomial has opposite signs at the two endpoints, and of the two
 halves at a non-root midpoint exactly the one whose endpoint signs
 differ holds the root.  That is the half a Sturm count picks, so the
 intervals are the ones per-step Sturm counting gives.
+
+``poly_gcd`` runs on integers: the primitive pseudo-remainder sequence
+of integer multiples of its inputs, through ``_pseudo_divmod``, the
+pseudo-division that the inversion in ``quotient`` shares.
 """
 
 from __future__ import annotations
@@ -217,62 +221,51 @@ T_POLY = Poly([0, 1])
 T2_MINUS_1 = Poly([-1, 0, 1])
 
 
+def _pseudo_divmod(
+    a: Sequence[int], b: Sequence[int]
+) -> Tuple[int, List[int], List[int]]:
+    """(f, q, r) with f a = q b + r and deg r < deg b, for integer
+    polynomials (constant term first) with deg a >= deg b and b nonzero.
+    f is lc(b)^(deg a - deg b + 1), which makes q integral, so the
+    dividend is scaled once and every step of the long division divides
+    exactly."""
+    db = len(b) - 1
+    lead = b[-1]
+    steps = len(a) - db
+    f = lead**steps
+    r = [f * x for x in a]
+    q = [0] * steps
+    for i in range(steps - 1, -1, -1):
+        c = r[i + db]
+        if c:
+            c //= lead
+            q[i] = c
+            r[i:i + db] = [x - c * y for x, y in zip(r[i:i + db], b)]
+    del r[db:]
+    while r and not r[-1]:
+        r.pop()
+    return f, q, r
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the exact Euclidean algorithm over Q."""
+    """Monic gcd, by the primitive pseudo-remainder sequence: both inputs
+    are scaled to integer polynomials and every pseudo-remainder is
+    divided by its content, so the whole sequence runs on integers and
+    only the final monic division builds Fractions."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
-def laurent_residues(
-    polys: Sequence[Dict[int, int]], modulus: Poly
-) -> Tuple[int, List[List[int]]]:
-    """Residues modulo ``modulus`` of integer Laurent polynomials given
-    as ``{exponent: coefficient}`` dicts, that is, their images under
-    the ring homomorphism Z[t, t^-1] -> Q[t]/(m) sending t to t.
-
-    Returns one positive common denominator and, per polynomial, the
-    integer numerators of its residue over it (``modulus.degree`` of
-    them, constant term first).  ``modulus`` must have a nonzero
-    constant term, so that t is a unit.  The residue of t^e is built
-    once for every exponent e in range, one multiplication by t or 1/t
-    at a time, as an integer vector over the common denominator; each
-    polynomial is then an integer combination of those vectors.
-    """
-    d = modulus.degree
-    if d < 1:
-        raise ValueError("modulus must have degree >= 1")
-    den = lcm(*(c.denominator for c in modulus.coeffs))
-    m = [int(c * den) for c in modulus.coeffs]  # den * modulus, m[d] = den
-    if m[0] == 0:
-        raise ValueError("t is not a unit modulo a modulus divisible by t")
-    exponents = [e for p in polys for e in p]
-    lo, hi = min(exponents + [0]), max(exponents + [0])
-    # The residue of t^e has a denominator dividing den^e for e > 0 and
-    # m[0]^-e for e < 0, so common * t^e has integer coefficients for
-    # every e in range, and each division below is exact.
-    common = lcm(den**hi, m[0] ** -lo)
-    powers = {0: [common] + [0] * (d - 1)}
-    num = powers[0]
-    for e in range(1, hi + 1):
-        top = num[-1]
-        num = [a - top * mk // den for a, mk in zip([0] + num[:-1], m)]
-        powers[e] = num
-    num = powers[0]
-    for e in range(-1, lo - 1, -1):
-        low = num[0]
-        num = [a - low * mk // m[0] for a, mk in zip(num[1:] + [0], m[1:])]
-        powers[e] = num
-    out = []
-    for p in polys:
-        acc = [0] * d
-        for e, c in p.items():
-            if c:
-                acc = [a + c * s for a, s in zip(acc, powers[e])]
-        out.append(acc)
-    return common, out
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).monic()
+    r0, r1 = _int_multiple(a), _int_multiple(b)
+    if len(r0) < len(r1):
+        r0, r1 = r1, r0
+    while r1:
+        _, _, r2 = _pseudo_divmod(r0, r1)
+        if r2:
+            content = gcd(*r2)
+            r2 = [c // content for c in r2]
+        r0, r1 = r1, r2
+    return Poly(r0).monic()
 
 
 def squarefree_decomposition(a: Poly) -> List[Tuple[Poly, int]]:

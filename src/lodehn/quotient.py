@@ -1,12 +1,11 @@
-"""The coefficient rings Q, Q[t]/(m) and Q[t, t^-1], one class each,
-and exact linear algebra over Q or over Q[t]/(m).
+"""The two coefficient rings of the meridian representation, Q[t]/(m)
+and Q[t, t^-1], one class each, and exact linear algebra over Q[t]/(m).
 
-Every ring class offers ``zero``, ``one`` and ``coerce``; the two that
-:class:`MatrixOverField` eliminates over add ``is_zero`` and ``invert``,
-and carry a ``branch`` (``None`` for Q).  The two rings of the meridian
-representation, Q[t]/(m) and Q[t, t^-1], add ``evaluate``: the images
-of integer Laurent polynomials under the ring homomorphism that sends t
-to t (reduction mod m on Q[t]/(m), the identity on Q[t, t^-1]).
+Both ring classes offer ``zero``, ``one``, ``coerce`` and ``evaluate``:
+the images of integer Laurent polynomials under the ring homomorphism
+that sends t to t (reduction mod m on Q[t]/(m), the identity on
+Q[t, t^-1]).  :class:`MatrixOverField` eliminates over Q[t]/(m) only;
+Q[t, t^-1] serves the symbolic checks.
 
 The modulus m is kept monic and square-free.  Inverting a zero divisor
 splits m into two coprime factors (D5-style dynamic evaluation); the
@@ -39,6 +38,11 @@ also as a primitive integer polynomial with leading coefficient l > 0.
   carries the cofactor s of A with an integer multiplier k,
   k r = s A mod m.  A constant last remainder gives the inverse; a
   nonconstant one is the gcd with m, and the branch splits on it.
+* Evaluation builds the residue of t^e once for every exponent e in
+  range [lo, hi], one multiplication by t or 1/t at a time, as integer
+  vectors over the one denominator lcm(l^hi, m_0^-lo), m_0 the constant
+  term of the integer modulus; each polynomial is then an integer
+  combination of those vectors.
 
 The arithmetic, inversion and evaluation build no Fraction; the
 read-only ``value`` gives the residue as a Poly.
@@ -51,7 +55,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .polynomials import T_POLY, LaurentPoly, Poly, laurent_residues, poly_gcd
+from .polynomials import T_POLY, LaurentPoly, Poly, _pseudo_divmod, poly_gcd
 
 Scalar = Union[int, Fraction]
 IntPoly = List[int]  # integer coefficients, constant term first
@@ -216,29 +220,6 @@ def _short_product(u: Sequence[int], v: Sequence[int]) -> IntPoly:
         if x:
             out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], v)]
     return out
-
-
-def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> Tuple[int, IntPoly, IntPoly]:
-    """(f, q, r) with f a = q b + r and deg r < deg b, for integer
-    polynomials with deg a >= deg b and b nonzero.  f is
-    lc(b)^(deg a - deg b + 1), which makes q integral, so the dividend is
-    scaled once and every step of the long division divides exactly."""
-    db = len(b) - 1
-    lead = b[-1]
-    steps = len(a) - db
-    f = lead**steps
-    r = [f * x for x in a]
-    q = [0] * steps
-    for i in range(steps - 1, -1, -1):
-        c = r[i + db]
-        if c:
-            c //= lead
-            q[i] = c
-            r[i:i + db] = [x - c * y for x, y in zip(r[i:i + db], b)]
-    del r[db:]
-    while r and not r[-1]:
-        r.pop()
-    return f, q, r
 
 
 _new = object.__new__
@@ -478,27 +459,6 @@ class AlgebraicElement:
         return f"AlgebraicElement({self.value!r} mod {self.branch.modulus!r})"
 
 
-class RationalRing:
-    """The field Q, with Fraction elements."""
-
-    branch: Optional[ModulusBranch] = None
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {type(x).__name__} into Q")
-
-    def is_zero(self, x: Fraction) -> bool:
-        return x == 0
-
-    def invert(self, x: Fraction) -> Fraction:
-        return 1 / x
-
-
 class QuotientRing:
     """Q[t]/(m) for one modulus branch.  Inverting a zero divisor raises
     :class:`SplitRequired`; coercing an element of another branch reduces
@@ -520,17 +480,41 @@ class QuotientRing:
             return self.branch.element(x)
         raise TypeError(f"cannot coerce {type(x).__name__} into the quotient ring")
 
-    def is_zero(self, x: AlgebraicElement) -> bool:
-        return x.is_zero
-
-    def invert(self, x: AlgebraicElement) -> AlgebraicElement:
-        return x.inverse()
-
     def evaluate(self, polys: Sequence[Dict[int, int]]) -> List[AlgebraicElement]:
         """The residues of integer Laurent polynomials ``{exponent:
-        coefficient}`` at t mod m."""
-        common, residues = laurent_residues(polys, self.branch.modulus)
-        return [_element(self.branch, residue, common) for residue in residues]
+        coefficient}`` at t mod m (see the module docstring).  m must
+        have a nonzero constant term, so that t is a unit."""
+        branch = self.branch
+        m = branch._ints
+        d = len(m) - 1
+        lead, low = m[d], m[0]
+        if low == 0:
+            raise ValueError("t is not a unit modulo a modulus divisible by t")
+        exponents = [e for p in polys for e in p]
+        lo, hi = min(exponents + [0]), max(exponents + [0])
+        # The residue of t^e has a denominator dividing l^e for e > 0
+        # and m_0^-e for e < 0, so common * t^e has integer coefficients
+        # for every e in range, and each division below is exact.
+        common = lcm(lead**hi, low**-lo)
+        powers = {0: [common] + [0] * (d - 1)}
+        num = powers[0]
+        for e in range(1, hi + 1):
+            top = num[-1]
+            num = [a - top * mk // lead for a, mk in zip([0] + num[:-1], m)]
+            powers[e] = num
+        num = powers[0]
+        for e in range(-1, lo - 1, -1):
+            bottom = num[0]
+            num = [a - bottom * mk // low for a, mk in zip(num[1:] + [0], m[1:])]
+            powers[e] = num
+        out = []
+        for p in polys:
+            acc = [0] * d
+            for e, c in p.items():
+                if c:
+                    acc = [a + c * s for a, s in zip(acc, powers[e])]
+            out.append(_element(branch, acc, common))
+        return out
 
 
 class LaurentRing:
@@ -553,28 +537,24 @@ class LaurentRing:
         return [LaurentPoly.from_terms(p) for p in polys]
 
 
-Field = Union[RationalRing, QuotientRing]
-CoefficientRing = Union[RationalRing, QuotientRing, LaurentRing]
-
-
 @dataclass
 class NullspaceResult:
-    ring: Field
+    ring: QuotientRing
     rank: int
     dim: int
     basis: List[Tuple]
 
     @property
-    def branch(self) -> Optional[ModulusBranch]:
+    def branch(self) -> ModulusBranch:
         return self.ring.branch
 
 
 class MatrixOverField:
-    """Rectangular matrix over Q or over one quotient-ring branch."""
+    """Rectangular matrix over one quotient-ring branch."""
 
     __slots__ = ("rows", "cols", "entries", "ring")
 
-    def __init__(self, entries: Sequence[Sequence], ring: Field):
+    def __init__(self, entries: Sequence[Sequence], ring: QuotientRing):
         self.ring = ring
         self.entries = tuple([tuple([ring.coerce(e) for e in row]) for row in entries])
         self.rows = len(self.entries)
@@ -597,7 +577,7 @@ class MatrixOverField:
         return _nullspace(self)
 
 
-def _echelon(rows, cols, ring):
+def _echelon(rows, cols):
     """Reduced row echelon form with deterministic pivoting: for every
     column take the first nonzero entry in row order.  Raises
     :class:`SplitRequired` if a pivot is a zero divisor."""
@@ -607,16 +587,16 @@ def _echelon(rows, cols, ring):
     for col in range(cols):
         sel = None
         for r in range(pr, len(work)):
-            if not ring.is_zero(work[r][col]):
+            if work[r][col]:
                 sel = r
                 break
         if sel is None:
             continue
-        inv = ring.invert(work[sel][col])
+        inv = work[sel][col].inverse()
         work[pr], work[sel] = work[sel], work[pr]
         work[pr] = [e * inv for e in work[pr]]
         for r in range(len(work)):
-            if r != pr and not ring.is_zero(work[r][col]):
+            if r != pr and work[r][col]:
                 f = work[r][col]
                 work[r] = [work[r][k] - f * work[pr][k] for k in range(cols)]
         pivots.append(col)
@@ -629,7 +609,7 @@ def _echelon(rows, cols, ring):
 def _nullspace(matrix: MatrixOverField) -> List[NullspaceResult]:
     ring = matrix.ring
     try:
-        pivots, work = _echelon(matrix.entries, matrix.cols, ring)
+        pivots, work = _echelon(matrix.entries, matrix.cols)
     except SplitRequired as split:
         out: List[NullspaceResult] = []
         for sub in (split.low, split.high):

@@ -1,6 +1,6 @@
 """SL2 matrices over exact rings, the adjoint action on sl2, the
-diagonal-plus-unipotent meridian representations, and two independent
-Alexander polynomial computations.
+meridian representation, and two independent Alexander polynomial
+computations.
 
 The adjoint is written in the sl2 basis
 
@@ -12,11 +12,12 @@ so conjugation by [[a,b],[c,d]] becomes the 3x3 matrix
     [ -ac   ad + bc     bd  ]
     [ -c^2   2cd        d^2 ].
 
-Words are evaluated under the meridian representation
-x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] by one integer walk
-(:func:`meridian_walk`).  Both generator images are upper triangular
-with monomial diagonals, so the image of a prefix is
-[[t^n, b], [0, t^-n]] and its adjoint is
+The meridian representation x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]]
+is the only representation here: a :class:`MeridianRep` is that
+representation over Q[t]/(m) or Q[t, t^-1], and words are evaluated
+under it by one integer walk (:func:`meridian_walk`).  Both generator
+images are upper triangular with monomial diagonals, so the image of a
+prefix is [[t^n, b], [0, t^-n]] and its adjoint is
 
     [ t^2n   -2u   -t^-2n u^2 ]
     [ 0       1     t^-2n u   ]
@@ -39,7 +40,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from .polynomials import T2_MINUS_1, T_POLY, LaurentPoly, Poly, poly_gcd
-from .quotient import CoefficientRing, LaurentRing, ModulusBranch, QuotientRing
+from .quotient import LaurentRing, ModulusBranch, QuotientRing
 from .twobridge import TwoBridgeFraction, build_presentation
 from .words import Word
 
@@ -66,10 +67,6 @@ class Mat2:
 
     def det(self):
         return self.a * self.d - self.b * self.c
-
-    def inverse_unimodular(self) -> "Mat2":
-        """Inverse of a determinant-1 matrix (the adjugate)."""
-        return Mat2(self.d, -self.b, -self.c, self.a)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mat2):
@@ -170,48 +167,21 @@ def adjoint(m: Mat2) -> Mat3:
     ))
 
 
-class RepAssignment:
-    """Images of the generators x and y, with cached inverses and
-    adjoint matrices (each built on first use).  Both images must have
-    determinant 1."""
+class MeridianRep:
+    """The meridian representation x -> [[t,0],[0,1/t]],
+    y -> [[t,1],[0,1/t]] over ``ring``, Q[t]/(m) or Q[t, t^-1]: the
+    elements t and 1/t of that ring and the adjoints of the two
+    generator images."""
 
-    __slots__ = ("ring", "image_x", "image_y", "_images", "_adjoints")
+    __slots__ = ("ring", "t", "t_inverse", "ad_x", "ad_y")
 
-    def __init__(self, ring: CoefficientRing, image_x: Mat2, image_y: Mat2):
-        if image_x.det() != 1 or image_y.det() != 1:
-            raise ValueError("generator images must have determinant 1")
+    def __init__(self, ring: Union[QuotientRing, LaurentRing]):
         self.ring = ring
-        self.image_x = image_x
-        self.image_y = image_y
-        inv_x = image_x.inverse_unimodular()
-        inv_y = image_y.inverse_unimodular()
-        self._images = {
-            ("x", 1): image_x, ("x", -1): inv_x,
-            ("y", 1): image_y, ("y", -1): inv_y,
-        }
-        # Each adjoint is built on first use: certify reads only those
-        # of x and y, and only the step-by-step test oracles read the
-        # inverses.
-        self._adjoints: Dict[Tuple[str, int], Mat3] = {}
-
-    def image(self, gen: str, sign: int = 1) -> Mat2:
-        return self._images[(gen, sign)]
-
-    def ad(self, gen: str, sign: int = 1) -> Mat3:
-        key = (gen, sign)
-        if key not in self._adjoints:
-            self._adjoints[key] = adjoint(self._images[key])
-        return self._adjoints[key]
-
-
-def meridian_rep(ring: CoefficientRing, t, t_inverse) -> RepAssignment:
-    """x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] over ``ring``, given
-    the elements t and 1/t of that ring."""
-    return RepAssignment(
-        ring,
-        Mat2(t, ring.zero, ring.zero, t_inverse),
-        Mat2(t, ring.one, ring.zero, t_inverse),
-    )
+        t, t_inverse = ring.evaluate([{1: 1}, {-1: 1}])
+        self.t, self.t_inverse = t, t_inverse
+        zero = ring.zero
+        self.ad_x = adjoint(Mat2(t, zero, zero, t_inverse))
+        self.ad_y = adjoint(Mat2(t, ring.one, zero, t_inverse))
 
 
 IntLaurent = Dict[int, int]  # {exponent: coefficient}
@@ -266,7 +236,7 @@ def _meridian_walk(
 
 
 def meridian_walk(
-    word: Word, rep: RepAssignment, blocks: bool = False
+    word: Word, rep: MeridianRep, blocks: bool = False
 ) -> Tuple[Mat2, Optional[Tuple[Mat3, Mat3]]]:
     """The image of ``word`` under the meridian representation ``rep``
     (the product of the generator images in word order) and, when
@@ -275,24 +245,8 @@ def meridian_walk(
     letter g^-1 subtracts Ad of the prefix ending with it.  One walk
     over Z[t, t^-1], then one evaluation at t into ``rep.ring`` per
     entry (see the module docstring).
-
-    ``rep`` must be x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] over
-    Q[t]/(m) or Q[t, t^-1]; any other representation raises ValueError.
     """
     ring = rep.ring
-    if not isinstance(ring, (QuotientRing, LaurentRing)):
-        raise ValueError(
-            "the meridian walk needs a representation over Q[t]/(m) or Q[t, t^-1]"
-        )
-    t, t_inverse = ring.evaluate([{1: 1}, {-1: 1}])
-    if (
-        rep.image_x != Mat2(t, 0, 0, t_inverse)
-        or rep.image_y != Mat2(t, 1, 0, t_inverse)
-    ):
-        raise ValueError(
-            "not the meridian representation x -> [[t,0],[0,1/t]], "
-            "y -> [[t,1],[0,1/t]]"
-        )
     n, b, sums = _meridian_walk(word, blocks)
     polys: List[IntLaurent] = [{n: 1}, b, {-n: 1}]
     if sums is not None:
@@ -307,13 +261,6 @@ def meridian_walk(
         for e00, e01, e02, e11, e12, e22 in (values[3:9], values[9:15])
     )
     return image, (mx, my)
-
-
-def meridian_rep_laurent() -> RepAssignment:
-    """The meridian representation over Q[t, t^-1]."""
-    return meridian_rep(
-        LaurentRing(), LaurentPoly.monomial(1), LaurentPoly.monomial(-1)
-    )
 
 
 def f_upper_entry(j: int) -> LaurentPoly:
@@ -387,7 +334,7 @@ def alexander_via_fox(fraction: TwoBridgeFraction) -> Poly:
 
 def burde_de_rham_assignment(
     branch: ModulusBranch, relator: Word
-) -> RepAssignment:
+) -> MeridianRep:
     """The reducible non-abelian representation x -> [[t,0],[0,1/t]],
     y -> [[t,1],[0,1/t]] with t the residue class mod the branch.
 
@@ -401,8 +348,7 @@ def burde_de_rham_assignment(
         raise ValueError("branch contains t = 0")
     if poly_gcd(modulus, T2_MINUS_1).degree != 0:
         raise ValueError("branch contains t = +-1; rejected")
-    t = branch.t()
-    rep = meridian_rep(QuotientRing(branch), t, t.inverse())
+    rep = MeridianRep(QuotientRing(branch))
     image, _ = meridian_walk(relator, rep)
     if not image.is_identity():
         raise ValueError(

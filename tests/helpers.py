@@ -1,8 +1,10 @@
-"""Shared test utilities: random generators, the step-by-step word and
+"""Shared test utilities: random generators, the generator images and
+adjoints of the meridian representation, the step-by-step word and
 cocycle oracles, the Q[t, t^-1] Alexander oracle, the dict oracle for
 Laurent arithmetic, the Sturm bisection oracle, the floating oracle, the
-Fraction oracle for Q[t]/(m) arithmetic (with the extended Euclidean
-algorithm over Q) and the power-by-power geometric sum."""
+Euclidean gcd over Q, the Fraction oracle for Q[t]/(m) arithmetic (with
+the extended Euclidean algorithm over Q) and the power-by-power
+geometric sum."""
 
 import json
 import os
@@ -11,8 +13,8 @@ from fractions import Fraction
 import mpmath as mp
 
 from lodehn.polynomials import LaurentPoly, Poly, squarefree_part, sturm_chain
-from lodehn.quotient import SplitRequired
-from lodehn.reps import Mat2, Mat3, meridian_rep_laurent, meridian_walk
+from lodehn.quotient import LaurentRing, SplitRequired
+from lodehn.reps import Mat2, Mat3, MeridianRep, adjoint, meridian_walk
 from lodehn.twobridge import build_presentation
 from lodehn.words import Word
 
@@ -35,12 +37,32 @@ def random_word(rng, length):
     return Word(letters)
 
 
+def generator_images(rep):
+    """The images of x^+-1 and y^+-1 under the meridian representation
+    ``rep``, keyed by (generator, sign), built from ``rep.t`` and
+    ``rep.t_inverse``."""
+    t, t_inverse = rep.t, rep.t_inverse
+    zero, one = rep.ring.zero, rep.ring.one
+    return {
+        ("x", 1): Mat2(t, zero, zero, t_inverse),
+        ("x", -1): Mat2(t_inverse, zero, zero, t),
+        ("y", 1): Mat2(t, one, zero, t_inverse),
+        ("y", -1): Mat2(t_inverse, -one, zero, t),
+    }
+
+
+def generator_adjoints(rep):
+    """The adjoints of the four images of :func:`generator_images`."""
+    return {key: adjoint(m) for key, m in generator_images(rep).items()}
+
+
 def eval_word_matrix(word, rep):
     """Product of generator images in word order; empty word gives the
     identity."""
+    images = generator_images(rep)
     m = Mat2.identity()
     for gen, sign in word:
-        m = m @ rep.image(gen, sign)
+        m = m @ images[(gen, sign)]
     return m
 
 
@@ -48,6 +70,7 @@ def eval_cocycle(word, z, rep):
     """Extend the generator values ``z`` (a ``CocycleValues``) along
     ``word`` by the cocycle law z(gh) = z(g) + g.z(h),
     z(g^-1) = -Ad(g^-1) z(g), letter by letter."""
+    ads = generator_adjoints(rep)
     val = (rep.ring.zero,) * 3
     acc = Mat3.identity()
     for gen, sign in word:
@@ -55,9 +78,9 @@ def eval_cocycle(word, z, rep):
         if sign > 0:
             step = acc.apply(zg)
             val = tuple(val[i] + step[i] for i in range(3))
-            acc = acc @ rep.ad(gen, 1)
+            acc = acc @ ads[(gen, 1)]
         else:
-            acc = acc @ rep.ad(gen, -1)
+            acc = acc @ ads[(gen, -1)]
             step = acc.apply(zg)
             val = tuple(val[i] - step[i] for i in range(3))
     return tuple(rep.ring.coerce(v) for v in val)
@@ -68,9 +91,10 @@ def alexander_via_rep_oracle(fraction):
     of x W - W y as a LaurentPoly, W the image of w, then t^2 -> t and
     the shift, denominators and sign of the canonical representative."""
     pres = build_presentation(fraction)
-    rep = meridian_rep_laurent()
+    rep = MeridianRep(LaurentRing())
+    images = generator_images(rep)
     pw, _ = meridian_walk(pres.w, rep)
-    difference = (rep.image_x @ pw).b - (pw @ rep.image_y).b
+    difference = (images[("x", 1)] @ pw).b - (pw @ images[("y", 1)]).b
     terms = difference.terms()
     assert terms and all(e % 2 == 0 for e in terms)
     deflated = LaurentPoly.from_terms({e // 2: c for e, c in terms.items()})
@@ -103,8 +127,8 @@ def laurent_dict_value(a, x):
 
 def word_value_blocks_oracle(word, rep):
     """The pair (Mx, My) of ``cohomology.word_value_blocks`` by the
-    letter-by-letter product of 3x3 adjoint matrices over ``rep.ring``,
-    for any representation."""
+    letter-by-letter product of 3x3 adjoint matrices over ``rep.ring``."""
+    ads = generator_adjoints(rep)
     mx = Mat3.zero()
     my = Mat3.zero()
     acc = Mat3.identity()
@@ -114,9 +138,9 @@ def word_value_blocks_oracle(word, rep):
                 mx = mx + acc
             else:
                 my = my + acc
-            acc = acc @ rep.ad(gen, 1)
+            acc = acc @ ads[(gen, 1)]
         else:
-            acc = acc @ rep.ad(gen, -1)
+            acc = acc @ ads[(gen, -1)]
             if gen == "x":
                 mx = mx - acc
             else:
@@ -232,6 +256,16 @@ def system_numeric_rank_at(system, root):
         for row in system.entries
     ]
     return numeric_rank(rows)
+
+
+def poly_gcd_oracle(a, b):
+    """``polynomials.poly_gcd`` by the Euclidean algorithm over Q in
+    Fraction arithmetic."""
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic()
 
 
 def poly_xgcd(a, b):

@@ -28,13 +28,13 @@ from lodehn.cohomology import (
     vanishing_identity,
 )
 from lodehn.polynomials import LaurentPoly, Poly, squarefree_decomposition, sturm_count
-from lodehn.quotient import MatrixOverField, ModulusBranch, QuotientRing
+from lodehn.quotient import LaurentRing, MatrixOverField, ModulusBranch, QuotientRing
 from lodehn.reps import (
+    MeridianRep,
     adjoint,
     alexander_via_fox,
     alexander_via_rep,
     burde_de_rham_assignment,
-    meridian_rep_laurent,
 )
 from lodehn.twobridge import (
     TwoBridgeFraction,
@@ -154,7 +154,7 @@ def test_criterion_8_property_suites():
         assert adjoint(a @ b) == adjoint(a) @ adjoint(b)
 
     # cocycle law on 100 random word pairs
-    rep = meridian_rep_laurent()
+    rep = MeridianRep(LaurentRing())
     checked = 0
     while checked < 100:
         a, b = random_word(rng, 8), random_word(rng, 8)

@@ -79,14 +79,6 @@ def test_check_rigidity_family(j):
         assert report.dims_knot.h1 == 1
 
 
-def test_check_rigidity_locates_factor_when_not_given():
-    reports = check_rigidity(
-        build_presentation(TwoBridgeFraction(29, 17)), ModulusBranch(DELTA1.inflate(2))
-    )
-    assert reports[0].xi_factor == DELTA1
-    assert reports[0].multiplicity == 1
-
-
 PHI12 = Poly([1, 0, -1, 0, 1])
 PHI36 = Poly([1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1])
 

@@ -26,20 +26,18 @@ from lodehn.cohomology import (
 from lodehn.polynomials import LaurentPoly, Poly, poly_gcd, squarefree_decomposition
 from lodehn.quotient import (
     AlgebraicElement,
+    LaurentRing,
     MatrixOverField,
     ModulusBranch,
     QuotientRing,
-    RationalRing,
 )
 from lodehn.reps import (
-    Mat2,
     Mat3,
-    RepAssignment,
+    MeridianRep,
     adjoint,
     alexander_via_rep,
     burde_de_rham_assignment,
     f_upper_entry,
-    meridian_rep_laurent,
 )
 from lodehn.twobridge import (
     FAMILY_S,
@@ -56,7 +54,7 @@ DELTA1 = Poly([1, -7, 13, -7, 1])
 
 
 def _laurent_rep():
-    return meridian_rep_laurent()
+    return MeridianRep(LaurentRing())
 
 
 def _normal_values(rep, alpha_only=False):
@@ -191,22 +189,6 @@ def test_word_value_blocks_match_step_by_step_products():
         _assert_blocks_match_oracle(random_word(rng, rng.randint(0, 60)), rep)
 
 
-def test_word_value_blocks_rejects_a_non_meridian_representation():
-    word = Word.parse("xyx^-1y^-1x")
-    trivial = RepAssignment(RationalRing(), Mat2(1, 0, 0, 1), Mat2(1, 0, 0, 1))
-    with pytest.raises(ValueError, match="meridian"):
-        word_value_blocks(word, trivial)
-    _, (rep,) = _branch_reps(TwoBridgeFraction(29, 17))
-    swapped = RepAssignment(rep.ring, rep.image_y, rep.image_x)
-    with pytest.raises(ValueError, match="meridian"):
-        word_value_blocks(word, swapped)
-    laurent = meridian_rep_laurent()
-    t, t_inverse = laurent.image_x.a, laurent.image_x.d
-    other = RepAssignment(laurent.ring, laurent.image_x, Mat2(t, 2, 0, t_inverse))
-    with pytest.raises(ValueError, match="meridian"):
-        word_value_blocks(word, other)
-
-
 def _k1_rep():
     pres = build_presentation(TwoBridgeFraction(29, 17))
     branch = ModulusBranch(DELTA1.inflate(2))
@@ -258,17 +240,15 @@ def test_no_common_fixed_vector_at_root_branches():
     # traceless part, but the pair has trivial common fixed space
     # whenever t^2 != 1, which is what drives B^1 = 3
     _, rep = _k1_rep()
-    for gen in ("x", "y"):
-        ad = rep.ad(gen, 1)
+    for ad in (rep.ad_x, rep.ad_y):
         rows = [
             [ad.rows[i][j] - (1 if i == j else 0) for j in range(3)]
             for i in range(3)
         ]
         single = MatrixOverField(rows, rep.ring).nullspace()
         assert all(res.dim == 1 for res in single)
-    ad_x, ad_y = rep.ad("x", 1), rep.ad("y", 1)
     rows = []
-    for ad in (ad_x, ad_y):
+    for ad in (rep.ad_x, rep.ad_y):
         for i in range(3):
             rows.append([ad.rows[i][j] - (1 if i == j else 0) for j in range(3)])
     joint = MatrixOverField(rows, rep.ring).nullspace()
@@ -276,11 +256,13 @@ def test_no_common_fixed_vector_at_root_branches():
 
 
 def test_trivial_representation_dims():
-    rep = RepAssignment(RationalRing(), Mat2(1, 0, 0, 1), Mat2(1, 0, 0, 1))
+    # No relator: every value pair is a cocycle, and on a branch with
+    # t^2 != 1 the coboundaries span 3 dimensions.
+    _, rep = _k1_rep()
     leaves = cohomology_dims(relator_system([], rep), rep)
     assert len(leaves) == 1
     d = leaves[0].dims
-    assert (d.z1, d.b1, d.h0, d.h1) == (6, 0, 3, 6)
+    assert (d.z1, d.b1, d.h0, d.h1) == (6, 3, 0, 3)
 
 
 def test_coboundaries_lie_in_every_cocycle_space():
@@ -352,7 +334,7 @@ def test_normalized_cocycles_satisfy_delta_equals_alpha():
     pres, rep = _k1_rep()
     for relators in ([pres.relator], [pres.relator, pres.longitude]):
         for leaf in cohomology_dims(relator_system(relators, rep), rep):
-            branch = leaf.branch or rep.ring.branch
+            branch = leaf.branch
             leaf_rep = burde_de_rham_assignment(branch, pres.relator)
             for _ in range(5):
                 coeffs = [rng.randint(-3, 3) for _ in leaf.cocycle_basis]
@@ -366,12 +348,7 @@ def test_normalized_cocycles_satisfy_delta_equals_alpha():
 
 def test_normalized_representative_rejects_t2_equal_1():
     branch = ModulusBranch(Poly([-1, 0, 1]))
-    ring_t = branch.t()
-    rep = RepAssignment(
-        QuotientRing(branch),
-        Mat2(ring_t, branch.element(0), branch.element(0), ring_t.inverse()),
-        Mat2(ring_t, branch.element(1), branch.element(0), ring_t.inverse()),
-    )
+    rep = MeridianRep(QuotientRing(branch))
     z = CocycleValues((branch.element(1),) * 3, (branch.element(1),) * 3)
     with pytest.raises(ValueError):
         normalized_representative(z, rep)
@@ -438,7 +415,7 @@ def test_geometric_sum_matches_the_power_by_power_oracle(j):
 
 
 def test_geometric_sum_rejects_a_matrix_that_is_not_unipotent():
-    ad_x = _laurent_rep().ad("x", 1)  # diag(t^2, 1, t^-2)
+    ad_x = _laurent_rep().ad_x  # diag(t^2, 1, t^-2)
     with pytest.raises(ClosedFormMismatch):
         _geometric_sum(ad_x, 3)
     shear = Mat3(((1, 1, 0), (0, 1, 1), (0, 0, 1)))

@@ -7,6 +7,7 @@ from helpers import (
     laurent_dict_add,
     laurent_dict_mul,
     laurent_dict_value,
+    poly_gcd_oracle,
     poly_xgcd,
     refine_isolating_interval_oracle,
     sturm_count_oracle,
@@ -47,6 +48,35 @@ def test_gcd_with_zero_returns_monic():
 def test_gcd_both_zero_rejected():
     with pytest.raises(ValueError):
         poly_gcd(Poly(), Poly())
+
+
+def test_gcd_matches_the_euclid_oracle():
+    # Seeded pairs with rational coefficients: zero and constant
+    # operands, and non-coprime pairs f*g, f*h next to g, h.
+    rng = random.Random(17)
+
+    def rand(degree):
+        return Poly([
+            Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+            for _ in range(degree + 1)
+        ])
+
+    pairs = [
+        (Poly(), Poly([3])),
+        (DELTA1, Poly()),
+        (Poly([Fraction(-2, 3)]), DELTA1),
+        (Poly([5]), Poly([Fraction(1, 7)])),
+    ]
+    for _ in range(40):
+        f, g, h = rand(rng.randint(1, 6)), rand(rng.randint(0, 8)), rand(rng.randint(0, 8))
+        pairs += [(g, h), (f * g, f * h)]
+    for a, b in pairs:
+        if a.is_zero and b.is_zero:
+            continue
+        expected = poly_gcd_oracle(a, b)
+        assert poly_gcd(a, b) == expected
+        assert poly_gcd(b, a) == expected
+    assert sum(poly_gcd(a, b).degree > 0 for a, b in pairs) >= 40
 
 
 def test_xgcd_bezout():

@@ -12,7 +12,6 @@ from lodehn.quotient import (
     MatrixOverField,
     ModulusBranch,
     QuotientRing,
-    RationalRing,
     SplitRequired,
     _pack,
     _slot_width,
@@ -22,6 +21,11 @@ from lodehn.reps import alexander_via_rep
 from lodehn.twobridge import TwoBridgeFraction
 
 T2_MINUS_1 = Poly([-1, 0, 1])
+
+
+def _rationals():
+    """Q[t]/(t - 2), whose residues are the rationals."""
+    return QuotientRing(ModulusBranch(Poly([-2, 1])))
 
 
 def test_invert_zero_divisor_splits():
@@ -60,6 +64,19 @@ def test_branch_requires_squarefree():
         ModulusBranch(Poly([5]))
 
 
+def test_branch_on_a_dense_modulus_of_degree_100():
+    # Leading coefficient 3, coefficients in [-9, 9]; the square-free
+    # check is a gcd with the derivative.
+    rng = random.Random(100)
+    coeffs = [rng.randint(-9, 9) for _ in range(100)] + [3]
+    coeffs[0] = coeffs[0] or 1
+    assert ModulusBranch(Poly(coeffs)).degree == 100
+    f = Poly([rng.randint(-9, 9) for _ in range(30)] + [3])
+    g = Poly([rng.randint(-9, 9) for _ in range(40)] + [2])
+    with pytest.raises(ValueError, match="square-free"):
+        ModulusBranch(f * f * g)
+
+
 def test_mixed_branches_rejected():
     a = ModulusBranch(Poly([-2, 0, 1]))
     b = ModulusBranch(Poly([-3, 0, 1]))
@@ -95,7 +112,7 @@ def test_branch_conservation_under_forced_splits():
 
 
 def test_nullspace_identity_and_zero():
-    ring = RationalRing()
+    ring = _rationals()
     eye = MatrixOverField([[1, 0, 0], [0, 1, 0], [0, 0, 1]], ring)
     assert [(r.rank, r.dim) for r in eye.nullspace()] == [(3, 0)]
     zero = MatrixOverField([[0, 0, 0], [0, 0, 0], [0, 0, 0]], ring)
@@ -104,7 +121,7 @@ def test_nullspace_identity_and_zero():
 
 def test_nullspace_basis_certificates():
     rng = random.Random(23)
-    ring = RationalRing()
+    ring = _rationals()
     for _ in range(20):
         rows = [
             [Fraction(rng.randint(-3, 3)) for _ in range(5)] for _ in range(3)
@@ -130,7 +147,7 @@ def test_nullspace_basis_certificates_on_branch():
 
 def test_nullspace_dim_invariant_under_row_shuffles():
     rng = random.Random(41)
-    ring = RationalRing()
+    ring = _rationals()
     rows = [
         [Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(6)
     ]
@@ -143,7 +160,7 @@ def test_nullspace_dim_invariant_under_row_shuffles():
 
 def test_rational_matrix_rejects_bad_entries():
     with pytest.raises(TypeError):
-        MatrixOverField([[object()]], RationalRing())
+        MatrixOverField([[object()]], _rationals())
 
 
 def test_split_required_reports_both_leaves():
@@ -157,8 +174,8 @@ def _oracle_moduli():
     """Seeded square-free moduli of degree 1 to 100 with rational
     coefficients, and the lifted Alexander factors of 7/3 and 9/2,
     whose primitive integer forms have leading coefficient 2.  Those of
-    degree 40 and 100 are trinomials: the square-free check runs Euclid
-    over Q, which takes seconds on a denser modulus of that degree."""
+    degree 40 and 100 are trinomials: the oracle's Euclid over Q takes
+    seconds on a denser modulus of that degree."""
     rng = random.Random(7)
     branches = []
     for degree in (1, 2, 3, 5, 8, 13, 21, 40, 100):

@@ -7,21 +7,22 @@ from helpers import (
     L,
     alexander_via_rep_oracle,
     eval_word_matrix,
+    generator_adjoints,
+    generator_images,
     random_unimodular_laurent,
     random_word,
 )
 from lodehn.certify import admissible_modulus
 from lodehn.polynomials import Poly
-from lodehn.quotient import ModulusBranch, QuotientRing
+from lodehn.quotient import LaurentRing, ModulusBranch, QuotientRing
 from lodehn.reps import (
     Mat2,
+    MeridianRep,
     adjoint,
     alexander_via_fox,
     alexander_via_rep,
     burde_de_rham_assignment,
     f_upper_entry,
-    meridian_rep,
-    meridian_rep_laurent,
     meridian_walk,
     normalize_alexander,
 )
@@ -41,8 +42,8 @@ def test_adjoint_of_diagonal():
 
 
 def test_adjoint_of_upper_triangular():
-    rep = meridian_rep_laurent()
-    ad = adjoint(rep.image_y)
+    rep = MeridianRep(LaurentRing())
+    ad = adjoint(generator_images(rep)[("y", 1)])
     assert ad.rows[0] == (L({2: 1}), L({1: -2}), L({0: -1}))
     assert ad.rows[1] == (L({}), L({0: 1}), L({-1: 1}))
     assert ad.rows[2] == (L({}), L({}), L({-2: 1}))
@@ -68,13 +69,13 @@ def test_adjoint_multiplicative_on_random_unimodular_pairs():
 
 
 def test_eval_empty_word_is_identity():
-    rep = meridian_rep_laurent()
+    rep = MeridianRep(LaurentRing())
     assert eval_word_matrix(Word(), rep).is_identity()
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_family_word_image_is_unipotent_with_f(j):
-    rep = meridian_rep_laurent()
+    rep = MeridianRep(LaurentRing())
     m = eval_word_matrix(family_word(j), rep)
     assert m.a == 1 and m.c == 0 and m.d == 1
     assert m.b == f_upper_entry(j)
@@ -82,7 +83,7 @@ def test_family_word_image_is_unipotent_with_f(j):
 
 def test_eval_word_matrix_homomorphism():
     rng = random.Random(77)
-    rep = meridian_rep_laurent()
+    rep = MeridianRep(LaurentRing())
     for _ in range(25):
         w = random_word(rng, 20)
         prod = eval_word_matrix(w, rep) @ eval_word_matrix(w.inverse(), rep)
@@ -211,12 +212,13 @@ def test_adjoints_built_on_first_use_invert_each_other():
     from lodehn.reps import Mat3
 
     pres = build_presentation(TwoBridgeFraction(29, 17))
-    rep = burde_de_rham_assignment(ModulusBranch(DELTA1.inflate(2)), pres.relator)
-    for gen in "xy":
-        inverse = rep.ad(gen, -1)
-        assert inverse == adjoint(rep.image(gen, -1))
-        assert rep.ad(gen, 1) @ inverse == Mat3.identity()
-        assert rep.ad(gen, -1) is inverse
+    branch = ModulusBranch(DELTA1.inflate(2))
+    rep = burde_de_rham_assignment(branch, pres.relator)
+    assert rep.t == branch.t() and rep.t_inverse == branch.t().inverse()
+    oracle = generator_adjoints(rep)
+    for gen, ad in (("x", rep.ad_x), ("y", rep.ad_y)):
+        assert ad == oracle[(gen, 1)]
+        assert ad @ oracle[(gen, -1)] == Mat3.identity()
 
 
 def test_burde_de_rham_rejects_non_root_branch():
@@ -228,8 +230,7 @@ def test_burde_de_rham_rejects_non_root_branch():
 def test_meridian_walk_image_matches_eval_word_matrix():
     rng = random.Random(5)
     branch = ModulusBranch(admissible_modulus(alexander_via_rep(TwoBridgeFraction(201, 77))))
-    t = branch.t()
-    for rep in (meridian_rep_laurent(), meridian_rep(QuotientRing(branch), t, t.inverse())):
+    for rep in (MeridianRep(LaurentRing()), MeridianRep(QuotientRing(branch))):
         for _ in range(20):
             word = random_word(rng, rng.randint(0, 60))
             image, blocks = meridian_walk(word, rep)
@@ -256,8 +257,7 @@ def test_relator_check_rejects_another_knots_branch():
     # decides.
     pres = build_presentation(TwoBridgeFraction(29, 17))
     branch = ModulusBranch(Poly([1, 0, -3, 0, 1]))
-    t = branch.t()
-    image, _ = meridian_walk(pres.relator, meridian_rep(QuotientRing(branch), t, t.inverse()))
+    image, _ = meridian_walk(pres.relator, MeridianRep(QuotientRing(branch)))
     assert image.a == 1 and image.d == 1 and not image.b.is_zero
     with pytest.raises(ValueError, match="relator"):
         burde_de_rham_assignment(branch, pres.relator)

@@ -1,0 +1,64 @@
+"""The benchmark's trace points resolve in the package.
+
+``perfbench/tracing.py`` wraps each layer it times by module and
+attribute name, reads the arguments and results of some of them, and
+counts the calls of ``lodehn.polynomials.sturm_count``.  A rename or a
+changed signature in the package would otherwise show only when the
+benchmark runs.
+"""
+
+import importlib
+import importlib.util
+import os
+
+from lodehn.certify import certify
+from lodehn.twobridge import TwoBridgeFraction
+
+TRACING = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "perfbench",
+    "tracing.py",
+)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_trace_point_resolves():
+    tracing = _load_tracing()
+    missing = []
+    for name, module_name, attr, _ in tracing.LAYERS:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            class_name, method = attr.split(".")
+            owner = getattr(owner, class_name, None)
+            found = isinstance(owner, type) and callable(vars(owner).get(method))
+        else:
+            found = callable(getattr(owner, attr, None))
+        if not found:
+            missing.append(name)
+    assert missing == []
+    assert callable(importlib.import_module("lodehn.polynomials").sturm_count)
+
+
+def test_observers_read_a_traced_certify_call():
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.op = 0
+    tracer.install()
+    try:
+        certify(TwoBridgeFraction(29, 17))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(0.0)
+    assert metrics["reps.burde_de_rham_assignment.calls"] == 1
+    assert metrics["reps.burde_de_rham_assignment.calls_per_branch"] == 1.0
+    assert metrics["cohomology.word_value_blocks.calls"] == 2
+    assert metrics["cohomology.word_value_blocks.modulus_degree_max"] == 8
+    assert metrics["cohomology.word_value_blocks.letters"] > 0
+    assert metrics["quotient.MatrixOverField.nullspace.leaves"] >= 2
+    assert metrics["twobridge.build_presentation.relator_len"] > 0
