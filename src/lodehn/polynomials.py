@@ -8,23 +8,30 @@ real-root machinery (Sturm chains, isolation, refinement) is exact:
 every interval endpoint is a rational that is not a root of the query
 polynomial, so counts are unconditional.
 
-Every sign it needs comes from one integer evaluator, ``_sign_int``.
-A polynomial (or each member of a Sturm chain) is scaled once by a
-positive rational to coprime integer coefficients, which keeps every
-sign; at x = a/b with b > 0 the sign of p(x) is then that of the
-integer b^d p(a/b), computed by homogeneous Horner without a single
-Fraction.  ``isolate_real_roots`` builds and scales its Sturm chain
-once and counts every sub-interval with it.  ``refine_isolating_interval``
-needs no chain: its interval holds exactly one root of a square-free
-polynomial, a root of odd (indeed first) multiplicity, so the
-polynomial has opposite signs at the two endpoints, and of the two
-halves at a non-root midpoint exactly the one whose endpoint signs
-differ holds the root.  That is the half a Sturm count picks, so the
-intervals are the ones per-step Sturm counting gives.
+The root layer runs on integers from the Sturm chain to the last
+bisection step.  Every sign it needs comes from one integer evaluator,
+``_sign_int``: a polynomial is scaled once by a positive rational to
+coprime integer coefficients, which keeps every sign, and at x = a/b
+with b > 0 the sign of p(x) is that of the integer b^d p(a/b), computed
+by homogeneous Horner.  The Sturm chain is the negated primitive
+pseudo-remainder sequence, each member sign-corrected to a positive
+integer multiple of the chain over Q, so every count is the same.
+Bisection holds an interval as two integer numerators over one
+denominator and divides out their common factor after each step.
+``isolate_real_roots`` builds its chain once and counts every
+sub-interval with it.  ``refine_isolating_interval`` needs no chain:
+its interval holds exactly one root of a square-free polynomial, a root
+of odd (indeed first) multiplicity, so the polynomial has opposite signs
+at the two endpoints, and of the two halves at a non-root midpoint
+exactly the one whose endpoint signs differ holds the root.  That is the
+half a Sturm count picks, so the intervals are the ones per-step Sturm
+counting gives.  Fractions are built only for the arguments and the
+results.
 
-``poly_gcd`` runs on integers: the primitive pseudo-remainder sequence
-of integer multiples of its inputs, through ``_pseudo_divmod``, the
-pseudo-division that the inversion in ``quotient`` shares.
+``poly_gcd`` runs on integers too: the primitive pseudo-remainder
+sequence of integer multiples of its inputs, through ``_pseudo_divmod``,
+the pseudo-division that the Sturm chain and the inversion in
+``quotient`` share.
 """
 
 from __future__ import annotations
@@ -313,15 +320,6 @@ class RootAtEndpoint(ValueError):
         self.endpoint = endpoint
 
 
-def sturm_chain(p: Poly) -> List[Poly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
-        chain.pop()
-    return chain
-
-
 def _int_multiple(p: Poly) -> List[int]:
     """Coprime integer coefficients of a positive rational multiple of
     the nonzero ``p``, so every value keeps its sign (unlike
@@ -333,11 +331,10 @@ def _int_multiple(p: Poly) -> List[int]:
     return [n // g for n in ints]
 
 
-def _sign_int(coeffs: Sequence[int], x: Fraction) -> int:
-    """Sign of p(x), where ``coeffs`` are the integer coefficients
-    (ascending, degree d) of a positive multiple of p: with x = a/b and
-    b > 0, the sign of b^d * p(a/b), by homogeneous Horner over ints."""
-    a, b = x.numerator, x.denominator
+def _sign_int(coeffs: Sequence[int], a: int, b: int) -> int:
+    """Sign of p(a/b) for b > 0, where ``coeffs`` are the integer
+    coefficients (ascending, degree d) of a positive multiple of p: the
+    sign of b^d * p(a/b), by homogeneous Horner over ints."""
     acc, power = 0, 1
     for c in reversed(coeffs):
         acc = acc * a + c * power
@@ -351,9 +348,28 @@ def _variations(signs: Iterable[int]) -> int:
 
 
 def _int_sturm_chain(p: Poly) -> List[List[int]]:
-    """The Sturm chain of ``p``, each member scaled to integers by a
-    positive factor, which keeps every sign and so every count."""
-    return [_int_multiple(q) for q in sturm_chain(p)]
+    """The Sturm chain of ``p`` (degree >= 1), each member a positive
+    integer multiple of the Sturm member over Q, which keeps every sign
+    and so every count.
+
+    It is the negated primitive pseudo-remainder sequence of
+    ``_int_multiple(p)`` and its content-free derivative.  With
+    f prev = q cur + r, the remainder r is f times a positive multiple of
+    prev mod cur, so -r / content(r) is a positive multiple of the next
+    member when f > 0 and r / content(r) when f < 0.  The last member is
+    gcd(p, p') up to a constant factor.
+    """
+    top = _int_multiple(p)
+    slope = [k * c for k, c in enumerate(top) if k]
+    content = gcd(*slope)
+    chain = [top, [c // content for c in slope]]
+    while len(chain[-1]) > 1:
+        f, _, r = _pseudo_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        content = gcd(*r) if f < 0 else -gcd(*r)
+        chain.append([c // content for c in r])
+    return chain
 
 
 Endpoint = Optional[Fraction]  # None encodes the infinite endpoint
@@ -365,7 +381,7 @@ def _chain_variations(
     """Sign variations of an integer Sturm chain at x; ``None`` is +oo
     when ``at_plus_infinity`` is set and -oo otherwise."""
     if x is not None:
-        return _variations(_sign_int(q, x) for q in chain)
+        return _int_variations(chain, x.numerator, x.denominator)
     # A member of degree d = len(q) - 1 has the sign of its leading
     # coefficient at +oo, and that sign times (-1)^d at -oo.
     return _variations(
@@ -373,6 +389,11 @@ def _chain_variations(
         else (q[-1] < 0) - (q[-1] > 0)
         for q in chain
     )
+
+
+def _int_variations(chain: Sequence[Sequence[int]], a: int, b: int) -> int:
+    """Sign variations of an integer Sturm chain at a/b, b > 0."""
+    return _variations(_sign_int(q, a, b) for q in chain)
 
 
 def sturm_count(p: Poly, interval: Tuple[Endpoint, Endpoint]) -> int:
@@ -394,7 +415,9 @@ def sturm_count(p: Poly, interval: Tuple[Endpoint, Endpoint]) -> int:
         raise ValueError(f"empty interval ({lo}, {hi})")
     chain = _int_sturm_chain(p)
     for endpoint in (lo, hi):
-        if endpoint is not None and _sign_int(chain[0], endpoint) == 0:
+        if endpoint is not None and not _sign_int(
+            chain[0], endpoint.numerator, endpoint.denominator
+        ):
             raise RootAtEndpoint(endpoint)
     return (_chain_variations(chain, lo)
             - _chain_variations(chain, hi, at_plus_infinity=True))
@@ -409,28 +432,46 @@ def root_bound(p: Poly) -> Fraction:
 
 
 def _interior_non_root(
-    coeffs: Sequence[int], lo: Fraction, hi: Fraction
-) -> Tuple[Fraction, int]:
-    """An interior point of (lo, hi) that is not a root of the
-    polynomial whose positive multiple has integer coefficients
-    ``coeffs``, with the polynomial's (nonzero) sign there."""
-    mid = (lo + hi) / 2
-    step = (hi - lo) / 4
+    coeffs: Sequence[int], a: int, b: int, den: int
+) -> Tuple[int, int, int, int, int]:
+    """An interior point of (a/den, b/den), den > 0, that is not a root
+    of the polynomial whose positive multiple has integer coefficients
+    ``coeffs``, with the polynomial's (nonzero) sign there.
+
+    The point is the midpoint, nudged by ``mid += step; step /= 2`` from
+    ``step`` a quarter of the width while it is a root.  All three
+    points are held as numerators over one denominator ``e``, a multiple
+    of ``den`` that doubles whenever the next step would not be an
+    integer, and come back as ``(a, mid, b, e, sign)``; no Fraction is
+    built."""
+    a, b, e = 4 * a, 4 * b, 4 * den
+    mid, step = (a + b) // 2, (b - a) // 4
     while True:
-        sign = _sign_int(coeffs, mid)
+        sign = _sign_int(coeffs, mid, e)
         if sign:
-            return mid, sign
+            return a, mid, b, e, sign
         mid += step
-        step /= 2
-        if not lo < mid < hi:
+        if step & 1:
+            a, b, mid, step, e = 2 * a, 2 * b, 2 * mid, 2 * step, 2 * e
+        step //= 2
+        if not a < mid < b:
             raise AssertionError("failed to dodge a root inside the interval")
+
+
+def _lowest(a: int, b: int, den: int) -> Tuple[int, int, int]:
+    """The interval (a/den, b/den) with the common factor of its
+    numerators and denominator divided out."""
+    g = gcd(a, b, den)
+    return a // g, b // g, den // g
 
 
 def isolate_real_roots(p: Poly) -> List[Tuple[Fraction, Fraction]]:
     """Disjoint rational open intervals, one distinct real root each.
 
     Requires square-free input; endpoints are never roots.  Intervals
-    come back sorted left to right.
+    come back sorted left to right.  The bisection runs on integer
+    numerators over a common denominator per interval, and each
+    endpoint's sign variations are computed once.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -441,25 +482,25 @@ def isolate_real_roots(p: Poly) -> List[Tuple[Fraction, Fraction]]:
     if len(chain[-1]) > 1:
         raise ValueError("input must be square-free")
 
-    def roots_between(lo: Fraction, hi: Fraction) -> int:
-        return _chain_variations(chain, lo) - _chain_variations(chain, hi)
-
     bound = root_bound(p)
-    total = roots_between(-bound, bound)
-    out: List[Tuple[Fraction, Fraction]] = []
-    stack: List[Tuple[Fraction, Fraction, int]] = [(-bound, bound, total)]
+    n, den = bound.numerator, bound.denominator
+    var_lo, var_hi = _int_variations(chain, -n, den), _int_variations(chain, n, den)
+    total = var_lo - var_hi
+    found: List[Tuple[int, int, int]] = []
+    stack = [(-n, n, den, var_lo, var_hi)]
     while stack:
-        lo, hi, count = stack.pop()
+        a, b, den, var_lo, var_hi = stack.pop()
+        count = var_lo - var_hi
         if count == 0:
             continue
         if count == 1:
-            out.append((lo, hi))
+            found.append((a, b, den))
             continue
-        mid, _ = _interior_non_root(chain[0], lo, hi)
-        left = roots_between(lo, mid)
-        stack.append((mid, hi, count - left))
-        stack.append((lo, mid, left))
-    out.sort()
+        a, mid, b, e, _ = _interior_non_root(chain[0], a, b, den)
+        var_mid = _int_variations(chain, mid, e)
+        stack.append((*_lowest(mid, b, e), var_mid, var_hi))
+        stack.append((*_lowest(a, mid, e), var_lo, var_mid))
+    out = sorted([(Fraction(a, d), Fraction(b, d)) for a, b, d in found])
     if len(out) != total:
         raise AssertionError("isolation lost a root")
     return out
@@ -474,23 +515,32 @@ def refine_isolating_interval(
     root of ``p``.  That root is then simple, so ``p`` has opposite
     signs at the two endpoints, and each step keeps the half whose
     endpoint signs differ; no Sturm chain is needed.  Raises
-    ``ValueError`` when the endpoints do not bracket a sign change (no
-    root, two roots, or an endpoint that is a root).  The returned
-    endpoints are again non-roots.
+    ``ValueError`` when ``max_width`` is not positive, or when the
+    endpoints do not bracket a sign change (no root, two roots, or an
+    endpoint that is a root).  The returned endpoints are again
+    non-roots.  The steps run on integer numerators over one common
+    denominator; Fractions are built only for the arguments and the
+    result.
     """
     lo, hi = _frac(lo), _frac(hi)
     max_width = _frac(max_width)
+    if max_width <= 0:
+        raise ValueError(f"max_width must be positive, got {max_width}")
     coeffs = _int_multiple(p)
-    sign_lo = _sign_int(coeffs, lo)
-    if sign_lo * _sign_int(coeffs, hi) >= 0:
+    den = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    sign_lo = _sign_int(coeffs, a, den)
+    if sign_lo * _sign_int(coeffs, b, den) >= 0:
         raise ValueError(f"p does not change sign across ({lo}, {hi})")
-    while hi - lo > max_width:
-        mid, sign_mid = _interior_non_root(coeffs, lo, hi)
+    width_num, width_den = max_width.numerator, max_width.denominator
+    while (b - a) * width_den > width_num * den:
+        a, mid, b, e, sign_mid = _interior_non_root(coeffs, a, b, den)
         if sign_mid != sign_lo:
-            hi = mid
+            a, b, den = _lowest(a, mid, e)
         else:
-            lo = mid
-    return lo, hi
+            a, b, den = _lowest(mid, b, e)
+    return Fraction(a, den), Fraction(b, den)
 
 
 class LaurentPoly:

@@ -3,6 +3,10 @@
 A letter is a pair ``(gen, sign)`` with ``gen`` in ``{"x", "y"}`` and
 ``sign`` in ``{+1, -1}``.  Words are always stored reduced: no letter is
 ever adjacent to its inverse.  The empty word is the group identity.
+The public constructor validates and reduces its letters; a product of
+two words is already reduced on each side, so it cancels letters only
+at the junction, and the inverse, the backwards spelling and the powers
+of a reduced word are built reduced without another pass.
 
 Surface syntax: ``x``, ``y``, each optionally followed by ``^-1``;
 uppercase ``X``, ``Y`` are shorthand for the inverses.  Whitespace is
@@ -28,6 +32,7 @@ class WordParseError(ValueError):
 
 # The four letters; words share these tuples instead of one per letter.
 _LETTERS = {(gen, sign): (gen, sign) for gen in GENERATORS for sign in (1, -1)}
+_INVERSE = {letter: _LETTERS[letter[0], -letter[1]] for letter in _LETTERS.values()}
 
 
 def _reduced(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
@@ -45,6 +50,16 @@ def _reduced(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
     return tuple(out)
 
 
+def _cancelled(left: Tuple[Letter, ...], right: Tuple[Letter, ...]) -> int:
+    """How many letters cancel where the reduced ``left`` meets the
+    reduced ``right``: the end of ``left`` against the start of
+    ``right``."""
+    k, most = 0, min(len(left), len(right))
+    while k < most and left[-1 - k] is _INVERSE[right[k]]:
+        k += 1
+    return k
+
+
 class Word:
     """A freely reduced word; construction reduces eagerly."""
 
@@ -52,6 +67,14 @@ class Word:
 
     def __init__(self, letters: Iterable[Letter] = ()):
         self.letters = _reduced(letters)
+
+    @classmethod
+    def _of(cls, letters: Tuple[Letter, ...]) -> "Word":
+        """A word on ``letters``, which must already be reduced and made
+        of the shared letter tuples; nothing is checked."""
+        word = object.__new__(cls)
+        word.letters = letters
+        return word
 
     @classmethod
     def identity(cls) -> "Word":
@@ -100,31 +123,43 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        left, right = self.letters, other.letters
+        k = _cancelled(left, right)
+        return Word._of(left[:len(left) - k] + right[k:])
 
     def __pow__(self, n: int) -> "Word":
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.letters * n)
+        if n == 0:
+            return Word._of(())
+        # With the k letters that cancel between w and w stripped from
+        # both ends, the core is cyclically reduced, so w^n is the
+        # prefix, n copies of the core and the suffix.
+        letters = self.letters
+        k = _cancelled(letters, letters)
+        core = letters[k:len(letters) - k]
+        return Word._of(letters[:k] + core * n + letters[len(letters) - k:])
 
     def inverse(self) -> "Word":
         """Reversed letter sequence with all signs negated."""
-        return Word([(gen, -sign) for gen, sign in reversed(self.letters)])
+        inverted = [_INVERSE[letter] for letter in reversed(self.letters)]
+        return Word._of(tuple(inverted))
 
     def __invert__(self) -> "Word":
         return self.inverse()
 
     def spelled_backwards(self) -> "Word":
         """Reversed letter sequence with signs kept (not the inverse)."""
-        return Word(tuple(reversed(self.letters)))
+        return Word._of(self.letters[::-1])
 
     def exponent_sum(self, gen: str) -> int:
         if gen not in GENERATORS:
             raise ValueError(f"unknown generator {gen!r}")
-        return sum(sign for g, sign in self.letters if g == gen)
+        letters = self.letters
+        return letters.count(_LETTERS[gen, 1]) - letters.count(_LETTERS[gen, -1])
 
     def total_exponent_sum(self) -> int:
-        return sum(sign for _, sign in self.letters)
+        return self.exponent_sum("x") + self.exponent_sum("y")
 
     def is_identity(self) -> bool:
         return not self.letters

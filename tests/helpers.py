@@ -1,10 +1,10 @@
 """Shared test utilities: random generators, the generator images and
 adjoints of the meridian representation, the step-by-step word and
 cocycle oracles, the Q[t, t^-1] Alexander oracle, the dict oracle for
-Laurent arithmetic, the Sturm bisection oracle, the floating oracle, the
-Euclidean gcd over Q, the Fraction oracle for Q[t]/(m) arithmetic (with
-the extended Euclidean algorithm over Q) and the power-by-power
-geometric sum."""
+Laurent arithmetic, the Sturm chain over Q and the Sturm bisection
+oracle, the floating oracle, the Euclidean gcd over Q, the Fraction
+oracle for Q[t]/(m) arithmetic (with the extended Euclidean algorithm
+over Q) and the power-by-power geometric sum."""
 
 import json
 import os
@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from lodehn.polynomials import LaurentPoly, Poly, squarefree_part, sturm_chain
+from lodehn.polynomials import LaurentPoly, Poly, squarefree_part
 from lodehn.quotient import LaurentRing, SplitRequired
 from lodehn.reps import Mat2, Mat3, MeridianRep, adjoint, meridian_walk
 from lodehn.twobridge import build_presentation
@@ -146,6 +146,17 @@ def word_value_blocks_oracle(word, rep):
             else:
                 my = my - acc
     return mx, my
+
+
+def sturm_chain(p):
+    """The Sturm chain of ``p`` by Euclid over Q in Fraction arithmetic:
+    p, p', then the negated remainders down to the last nonzero one."""
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        chain.append(-(chain[-2] % chain[-1]))
+    if chain[-1].is_zero:
+        chain.pop()
+    return chain
 
 
 def sturm_count_oracle(p, lo, hi):

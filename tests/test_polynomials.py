@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from helpers import (
     poly_gcd_oracle,
     poly_xgcd,
     refine_isolating_interval_oracle,
+    sturm_chain,
     sturm_count_oracle,
 )
 from lodehn.certify import admissible_modulus
@@ -17,11 +19,14 @@ from lodehn.polynomials import (
     LaurentPoly,
     Poly,
     RootAtEndpoint,
+    _chain_variations,
     _int_multiple,
+    _int_sturm_chain,
     _sign_int,
     isolate_real_roots,
     poly_gcd,
     refine_isolating_interval,
+    root_bound,
     squarefree_decomposition,
     squarefree_part,
     sturm_count,
@@ -254,12 +259,13 @@ def test_sign_helper_matches_fraction_evaluation():
         ]
         for x in points:
             value = p(x)
-            assert _sign_int(coeffs, x) == (value > 0) - (value < 0)
+            sign = _sign_int(coeffs, x.numerator, x.denominator)
+            assert sign == (value > 0) - (value < 0)
     # At a root the sign is 0, on either side of it +-1.
     p = Poly([Fraction(-2, 3), Fraction(1, 1)]) * Fraction(-5, 7)
     coeffs = _int_multiple(p)
     assert coeffs[-1] < 0
-    assert [_sign_int(coeffs, Fraction(k, 3)) for k in (1, 2, 3)] == [1, 0, -1]
+    assert [_sign_int(coeffs, k, 3) for k in (1, 2, 3)] == [1, 0, -1]
 
 
 def test_sturm_count_matches_the_fraction_chain_oracle():
@@ -324,6 +330,116 @@ def test_refinement_rejects_an_interval_without_a_sign_change():
             refine_isolating_interval(p, lo, hi, Fraction(1, 10**6))
     with pytest.raises(ValueError):  # an endpoint is the root
         refine_isolating_interval(Poly([-1, 1]), Fraction(1), Fraction(2), Fraction(1, 8))
+
+
+def test_refinement_rejects_a_width_that_is_not_positive():
+    # Bisection can never get below a width of 0 or less.
+    p = Poly([-2, 0, 1])
+    for width in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="max_width"):
+            refine_isolating_interval(p, Fraction(1), Fraction(2), width)
+
+
+def test_refinement_builds_no_fraction_per_step(monkeypatch):
+    # Refining the same interval to 10^-302 takes about ten times the
+    # steps of 10^-32; the Fractions built must not grow with them.
+    constructed = []
+    original_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        constructed.append(args)
+        return original_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    if hasattr(Fraction, "_from_coprime_ints"):  # arithmetic since 3.12
+        original_coprime = Fraction._from_coprime_ints.__func__
+
+        def counting_coprime(cls, *args):
+            constructed.append(args)
+            return original_coprime(cls, *args)
+
+        monkeypatch.setattr(
+            Fraction, "_from_coprime_ints", classmethod(counting_coprime)
+        )
+    p, lo, hi = Poly([-2, 0, 1]), Fraction(1), Fraction(2)
+    widths = (Fraction(1, 10**32), Fraction(1, 10**302))
+    counts, refined = [], []
+    for width in widths:
+        del constructed[:]
+        refined.append(refine_isolating_interval(p, lo, hi, width))
+        counts.append(len(constructed))
+    monkeypatch.undo()
+    assert counts[0] == counts[1]
+    for (a, b), width in zip(refined, widths):
+        assert 0 < b - a <= width and p(a) < 0 < p(b)
+
+
+def test_integer_sturm_chain_matches_the_fraction_chain():
+    # Every member of the integer chain is a positive multiple of the
+    # Fraction chain's member, so the sign variations agree everywhere.
+    # Sparse inputs such as t^4 + t + 1 make the degree drop by two, so
+    # the pseudo-division factor lc^3 can be negative.
+    rng = random.Random(21)
+    for _ in range(400):
+        sparse = rng.random() < 0.5
+        p = Poly([
+            0 if sparse and rng.random() < 0.6 else random_fraction(rng)
+            for _ in range(rng.randint(2, 13))
+        ])
+        if rng.random() < 0.2:
+            p = p * Poly([random_fraction(rng, 6, 4), 1]) ** 2
+        if p.degree < 1:
+            continue
+        chain, oracle = _int_sturm_chain(p), sturm_chain(p)
+        assert len(chain) == len(oracle)
+        for member, expected in zip(chain, oracle):
+            scale = Fraction(member[-1]) / expected.leading
+            assert scale > 0 and Poly(member) == expected * scale
+        points = [random_fraction(rng, 50, 9) for _ in range(4)]
+        for x in points:
+            assert _chain_variations(chain, x) == _variations_oracle(oracle, x)
+        for plus in (False, True):
+            assert _chain_variations(chain, None, plus) == (
+                _variations_oracle(oracle, None, plus)
+            )
+
+
+def _variations_oracle(chain, x, at_plus_infinity=False):
+    """Sign variations of a Fraction Sturm chain at x, or at +-oo for
+    ``x`` None, from the members' values and leading terms."""
+    signs = []
+    for q in chain:
+        if x is None:
+            value = q.leading * (1 if at_plus_infinity or q.degree % 2 == 0 else -1)
+        else:
+            value = q(x)
+        if value:
+            signs.append(value > 0)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def test_dense_moduli_of_high_degree_isolate_quickly():
+    # Euclid over Q blows up the Sturm chain's coefficients: the Fraction
+    # oracle takes about 45 s at degree 100 (2 vCPUs, CPython 3.11), so
+    # it checks the count at degree 40 only; sympy's continued-fraction
+    # isolation, an independent algorithm, checks both degrees.
+    import sympy
+
+    rng = random.Random(100)
+    for degree in (40, 100):
+        p = Poly([rng.randint(-9, 9) for _ in range(degree)] + [3])
+        assert poly_gcd(p, p.derivative()).degree == 0
+        start = time.perf_counter()
+        intervals = isolate_real_roots(p)
+        assert time.perf_counter() - start < 2
+        x = sympy.Symbol("x")
+        reference = sympy.Poly([int(c) for c in reversed(p.coeffs)], x).intervals()
+        assert len(intervals) == len(reference) > 0
+        assert all(p(lo) * p(hi) < 0 for lo, hi in intervals)
+        assert all(left[1] <= right[0] for left, right in zip(intervals, intervals[1:]))
+        if degree == 40:
+            bound = root_bound(p)
+            assert len(intervals) == sturm_count_oracle(p, -bound, bound)
 
 
 def test_inflate_linear():

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import random_word
 from lodehn.twobridge import FAMILY_U, TwoBridgeFraction, build_presentation
 from lodehn.words import Word, WordParseError
 
@@ -121,3 +124,38 @@ def test_invert_involution(letters):
 def test_parse_format_roundtrip(letters):
     w = Word(letters)
     assert Word.parse(str(w)) == w
+
+
+def test_products_powers_and_inverses_match_full_reduction():
+    # Products cancel only at the junction of two reduced words, and the
+    # inverse, backwards spelling and powers skip reduction altogether;
+    # the oracle is the public constructor reducing the whole sequence.
+    rng = random.Random(29)
+    shared = {id(letter) for letter in Word.parse("xyXY")}
+    words = [Word(), Word.parse("x"), Word.parse("xyX"), Word.parse("xYxy")]
+    words += [random_word(rng, rng.randint(0, 30)) for _ in range(150)]
+    for a in words:
+        b = random_word(rng, rng.randint(0, 30))
+        k = rng.randint(0, len(a))
+        partial = Word(a.inverse().letters[:k]) * b
+        empty = Word()
+        for left, right in ((a, b), (a, partial), (a, a.inverse()),
+                            (a, empty), (empty, a), (a, a)):
+            product = left * right
+            assert product == Word(left.letters + right.letters)
+            assert {id(letter) for letter in product} <= shared
+        assert (a * a.inverse()).is_identity() and (a.inverse() * a).is_identity()
+        inverse = Word([(gen, -sign) for gen, sign in reversed(a.letters)])
+        assert a.inverse() == inverse
+        assert a.spelled_backwards() == Word(a.letters[::-1])
+        for n in range(-3, 4):
+            base = a if n >= 0 else inverse
+            assert a**n == Word(base.letters * abs(n))
+        for derived in (a.inverse(), a.spelled_backwards(), a**3, a**-2):
+            assert {id(letter) for letter in derived} <= shared
+
+
+def test_constructor_rejects_unknown_generators_and_signs():
+    for letters in ([("z", 1)], [("x", 1), ("X", -1)], [("x", 2)], [("y", 0)]):
+        with pytest.raises(ValueError):
+            Word(letters)
