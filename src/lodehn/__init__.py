@@ -49,6 +49,7 @@ from .reps import (
     Mat3,
     MeridianRep,
     adjoint,
+    alexander_polynomial,
     alexander_via_fox,
     alexander_via_rep,
     burde_de_rham_assignment,

@@ -25,16 +25,10 @@ from .polynomials import (
     poly_gcd,
     refine_isolating_interval,
     squarefree_decomposition,
-    squarefree_part,
     sturm_count,
 )
 from .quotient import MatrixOverField, ModulusBranch
-from .reps import (
-    AlexanderMismatch,
-    alexander_via_fox,
-    alexander_via_rep,
-    burde_de_rham_assignment,
-)
+from .reps import alexander_polynomial, burde_de_rham_assignment
 from .twobridge import KnotPresentation, TwoBridgeFraction, build_presentation
 
 
@@ -45,14 +39,11 @@ class RootAnalysis:
 
     factors: Tuple[Tuple[Poly, int], ...]
     simple_positive_roots: int
-    one_is_root: bool
-    intervals: Tuple[Tuple[Fraction, Fraction], ...]
 
 
 def analyze_roots(delta: Poly) -> RootAnalysis:
-    """Count simple positive real roots different from 1 and isolate all
-    distinct real roots.  The input must be normalized (nonzero constant
-    term)."""
+    """Count simple positive real roots different from 1.  The input
+    must be normalized (nonzero constant term)."""
     if delta.is_zero:
         raise ValueError("cannot analyze the zero polynomial")
     if delta.constant == 0:
@@ -66,13 +57,7 @@ def analyze_roots(delta: Poly) -> RootAnalysis:
         if factor(1) == 0:
             n -= 1
         count += n
-    intervals = tuple(isolate_real_roots(squarefree_part(delta)))
-    return RootAnalysis(
-        factors=factors,
-        simple_positive_roots=count,
-        one_is_root=(delta(1) == 0),
-        intervals=intervals,
-    )
+    return RootAnalysis(factors=factors, simple_positive_roots=count)
 
 
 @dataclass(frozen=True)
@@ -227,13 +212,7 @@ def certify(fraction: TwoBridgeFraction) -> CertifyResult:
     routes, root analysis, and per-branch rigidity.  Each Alexander
     route builds its own presentation; the rigidity checks and the
     report share one."""
-    delta = alexander_via_rep(fraction)
-    delta_fox = alexander_via_fox(fraction)
-    if delta != delta_fox:
-        raise AlexanderMismatch(
-            f"representation route {delta!r} disagrees with "
-            f"free-derivative route {delta_fox!r}"
-        )
+    delta = alexander_polynomial(fraction)
     analysis = analyze_roots(delta)
     pres = build_presentation(fraction)
 

@@ -3,7 +3,8 @@
 Exit codes: 0 when the certificate verdict is APPLIES (or a
 non-certifying command succeeds), 1 when the criterion is inapplicable
 or a self-check fails, 2 on invalid input or an internal failure
-(a failed cross-check or assertion, or an unwritable report path).
+(a failed cross-check or assertion, an unwritable report path, or any
+other exception, whose traceback is printed before the error line).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -26,7 +28,12 @@ from .polynomials import (
     sturm_count,
 )
 from .quotient import ModulusBranch
-from .reps import AlexanderMismatch, alexander_via_fox, alexander_via_rep
+from .reps import (
+    AlexanderMismatch,
+    alexander_polynomial,
+    alexander_via_fox,
+    alexander_via_rep,
+)
 from .twobridge import (
     TwoBridgeFraction,
     build_presentation,
@@ -242,9 +249,7 @@ def cmd_alexander(args) -> int:
     if args.digits < 0:
         raise ValueError(f"--digits must be >= 0, got {args.digits}")
     fraction, _ = _resolve_fraction(args)
-    delta = alexander_via_rep(fraction)
-    if delta != alexander_via_fox(fraction):
-        raise AlexanderMismatch("the two Alexander routes disagree")
+    delta = alexander_polynomial(fraction)
     print(" ".join(str(c) for c in _poly_ints(delta)))
     if args.roots:
         for line in _root_lines(delta, args.digits):
@@ -422,6 +427,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         ValueError, OSError, AssertionError, AlexanderMismatch, ClosedFormMismatch
     ) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except Exception as err:
+        # Exit 1 is a verdict, so no crash may leave through it.
+        traceback.print_exc()
+        print(f"error: internal failure ({type(err).__name__}): {err}", file=sys.stderr)
         return 2
 
 

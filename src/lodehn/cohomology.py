@@ -18,10 +18,14 @@ Q[t, t^-1]) once, by evaluation at t.  Evaluation at t is a ring
 homomorphism, so the blocks are exactly the letter-by-letter products
 over that ring; the step-by-step oracles live in the tests.
 
-Coboundaries are the value pairs ((Ad x - 1) V, (Ad y - 1) V); their
-span has dimension 3 - dim H^0, so
+Coboundaries are the value pairs ((Ad x - 1) V, (Ad y - 1) V).  Since
+Ad(x) - 1 = diag(t^2 - 1, 0, t^-2 - 1), Ad(x) fixes only the multiples
+of v0 when t^2 - 1 is a unit, and Ad(y) moves v0, as (Ad(y) - 1) v0 =
+(-2t, 0, 0), when t is a unit.  A unit mod m is a unit mod every factor
+of m, so where m is coprime to t^3 - t (checked once per call) every
+leaf has H^0 = 0, B^1 = 3 and
 
-    dim H^1 = dim Z^1 - (3 - dim H^0).
+    dim H^1 = dim Z^1 - 3.
 
 The closed forms of the family cocycle values and the two vanishing
 identities they satisfy are exposed at the end of the module.  On every
@@ -37,7 +41,7 @@ from fractions import Fraction
 from math import comb
 from typing import List, Sequence, Tuple
 
-from .polynomials import LaurentPoly
+from .polynomials import T2_MINUS_1, T_POLY, LaurentPoly, poly_gcd
 from .quotient import LaurentRing, MatrixOverField, ModulusBranch, QuotientRing
 from .reps import Mat3, MeridianRep, adjoint, f_upper_entry, meridian_walk
 from .twobridge import FAMILY_S, FAMILY_U, family_v, family_word
@@ -85,16 +89,6 @@ def coboundary_values(v: Sequence, rep: MeridianRep) -> CocycleValues:
     return CocycleValues(dx, dy)
 
 
-def _fixed_space_rows(rep: MeridianRep) -> List[List]:
-    rows = []
-    for ad in (rep.ad_x, rep.ad_y):
-        for i in range(3):
-            rows.append(
-                [ad.rows[i][j] - (1 if i == j else 0) for j in range(3)]
-            )
-    return rows
-
-
 @dataclass(frozen=True)
 class CohomologyDims:
     z1: int
@@ -121,21 +115,18 @@ def cohomology_dims(
     relator system ``system``, one record per leaf branch.  ``rep`` may
     live on a branch whose modulus the system's modulus divides.
 
-    Every coboundary is checked to lie in the computed cocycle space;
-    a failure would falsify the linear systems and raises.
+    The system's modulus must be coprime to t^3 - t (else ValueError),
+    which gives H^0 = 0 and B^1 = 3 (see the module docstring).  Every
+    coboundary is checked to lie in the computed cocycle space; a
+    failure would falsify the linear systems and raises.
     """
+    if poly_gcd(system.ring.branch.modulus, T_POLY * T2_MINUS_1).degree != 0:
+        raise ValueError("t or t^2 - 1 is not a unit on the system's branch")
     results: List[BranchCohomology] = []
-    for z1_leaf in system.nullspace():
-        fixed = MatrixOverField(_fixed_space_rows(rep), z1_leaf.ring)
-        for h0_leaf in fixed.nullspace():
-            h0 = h0_leaf.dim
-            dims = CohomologyDims(
-                z1=z1_leaf.dim, b1=3 - h0, h0=h0, h1=z1_leaf.dim - (3 - h0)
-            )
-            ring = h0_leaf.ring
-            _check_coboundaries_are_cocycles(system, rep, ring)
-            basis = [tuple([ring.coerce(c) for c in vec]) for vec in z1_leaf.basis]
-            results.append(BranchCohomology(ring, dims, basis))
+    for leaf in system.nullspace():
+        _check_coboundaries_are_cocycles(system, rep, leaf.ring)
+        dims = CohomologyDims(z1=leaf.dim, b1=3, h0=0, h1=leaf.dim - 3)
+        results.append(BranchCohomology(leaf.ring, dims, leaf.basis))
     return results
 
 

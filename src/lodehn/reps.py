@@ -332,6 +332,19 @@ def alexander_via_fox(fraction: TwoBridgeFraction) -> Poly:
     return normalize_alexander(terms)
 
 
+def alexander_polynomial(fraction: TwoBridgeFraction) -> Poly:
+    """The Alexander polynomial of ``fraction`` by both routes, which
+    must agree (else :class:`AlexanderMismatch`)."""
+    delta = alexander_via_rep(fraction)
+    delta_fox = alexander_via_fox(fraction)
+    if delta != delta_fox:
+        raise AlexanderMismatch(
+            f"representation route {delta!r} disagrees with "
+            f"free-derivative route {delta_fox!r}"
+        )
+    return delta
+
+
 def burde_de_rham_assignment(
     branch: ModulusBranch, relator: Word
 ) -> MeridianRep:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence, Tuple
 
-from .words import Word
+from .words import _LETTERS, Word
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,9 @@ def build_presentation(fraction: TwoBridgeFraction) -> KnotPresentation:
     exponent signs cancel and the correction is empty.
     """
     exps = riley_exponents(fraction)
-    w = Word([("y" if i % 2 == 0 else "x", exps[i]) for i in range(len(exps))])
+    # Alternating generators never cancel, so w is spelled reduced, from
+    # the shared letter tuples that word products compare by identity.
+    w = Word._of(tuple([_LETTERS["yx"[i % 2], e] for i, e in enumerate(exps)]))
     if len(w) != fraction.p - 1:
         raise AssertionError("alternating word unexpectedly reduced")
     v = w.spelled_backwards()

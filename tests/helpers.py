@@ -4,7 +4,8 @@ cocycle oracles, the Q[t, t^-1] Alexander oracle, the dict oracle for
 Laurent arithmetic, the Sturm chain over Q and the Sturm bisection
 oracle, the floating oracle, the Euclidean gcd over Q, the Fraction
 oracle for Q[t]/(m) arithmetic (with the extended Euclidean algorithm
-over Q) and the power-by-power geometric sum."""
+over Q), the power-by-power geometric sum and the fixed-space
+elimination for H^0."""
 
 import json
 import os
@@ -13,7 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from lodehn.polynomials import LaurentPoly, Poly, squarefree_part
-from lodehn.quotient import LaurentRing, SplitRequired
+from lodehn.quotient import LaurentRing, MatrixOverField, SplitRequired
 from lodehn.reps import Mat2, Mat3, MeridianRep, adjoint, meridian_walk
 from lodehn.twobridge import build_presentation
 from lodehn.words import Word
@@ -146,6 +147,18 @@ def word_value_blocks_oracle(word, rep):
             else:
                 my = my - acc
     return mx, my
+
+
+def h0_oracle(system_ring, rep):
+    """H^0 by elimination: the common fixed space of ``rep.ad_x`` and
+    ``rep.ad_y`` over ``system_ring``, one nullspace result per leaf
+    (``dim`` is dim H^0 there)."""
+    rows = [
+        [ad.rows[i][j] - (1 if i == j else 0) for j in range(3)]
+        for ad in (rep.ad_x, rep.ad_y)
+        for i in range(3)
+    ]
+    return MatrixOverField(rows, system_ring).nullspace()
 
 
 def sturm_chain(p):

@@ -25,14 +25,11 @@ DELTA1 = Poly([1, -7, 13, -7, 1])
 def test_analyze_roots_k1():
     analysis = analyze_roots(DELTA1)
     assert analysis.simple_positive_roots == 4
-    assert not analysis.one_is_root
-    assert len(analysis.intervals) == 4
 
 
 def test_analyze_roots_trefoil():
     analysis = analyze_roots(Poly([1, -1, 1]))
     assert analysis.simple_positive_roots == 0
-    assert analysis.intervals == ()
 
 
 def test_analyze_roots_with_multiplicities():

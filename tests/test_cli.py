@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from lodehn import cli
+from lodehn import cli, reps
 from lodehn.cli import build_parser, canonical_report, decimal_string, main
 from lodehn.cohomology import ClosedFormMismatch
-from lodehn.polynomials import LaurentPoly
+from lodehn.polynomials import LaurentPoly, Poly
 from fractions import Fraction
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -202,16 +202,43 @@ def test_failed_json_write_leaves_no_file(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "failure",
-    [AssertionError("escaped"), ClosedFormMismatch("differs"), OSError("disk")],
+    [
+        AssertionError("escaped"),
+        ClosedFormMismatch("differs"),
+        OSError("disk"),
+        ZeroDivisionError("division by zero"),
+        RuntimeError("unforeseen"),
+    ],
 )
 def test_internal_failure_exits_2(failure, monkeypatch, capsys):
+    # Exit 1 means "inapplicable", so an unforeseen exception must not
+    # leave through it: it prints its traceback, then one error line.
     def crash(fraction):
         raise failure
 
     monkeypatch.setattr(cli, "certify", crash)
     code = main(["certify", "--pq", "5/2", "--quiet"])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if line.startswith("error: ")] == [lines[-1]]
+    if isinstance(failure, (AssertionError, ClosedFormMismatch, OSError)):
+        assert lines == [f"error: {failure}"]
+    else:
+        assert lines[0] == "Traceback (most recent call last):"
+        name = type(failure).__name__
+        assert lines[-1] == f"error: internal failure ({name}): {failure}"
+
+
+def test_alexander_mismatch_exits_2_from_both_commands(monkeypatch, capsys):
+    monkeypatch.setattr(reps, "alexander_via_fox", lambda fraction: Poly([1, 1]))
+    for argv in (["alexander", "--pq", "5/2"], ["certify", "--pq", "5/2", "--quiet"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: representation route Poly(['1', '-3', '1']) disagrees "
+            "with free-derivative route Poly(['1', '1'])\n"
+        )
 
 
 @pytest.mark.parametrize("digits", ["-1", "-3"])

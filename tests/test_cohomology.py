@@ -7,6 +7,8 @@ from helpers import (
     eval_cocycle,
     eval_word_matrix,
     geometric_sum_oracle,
+    h0_oracle,
+    load_fixture,
     random_word,
     word_value_blocks_oracle,
 )
@@ -247,12 +249,48 @@ def test_no_common_fixed_vector_at_root_branches():
         ]
         single = MatrixOverField(rows, rep.ring).nullspace()
         assert all(res.dim == 1 for res in single)
-    rows = []
-    for ad in (rep.ad_x, rep.ad_y):
-        for i in range(3):
-            rows.append([ad.rows[i][j] - (1 if i == j else 0) for j in range(3)])
-    joint = MatrixOverField(rows, rep.ring).nullspace()
-    assert all(res.dim == 0 for res in joint)
+    assert [res.dim for res in h0_oracle(rep.ring, rep)] == [0]
+
+
+def _fixture_fractions(name):
+    for row in load_fixture(name):
+        p, q = (int(part) for part in row["fraction"].split("/"))
+        yield TwoBridgeFraction(p, q)
+
+
+def test_h0_vanishes_on_every_census_and_long_word_branch():
+    # cohomology_dims reads H^0 = 0 and B^1 = 3 off the unit check; the
+    # fixed-space elimination must agree on every leaf of the knot and
+    # 0-filled systems, built as check_rigidity builds them.
+    leaves = 0
+    for name in ("census_p23.json", "long_words.json"):
+        for fraction in _fixture_fractions(name):
+            pres, reps = _branch_reps(fraction)
+            for rep in reps:
+                knot = relator_system([pres.relator], rep)
+                longitude = relator_system([pres.longitude], rep)
+                for knot_leaf in cohomology_dims(knot, rep):
+                    filled = MatrixOverField(
+                        knot.entries + longitude.entries, knot_leaf.ring
+                    )
+                    for leaf in [knot_leaf] + cohomology_dims(filled, rep):
+                        assert (leaf.dims.h0, leaf.dims.b1) == (0, 3)
+                        assert [r.dim for r in h0_oracle(leaf.ring, rep)] == [0]
+                        leaves += 1
+    assert leaves > 80
+
+
+def test_cohomology_dims_rejects_a_branch_where_t_squared_is_one():
+    # On (t^2 - 1)(t^2 - 3t + 1) the fixed-space elimination splits off
+    # t^2 - 1, where Ad(x) = 1 and H^0 is a line, so B^1 = 3 would be
+    # wrong there; cohomology_dims refuses the branch before eliminating.
+    factor = Poly([1, -3, 1])
+    branch = ModulusBranch(Poly([-1, 0, 1]) * factor)
+    rep = MeridianRep(QuotientRing(branch))
+    leaves = {leaf.branch.modulus: leaf.dim for leaf in h0_oracle(rep.ring, rep)}
+    assert leaves == {Poly([-1, 0, 1]): 1, factor: 0}
+    with pytest.raises(ValueError, match="not a unit"):
+        cohomology_dims(relator_system([], rep), rep)
 
 
 def test_trivial_representation_dims():

@@ -61,4 +61,8 @@ def test_observers_read_a_traced_certify_call():
     assert metrics["cohomology.word_value_blocks.modulus_degree_max"] == 8
     assert metrics["cohomology.word_value_blocks.letters"] > 0
     assert metrics["quotient.MatrixOverField.nullspace.leaves"] >= 2
+    # One elimination per relator system: the knot's and the 0-filled
+    # group's on the one branch.
+    assert metrics["quotient.MatrixOverField.nullspace.calls"] == 2
+    assert metrics["cohomology.cohomology_dims.calls"] == 2
     assert metrics["twobridge.build_presentation.relator_len"] > 0

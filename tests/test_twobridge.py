@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -14,7 +15,7 @@ from lodehn.twobridge import (
     parity_period_holds,
     riley_exponents,
 )
-from lodehn.words import Word
+from lodehn.words import _LETTERS, Word
 
 
 def test_cf_family_j1():
@@ -88,6 +89,28 @@ def test_presentation_word_shape():
         gens = [gen for gen, _ in pres.w]
         assert gens == ["y" if i % 2 == 0 else "x" for i in range(p - 1)]
         assert pres.v == pres.w.spelled_backwards()
+
+
+def test_presentation_words_match_full_reduction():
+    # build_presentation spells w straight from the shared letter tuples;
+    # the validating constructor, reducing every letter list in full,
+    # must give the same w, relator and longitude.
+    shared = set(map(id, _LETTERS.values()))
+    for p in range(3, 62, 2):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            pres = build_presentation(TwoBridgeFraction(p, q))
+            exps = riley_exponents(TwoBridgeFraction(p, q))
+            w = [("y" if i % 2 == 0 else "x", e) for i, e in enumerate(exps)]
+            inverse_w = [(gen, -sign) for gen, sign in reversed(w)]
+            total = 2 * sum(exps)
+            correction = [("x", -1 if total > 0 else 1)] * abs(total)
+            assert pres.w == Word(w)
+            assert pres.relator == Word([("x", 1)] + w + [("y", -1)] + inverse_w)
+            assert pres.longitude == Word(correction + w + w[::-1])
+            for word in (pres.w, pres.v, pres.relator, pres.longitude):
+                assert all(id(letter) in shared for letter in word)
 
 
 @pytest.mark.parametrize("j", range(1, 7))
