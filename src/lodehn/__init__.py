@@ -16,12 +16,10 @@ from .certify import (
 )
 from .cohomology import (
     BranchCohomology,
-    CocycleValues,
     CohomologyDims,
     FamilyCocycleForms,
     cohomology_dims,
     family_cocycle_forms,
-    normalized_representative,
     relator_system,
     vanishing_identity,
 )

@@ -48,17 +48,6 @@ from .twobridge import FAMILY_S, FAMILY_U, family_v, family_word
 from .words import Word
 
 
-@dataclass(frozen=True)
-class CocycleValues:
-    """Values on x and y, coordinates in the basis v+, v0, v-."""
-
-    z_x: Tuple
-    z_y: Tuple
-
-    def value(self, gen: str) -> Tuple:
-        return self.z_x if gen == "x" else self.z_y
-
-
 def word_value_blocks(word: Word, rep: MeridianRep) -> Tuple[Mat3, Mat3]:
     """The pair (Mx, My) with z(word) = Mx z(x) + My z(y) for every
     value assignment z, over ``rep.ring``.  By the cocycle law, a letter
@@ -81,14 +70,6 @@ def relator_system(relators: Sequence[Word], rep: MeridianRep) -> MatrixOverFiel
     return MatrixOverField(rows or [(rep.ring.zero,) * 6], rep.ring)
 
 
-def coboundary_values(v: Sequence, rep: MeridianRep) -> CocycleValues:
-    """The coboundary of V: gamma -> (Ad gamma - 1) V on the generators."""
-    ad_x, ad_y = rep.ad_x, rep.ad_y
-    dx = tuple([ad_x.apply(v)[i] - v[i] for i in range(3)])
-    dy = tuple([ad_y.apply(v)[i] - v[i] for i in range(3)])
-    return CocycleValues(dx, dy)
-
-
 @dataclass(frozen=True)
 class CohomologyDims:
     z1: int
@@ -101,7 +82,6 @@ class CohomologyDims:
 class BranchCohomology:
     ring: QuotientRing
     dims: CohomologyDims
-    cocycle_basis: List[Tuple]
 
     @property
     def branch(self) -> ModulusBranch:
@@ -115,10 +95,13 @@ def cohomology_dims(
     relator system ``system``, one record per leaf branch.  ``rep`` may
     live on a branch whose modulus the system's modulus divides.
 
-    The system's modulus must be coprime to t^3 - t (else ValueError),
-    which gives H^0 = 0 and B^1 = 3 (see the module docstring).  Every
-    coboundary is checked to lie in the computed cocycle space; a
-    failure would falsify the linear systems and raises.
+    Z^1 is the nullity of the system on each leaf, from its rank under
+    the fraction-free elimination of :meth:`MatrixOverField.nullspace`;
+    no cocycle basis is built.  The system's modulus must be coprime to
+    t^3 - t (else ValueError), which gives H^0 = 0 and B^1 = 3 (see the
+    module docstring).  Every coboundary is checked to be a nullvector
+    of the system on each leaf; a failure would falsify the linear
+    systems and raises.
     """
     if poly_gcd(system.ring.branch.modulus, T_POLY * T2_MINUS_1).degree != 0:
         raise ValueError("t or t^2 - 1 is not a unit on the system's branch")
@@ -126,7 +109,7 @@ def cohomology_dims(
     for leaf in system.nullspace():
         _check_coboundaries_are_cocycles(system, rep, leaf.ring)
         dims = CohomologyDims(z1=leaf.dim, b1=3, h0=0, h1=leaf.dim - 3)
-        results.append(BranchCohomology(leaf.ring, dims, leaf.basis))
+        results.append(BranchCohomology(leaf.ring, dims))
     return results
 
 
@@ -153,37 +136,6 @@ def _check_coboundaries_are_cocycles(
                 entry = entry + a * b
             if entry:
                 raise AssertionError("a coboundary escaped the cocycle space")
-
-
-def normalized_representative(
-    z: CocycleValues, rep: MeridianRep
-) -> CocycleValues:
-    """Correct z by a coboundary so that z(x) = (0, a, b) and
-    z(y) = (0, d, 0).
-
-    Needs t^2 != 1, which makes the three coboundary parameters
-    solvable.  For a cocycle of a knot relator the corrected values
-    satisfy d = a; callers verify that rather than assume it.
-    """
-    if not isinstance(rep.ring, QuotientRing):
-        raise TypeError("normalization needs quotient-ring coefficients")
-    t, tinv = rep.t, rep.t_inverse
-    t2m1 = t * t - 1
-    if t2m1.is_zero:
-        raise ValueError("t^2 = 1 is rejected")
-    tinv2m1 = tinv * tinv - 1
-    a = z.z_x[0] * t2m1.inverse()
-    c = z.z_y[2] * tinv2m1.inverse()
-    b = (t2m1 * a - c - z.z_y[0]) * (2 * t).inverse()
-    dx = (t2m1 * a, rep.ring.zero, tinv2m1 * c)
-    dy = (t2m1 * a - 2 * t * b - c, tinv * c, tinv2m1 * c)
-    out = CocycleValues(
-        tuple([rep.ring.coerce(z.z_x[i]) - dx[i] for i in range(3)]),
-        tuple([rep.ring.coerce(z.z_y[i]) - dy[i] for i in range(3)]),
-    )
-    if not (out.z_x[0].is_zero and out.z_y[0].is_zero and out.z_y[2].is_zero):
-        raise AssertionError("coboundary correction failed to normalize")
-    return out
 
 
 class ClosedFormMismatch(RuntimeError):

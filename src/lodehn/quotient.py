@@ -8,11 +8,21 @@ Q[t, t^-1]).  :class:`MatrixOverField` eliminates over Q[t]/(m) only;
 Q[t, t^-1] serves the symbolic checks.
 
 The modulus m is kept monic and square-free.  Inverting a zero divisor
-splits m into two coprime factors (D5-style dynamic evaluation); the
-linear algebra below forks when that happens and reports one result per
-leaf branch, with the split lineage preserved for reporting.  Products
-of leaf moduli always rebuild the original modulus, so no root is ever
-lost or duplicated.
+splits m into two coprime factors (D5-style dynamic evaluation), and so
+does a zero-divisor pivot in the linear algebra below, which then forks
+and reports one result per leaf branch, with the split lineage
+preserved for reporting.  Products of leaf moduli always rebuild the
+original modulus, so no root is ever lost or duplicated.
+
+The elimination reports the rank on each leaf, and nothing else.  It is
+fraction-free: each pivot, the first nonzero entry of its column in row
+order, is tested for a unit by one gcd with m (a proper gcd is the
+split), and the rows below it are cleared by
+row <- pivot * row - f * pivot_row, with no inverse and no division.
+Every entry is a unit multiple of its counterpart in the reduced row
+echelon form, so the zero tests, the gcds and hence the splits are
+those of Gauss-Jordan elimination with inverted pivots; that form and
+its kernel basis serve as the test oracle.
 
 Q[t]/(m) runs on integers.  An element is its residue of degree below
 d = deg m, stored as one tuple of integer numerators (constant term
@@ -542,7 +552,6 @@ class NullspaceResult:
     ring: QuotientRing
     rank: int
     dim: int
-    basis: List[Tuple]
 
     @property
     def branch(self) -> ModulusBranch:
@@ -562,29 +571,24 @@ class MatrixOverField:
         if any(len(row) != self.cols for row in self.entries):
             raise ValueError("matrix rows have unequal lengths")
 
-    def apply(self, vector: Sequence) -> List:
-        vec = [self.ring.coerce(v) for v in vector]
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return [
-            sum((row[k] * vec[k] for k in range(self.cols)), self.ring.zero)
-            for row in self.entries
-        ]
-
     def nullspace(self) -> List[NullspaceResult]:
-        """Rank, nullity and an exact kernel basis, one result per leaf
-        branch, sorted by leaf modulus."""
+        """Rank and nullity by fraction-free elimination, one result per
+        leaf branch, sorted by leaf modulus; no kernel basis is built."""
         return _nullspace(self)
 
 
-def _echelon(rows, cols):
-    """Reduced row echelon form with deterministic pivoting: for every
-    column take the first nonzero entry in row order.  Raises
-    :class:`SplitRequired` if a pivot is a zero divisor."""
+def _rank(rows, cols: int, branch: ModulusBranch) -> int:
+    """The rank of ``rows`` over Q[t]/(m) by fraction-free forward
+    elimination.  For every column the pivot is the first nonzero entry
+    in row order from the pivot row; one gcd with m tests it for a unit,
+    and the rows below it are cleared on the columns to its right by
+    row_r <- piv * row_r - f * row_pivot.  Raises :class:`SplitRequired`
+    on the gcd if a pivot is a zero divisor."""
     work = [list(row) for row in rows]
-    pivots: List[int] = []
     pr = 0
     for col in range(cols):
+        if pr == len(work):
+            break
         sel = None
         for r in range(pr, len(work)):
             if work[r][col]:
@@ -592,43 +596,29 @@ def _echelon(rows, cols):
                 break
         if sel is None:
             continue
-        inv = work[sel][col].inverse()
+        piv = work[sel][col]
+        g = poly_gcd(branch.modulus, piv.value)
+        if g.degree > 0:
+            raise SplitRequired(*branch.split(g))
         work[pr], work[sel] = work[sel], work[pr]
-        work[pr] = [e * inv for e in work[pr]]
-        for r in range(len(work)):
-            if r != pr and work[r][col]:
-                f = work[r][col]
-                work[r] = [work[r][k] - f * work[pr][k] for k in range(cols)]
-        pivots.append(col)
+        top = work[pr][col + 1:]
+        for r in range(pr + 1, len(work)):
+            row = work[r]
+            f = row[col]
+            if f:
+                row[col + 1:] = [piv * a - f * b for a, b in zip(row[col + 1:], top)]
         pr += 1
-        if pr == len(work):
-            break
-    return pivots, work
+    return pr
 
 
 def _nullspace(matrix: MatrixOverField) -> List[NullspaceResult]:
     ring = matrix.ring
     try:
-        pivots, work = _echelon(matrix.entries, matrix.cols)
+        rank = _rank(matrix.entries, matrix.cols, ring.branch)
     except SplitRequired as split:
         out: List[NullspaceResult] = []
         for sub in (split.low, split.high):
             out.extend(_nullspace(MatrixOverField(matrix.entries, QuotientRing(sub))))
         out.sort(key=lambda res: res.branch.sort_key())
         return out
-    free_cols = [c for c in range(matrix.cols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [ring.zero] * matrix.cols
-        vec[fc] = ring.one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
-        basis.append(tuple(vec))
-    return [
-        NullspaceResult(
-            ring=ring,
-            rank=len(pivots),
-            dim=len(free_cols),
-            basis=basis,
-        )
-    ]
+    return [NullspaceResult(ring=ring, rank=rank, dim=matrix.cols - rank)]

@@ -57,7 +57,7 @@ class TwoBridgeFraction:
                 "(p even is a two-bridge link, not a knot)"
             )
         if not 0 < self.q < self.p:
-            raise ValueError(f"q must satisfy 0 < q < p, got {self.q}/{self.p}")
+            raise ValueError(f"q must satisfy 0 < q < p, got {self.p}/{self.q}")
         if gcd(self.p, self.q) != 1:
             raise ValueError(f"p and q must be coprime, got {self.p}, {self.q}")
 

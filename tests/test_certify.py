@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import load_fixture
+from helpers import load_fixture, nullspace_oracle
 from lodehn.certify import (
     Verdict,
     admissible_modulus,
@@ -15,7 +15,7 @@ from lodehn.certify import (
 )
 from lodehn.cohomology import cohomology_dims, relator_system
 from lodehn.polynomials import Poly, squarefree_decomposition, sturm_count
-from lodehn.quotient import MatrixOverField, ModulusBranch, QuotientRing
+from lodehn.quotient import AlgebraicElement, MatrixOverField, ModulusBranch, QuotientRing
 from lodehn.reps import alexander_via_rep, burde_de_rham_assignment
 from lodehn.twobridge import TwoBridgeFraction, build_presentation, family_fraction
 
@@ -123,9 +123,35 @@ def test_relator_is_identity_on_a_proper_factor_of_the_branch():
             ):
                 reduced = cohomology_dims(MatrixOverField(rows, ring), rep)
                 own = cohomology_dims(MatrixOverField(own_rows, ring), own_rep)
-                assert [(r.branch, r.dims, r.cocycle_basis) for r in reduced] == [
-                    (r.branch, r.dims, r.cocycle_basis) for r in own
+                assert [(r.branch, r.dims) for r in reduced] == [
+                    (r.branch, r.dims) for r in own
                 ]
+                # The oracle's cocycle bases agree as well, one vector
+                # per dimension of Z^1.
+                reduced_bases = nullspace_oracle(rows, ring.branch)
+                assert reduced_bases == nullspace_oracle(own_rows, ring.branch)
+                assert [(b.branch, len(b.basis)) for b in reduced_bases] == [
+                    (r.branch, r.dims.z1) for r in reduced
+                ]
+
+
+def test_certify_inverts_nothing(monkeypatch):
+    # The elimination tests pivots for units by gcd and clears without
+    # inverses, so certify runs with inversion disabled, also on 115/42,
+    # whose filled system splits its branch.
+    expected = {
+        (29, 17): (Verdict.APPLIES, 1),
+        (41, 1): (Verdict.INAPPLICABLE_NO_ROOT, 1),
+        (115, 42): (Verdict.APPLIES, 2),
+    }
+
+    def refuse(self):
+        raise AssertionError("AlgebraicElement.inverse was called")
+
+    monkeypatch.setattr(AlgebraicElement, "inverse", refuse)
+    for (p, q), (verdict, leaves) in expected.items():
+        result = certify(TwoBridgeFraction(p, q))
+        assert (result.certificate.verdict, len(result.reports)) == (verdict, leaves)
 
 
 def test_figure_eight_matches_independent_oracle():

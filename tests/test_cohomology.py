@@ -3,24 +3,26 @@ import random
 import pytest
 
 from helpers import (
+    CocycleValues,
     L,
+    coboundary_values,
     eval_cocycle,
     eval_word_matrix,
     geometric_sum_oracle,
     h0_oracle,
     load_fixture,
+    matrix_times,
+    normalized_representative,
+    nullspace_oracle,
     random_word,
     word_value_blocks_oracle,
 )
 from lodehn.certify import admissible_modulus
 from lodehn.cohomology import (
     ClosedFormMismatch,
-    CocycleValues,
     _geometric_sum,
     cohomology_dims,
-    coboundary_values,
     family_cocycle_forms,
-    normalized_representative,
     relator_system,
     vanishing_identity,
     word_value_blocks,
@@ -258,10 +260,24 @@ def _fixture_fractions(name):
         yield TwoBridgeFraction(p, q)
 
 
+def _leaves(results):
+    """Modulus, lineage and rank of each leaf of a ``nullspace()`` or a
+    ``nullspace_oracle`` result."""
+    return [(r.branch.modulus, r.branch.lineage, r.rank) for r in results]
+
+
+def _assert_ranks_match_the_oracle(matrix):
+    results = matrix.nullspace()
+    assert _leaves(results) == _leaves(nullspace_oracle(matrix.entries, matrix.ring.branch))
+    return results
+
+
 def test_h0_vanishes_on_every_census_and_long_word_branch():
     # cohomology_dims reads H^0 = 0 and B^1 = 3 off the unit check; the
     # fixed-space elimination must agree on every leaf of the knot and
-    # 0-filled systems, built as check_rigidity builds them.
+    # 0-filled systems, built as check_rigidity builds them.  On each
+    # system the fraction-free elimination gives the leaves and ranks of
+    # the RREF over the Fraction oracle.
     leaves = 0
     for name in ("census_p23.json", "long_words.json"):
         for fraction in _fixture_fractions(name):
@@ -269,15 +285,66 @@ def test_h0_vanishes_on_every_census_and_long_word_branch():
             for rep in reps:
                 knot = relator_system([pres.relator], rep)
                 longitude = relator_system([pres.longitude], rep)
+                _assert_ranks_match_the_oracle(knot)
                 for knot_leaf in cohomology_dims(knot, rep):
                     filled = MatrixOverField(
                         knot.entries + longitude.entries, knot_leaf.ring
                     )
+                    _assert_ranks_match_the_oracle(filled)
                     for leaf in [knot_leaf] + cohomology_dims(filled, rep):
                         assert (leaf.dims.h0, leaf.dims.b1) == (0, 3)
                         assert [r.dim for r in h0_oracle(leaf.ring, rep)] == [0]
                         leaves += 1
     assert leaves > 80
+
+
+def test_rank_elimination_matches_the_echelon_oracle():
+    # The elimination clears by row_r <- piv * row_r - f * row_pivot and
+    # tests each pivot with one gcd; its entries differ from the RREF's
+    # by unit factors, so it splits on the same gcds.  Seeded random
+    # matrices over a product of six factors, whose entries are zero
+    # divisors by construction, then the split systems of 147/53 on the
+    # product of its branch moduli and of 115/42 on its branches.
+    rng = random.Random(53)
+    factors = [
+        Poly([-2, 1]), Poly([3, 1]), Poly([-2, 0, 1]), Poly([1, 1, 1]),
+        Poly([5, 0, 0, 1]), Poly([-1, 1, 0, 2]),
+    ]
+    modulus = Poly([1])
+    for factor in factors:
+        modulus = modulus * factor
+    ring = QuotientRing(ModulusBranch(modulus))
+    splits = 0
+    for _ in range(12):
+        rows = []
+        for _ in range(rng.randint(2, 4)):
+            row = []
+            for _ in range(rng.randint(3, 4) if not rows else len(rows[0])):
+                entry = Poly([rng.randint(-2, 2), rng.randint(-2, 2)])
+                for factor in rng.sample(factors, rng.randint(0, 3)):
+                    entry = entry * factor
+                row.append(entry)
+            rows.append(row)
+        results = _assert_ranks_match_the_oracle(MatrixOverField(rows, ring))
+        splits += len(results) - 1
+    assert splits > 10
+
+    pres, reps = _branch_reps(TwoBridgeFraction(147, 53))
+    product = reps[0].ring.branch.modulus * reps[1].ring.branch.modulus
+    rep = burde_de_rham_assignment(ModulusBranch(product), pres.relator)
+    _assert_ranks_match_the_oracle(relator_system([pres.relator], rep))
+    filled = relator_system([pres.relator, pres.longitude], rep)
+    assert len(_assert_ranks_match_the_oracle(filled)) == 2
+
+    pres, reps = _branch_reps(TwoBridgeFraction(115, 42))
+    leaves = 0
+    for rep in reps:
+        knot = relator_system([pres.relator], rep)
+        longitude = relator_system([pres.longitude], rep)
+        for knot_leaf in _assert_ranks_match_the_oracle(knot):
+            filled = MatrixOverField(knot.entries + longitude.entries, knot_leaf.ring)
+            leaves += len(_assert_ranks_match_the_oracle(filled))
+    assert leaves > len(reps)
 
 
 def test_cohomology_dims_rejects_a_branch_where_t_squared_is_one():
@@ -309,7 +376,7 @@ def test_coboundaries_lie_in_every_cocycle_space():
     for k in range(3):
         unit = [1 if i == k else 0 for i in range(3)]
         cb = coboundary_values(unit, rep)
-        image = system.apply(list(cb.z_x) + list(cb.z_y))
+        image = matrix_times(system.entries, cb.z_x + cb.z_y)
         assert all(entry.is_zero for entry in image)
 
 
@@ -371,13 +438,17 @@ def test_normalized_cocycles_satisfy_delta_equals_alpha():
     rng = random.Random(12)
     pres, rep = _k1_rep()
     for relators in ([pres.relator], [pres.relator, pres.longitude]):
-        for leaf in cohomology_dims(relator_system(relators, rep), rep):
+        system = relator_system(relators, rep)
+        for leaf in cohomology_dims(system, rep):
             branch = leaf.branch
             leaf_rep = burde_de_rham_assignment(branch, pres.relator)
+            (oracle,) = nullspace_oracle(system.entries, branch)
+            assert len(oracle.basis) == leaf.dims.z1
+            basis = [[branch.element(e.value) for e in vec] for vec in oracle.basis]
             for _ in range(5):
-                coeffs = [rng.randint(-3, 3) for _ in leaf.cocycle_basis]
+                coeffs = [rng.randint(-3, 3) for _ in basis]
                 vec = [branch.element(0)] * 6
-                for c, basis_vec in zip(coeffs, leaf.cocycle_basis):
+                for c, basis_vec in zip(coeffs, basis):
                     vec = [vec[i] + c * basis_vec[i] for i in range(6)]
                 z = CocycleValues(tuple(vec[:3]), tuple(vec[3:]))
                 out = normalized_representative(z, leaf_rep)

@@ -4,7 +4,13 @@ from math import gcd
 
 import pytest
 
-from helpers import QuotientOracle, quotient_evaluate_oracle
+from helpers import (
+    QuotientOracle,
+    matrix_times,
+    nullspace_oracle,
+    oracle_rows,
+    quotient_evaluate_oracle,
+)
 from lodehn.certify import admissible_modulus
 from lodehn.polynomials import Poly, squarefree_decomposition
 from lodehn.quotient import (
@@ -119,6 +125,20 @@ def test_nullspace_identity_and_zero():
     assert [(r.rank, r.dim) for r in zero.nullspace()] == [(0, 3)]
 
 
+def _assert_kernel_bases(rows, branch, results):
+    # The elimination reports ranks only; the oracle's kernel basis on
+    # each leaf has one vector per dimension, and each kills the rows.
+    leaves = nullspace_oracle(rows, branch)
+    assert [(leaf.branch, leaf.rank) for leaf in leaves] == [
+        (res.branch, res.rank) for res in results
+    ]
+    for leaf in leaves:
+        assert len(leaf.basis) == leaf.dim
+        for vec in leaf.basis:
+            image = matrix_times(oracle_rows(rows, leaf.branch), vec)
+            assert all(v == 0 for v in image)
+
+
 def test_nullspace_basis_certificates():
     rng = random.Random(23)
     ring = _rationals()
@@ -127,10 +147,10 @@ def test_nullspace_basis_certificates():
             [Fraction(rng.randint(-3, 3)) for _ in range(5)] for _ in range(3)
         ]
         matrix = MatrixOverField(rows, ring)
-        for res in matrix.nullspace():
+        results = matrix.nullspace()
+        for res in results:
             assert res.rank + res.dim == 5
-            for vec in res.basis:
-                assert all(v == 0 for v in matrix.apply(vec))
+        _assert_kernel_bases(matrix.entries, ring.branch, results)
 
 
 def test_nullspace_basis_certificates_on_branch():
@@ -138,11 +158,9 @@ def test_nullspace_basis_certificates_on_branch():
     branch = ModulusBranch(modulus)
     t = branch.t()
     rows = [[t * t - 1, t, branch.element(1)], [t, t, t]]
-    matrix = MatrixOverField(rows, QuotientRing(branch))
-    for res in matrix.nullspace():
-        sub = MatrixOverField(rows, res.ring)
-        for vec in res.basis:
-            assert all(v.is_zero for v in sub.apply(vec))
+    results = MatrixOverField(rows, QuotientRing(branch)).nullspace()
+    assert [res.dim for res in results] == [1, 1]
+    _assert_kernel_bases(rows, branch, results)
 
 
 def test_nullspace_dim_invariant_under_row_shuffles():

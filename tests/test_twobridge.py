@@ -52,6 +52,9 @@ def test_fraction_validation():
         TwoBridgeFraction(9, 3)
     with pytest.raises(ValueError):
         TwoBridgeFraction(5, 5)
+    # The message quotes the fraction as given, p first.
+    with pytest.raises(ValueError, match=r"0 < q < p, got 29/46$"):
+        TwoBridgeFraction(29, 46)
 
 
 def test_riley_exponents_trefoil():
