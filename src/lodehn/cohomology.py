@@ -13,7 +13,10 @@ The blocks of a word are the signed sums of the adjoints of its
 prefixes.  Under the meridian representation those adjoints are upper
 triangular with monomial diagonals, so :func:`word_value_blocks` takes
 them from the integer walk of :func:`reps.meridian_walk` over
-Z[t, t^-1] and maps each of the 12 live entries into Q[t]/(m) (or
+Z[t, t^-1].  That walk keeps u = t^n b, for the prefix image
+[[t^n, b], [0, t^-n]], and u^2 as packed ints, sums the prefix
+adjoints per generator and per n at a few bigint operations per
+letter, and maps each of the 12 live entries into Q[t]/(m) (or
 Q[t, t^-1]) once, by evaluation at t.  Evaluation at t is a ring
 homomorphism, so the blocks are exactly the letter-by-letter products
 over that ring; the step-by-step oracles live in the tests.

@@ -263,7 +263,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         raise ValueError("gcd(0, 0) is undefined")
     if a.is_zero or b.is_zero:
         return (b if a.is_zero else a).monic()
-    r0, r1 = _int_multiple(a), _int_multiple(b)
+    return Poly(_int_gcd(_int_multiple(a), _int_multiple(b))).monic()
+
+
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """An integer multiple of the gcd of two nonzero integer polynomials
+    (constant term first), by the primitive pseudo-remainder sequence:
+    every pseudo-remainder is divided by its content, so the sequence
+    stays on integers.  A single entry means the two are coprime."""
+    r0, r1 = a, b
     if len(r0) < len(r1):
         r0, r1 = r1, r0
     while r1:
@@ -272,7 +280,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             content = gcd(*r2)
             r2 = [c // content for c in r2]
         r0, r1 = r1, r2
-    return Poly(r0).monic()
+    return list(r0)
 
 
 def squarefree_decomposition(a: Poly) -> List[Tuple[Poly, int]]:

@@ -16,8 +16,10 @@ original modulus, so no root is ever lost or duplicated.
 
 The elimination reports the rank on each leaf, and nothing else.  It is
 fraction-free: each pivot, the first nonzero entry of its column in row
-order, is tested for a unit by one gcd with m (a proper gcd is the
-split), and the rows below it are cleared by
+order, is tested for a unit by one gcd with m, a primitive
+pseudo-remainder sequence on the pivot's integer numerators and the
+integer modulus (a proper gcd is the split), and the rows below it are
+cleared by
 row <- pivot * row - f * pivot_row, with no inverse and no division.
 Every entry is a unit multiple of its counterpart in the reduced row
 echelon form, so the zero tests, the gcds and hence the splits are
@@ -65,7 +67,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .polynomials import T_POLY, LaurentPoly, Poly, _pseudo_divmod, poly_gcd
+from .polynomials import T_POLY, LaurentPoly, Poly, _int_gcd, _pseudo_divmod, poly_gcd
 
 Scalar = Union[int, Fraction]
 IntPoly = List[int]  # integer coefficients, constant term first
@@ -580,7 +582,8 @@ class MatrixOverField:
 def _rank(rows, cols: int, branch: ModulusBranch) -> int:
     """The rank of ``rows`` over Q[t]/(m) by fraction-free forward
     elimination.  For every column the pivot is the first nonzero entry
-    in row order from the pivot row; one gcd with m tests it for a unit,
+    in row order from the pivot row; one gcd with m, on the pivot's
+    integer numerators and the integer modulus, tests it for a unit,
     and the rows below it are cleared on the columns to its right by
     row_r <- piv * row_r - f * row_pivot.  Raises :class:`SplitRequired`
     on the gcd if a pivot is a zero divisor."""
@@ -597,9 +600,9 @@ def _rank(rows, cols: int, branch: ModulusBranch) -> int:
         if sel is None:
             continue
         piv = work[sel][col]
-        g = poly_gcd(branch.modulus, piv.value)
-        if g.degree > 0:
-            raise SplitRequired(*branch.split(g))
+        g = _int_gcd(branch._ints, piv.num)
+        if len(g) > 1:
+            raise SplitRequired(*branch.split(Poly(g)))
         work[pr], work[sel] = work[sel], work[pr]
         top = work[pr][col + 1:]
         for r in range(pr + 1, len(work)):

@@ -24,15 +24,21 @@ prefix is [[t^n, b], [0, t^-n]] and its adjoint is
     [ 0       0     t^-2n     ]      with u = t^n b.
 
 A letter x^+-1 changes only n, and a letter y^+-1 adds the monomial
-+-t^(2n+-1) to u, so the walk runs over Z[t, t^-1] with machine-int
-coefficients: shifts and integer additions, no Fraction and no
-polynomial division.  Each resulting entry is mapped into the ring of
-the representation once, by evaluation at t.  That map is a ring
-homomorphism (reduction mod m on Q[t]/(m), the identity on
-Q[t, t^-1]), so the results are exactly the letter-by-letter products
-over that ring.  The representation route of the Alexander polynomial
-reads n and b off the walk and, like the Fox route, stays in integer
-``{exponent: coefficient}`` dicts up to the shared normalizer.
++-t^(2n+-1) to u, so the walk runs over Z[t, t^-1].  It keeps u and
+u^2 each as one Python int, one slot per exponent (Kronecker
+substitution, as in the products of ``quotient``), with a slot width
+from the bound L^3 on every coefficient of an L-letter word; a letter
+costs a few bigint shifts and additions however many terms u has, and
+the prefix adjoints are summed per generator and per value of n, then
+shifted by t^-2n and unpacked once (see :func:`_meridian_walk`).  No
+Fraction and no polynomial division is built.  Each resulting entry is
+mapped into the ring of the representation once, by evaluation at t.
+That map is a ring homomorphism (reduction mod m on Q[t]/(m), the
+identity on Q[t, t^-1]), so the results are exactly the
+letter-by-letter products over that ring.  The representation route
+of the Alexander polynomial reads n and b off the walk and, like the
+Fox route, stays in integer ``{exponent: coefficient}`` dicts up to
+the shared normalizer.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from .polynomials import T2_MINUS_1, T_POLY, LaurentPoly, Poly, poly_gcd
-from .quotient import LaurentRing, ModulusBranch, QuotientRing
+from .quotient import LaurentRing, ModulusBranch, QuotientRing, _unpack
 from .twobridge import TwoBridgeFraction, build_presentation
 from .words import Word
 
@@ -171,20 +177,30 @@ class MeridianRep:
     """The meridian representation x -> [[t,0],[0,1/t]],
     y -> [[t,1],[0,1/t]] over ``ring``, Q[t]/(m) or Q[t, t^-1]: the
     elements t and 1/t of that ring and the adjoints of the two
-    generator images."""
+    generator images, read off the adjoint formula of the module
+    docstring with b = 0 and b = 1, so no ring product is taken."""
 
     __slots__ = ("ring", "t", "t_inverse", "ad_x", "ad_y")
 
     def __init__(self, ring: Union[QuotientRing, LaurentRing]):
         self.ring = ring
-        t, t_inverse = ring.evaluate([{1: 1}, {-1: 1}])
+        t, t_inverse, t2, t_2 = ring.evaluate([{1: 1}, {-1: 1}, {2: 1}, {-2: 1}])
         self.t, self.t_inverse = t, t_inverse
-        zero = ring.zero
-        self.ad_x = adjoint(Mat2(t, zero, zero, t_inverse))
-        self.ad_y = adjoint(Mat2(t, ring.one, zero, t_inverse))
+        zero, one = ring.zero, ring.one
+        self.ad_x = Mat3(((t2, zero, zero), (zero, one, zero), (zero, zero, t_2)))
+        self.ad_y = Mat3(((t2, -2 * t, -one), (zero, one, t_inverse), (zero, zero, t_2)))
 
 
 IntLaurent = Dict[int, int]  # {exponent: coefficient}
+
+
+def _terms(packed: int, width: int, slots: int, base: int) -> IntLaurent:
+    """The Laurent polynomial whose slot j of ``packed`` holds the
+    coefficient of t^(base + 2j)."""
+    if not packed:
+        return {}
+    coeffs = _unpack(packed, width, slots)
+    return {base + 2 * j: c for j, c in enumerate(coeffs) if c}
 
 
 def _meridian_walk(
@@ -196,43 +212,111 @@ def _meridian_walk(
     [[t^n, b], [0, t^-n]] and, when ``blocks`` is set, for each
     generator the six upper-triangular entries (00, 01, 02, 11, 12, 22)
     of the signed sum of prefix adjoints that :func:`meridian_walk`
-    describes.
+    describes, each as an ``{exponent: coefficient}`` dict.
+
+    A letter g^sign takes the adjoint of the prefix with exponent sum
+    m: the prefix before it for sign +1, the prefix ending with it for
+    sign -1.  A y^sign also moves u = t^n b by sign t^(2m+1), and the
+    adjoint it takes has u without that monomial.  With low and high
+    the least and greatest exponent sums of the word's prefixes, m runs
+    over [low, high - 1], so u has only the odd exponents 2m + 1 and
+    u^2 only even ones: one slot per exponent they can carry.  u and
+    u^2 are each one Python int by Kronecker substitution: slot j, of
+    ``width`` bits, holds the coefficient of t^(2 low + 1 + 2j) in u
+    and of t^(4 low + 2 + 2j) in u^2.  A y^sign adds sign 2^(width j)
+    to u and sign (2 t^(2m+1) u + t^(4m+2)) to u^2, each a shift and an
+    add; a letter g^sign adds sign (1, u, u^2) to the accumulator of
+    (g, m).  A letter thus costs a few bigint operations, however many
+    terms u has.  At the end each accumulator (c_m, U_m, V_m) is
+    shifted by t^-2m (by high - 1 - m slots, so every shift is to the
+    left) and summed: entries 00, 11 and 22 are the sums of c_m t^2m,
+    c_m and c_m t^-2m, 01 is -2 times the sum of U_m, 12 the sum of
+    t^-2m U_m and 02 minus the sum of t^-2m V_m.  Each is unpacked
+    once.
+
+    The slot width bounds every packed coefficient.  For a word of L
+    letters the absolute values of the coefficients of u sum to at most
+    L, those of u^2 to at most L^2, and each letter adds at most one
+    u^2 to the sums, so no packed coefficient exceeds L^3 in absolute
+    value (L without the blocks, which need only u); a slot of w bits
+    holds signed values below 2^(w-1).
     """
-    n = 0
-    u: IntLaurent = {}
-    u_squared: IntLaurent = {}  # needed only for the blocks
-    sums = {"x": [{} for _ in range(6)], "y": [{} for _ in range(6)]}
-
-    def add_adjoint(entries, eps):
-        e00, e01, e02, e11, e12, e22 = entries
-        e00[2 * n] = e00.get(2 * n, 0) + eps
-        e11[0] = e11.get(0, 0) + eps
-        e22[-2 * n] = e22.get(-2 * n, 0) + eps
-        for k, c in u.items():
-            e01[k] = e01.get(k, 0) - 2 * eps * c
-            e12[k - 2 * n] = e12.get(k - 2 * n, 0) + eps * c
-        for k, c in u_squared.items():
-            e02[k - 2 * n] = e02.get(k - 2 * n, 0) - eps * c
-
-    for gen, sign in word:
-        if blocks and sign > 0:
-            add_adjoint(sums[gen], 1)
-        if gen == "y":
-            e = 2 * n + sign
-            if blocks:  # (u + sign t^e)^2
-                for k, c in u.items():
-                    u_squared[k + e] = u_squared.get(k + e, 0) + 2 * sign * c
-                u_squared[2 * e] = u_squared.get(2 * e, 0) + 1
-            c = u.get(e, 0) + sign
-            if c:
-                u[e] = c
-            else:
-                del u[e]
+    letters = word.letters
+    n = low = high = 0
+    for _, sign in letters:
         n += sign
-        if blocks and sign < 0:
-            add_adjoint(sums[gen], -1)
-    b = {k - n: c for k, c in u.items()}
-    return n, b, (sums if blocks else None)
+        if n < low:
+            low = n
+        elif n > high:
+            high = n
+    bound = len(letters) ** 3 if blocks else len(letters)
+    width = (bound.bit_length() + 8) & -8
+    span = high - low
+    # Slot j of u, 2^(width j), is t^(2(low + j) + 1); its square is
+    # slot 2j of u^2.
+    ones = [1 << (width * j) for j in range(span)]
+    squares = [1 << (2 * width * j) for j in range(span)] if blocks else []
+    n = u = u_squared = 0
+    groups: Dict[str, Dict[int, List[int]]] = {"x": {}, "y": {}}
+    for gen, sign in letters:
+        if sign > 0:
+            if blocks:
+                group = groups[gen].get(n)
+                if group is None:
+                    groups[gen][n] = [1, u, u_squared]
+                else:
+                    group[0] += 1
+                    group[1] += u
+                    group[2] += u_squared
+            if gen == "y":
+                j = n - low
+                if blocks:
+                    u_squared += (u << (width * j + 1)) + squares[j]
+                u += ones[j]
+            n += 1
+        else:
+            n -= 1
+            if gen == "y":
+                j = n - low
+                u -= ones[j]
+                if blocks:
+                    u_squared -= (u << (width * j + 1)) + squares[j]
+            if blocks:
+                group = groups[gen].get(n)
+                if group is None:
+                    groups[gen][n] = [-1, -u, -u_squared]
+                else:
+                    group[0] -= 1
+                    group[1] -= u
+                    group[2] -= u_squared
+    b = _terms(u, width, span, 2 * low + 1 - n)
+    if not blocks:
+        return n, b, None
+    top = high - 1
+    sums = {}
+    for gen, group in groups.items():
+        e00: IntLaurent = {}
+        e22: IntLaurent = {}
+        count = u_sum = u_shifted = u_squared_shifted = 0
+        for m, (c, u_m, u_squared_m) in group.items():
+            if c:
+                e00[2 * m] = c
+                e22[-2 * m] = c
+                count += c
+            u_sum += u_m
+            shift = width * (top - m)
+            u_shifted += u_m << shift
+            u_squared_shifted += u_squared_m << shift
+        e01 = _terms(u_sum, width, span, 2 * low + 1)
+        sums[gen] = [
+            e00,
+            {e: -2 * c for e, c in e01.items()},
+            _terms(-u_squared_shifted, width, 3 * span - 2, 2 * (2 * low - top + 1)),
+            {0: count} if count else {},
+            _terms(u_shifted, width, 2 * span - 1, 2 * (low - top) + 1),
+            e22,
+        ]
+    return n, b, sums
 
 
 def meridian_walk(

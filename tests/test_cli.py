@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+from hashlib import sha256
+from math import gcd
 
 import pytest
 
 from lodehn import cli, reps
+from lodehn.certify import certify
 from lodehn.cli import build_parser, canonical_report, decimal_string, main
 from lodehn.cohomology import ClosedFormMismatch
 from lodehn.polynomials import LaurentPoly, Poly
+from lodehn.twobridge import TwoBridgeFraction
 from fractions import Fraction
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -84,6 +88,29 @@ def test_json_reports_identical_across_runs(tmp_path):
     a = canonical_report(json.loads(out1.read_text()))
     b = canonical_report(json.loads(out2.read_text()))
     assert json.dumps(a) == json.dumps(b)
+
+
+CANONICAL_DIGEST = "653eb8f1359ca5c1c9834c6b9ef056b7fc134013d8bdf907cc28cbb8d7167bba"
+
+
+def test_canonical_reports_match_the_pinned_digest():
+    """The sha256 of the canonical reports (sorted keys, empty input
+    echo, concatenated in this order) of every fraction with odd
+    p <= 35 and six larger knots.  Any change to a verdict, a modulus,
+    a lineage, a dimension, an interval or a trace check moves it.
+    Regenerate it only together with a ``schema_version`` change."""
+    fractions = [(p, q) for p in range(3, 36, 2) for q in range(1, p) if gcd(p, q) == 1]
+    fractions += [(147, 53), (485, 283), (201, 77), (41, 1), (61, 1), (9, 1)]
+    assert len(fractions) == 262
+    text = "".join(
+        json.dumps(
+            canonical_report(cli.build_report(certify(TwoBridgeFraction(p, q)), {})),
+            sort_keys=True,
+        )
+        for p, q in fractions
+    )
+    assert cli.SCHEMA_VERSION == "1"
+    assert sha256(text.encode()).hexdigest() == CANONICAL_DIGEST
 
 
 def test_alexander_family_j2(capsys):

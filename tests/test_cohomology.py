@@ -42,6 +42,7 @@ from lodehn.reps import (
     alexander_via_rep,
     burde_de_rham_assignment,
     f_upper_entry,
+    meridian_walk,
 )
 from lodehn.twobridge import (
     FAMILY_S,
@@ -191,6 +192,32 @@ def test_word_value_blocks_match_step_by_step_products():
     rng = random.Random(201)
     for _ in range(20):
         _assert_blocks_match_oracle(random_word(rng, rng.randint(0, 60)), rep)
+
+
+def test_packed_walk_holds_wide_coefficients_and_wide_exponent_spans():
+    # The walk packs u and u^2 into one int each, with a slot width from
+    # the bound L^3 of an L-letter word.  In (y x^-1)^500 and (y^-1 x)^500
+    # every y letter falls at one exponent sum, so u = k t^+-1 and the
+    # v+ v- entry of My sums k^2 over k < 500 and over k <= 500 (that
+    # entry is checked too); x^150 y x^-300 y^-1 x^150 spreads the exponent sums over
+    # [-150, 151].  The empty word and the single letters are the edges.
+    x, y = Word.parse("x"), Word.parse("y")
+    X, Y = x.inverse(), y.inverse()
+    words = [
+        (y * X) ** 500,
+        (Y * x) ** 500,
+        x**150 * y * X**300 * Y * x**150,
+        Word(),
+        x, X, y, Y,
+    ]
+    rep = MeridianRep(LaurentRing())
+    for word in words:
+        image, blocks = meridian_walk(word, rep, blocks=True)
+        assert image == eval_word_matrix(word, rep)
+        assert blocks == word_value_blocks_oracle(word, rep)
+    for word, squares in zip(words, (499 * 500 * 999 // 6, 500 * 501 * 1001 // 6)):
+        _, my = meridian_walk(word, rep, blocks=True)[1]
+        assert [abs(c) for c in my.rows[0][2].terms().values()] == [squares]
 
 
 def _k1_rep():

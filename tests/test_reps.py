@@ -211,14 +211,26 @@ def test_burde_de_rham_on_k1_branch():
 def test_adjoints_built_on_first_use_invert_each_other():
     from lodehn.reps import Mat3
 
-    pres = build_presentation(TwoBridgeFraction(29, 17))
-    branch = ModulusBranch(DELTA1.inflate(2))
-    rep = burde_de_rham_assignment(branch, pres.relator)
-    assert rep.t == branch.t() and rep.t_inverse == branch.t().inverse()
-    oracle = generator_adjoints(rep)
-    for gen, ad in (("x", rep.ad_x), ("y", rep.ad_y)):
-        assert ad == oracle[(gen, 1)]
-        assert ad @ oracle[(gen, -1)] == Mat3.identity()
+    # 53/31 is the j = 2 family knot: its integer modulus
+    # 2t^8 - 13t^6 + 23t^4 - 13t^2 + 2 has leading coefficient 2 and
+    # constant term 2, so t^2 and t^-2 reduce to non-integral residues.
+    reps = []
+    for fraction in (TwoBridgeFraction(29, 17), TwoBridgeFraction(53, 31)):
+        pres = build_presentation(fraction)
+        branch = ModulusBranch(alexander_via_fox(fraction).inflate(2))
+        rep = burde_de_rham_assignment(branch, pres.relator)
+        assert rep.t == branch.t() and rep.t_inverse == branch.t().inverse()
+        reps.append(rep)
+    assert reps[1].ring.branch._ints == [2, 0, -13, 0, 23, 0, -13, 0, 2]
+    laurent = MeridianRep(LaurentRing())
+    assert laurent.t == L({1: 1}) and laurent.t_inverse == L({-1: 1})
+    reps.append(laurent)
+    for rep in reps:
+        # oracle[(g, 1)] is adjoint(Mat2(t, 0 or 1, 0, 1/t)) over rep.ring
+        oracle = generator_adjoints(rep)
+        for gen, ad in (("x", rep.ad_x), ("y", rep.ad_y)):
+            assert ad == oracle[(gen, 1)]
+            assert ad @ oracle[(gen, -1)] == Mat3.identity()
 
 
 def test_burde_de_rham_rejects_non_root_branch():
