@@ -18,11 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .cohomology import CohomologyDims, cohomology_dims, relator_system
 from .polynomials import (
-    T2_MINUS_1,
-    T_POLY,
     Poly,
     isolate_real_roots,
-    poly_gcd,
     refine_isolating_interval,
     squarefree_decomposition,
     sturm_count,
@@ -69,7 +66,6 @@ class RootBranchReport:
     xi_factor: Poly
     multiplicity: int
     real_root_intervals: Tuple[Tuple[Fraction, Fraction], ...]
-    contains_pm1: bool
     dims_knot: CohomologyDims
     dims_filled: CohomologyDims
     rigid: bool
@@ -79,16 +75,18 @@ class RootBranchReport:
 def admissible_modulus(xi_factor: Poly) -> Optional[Poly]:
     """Lift a square-free Alexander factor F(tau) to the t-side modulus
     F(t^2), with any t = +-1 part removed.  Returns None when nothing
-    of positive degree is left."""
-    lifted = xi_factor.monic().inflate(2)
-    unit_part = poly_gcd(lifted, T2_MINUS_1)
-    if unit_part.degree > 0:
-        lifted = lifted // unit_part
-    if lifted.degree < 1:
+    of positive degree is left.
+
+    F is square-free, so t^2 - 1 divides F(t^2) exactly when tau - 1
+    divides F, and then only once; that factor is stripped before the
+    lift.  A root at t = 0 is left for :class:`ModulusBranch` to
+    refuse."""
+    factor = xi_factor.monic()
+    if factor(1) == 0:
+        factor = factor // Poly([-1, 1])
+    if factor.degree < 1:
         return None
-    if poly_gcd(lifted, T_POLY).degree != 0:
-        raise ValueError("factor vanishes at 0; expected a normalized input")
-    return lifted.monic()
+    return factor.inflate(2)
 
 
 def meridian_trace_check(
@@ -97,12 +95,9 @@ def meridian_trace_check(
 ) -> Tuple[bool, ...]:
     """Certify tr^2 = xi + 2 + 1/xi > 4 with xi = t^2 for every real
     root t of the branch modulus, by refining each isolating interval
-    until it avoids -1, 0 and 1 so the squared interval misses 1."""
+    until it avoids -1, 0 and 1 so the squared interval misses 1.  The
+    branch has no root at -1, 0 or 1, so the refinement ends."""
     modulus = branch.modulus
-    if poly_gcd(modulus, T2_MINUS_1).degree != 0:
-        raise ValueError("branch contains t = +-1; trace check unreachable")
-    if poly_gcd(modulus, T_POLY).degree != 0:
-        raise ValueError("branch contains t = 0; trace check unreachable")
     if intervals is None:
         intervals = isolate_real_roots(modulus)
     verdicts = []
@@ -152,10 +147,6 @@ def check_rigidity(
                     xi_factor=xi_factor.primitive(),
                     multiplicity=multiplicity,
                     real_root_intervals=intervals,
-                    contains_pm1=(
-                        final_branch.modulus(1) == 0
-                        or final_branch.modulus(-1) == 0
-                    ),
                     dims_knot=knot_leaf.dims,
                     dims_filled=filled_leaf.dims,
                     rigid=(filled_leaf.dims.h1 == 0),

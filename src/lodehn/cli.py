@@ -23,6 +23,7 @@ from .cohomology import ClosedFormMismatch, family_cocycle_forms, vanishing_iden
 from .polynomials import (
     Poly,
     isolate_real_roots,
+    primitive_ints,
     refine_isolating_interval,
     squarefree_decomposition,
     sturm_count,
@@ -51,11 +52,6 @@ def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _poly_ints(p: Poly) -> List[int]:
-    prim = p.primitive()
-    return [int(c) for c in prim.coeffs]
-
-
 def _poly_fracs(p: Poly) -> List[str]:
     return [_frac_str(c) for c in p.coeffs]
 
@@ -77,12 +73,13 @@ def build_report(
     for report in result.reports:
         branches.append({
             "modulus": _poly_fracs(report.modulus),
-            "xi_factor": _poly_ints(report.xi_factor),
+            "xi_factor": primitive_ints(report.xi_factor),
             "multiplicity": report.multiplicity,
             "real_root_intervals": [
                 _interval_json(iv) for iv in report.real_root_intervals
             ],
-            "contains_pm1": report.contains_pm1,
+            # Schema 1 field; ModulusBranch refuses moduli with roots at +-1.
+            "contains_pm1": False,
             "dims_knot": _dims_json(report.dims_knot),
             "dims_filled": _dims_json(report.dims_filled),
             "rigid": report.rigid,
@@ -98,7 +95,7 @@ def build_report(
         })
     certificate = {
         "fraction": str(result.fraction),
-        "alexander": _poly_ints(result.alexander),
+        "alexander": primitive_ints(result.alexander),
         "qualifying_roots": result.certificate.qualifying_roots,
         "all_qualifying_rigid": result.certificate.all_qualifying_rigid,
         "verdict": result.certificate.verdict.value,
@@ -114,9 +111,9 @@ def build_report(
             "longitude": str(pres.longitude),
             "meridian": str(pres.meridian),
         },
-        "alexander": _poly_ints(result.alexander),
+        "alexander": primitive_ints(result.alexander),
         "factors": [
-            {"coefficients": _poly_ints(factor), "multiplicity": mult}
+            {"coefficients": primitive_ints(factor), "multiplicity": mult}
             for factor, mult in result.analysis.factors
         ],
         "branches": branches,
@@ -226,7 +223,7 @@ def cmd_certify(args) -> int:
 def _print_certify_summary(result: CertifyResult) -> None:
     cert = result.certificate
     print(f"knot {result.fraction}")
-    print(f"alexander: {' '.join(str(c) for c in _poly_ints(result.alexander))}")
+    print(f"alexander: {' '.join(str(c) for c in primitive_ints(result.alexander))}")
     print(
         f"simple positive real roots != 1: {cert.qualifying_roots}"
         f"  (value at 1: {result.alexander(1)})"
@@ -250,7 +247,7 @@ def cmd_alexander(args) -> int:
         raise ValueError(f"--digits must be >= 0, got {args.digits}")
     fraction, _ = _resolve_fraction(args)
     delta = alexander_polynomial(fraction)
-    print(" ".join(str(c) for c in _poly_ints(delta)))
+    print(" ".join(str(c) for c in primitive_ints(delta)))
     if args.roots:
         for line in _root_lines(delta, args.digits):
             print(line)

@@ -24,8 +24,8 @@ over that ring; the step-by-step oracles live in the tests.
 Coboundaries are the value pairs ((Ad x - 1) V, (Ad y - 1) V).  Since
 Ad(x) - 1 = diag(t^2 - 1, 0, t^-2 - 1), Ad(x) fixes only the multiples
 of v0 when t^2 - 1 is a unit, and Ad(y) moves v0, as (Ad(y) - 1) v0 =
-(-2t, 0, 0), when t is a unit.  A unit mod m is a unit mod every factor
-of m, so where m is coprime to t^3 - t (checked once per call) every
+(-2t, 0, 0), when t is a unit.  Every modulus branch is coprime to
+t^3 - t, so both are units (see ``quotient.ModulusBranch``), and every
 leaf has H^0 = 0, B^1 = 3 and
 
     dim H^1 = dim Z^1 - 3.
@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import comb
 from typing import List, Sequence, Tuple
 
-from .polynomials import T2_MINUS_1, T_POLY, LaurentPoly, poly_gcd
+from .polynomials import LaurentPoly
 from .quotient import LaurentRing, MatrixOverField, ModulusBranch, QuotientRing
 from .reps import Mat3, MeridianRep, adjoint, f_upper_entry, meridian_walk
 from .twobridge import FAMILY_S, FAMILY_U, family_v, family_word
@@ -100,14 +100,11 @@ def cohomology_dims(
 
     Z^1 is the nullity of the system on each leaf, from its rank under
     the fraction-free elimination of :meth:`MatrixOverField.nullspace`;
-    no cocycle basis is built.  The system's modulus must be coprime to
-    t^3 - t (else ValueError), which gives H^0 = 0 and B^1 = 3 (see the
-    module docstring).  Every coboundary is checked to be a nullvector
-    of the system on each leaf; a failure would falsify the linear
-    systems and raises.
+    no cocycle basis is built.  t and t^2 - 1 are units on every
+    branch, which gives H^0 = 0 and B^1 = 3 (see the module docstring).
+    Every coboundary is checked to be a nullvector of the system on
+    each leaf; a failure would falsify the linear systems and raises.
     """
-    if poly_gcd(system.ring.branch.modulus, T_POLY * T2_MINUS_1).degree != 0:
-        raise ValueError("t or t^2 - 1 is not a unit on the system's branch")
     results: List[BranchCohomology] = []
     for leaf in system.nullspace():
         _check_coboundaries_are_cocycles(system, rep, leaf.ring)

@@ -30,8 +30,8 @@ results.
 
 ``poly_gcd`` runs on integers too: the primitive pseudo-remainder
 sequence of integer multiples of its inputs, through ``_pseudo_divmod``,
-the pseudo-division that the Sturm chain and the inversion in
-``quotient`` share.
+the pseudo-division that the Sturm chain and the reduction and pivot
+tests in ``quotient`` share.
 """
 
 from __future__ import annotations
@@ -203,29 +203,14 @@ class Poly:
 
     def primitive(self) -> "Poly":
         """Integer-coefficient associate with coprime coefficients and
-        positive leading coefficient."""
-        if self.is_zero:
-            raise ValueError("zero polynomial has no primitive part")
-        den = lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for n in ints:
-            g = gcd(g, n)
-        if ints[-1] < 0:
-            g = -g
-        return Poly([Fraction(n, g) for n in ints])
+        positive leading coefficient (see :func:`primitive_ints`)."""
+        return Poly(primitive_ints(self))
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-
-# The guard polynomials t and t^2 - 1: moduli sharing a root with them
-# would put t = 0 or t = +-1 on a branch.
-T_POLY = Poly([0, 1])
-T2_MINUS_1 = Poly([-1, 0, 1])
 
 
 def _pseudo_divmod(
@@ -339,6 +324,15 @@ def _int_multiple(p: Poly) -> List[int]:
     return [n // g for n in ints]
 
 
+def primitive_ints(p: Poly) -> List[int]:
+    """The coefficients of :meth:`Poly.primitive` as ints: those of
+    :func:`_int_multiple`, negated when the leading one is negative."""
+    if p.is_zero:
+        raise ValueError("zero polynomial has no primitive part")
+    ints = _int_multiple(p)
+    return ints if ints[-1] > 0 else [-c for c in ints]
+
+
 def _sign_int(coeffs: Sequence[int], a: int, b: int) -> int:
     """Sign of p(a/b) for b > 0, where ``coeffs`` are the integer
     coefficients (ascending, degree d) of a positive multiple of p: the
@@ -407,13 +401,17 @@ def _int_variations(chain: Sequence[Sequence[int]], a: int, b: int) -> int:
 def sturm_count(p: Poly, interval: Tuple[Endpoint, Endpoint]) -> int:
     """Exact number of distinct real roots in the open interval.
 
-    Non-square-free input is replaced by its square-free part, so the
-    count is always of distinct roots.  An endpoint that is itself a
-    root raises :class:`RootAtEndpoint` so the caller can nudge it.
+    The count is of distinct roots also for non-square-free input.  The
+    chain of p and p' ends at g = gcd(p, p'), which divides every member
+    and is nonzero wherever p is, so at each endpoint the chain has the
+    sign variations of its quotients by g.  Those form a Sturm sequence
+    of the square-free part p / g: consecutive quotients share no root,
+    and (p / g)(p' / g) = (p^2)' / (2 g^2) changes sign from - to + at
+    each root of p.  An endpoint that is itself a root raises
+    :class:`RootAtEndpoint` so the caller can nudge it.
     """
     if p.is_zero:
         raise ValueError("root counting on the zero polynomial")
-    p = squarefree_part(p)
     if p.degree == 0:
         return 0
     lo, hi = interval

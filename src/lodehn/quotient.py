@@ -7,12 +7,14 @@ that sends t to t (reduction mod m on Q[t]/(m), the identity on
 Q[t, t^-1]).  :class:`MatrixOverField` eliminates over Q[t]/(m) only;
 Q[t, t^-1] serves the symbolic checks.
 
-The modulus m is kept monic and square-free.  Inverting a zero divisor
-splits m into two coprime factors (D5-style dynamic evaluation), and so
-does a zero-divisor pivot in the linear algebra below, which then forks
-and reports one result per leaf branch, with the split lineage
-preserved for reporting.  Products of leaf moduli always rebuild the
-original modulus, so no root is ever lost or duplicated.
+The modulus m is kept monic and square-free, and coprime to
+t^3 - t = t (t - 1)(t + 1), so t and t^2 - 1 are units on every branch
+(see :class:`ModulusBranch`).  A zero-divisor pivot in the linear
+algebra below splits m into two coprime factors (D5-style dynamic
+evaluation); the elimination then forks and reports one result per
+leaf branch, with the split lineage preserved for reporting.  Products
+of leaf moduli always rebuild the original modulus, so no root is ever
+lost or duplicated.
 
 The elimination reports the rank on each leaf, and nothing else.  It is
 fraction-free: each pivot, the first nonzero entry of its column in row
@@ -43,21 +45,14 @@ also as a primitive integer polynomial with leading coefficient l > 0.
   product is scale times the low part plus one packed row per high
   coefficient, over the denominator scale times the operands'
   denominators; it is unpacked once and divided by its content.
-* Inversion is the extended Euclidean algorithm over the integers: a
-  primitive pseudo-remainder sequence from m and the element's
-  numerators A.  Each step scales the dividend once, by the power of the
-  divisor's leading coefficient that makes the quotient integral, and
-  carries the cofactor s of A with an integer multiplier k,
-  k r = s A mod m.  A constant last remainder gives the inverse; a
-  nonconstant one is the gcd with m, and the branch splits on it.
 * Evaluation builds the residue of t^e once for every exponent e in
   range [lo, hi], one multiplication by t or 1/t at a time, as integer
   vectors over the one denominator lcm(l^hi, m_0^-lo), m_0 the constant
-  term of the integer modulus; each polynomial is then an integer
-  combination of those vectors.
+  term of the integer modulus, nonzero because t is a unit; each
+  polynomial is then an integer combination of those vectors.
 
-The arithmetic, inversion and evaluation build no Fraction; the
-read-only ``value`` gives the residue as a Poly.
+The arithmetic and evaluation build no Fraction; the read-only
+``value`` gives the residue as a Poly.
 """
 
 from __future__ import annotations
@@ -67,7 +62,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .polynomials import T_POLY, LaurentPoly, Poly, _int_gcd, _pseudo_divmod, poly_gcd
+from .polynomials import (
+    LaurentPoly,
+    Poly,
+    _int_gcd,
+    _int_multiple,
+    _pseudo_divmod,
+    poly_gcd,
+)
 
 Scalar = Union[int, Fraction]
 IntPoly = List[int]  # integer coefficients, constant term first
@@ -81,10 +83,21 @@ class SplitRecord:
 
 
 class ModulusBranch:
-    """A monic square-free modulus together with its split lineage.  It
-    also holds the modulus as a primitive integer polynomial and, once a
-    product needs them, the reduction table and its packed rows (see the
-    module docstring); these live as long as the branch."""
+    """A monic square-free modulus m, coprime to t^3 - t, together with
+    its split lineage.  It also holds m as a primitive integer
+    polynomial and, once a product needs them, the reduction table and
+    its packed rows (see the module docstring); these live as long as
+    the branch.
+
+    The branch exists only where the reducible non-abelian
+    representation does: t and t^2 - 1 must be units mod m.  On t^2 = 1,
+    Ad(x) = 1, so H^0 would be a line and B^1 = 3 would be wrong; at
+    t = 0 the representation is undefined.  t^3 - t = t (t - 1)(t + 1)
+    has only linear factors, so gcd(m, t^3 - t) = 1 exactly when m(0),
+    m(1) and m(-1) are nonzero, which the constructor tests on the
+    integer modulus (else ValueError).  Every factor of such an m is
+    coprime to t^3 - t too, so the branches that :meth:`split` builds
+    pass the same test."""
 
     __slots__ = ("modulus", "lineage", "_ints", "_table", "_packed")
 
@@ -94,9 +107,16 @@ class ModulusBranch:
         modulus = modulus.monic()
         if poly_gcd(modulus, modulus.derivative()).degree != 0:
             raise ValueError("modulus must be square-free")
+        ints = _int_multiple(modulus)
+        at_minus_one = sum(ints[0::2]) - sum(ints[1::2])
+        for point, value in ((0, ints[0]), (1, sum(ints)), (-1, at_minus_one)):
+            if not value:
+                raise ValueError(
+                    f"modulus vanishes at t = {point}: t and t^2 - 1 must be units"
+                )
         self.modulus = modulus
         self.lineage = lineage
-        self._ints = [c.numerator for c in modulus.primitive().coeffs]
+        self._ints = ints
         self._table: Optional[Tuple[int, int, List[IntPoly]]] = None
         self._packed: Dict[int, List[int]] = {}
 
@@ -111,7 +131,7 @@ class ModulusBranch:
 
     def t(self) -> "AlgebraicElement":
         """The residue class of the variable t."""
-        return self.element(T_POLY)
+        return self.element(Poly([0, 1]))
 
     def split(self, factor: Poly) -> Tuple["ModulusBranch", "ModulusBranch"]:
         """Split off a proper monic divisor of the modulus."""
@@ -168,7 +188,7 @@ class ModulusBranch:
 
 
 class SplitRequired(Exception):
-    """A zero divisor was inverted; retry on the two sub-branches."""
+    """A pivot was a zero divisor; retry on the two sub-branches."""
 
     def __init__(self, low: ModulusBranch, high: ModulusBranch):
         super().__init__(
@@ -221,16 +241,6 @@ def _lincomb(ku: int, u: Sequence[int], kv: int, v: Sequence[int]) -> IntPoly:
     out += [ku * x for x in u[len(v):]]
     while out and not out[-1]:
         out.pop()
-    return out
-
-
-def _short_product(u: Sequence[int], v: Sequence[int]) -> IntPoly:
-    """u * v by rows of u, for a short u (a pseudo-quotient)."""
-    out = [0] * (len(u) + len(v) - 1)
-    n = len(v)
-    for i, x in enumerate(u):
-        if x:
-            out[i:i + n] = [o + x * y for o, y in zip(out[i:i + n], v)]
     return out
 
 
@@ -311,40 +321,6 @@ def _product(a: "AlgebraicElement", b: "AlgebraicElement") -> "AlgebraicElement"
         if c:
             acc += c * row
     return _element(branch, _unpack(acc, width, d), den * scale)
-
-
-def _inverse(a: "AlgebraicElement") -> "AlgebraicElement":
-    """1 / a for nonzero a, or :class:`SplitRequired` (see the module
-    docstring)."""
-    branch = a.branch
-    numerators = a.num
-    if len(numerators) == 1:
-        return _element(branch, [a.den], numerators[0])
-    # With A = a.num, each remainder r_i has a cofactor s_i and a
-    # multiplier k_i, k_i r_i = s_i A mod m; r_0 = m, r_1 = A / content.
-    content = gcd(*numerators)
-    r0, r1 = branch._ints, [c // content for c in numerators]
-    s0, s1 = [], [1]
-    k0, k1 = 1, content
-    while True:
-        f, q, r2 = _pseudo_divmod(r0, r1)
-        if not r2:
-            low, high = branch.split(Poly(r1))
-            raise SplitRequired(low, high)
-        # f r0 = q r1 + r2, so k0 k1 r2 = (f k1 s0 - k0 q s1) A mod m.
-        s2 = _lincomb(f * k1, s0, -k0, _short_product(q, s1))
-        content = gcd(*r2)
-        if content != 1:
-            r2 = [c // content for c in r2]
-        k2 = k0 * k1 * content
-        g = gcd(k2, *s2)
-        if g != 1:
-            s2 = [c // g for c in s2]
-            k2 //= g
-        if len(r2) == 1:
-            # k2 r2[0] = s2 A, so 1 / a = a.den s2 / (k2 r2[0]).
-            return _element(branch, [a.den * c for c in s2], k2 * r2[0])
-        r0, r1, s0, s1, k0, k1 = r1, r2, s1, s2, k1, k2
 
 
 class AlgebraicElement:
@@ -460,21 +436,13 @@ class AlgebraicElement:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "AlgebraicElement":
-        """Extended-Euclid inverse, raising :class:`SplitRequired` when
-        the representative is a zero divisor."""
-        if not self.num:
-            raise ZeroDivisionError("inverting zero in a quotient ring")
-        return _inverse(self)
-
     def __repr__(self) -> str:
         return f"AlgebraicElement({self.value!r} mod {self.branch.modulus!r})"
 
 
 class QuotientRing:
-    """Q[t]/(m) for one modulus branch.  Inverting a zero divisor raises
-    :class:`SplitRequired`; coercing an element of another branch reduces
-    its representative modulo this branch's modulus."""
+    """Q[t]/(m) for one modulus branch.  Coercing an element of another
+    branch reduces its representative modulo this branch's modulus."""
 
     __slots__ = ("branch", "zero", "one")
 
@@ -494,14 +462,12 @@ class QuotientRing:
 
     def evaluate(self, polys: Sequence[Dict[int, int]]) -> List[AlgebraicElement]:
         """The residues of integer Laurent polynomials ``{exponent:
-        coefficient}`` at t mod m (see the module docstring).  m must
-        have a nonzero constant term, so that t is a unit."""
+        coefficient}`` at t mod m (see the module docstring); t is a
+        unit because the branch refuses t | m."""
         branch = self.branch
         m = branch._ints
         d = len(m) - 1
         lead, low = m[d], m[0]
-        if low == 0:
-            raise ValueError("t is not a unit modulo a modulus divisible by t")
         exponents = [e for p in polys for e in p]
         lo, hi = min(exponents + [0]), max(exponents + [0])
         # The residue of t^e has a denominator dividing l^e for e > 0

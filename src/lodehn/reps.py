@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple, Union
 
-from .polynomials import T2_MINUS_1, T_POLY, LaurentPoly, Poly, poly_gcd
+from .polynomials import LaurentPoly, Poly
 from .quotient import LaurentRing, ModulusBranch, QuotientRing, _unpack
 from .twobridge import TwoBridgeFraction, build_presentation
 from .words import Word
@@ -438,13 +438,10 @@ def burde_de_rham_assignment(
     The defining relator must evaluate to the identity in the quotient
     ring; a failure means the modulus does not divide the Alexander
     polynomial evaluated at t^2 (or an upstream bug) and is a hard
-    error.  Branches touching t = 0 or t = +-1 are rejected.
+    error.  t and t^2 - 1 are units on every branch, so the
+    representation is defined and non-abelian (see
+    :class:`ModulusBranch`).
     """
-    modulus = branch.modulus
-    if poly_gcd(modulus, T_POLY).degree != 0:
-        raise ValueError("branch contains t = 0")
-    if poly_gcd(modulus, T2_MINUS_1).degree != 0:
-        raise ValueError("branch contains t = +-1; rejected")
     rep = MeridianRep(QuotientRing(branch))
     image, _ = meridian_walk(relator, rep)
     if not image.is_identity():

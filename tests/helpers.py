@@ -92,20 +92,24 @@ def normalized_representative(z, rep):
     """Correct z by a coboundary so that z(x) = (0, a, b) and
     z(y) = (0, d, 0).
 
-    Needs t^2 != 1, which makes the three coboundary parameters
-    solvable.  For a cocycle of a knot relator the corrected values
-    satisfy d = a; callers verify that rather than assume it.
+    t and t^2 - 1 are units on every branch, which makes the three
+    coboundary parameters solvable; the inverses come from
+    ``QuotientOracle``.  For a cocycle of a knot relator the corrected
+    values satisfy d = a; callers verify that rather than assume it.
     """
     if not isinstance(rep.ring, QuotientRing):
         raise TypeError("normalization needs quotient-ring coefficients")
+    ring = rep.ring
+
+    def inverse(x):
+        return ring.coerce(QuotientOracle(ring.branch, x.value).inverse().value)
+
     t, tinv = rep.t, rep.t_inverse
     t2m1 = t * t - 1
-    if t2m1.is_zero:
-        raise ValueError("t^2 = 1 is rejected")
     tinv2m1 = tinv * tinv - 1
-    a = z.z_x[0] * t2m1.inverse()
-    c = z.z_y[2] * tinv2m1.inverse()
-    b = (t2m1 * a - c - z.z_y[0]) * (2 * t).inverse()
+    a = z.z_x[0] * inverse(t2m1)
+    c = z.z_y[2] * inverse(tinv2m1)
+    b = (t2m1 * a - c - z.z_y[0]) * inverse(2 * t)
     dx = (t2m1 * a, rep.ring.zero, tinv2m1 * c)
     dy = (t2m1 * a - 2 * t * b - c, tinv * c, tinv2m1 * c)
     out = CocycleValues(
@@ -216,9 +220,8 @@ def echelon_oracle(rows, cols):
     column take the first nonzero entry in row order, scale its row by
     the entry's ``inverse()`` and clear the column in every other row.
     Returns the pivot columns and a kernel basis, one vector per free
-    column.  Runs over any entries with ``is_zero`` and ``inverse()``
-    (``QuotientOracle``, or the kernel's ``AlgebraicElement``), and
-    raises :class:`SplitRequired` where an inverse does."""
+    column.  Runs over ``QuotientOracle`` entries, and raises
+    :class:`SplitRequired` where an inverse does."""
     work = [list(row) for row in rows]
     pivots = []
     pr = 0
@@ -282,6 +285,12 @@ def nullspace_oracle(rows, branch):
         leaves = nullspace_oracle(rows, split.low) + nullspace_oracle(rows, split.high)
         return sorted(leaves, key=lambda leaf: leaf.branch.sort_key())
     return [OracleLeaf(branch, len(pivots), cols - len(pivots), basis)]
+
+
+def leaf_records(results):
+    """Modulus, lineage and rank of each leaf of a ``nullspace()`` or a
+    ``nullspace_oracle`` result."""
+    return [(r.branch.modulus, r.branch.lineage, r.rank) for r in results]
 
 
 def matrix_times(rows, vector):

@@ -14,8 +14,8 @@ from lodehn.certify import (
     verdict_from,
 )
 from lodehn.cohomology import cohomology_dims, relator_system
-from lodehn.polynomials import Poly, squarefree_decomposition, sturm_count
-from lodehn.quotient import AlgebraicElement, MatrixOverField, ModulusBranch, QuotientRing
+from lodehn.polynomials import Poly, poly_gcd, squarefree_decomposition, sturm_count
+from lodehn.quotient import MatrixOverField, ModulusBranch, QuotientRing
 from lodehn.reps import alexander_via_rep, burde_de_rham_assignment
 from lodehn.twobridge import TwoBridgeFraction, build_presentation, family_fraction
 
@@ -47,6 +47,14 @@ def test_analyze_roots_rejects_zero_constant():
 def test_admissible_modulus_strips_unit_roots():
     assert admissible_modulus(Poly([-1, 1])) is None
     assert admissible_modulus(Poly([1, -3, 1])) == Poly([1, 0, -3, 0, 1])
+    # Stripping tau - 1 before the lift leaves what dividing the lift by
+    # its gcd with t^2 - 1 leaves.
+    for factor in (Poly([1, -3, 1]), Poly([-2, 0, 1]), Poly([3, 1, 2]), Poly([1])):
+        for xi_factor in (factor, factor * Poly([-1, 1])):
+            lifted = xi_factor.monic().inflate(2)
+            expected = lifted // poly_gcd(lifted, Poly([-1, 0, 1]))
+            got = admissible_modulus(xi_factor)
+            assert got == (expected.monic() if expected.degree > 0 else None)
 
 
 def test_check_rigidity_k1():
@@ -62,7 +70,6 @@ def test_check_rigidity_k1():
         assert (knot.z1, knot.b1, knot.h0, knot.h1) == (4, 3, 0, 1)
         assert (filled.z1, filled.b1, filled.h0, filled.h1) == (3, 3, 0, 0)
         assert report.rigid
-        assert not report.contains_pm1
         assert all(report.trace_checks)
 
 
@@ -135,25 +142,6 @@ def test_relator_is_identity_on_a_proper_factor_of_the_branch():
                 ]
 
 
-def test_certify_inverts_nothing(monkeypatch):
-    # The elimination tests pivots for units by gcd and clears without
-    # inverses, so certify runs with inversion disabled, also on 115/42,
-    # whose filled system splits its branch.
-    expected = {
-        (29, 17): (Verdict.APPLIES, 1),
-        (41, 1): (Verdict.INAPPLICABLE_NO_ROOT, 1),
-        (115, 42): (Verdict.APPLIES, 2),
-    }
-
-    def refuse(self):
-        raise AssertionError("AlgebraicElement.inverse was called")
-
-    monkeypatch.setattr(AlgebraicElement, "inverse", refuse)
-    for (p, q), (verdict, leaves) in expected.items():
-        result = certify(TwoBridgeFraction(p, q))
-        assert (result.certificate.verdict, len(result.reports)) == (verdict, leaves)
-
-
 def test_figure_eight_matches_independent_oracle():
     fixture = load_fixture("figure_eight_dims.json")
     fraction = TwoBridgeFraction(5, 2)
@@ -187,10 +175,11 @@ def test_meridian_trace_check_figure_eight():
 
 
 def test_meridian_trace_check_rejects_unit_roots():
-    with pytest.raises(ValueError):
-        meridian_trace_check(ModulusBranch(Poly([-1, 0, 1])))
-    with pytest.raises(ValueError):
-        meridian_trace_check(ModulusBranch(Poly([0, 1, 1])))
+    # Its refinement would not end on a root at -1, 0 or 1; a branch
+    # with one cannot be built.
+    for modulus in (Poly([-1, 0, 1]), Poly([0, 1, 1])):
+        with pytest.raises(ValueError, match="must be units"):
+            ModulusBranch(modulus)
 
 
 def test_certify_k1():

@@ -91,6 +91,7 @@ def test_json_reports_identical_across_runs(tmp_path):
 
 
 CANONICAL_DIGEST = "653eb8f1359ca5c1c9834c6b9ef056b7fc134013d8bdf907cc28cbb8d7167bba"
+SPLIT_DIGEST = "8ebfc0701a0e7451f6a00aba412beb496676d932557e5e659f878b98037cc646"
 
 
 def test_canonical_reports_match_the_pinned_digest():
@@ -111,6 +112,16 @@ def test_canonical_reports_match_the_pinned_digest():
     )
     assert cli.SCHEMA_VERSION == "1"
     assert sha256(text.encode()).hexdigest() == CANONICAL_DIGEST
+
+
+def test_split_report_matches_the_pinned_digest():
+    """115/42 is the only knot class with p <= 151 whose elimination
+    splits a branch, so its report is the one with a lineage; none of
+    the fractions above splits."""
+    report = canonical_report(cli.build_report(certify(TwoBridgeFraction(115, 42)), {}))
+    assert [len(branch["lineage"]) for branch in report["branches"]] == [1, 1]
+    text = json.dumps(report, sort_keys=True)
+    assert sha256(text.encode()).hexdigest() == SPLIT_DIGEST
 
 
 def test_alexander_family_j2(capsys):

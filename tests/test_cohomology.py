@@ -10,6 +10,7 @@ from helpers import (
     eval_word_matrix,
     geometric_sum_oracle,
     h0_oracle,
+    leaf_records,
     load_fixture,
     matrix_times,
     normalized_representative,
@@ -287,15 +288,10 @@ def _fixture_fractions(name):
         yield TwoBridgeFraction(p, q)
 
 
-def _leaves(results):
-    """Modulus, lineage and rank of each leaf of a ``nullspace()`` or a
-    ``nullspace_oracle`` result."""
-    return [(r.branch.modulus, r.branch.lineage, r.rank) for r in results]
-
-
 def _assert_ranks_match_the_oracle(matrix):
     results = matrix.nullspace()
-    assert _leaves(results) == _leaves(nullspace_oracle(matrix.entries, matrix.ring.branch))
+    oracle = nullspace_oracle(matrix.entries, matrix.ring.branch)
+    assert leaf_records(results) == leaf_records(oracle)
     return results
 
 
@@ -375,16 +371,17 @@ def test_rank_elimination_matches_the_echelon_oracle():
 
 
 def test_cohomology_dims_rejects_a_branch_where_t_squared_is_one():
-    # On (t^2 - 1)(t^2 - 3t + 1) the fixed-space elimination splits off
-    # t^2 - 1, where Ad(x) = 1 and H^0 is a line, so B^1 = 3 would be
-    # wrong there; cohomology_dims refuses the branch before eliminating.
+    # At t = +-1, Ad(x) = 1, so H^0 would be a line and B^1 = 3 wrong.
+    # The branch (t^2 - 1)(t^2 - 3t + 1) cannot be built, so
+    # cohomology_dims never sees one; on t^2 - 3t + 1 alone H^0 = 0.
+    ad_x = _laurent_rep().ad_x
+    for t in (1, -1):
+        assert Mat3([[e(t) for e in row] for row in ad_x.rows]) == Mat3.identity()
     factor = Poly([1, -3, 1])
-    branch = ModulusBranch(Poly([-1, 0, 1]) * factor)
-    rep = MeridianRep(QuotientRing(branch))
-    leaves = {leaf.branch.modulus: leaf.dim for leaf in h0_oracle(rep.ring, rep)}
-    assert leaves == {Poly([-1, 0, 1]): 1, factor: 0}
-    with pytest.raises(ValueError, match="not a unit"):
-        cohomology_dims(relator_system([], rep), rep)
+    with pytest.raises(ValueError, match="t = 1:"):
+        ModulusBranch(Poly([-1, 0, 1]) * factor)
+    rep = MeridianRep(QuotientRing(ModulusBranch(factor)))
+    assert [leaf.dim for leaf in h0_oracle(rep.ring, rep)] == [0]
 
 
 def test_trivial_representation_dims():
@@ -483,11 +480,10 @@ def test_normalized_cocycles_satisfy_delta_equals_alpha():
 
 
 def test_normalized_representative_rejects_t2_equal_1():
-    branch = ModulusBranch(Poly([-1, 0, 1]))
-    rep = MeridianRep(QuotientRing(branch))
-    z = CocycleValues((branch.element(1),) * 3, (branch.element(1),) * 3)
-    with pytest.raises(ValueError):
-        normalized_representative(z, rep)
+    # Normalizing divides by t^2 - 1; a branch where it is not a unit
+    # cannot be built.
+    with pytest.raises(ValueError, match="t = 1:"):
+        ModulusBranch(Poly([-1, 0, 1]))
 
 
 def test_family_forms_j1_geometric_sum_is_identity():

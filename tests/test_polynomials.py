@@ -284,6 +284,33 @@ def test_sturm_count_matches_the_fraction_chain_oracle():
         assert sturm_count(p, (lo, hi)) == sturm_count_oracle(p, lo, hi)
 
 
+def test_sturm_count_of_repeated_roots_needs_no_square_free_pass():
+    # The chain of p and p' ends at gcd(p, p'), so it counts the
+    # distinct roots as the chain of the square-free part does, at
+    # finite endpoints and at +-oo.  Factors of multiplicity up to 3.
+    rng = random.Random(14)
+    checked = 0
+    for _ in range(150):
+        p = Poly([random_fraction(rng) or 1])
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [random_fraction(rng, 6, 3) for _ in range(rng.randint(2, 3))]
+            p = p * Poly(coeffs) ** rng.randint(1, 3)
+        lo, hi = sorted((random_fraction(rng, 40, 7), random_fraction(rng, 40, 7)))
+        if p.degree < 1 or lo == hi:
+            continue
+        bound = root_bound(p)
+        for interval in ((None, None), (None, hi), (lo, None), (lo, hi)):
+            a, b = interval
+            if any(x is not None and p(x) == 0 for x in interval):
+                continue
+            finite = (-bound if a is None else a, bound if b is None else b)
+            expected = sturm_count_oracle(p, *finite)
+            assert sturm_count(p, interval) == expected
+            assert sturm_count(squarefree_part(p), interval) == expected
+            checked += 1
+    assert checked > 300
+
+
 def test_refinement_matches_the_sturm_bisection_oracle():
     rng = random.Random(13)
     cases = []

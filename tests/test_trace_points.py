@@ -45,16 +45,23 @@ def test_every_trace_point_resolves():
     assert callable(importlib.import_module("lodehn.polynomials").sturm_count)
 
 
-def test_observers_read_a_traced_certify_call():
+def _traced_certify(p, q):
+    """The tracer's metrics for one ``certify(p/q)`` call."""
     tracing = _load_tracing()
+    # The tracer wraps the layers of every module it names, cli included.
+    importlib.import_module("lodehn.cli")
     tracer = tracing.Tracer()
     tracer.op = 0
     tracer.install()
     try:
-        certify(TwoBridgeFraction(29, 17))
+        certify(TwoBridgeFraction(p, q))
     finally:
         tracer.uninstall()
-    metrics = tracer.metrics(0.0)
+    return tracer.metrics(0.0)
+
+
+def test_observers_read_a_traced_certify_call():
+    metrics = _traced_certify(29, 17)
     assert metrics["reps.burde_de_rham_assignment.calls"] == 1
     assert metrics["reps.burde_de_rham_assignment.calls_per_branch"] == 1.0
     assert metrics["cohomology.word_value_blocks.calls"] == 2
@@ -66,3 +73,18 @@ def test_observers_read_a_traced_certify_call():
     assert metrics["quotient.MatrixOverField.nullspace.calls"] == 2
     assert metrics["cohomology.cohomology_dims.calls"] == 2
     assert metrics["twobridge.build_presentation.relator_len"] > 0
+
+
+def test_observers_read_the_lineage_of_a_split():
+    # 115/42 is the only knot class with p <= 151 whose elimination
+    # splits a branch (D5): its knot system splits the one branch into
+    # two leaves, the filled system on each leaf keeps it whole, and
+    # each filled leaf, with a lineage of one record, is trace-checked.
+    metrics = _traced_certify(115, 42)
+    name = "quotient.MatrixOverField.nullspace"
+    assert metrics[f"{name}.calls"] == 3
+    assert metrics[f"{name}.leaves"] == 4
+    assert metrics[f"{name}.d5_splits"] == 1
+    assert metrics[f"{name}.lineage_len_max"] == 1
+    assert metrics["cohomology.cohomology_dims.calls"] == 3
+    assert metrics["certify.meridian_trace_check.calls"] == 2
