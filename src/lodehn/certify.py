@@ -90,16 +90,14 @@ def admissible_modulus(xi_factor: Poly) -> Optional[Poly]:
 
 
 def meridian_trace_check(
-    branch: ModulusBranch,
-    intervals: Optional[Sequence[Tuple[Fraction, Fraction]]] = None,
+    branch: ModulusBranch, intervals: Sequence[Tuple[Fraction, Fraction]]
 ) -> Tuple[bool, ...]:
     """Certify tr^2 = xi + 2 + 1/xi > 4 with xi = t^2 for every real
-    root t of the branch modulus, by refining each isolating interval
-    until it avoids -1, 0 and 1 so the squared interval misses 1.  The
-    branch has no root at -1, 0 or 1, so the refinement ends."""
+    root t of the branch modulus, by refining each of its isolating
+    ``intervals`` until it avoids -1, 0 and 1 so the squared interval
+    misses 1.  The branch has no root at -1, 0 or 1, so the refinement
+    ends."""
     modulus = branch.modulus
-    if intervals is None:
-        intervals = isolate_real_roots(modulus)
     verdicts = []
     for lo, hi in intervals:
         while any(lo < point < hi for point in (-1, 0, 1)):

@@ -11,11 +11,11 @@ longitude rows, both built once on a branch and reduced onto its leaves.
 
 The blocks of a word are the signed sums of the adjoints of its
 prefixes.  Under the meridian representation those adjoints are upper
-triangular with monomial diagonals, so :func:`word_value_blocks` takes
-them from the integer walk of :func:`reps.meridian_walk` over
-Z[t, t^-1].  That walk keeps u = t^n b, for the prefix image
-[[t^n, b], [0, t^-n]], and u^2 as packed ints, sums the prefix
-adjoints per generator and per n at a few bigint operations per
+triangular with monomial diagonals (see ``reps``), so
+:func:`word_value_blocks` sums them in one integer walk over
+Z[t, t^-1] (:func:`_block_terms`).  That walk keeps u = t^n b, for the
+prefix image [[t^n, b], [0, t^-n]], and u^2 as packed ints, sums the
+prefix adjoints per generator and per n at a few bigint operations per
 letter, and maps each of the 12 live entries into Q[t]/(m) (or
 Q[t, t^-1]) once, by evaluation at t.  Evaluation at t is a ring
 homomorphism, so the blocks are exactly the letter-by-letter products
@@ -32,8 +32,8 @@ leaf has H^0 = 0, B^1 = 3 and
 
 The closed forms of the family cocycle values and the two vanishing
 identities they satisfy are exposed at the end of the module.  On every
-call the forms are checked against the meridian walk over
-Q[t, t^-1] (the blocks of w and v, the images of u and s), and the
+call the forms are checked against the walks over Q[t, t^-1] (the
+blocks of w and v, the images of u and s), and the
 identities are checked symbolically from the forms.
 """
 
@@ -42,23 +42,141 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .polynomials import LaurentPoly
-from .quotient import LaurentRing, MatrixOverField, ModulusBranch, QuotientRing
-from .reps import Mat3, MeridianRep, adjoint, f_upper_entry, meridian_walk
+from .quotient import LaurentRing, MatrixOverField, ModulusBranch, QuotientRing, _unpack
+from .reps import IntLaurent, Mat3, MeridianRep, adjoint, f_upper_entry, meridian_walk
 from .twobridge import FAMILY_S, FAMILY_U, family_v, family_word
 from .words import Word
+
+
+def _terms(packed: int, width: int, slots: int, base: int) -> IntLaurent:
+    """The Laurent polynomial whose slot j of ``packed`` holds the
+    coefficient of t^(base + 2j)."""
+    if not packed:
+        return {}
+    coeffs = _unpack(packed, width, slots)
+    return {base + 2 * j: c for j, c in enumerate(coeffs) if c}
+
+
+def _block_terms(word: Word) -> List[IntLaurent]:
+    """The integer kernel of :func:`word_value_blocks`: for x, then y,
+    the six upper-triangular entries (00, 01, 02, 11, 12, 22) of the
+    signed sum of prefix adjoints, each as an ``{exponent: coefficient}``
+    dict.
+
+    A letter g^sign takes the adjoint of the prefix with exponent sum
+    m: the prefix before it for sign +1, the prefix ending with it for
+    sign -1.  A y^sign also moves u = t^n b by sign t^(2m+1), and the
+    adjoint it takes has u without that monomial.  With low and high
+    the least and greatest exponent sums of the word's prefixes, m runs
+    over [low, high - 1], so u has only the odd exponents 2m + 1 and
+    u^2 only even ones: one slot per exponent they can carry.  u and
+    u^2 are each one Python int by Kronecker substitution: slot j, of
+    ``width`` bits, holds the coefficient of t^(2 low + 1 + 2j) in u
+    and of t^(4 low + 2 + 2j) in u^2.  A y^sign adds sign 2^(width j)
+    to u and sign (2 t^(2m+1) u + t^(4m+2)) to u^2, each a shift and an
+    add; a letter g^sign adds sign (1, u, u^2) to the accumulator of
+    (g, m).  A letter thus costs a few bigint operations, however many
+    terms u has.  At the end each accumulator (c_m, U_m, V_m) is
+    shifted by t^-2m (by high - 1 - m slots, so every shift is to the
+    left) and summed: entries 00, 11 and 22 are the sums of c_m t^2m,
+    c_m and c_m t^-2m, 01 is -2 times the sum of U_m, 12 the sum of
+    t^-2m U_m and 02 minus the sum of t^-2m V_m.  Each is unpacked
+    once.
+
+    The slot width bounds every packed coefficient.  For a word of L
+    letters the absolute values of the coefficients of u sum to at most
+    L, those of u^2 to at most L^2, and each letter adds at most one
+    u^2 to the sums, so no packed coefficient exceeds L^3 in absolute
+    value; a slot of w bits holds signed values below 2^(w-1).
+    """
+    letters = word.letters
+    n = low = high = 0
+    for _, sign in letters:
+        n += sign
+        if n < low:
+            low = n
+        elif n > high:
+            high = n
+    width = ((len(letters) ** 3).bit_length() + 8) & -8
+    span = high - low
+    # Slot j of u, 2^(width j), is t^(2(low + j) + 1); its square is
+    # slot 2j of u^2.
+    ones = [1 << (width * j) for j in range(span)]
+    squares = [1 << (2 * width * j) for j in range(span)]
+    n = u = u_squared = 0
+    groups: Dict[str, Dict[int, List[int]]] = {"x": {}, "y": {}}
+    for gen, sign in letters:
+        if sign > 0:
+            group = groups[gen].get(n)
+            if group is None:
+                groups[gen][n] = [1, u, u_squared]
+            else:
+                group[0] += 1
+                group[1] += u
+                group[2] += u_squared
+            if gen == "y":
+                j = n - low
+                u_squared += (u << (width * j + 1)) + squares[j]
+                u += ones[j]
+            n += 1
+        else:
+            n -= 1
+            if gen == "y":
+                j = n - low
+                u -= ones[j]
+                u_squared -= (u << (width * j + 1)) + squares[j]
+            group = groups[gen].get(n)
+            if group is None:
+                groups[gen][n] = [-1, -u, -u_squared]
+            else:
+                group[0] -= 1
+                group[1] -= u
+                group[2] -= u_squared
+    top = high - 1
+    entries: List[IntLaurent] = []
+    for group in groups.values():
+        e00: IntLaurent = {}
+        e22: IntLaurent = {}
+        count = u_sum = u_shifted = u_squared_shifted = 0
+        for m, (c, u_m, u_squared_m) in group.items():
+            if c:
+                e00[2 * m] = c
+                e22[-2 * m] = c
+                count += c
+            u_sum += u_m
+            shift = width * (top - m)
+            u_shifted += u_m << shift
+            u_squared_shifted += u_squared_m << shift
+        e01 = _terms(u_sum, width, span, 2 * low + 1)
+        entries += [
+            e00,
+            {e: -2 * c for e, c in e01.items()},
+            _terms(-u_squared_shifted, width, 3 * span - 2, 2 * (2 * low - top + 1)),
+            {0: count} if count else {},
+            _terms(u_shifted, width, 2 * span - 1, 2 * (low - top) + 1),
+            e22,
+        ]
+    return entries
 
 
 def word_value_blocks(word: Word, rep: MeridianRep) -> Tuple[Mat3, Mat3]:
     """The pair (Mx, My) with z(word) = Mx z(x) + My z(y) for every
     value assignment z, over ``rep.ring``.  By the cocycle law, a letter
     g^+1 adds Ad of the prefix before it to Mg and a letter g^-1
-    subtracts Ad of the prefix ending with it; :func:`meridian_walk`
-    sums those over Z[t, t^-1] and maps each entry into the ring once."""
-    _, blocks = meridian_walk(word, rep, blocks=True)
-    return blocks
+    subtracts Ad of the prefix ending with it; :func:`_block_terms`
+    sums those over Z[t, t^-1] and each entry is mapped into the ring
+    once."""
+    ring = rep.ring
+    values = ring.evaluate(_block_terms(word))
+    zero = ring.zero
+    mx, my = (
+        Mat3(((e00, e01, e02), (zero, e11, e12), (zero, zero, e22)))
+        for e00, e01, e02, e11, e12, e22 in (values[:6], values[6:])
+    )
+    return mx, my
 
 
 def relator_system(relators: Sequence[Word], rep: MeridianRep) -> MatrixOverField:
@@ -260,8 +378,8 @@ def family_cocycle_forms(j: int) -> FamilyCocycleForms:
             raise ClosedFormMismatch(
                 f"{label} disagrees at j={j}: {computed!r} != {closed!r}"
             )
-    ad_u = adjoint(meridian_walk(FAMILY_U, rep)[0])
-    ad_s = adjoint(meridian_walk(FAMILY_S, rep)[0])
+    ad_u = adjoint(meridian_walk(FAMILY_U, rep))
+    ad_s = adjoint(meridian_walk(FAMILY_S, rep))
     if _geometric_sum(ad_u, j) != sum_u:
         raise ClosedFormMismatch(f"geometric sum over u disagrees at j={j}")
     if _geometric_sum(ad_s, j) != sum_s:

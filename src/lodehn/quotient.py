@@ -68,7 +68,6 @@ from .polynomials import (
     _int_gcd,
     _int_multiple,
     _pseudo_divmod,
-    poly_gcd,
 )
 
 Scalar = Union[int, Fraction]
@@ -105,9 +104,9 @@ class ModulusBranch:
         if modulus.is_zero or modulus.degree < 1:
             raise ValueError("modulus must have degree >= 1")
         modulus = modulus.monic()
-        if poly_gcd(modulus, modulus.derivative()).degree != 0:
-            raise ValueError("modulus must be square-free")
         ints = _int_multiple(modulus)
+        if len(_int_gcd(ints, [i * c for i, c in enumerate(ints)][1:])) > 1:
+            raise ValueError("modulus must be square-free")
         at_minus_one = sum(ints[0::2]) - sum(ints[1::2])
         for point, value in ((0, ints[0]), (1, sum(ints)), (-1, at_minus_one)):
             if not value:

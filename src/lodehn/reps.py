@@ -14,39 +14,35 @@ so conjugation by [[a,b],[c,d]] becomes the 3x3 matrix
 
 The meridian representation x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]]
 is the only representation here: a :class:`MeridianRep` is that
-representation over Q[t]/(m) or Q[t, t^-1], and words are evaluated
-under it by one integer walk (:func:`meridian_walk`).  Both generator
-images are upper triangular with monomial diagonals, so the image of a
-prefix is [[t^n, b], [0, t^-n]] and its adjoint is
+representation over Q[t]/(m) or Q[t, t^-1].  Both generator images are
+upper triangular with monomial diagonals, so the image of a prefix is
+[[t^n, b], [0, t^-n]] and its adjoint is
 
     [ t^2n   -2u   -t^-2n u^2 ]
     [ 0       1     t^-2n u   ]
     [ 0       0     t^-2n     ]      with u = t^n b.
 
 A letter x^+-1 changes only n, and a letter y^+-1 adds the monomial
-+-t^(2n+-1) to u, so the walk runs over Z[t, t^-1].  It keeps u and
-u^2 each as one Python int, one slot per exponent (Kronecker
-substitution, as in the products of ``quotient``), with a slot width
-from the bound L^3 on every coefficient of an L-letter word; a letter
-costs a few bigint shifts and additions however many terms u has, and
-the prefix adjoints are summed per generator and per value of n, then
-shifted by t^-2n and unpacked once (see :func:`_meridian_walk`).  No
-Fraction and no polynomial division is built.  Each resulting entry is
-mapped into the ring of the representation once, by evaluation at t.
-That map is a ring homomorphism (reduction mod m on Q[t]/(m), the
-identity on Q[t, t^-1]), so the results are exactly the
-letter-by-letter products over that ring.  The representation route
-of the Alexander polynomial reads n and b off the walk and, like the
++-t^(2n+-1) to u, so a word's image comes from one integer walk over
+Z[t, t^-1] with one dict update per y letter (:func:`_image_terms`).
+No Fraction and no polynomial division is built.  :func:`meridian_walk`
+maps each entry into the ring of the representation once, by
+evaluation at t.  That map is a ring homomorphism (reduction mod m on
+Q[t]/(m), the identity on Q[t, t^-1]), so the image is exactly the
+letter-by-letter product over that ring.  The signed sums of prefix
+adjoints come from a second walk, which packs u and u^2
+(``cohomology.word_value_blocks``).  The representation route of the
+Alexander polynomial reads n and b off the image walk and, like the
 Fox route, stays in integer ``{exponent: coefficient}`` dicts up to
 the shared normalizer.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .polynomials import LaurentPoly, Poly
-from .quotient import LaurentRing, ModulusBranch, QuotientRing, _unpack
+from .quotient import LaurentRing, ModulusBranch, QuotientRing
 from .twobridge import TwoBridgeFraction, build_presentation
 from .words import Word
 
@@ -194,157 +190,30 @@ class MeridianRep:
 IntLaurent = Dict[int, int]  # {exponent: coefficient}
 
 
-def _terms(packed: int, width: int, slots: int, base: int) -> IntLaurent:
-    """The Laurent polynomial whose slot j of ``packed`` holds the
-    coefficient of t^(base + 2j)."""
-    if not packed:
-        return {}
-    coeffs = _unpack(packed, width, slots)
-    return {base + 2 * j: c for j, c in enumerate(coeffs) if c}
-
-
-def _meridian_walk(
-    word: Word, blocks: bool
-) -> Tuple[int, IntLaurent, Optional[Dict[str, List[IntLaurent]]]]:
-    """The integer kernel of :func:`meridian_walk`.
-
-    Returns n and the upper-right entry b of the word's image
-    [[t^n, b], [0, t^-n]] and, when ``blocks`` is set, for each
-    generator the six upper-triangular entries (00, 01, 02, 11, 12, 22)
-    of the signed sum of prefix adjoints that :func:`meridian_walk`
-    describes, each as an ``{exponent: coefficient}`` dict.
-
-    A letter g^sign takes the adjoint of the prefix with exponent sum
-    m: the prefix before it for sign +1, the prefix ending with it for
-    sign -1.  A y^sign also moves u = t^n b by sign t^(2m+1), and the
-    adjoint it takes has u without that monomial.  With low and high
-    the least and greatest exponent sums of the word's prefixes, m runs
-    over [low, high - 1], so u has only the odd exponents 2m + 1 and
-    u^2 only even ones: one slot per exponent they can carry.  u and
-    u^2 are each one Python int by Kronecker substitution: slot j, of
-    ``width`` bits, holds the coefficient of t^(2 low + 1 + 2j) in u
-    and of t^(4 low + 2 + 2j) in u^2.  A y^sign adds sign 2^(width j)
-    to u and sign (2 t^(2m+1) u + t^(4m+2)) to u^2, each a shift and an
-    add; a letter g^sign adds sign (1, u, u^2) to the accumulator of
-    (g, m).  A letter thus costs a few bigint operations, however many
-    terms u has.  At the end each accumulator (c_m, U_m, V_m) is
-    shifted by t^-2m (by high - 1 - m slots, so every shift is to the
-    left) and summed: entries 00, 11 and 22 are the sums of c_m t^2m,
-    c_m and c_m t^-2m, 01 is -2 times the sum of U_m, 12 the sum of
-    t^-2m U_m and 02 minus the sum of t^-2m V_m.  Each is unpacked
-    once.
-
-    The slot width bounds every packed coefficient.  For a word of L
-    letters the absolute values of the coefficients of u sum to at most
-    L, those of u^2 to at most L^2, and each letter adds at most one
-    u^2 to the sums, so no packed coefficient exceeds L^3 in absolute
-    value (L without the blocks, which need only u); a slot of w bits
-    holds signed values below 2^(w-1).
-    """
-    letters = word.letters
-    n = low = high = 0
-    for _, sign in letters:
+def _image_terms(word: Word) -> Tuple[int, IntLaurent]:
+    """n and the upper-right entry b of the image [[t^n, b], [0, t^-n]]
+    of ``word``.  A letter y^sign at prefix exponent sum m adds
+    sign t^(2m+1) to u = t^n b, with m taken before the letter for
+    sign +1 and after it for sign -1; at the end b = t^-n u."""
+    n = 0
+    u: IntLaurent = {}
+    for gen, sign in word.letters:
+        if gen == "y":
+            e = 2 * n + sign  # 2m + 1 for either sign
+            u[e] = u.get(e, 0) + sign
         n += sign
-        if n < low:
-            low = n
-        elif n > high:
-            high = n
-    bound = len(letters) ** 3 if blocks else len(letters)
-    width = (bound.bit_length() + 8) & -8
-    span = high - low
-    # Slot j of u, 2^(width j), is t^(2(low + j) + 1); its square is
-    # slot 2j of u^2.
-    ones = [1 << (width * j) for j in range(span)]
-    squares = [1 << (2 * width * j) for j in range(span)] if blocks else []
-    n = u = u_squared = 0
-    groups: Dict[str, Dict[int, List[int]]] = {"x": {}, "y": {}}
-    for gen, sign in letters:
-        if sign > 0:
-            if blocks:
-                group = groups[gen].get(n)
-                if group is None:
-                    groups[gen][n] = [1, u, u_squared]
-                else:
-                    group[0] += 1
-                    group[1] += u
-                    group[2] += u_squared
-            if gen == "y":
-                j = n - low
-                if blocks:
-                    u_squared += (u << (width * j + 1)) + squares[j]
-                u += ones[j]
-            n += 1
-        else:
-            n -= 1
-            if gen == "y":
-                j = n - low
-                u -= ones[j]
-                if blocks:
-                    u_squared -= (u << (width * j + 1)) + squares[j]
-            if blocks:
-                group = groups[gen].get(n)
-                if group is None:
-                    groups[gen][n] = [-1, -u, -u_squared]
-                else:
-                    group[0] -= 1
-                    group[1] -= u
-                    group[2] -= u_squared
-    b = _terms(u, width, span, 2 * low + 1 - n)
-    if not blocks:
-        return n, b, None
-    top = high - 1
-    sums = {}
-    for gen, group in groups.items():
-        e00: IntLaurent = {}
-        e22: IntLaurent = {}
-        count = u_sum = u_shifted = u_squared_shifted = 0
-        for m, (c, u_m, u_squared_m) in group.items():
-            if c:
-                e00[2 * m] = c
-                e22[-2 * m] = c
-                count += c
-            u_sum += u_m
-            shift = width * (top - m)
-            u_shifted += u_m << shift
-            u_squared_shifted += u_squared_m << shift
-        e01 = _terms(u_sum, width, span, 2 * low + 1)
-        sums[gen] = [
-            e00,
-            {e: -2 * c for e, c in e01.items()},
-            _terms(-u_squared_shifted, width, 3 * span - 2, 2 * (2 * low - top + 1)),
-            {0: count} if count else {},
-            _terms(u_shifted, width, 2 * span - 1, 2 * (low - top) + 1),
-            e22,
-        ]
-    return n, b, sums
+    return n, {e - n: c for e, c in u.items() if c}
 
 
-def meridian_walk(
-    word: Word, rep: MeridianRep, blocks: bool = False
-) -> Tuple[Mat2, Optional[Tuple[Mat3, Mat3]]]:
+def meridian_walk(word: Word, rep: MeridianRep) -> Mat2:
     """The image of ``word`` under the meridian representation ``rep``
-    (the product of the generator images in word order) and, when
-    ``blocks`` is set, the pair (Mx, My) of signed sums of prefix
-    adjoints: a letter g^+1 adds Ad of the prefix before it to Mg, a
-    letter g^-1 subtracts Ad of the prefix ending with it.  One walk
-    over Z[t, t^-1], then one evaluation at t into ``rep.ring`` per
-    entry (see the module docstring).
-    """
+    (the product of the generator images in word order): one walk over
+    Z[t, t^-1], then one evaluation at t into ``rep.ring`` per entry
+    (see the module docstring)."""
+    n, b = _image_terms(word)
     ring = rep.ring
-    n, b, sums = _meridian_walk(word, blocks)
-    polys: List[IntLaurent] = [{n: 1}, b, {-n: 1}]
-    if sums is not None:
-        polys += sums["x"] + sums["y"]
-    values = ring.evaluate(polys)
-    zero = ring.zero
-    image = Mat2(values[0], values[1], zero, values[2])
-    if sums is None:
-        return image, None
-    mx, my = (
-        Mat3(((e00, e01, e02), (zero, e11, e12), (zero, zero, e22)))
-        for e00, e01, e02, e11, e12, e22 in (values[3:9], values[9:15])
-    )
-    return image, (mx, my)
+    t_n, b_value, t_minus_n = ring.evaluate([{n: 1}, b, {-n: 1}])
+    return Mat2(t_n, b_value, ring.zero, t_minus_n)
 
 
 def f_upper_entry(j: int) -> LaurentPoly:
@@ -359,16 +228,11 @@ class AlexanderMismatch(RuntimeError):
     """The two independent Alexander computations disagree."""
 
 
-def normalize_alexander(value: Union[Poly, LaurentPoly, IntLaurent]) -> Poly:
-    """Canonical representative of a Laurent polynomial, given as a
-    Poly, a LaurentPoly or an ``{exponent: coefficient}`` dict: shift by
-    a unit so the constant term is nonzero, clear denominators to
-    coprime integer coefficients, and make the leading coefficient
-    positive.  Idempotent."""
-    if isinstance(value, Poly):
-        value = dict(enumerate(value.coeffs))
-    elif isinstance(value, LaurentPoly):
-        value = value.terms()
+def normalize_alexander(value: IntLaurent) -> Poly:
+    """Canonical representative of a Laurent polynomial given as an
+    ``{exponent: coefficient}`` dict: shift by a unit so the constant
+    term is nonzero, clear denominators to coprime integer coefficients,
+    and make the leading coefficient positive.  Idempotent."""
     terms = {e: c for e, c in value.items() if c}
     if not terms:
         raise ValueError("cannot normalize the zero polynomial")
@@ -383,7 +247,7 @@ def alexander_via_rep(fraction: TwoBridgeFraction) -> Poly:
     of the defining relation agree exactly when t^2 is a root, so that
     difference is the polynomial evaluated at t^2, up to a unit."""
     pres = build_presentation(fraction)
-    n, b, _ = _meridian_walk(pres.w, blocks=False)
+    n, b = _image_terms(pres.w)
     difference: IntLaurent = {n: -1}
     for k, c in b.items():
         difference[k + 1] = difference.get(k + 1, 0) + c
@@ -443,8 +307,7 @@ def burde_de_rham_assignment(
     :class:`ModulusBranch`).
     """
     rep = MeridianRep(QuotientRing(branch))
-    image, _ = meridian_walk(relator, rep)
-    if not image.is_identity():
+    if not meridian_walk(relator, rep).is_identity():
         raise ValueError(
             "relator does not map to the identity on this branch: the "
             "modulus is not a divisor of the Alexander polynomial at t^2"

@@ -52,10 +52,9 @@ class TwoBridgeFraction:
 
     def __post_init__(self):
         if self.p <= 0 or self.p % 2 == 0:
-            raise ValueError(
-                f"p must be a positive odd integer, got {self.p} "
-                "(p even is a two-bridge link, not a knot)"
-            )
+            even = self.p % 2 == 0
+            link = " (p even is a two-bridge link, not a knot)" if even else ""
+            raise ValueError(f"p must be a positive odd integer, got {self.p}{link}")
         if not 0 < self.q < self.p:
             raise ValueError(f"q must satisfy 0 < q < p, got {self.p}/{self.q}")
         if gcd(self.p, self.q) != 1:

@@ -148,7 +148,7 @@ def alexander_via_rep_oracle(fraction):
     pres = build_presentation(fraction)
     rep = MeridianRep(LaurentRing())
     images = generator_images(rep)
-    pw, _ = meridian_walk(pres.w, rep)
+    pw = meridian_walk(pres.w, rep)
     difference = (images[("x", 1)] @ pw).b - (pw @ images[("y", 1)]).b
     terms = difference.terms()
     assert terms and all(e % 2 == 0 for e in terms)

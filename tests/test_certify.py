@@ -14,7 +14,13 @@ from lodehn.certify import (
     verdict_from,
 )
 from lodehn.cohomology import cohomology_dims, relator_system
-from lodehn.polynomials import Poly, poly_gcd, squarefree_decomposition, sturm_count
+from lodehn.polynomials import (
+    Poly,
+    isolate_real_roots,
+    poly_gcd,
+    squarefree_decomposition,
+    sturm_count,
+)
 from lodehn.quotient import MatrixOverField, ModulusBranch, QuotientRing
 from lodehn.reps import alexander_via_rep, burde_de_rham_assignment
 from lodehn.twobridge import TwoBridgeFraction, build_presentation, family_fraction
@@ -166,12 +172,14 @@ def test_figure_eight_matches_independent_oracle():
 
 def test_meridian_trace_check_k1():
     branch = ModulusBranch(DELTA1.inflate(2))
-    assert meridian_trace_check(branch) == (True,) * 8
+    intervals = tuple(isolate_real_roots(branch.modulus))
+    assert meridian_trace_check(branch, intervals) == (True,) * 8
 
 
 def test_meridian_trace_check_figure_eight():
     branch = ModulusBranch(Poly([1, 0, -3, 0, 1]))
-    assert meridian_trace_check(branch) == (True,) * 4
+    intervals = tuple(isolate_real_roots(branch.modulus))
+    assert meridian_trace_check(branch, intervals) == (True,) * 4
 
 
 def test_meridian_trace_check_rejects_unit_roots():

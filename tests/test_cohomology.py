@@ -213,11 +213,10 @@ def test_packed_walk_holds_wide_coefficients_and_wide_exponent_spans():
     ]
     rep = MeridianRep(LaurentRing())
     for word in words:
-        image, blocks = meridian_walk(word, rep, blocks=True)
-        assert image == eval_word_matrix(word, rep)
-        assert blocks == word_value_blocks_oracle(word, rep)
+        assert meridian_walk(word, rep) == eval_word_matrix(word, rep)
+        assert word_value_blocks(word, rep) == word_value_blocks_oracle(word, rep)
     for word, squares in zip(words, (499 * 500 * 999 // 6, 500 * 501 * 1001 // 6)):
-        _, my = meridian_walk(word, rep, blocks=True)[1]
+        _, my = word_value_blocks(word, rep)
         assert [abs(c) for c in my.rows[0][2].terms().values()] == [squares]
 
 

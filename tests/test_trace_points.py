@@ -45,8 +45,8 @@ def test_every_trace_point_resolves():
     assert callable(importlib.import_module("lodehn.polynomials").sturm_count)
 
 
-def _traced_certify(p, q):
-    """The tracer's metrics for one ``certify(p/q)`` call."""
+def _traced(call):
+    """The tracer's metrics for one ``call()``, run as one operation."""
     tracing = _load_tracing()
     # The tracer wraps the layers of every module it names, cli included.
     importlib.import_module("lodehn.cli")
@@ -54,10 +54,15 @@ def _traced_certify(p, q):
     tracer.op = 0
     tracer.install()
     try:
-        certify(TwoBridgeFraction(p, q))
+        call()
     finally:
         tracer.uninstall()
     return tracer.metrics(0.0)
+
+
+def _traced_certify(p, q):
+    """The tracer's metrics for one ``certify(p/q)`` call."""
+    return _traced(lambda: certify(TwoBridgeFraction(p, q)))
 
 
 def test_observers_read_a_traced_certify_call():
@@ -88,3 +93,20 @@ def test_observers_read_the_lineage_of_a_split():
     assert metrics[f"{name}.lineage_len_max"] == 1
     assert metrics["cohomology.cohomology_dims.calls"] == 3
     assert metrics["certify.meridian_trace_check.calls"] == 2
+
+
+def test_observers_read_a_traced_alexander_roots_call(capsys):
+    # The alexander-roots workload's operation: each route builds the
+    # presentation, and each printed root is refined once.
+    cli = importlib.import_module("lodehn.cli")
+    argv = ["alexander", "--pq", "101/42", "--roots", "--digits", "30"]
+    # cli.main is looked up at call time, so the traced wrapper runs.
+    metrics = _traced(lambda: cli.main(argv))
+    lines = capsys.readouterr().out.splitlines()
+    roots = [line for line in lines if line.startswith("root in ")]
+    assert lines[0] == "4 -25 43 -25 4" and len(roots) == 4
+    assert metrics["cli.main.calls"] == 1
+    assert metrics["twobridge.build_presentation.calls"] == 2
+    assert metrics["reps.alexander_via_rep.calls"] == 1
+    assert metrics["reps.alexander_via_fox.calls"] == 1
+    assert metrics["polynomials.refine_isolating_interval.calls"] == len(roots)

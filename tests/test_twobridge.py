@@ -46,8 +46,12 @@ def test_cf_rejects_out_of_range_q():
 
 
 def test_fraction_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got 4 \(p even is a two-bridge link, not a knot\)$"):
         TwoBridgeFraction(4, 1)
+    # A negative odd p, as from the continued fraction [-3], is not
+    # blamed on evenness.
+    with pytest.raises(ValueError, match=r"positive odd integer, got -3$"):
+        cf_to_fraction([-3])
     with pytest.raises(ValueError):
         TwoBridgeFraction(9, 3)
     with pytest.raises(ValueError):
