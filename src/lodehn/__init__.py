@@ -43,10 +43,8 @@ from .quotient import (
 )
 from .reps import (
     AlexanderMismatch,
-    Mat2,
     Mat3,
     MeridianRep,
-    adjoint,
     alexander_polynomial,
     alexander_via_fox,
     alexander_via_rep,

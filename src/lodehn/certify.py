@@ -4,9 +4,12 @@ A two-bridge knot qualifies when its Alexander polynomial has a simple
 positive real root other than 1 and the twisted cohomology of the
 0-filled group vanishes at the corresponding reducible non-abelian
 representation (local longitudinal rigidity).  Everything runs in exact
-arithmetic: positive real roots are detected through real roots of the
-polynomial evaluated at t^2, and rigidity is decided per branch of the
-square-free part of that polynomial.
+arithmetic.  Rigidity is decided per square-free Alexander factor F in
+tau = t^2, over Q[tau]/(F), where the adjoint of the representation is
+defined (see ``reps``).  The reports speak of t: their moduli and split
+lineages are the tau-side ones inflated by tau -> t^2, and the real
+roots t of a leaf modulus F_leaf(t^2) are isolated and trace-checked
+on that polynomial.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .polynomials import (
     squarefree_decomposition,
     sturm_count,
 )
-from .quotient import MatrixOverField, ModulusBranch
+from .quotient import MatrixOverField, ModulusBranch, SplitRecord
 from .reps import alexander_polynomial, burde_de_rham_assignment
 from .twobridge import KnotPresentation, TwoBridgeFraction, build_presentation
 
@@ -59,7 +62,8 @@ def analyze_roots(delta: Poly) -> RootAnalysis:
 
 @dataclass(frozen=True)
 class RootBranchReport:
-    """Per-leaf record of the rigidity computation."""
+    """Per-leaf record of the rigidity computation; ``modulus`` and the
+    split records of ``lineage`` are polynomials in t."""
 
     modulus: Poly
     lineage: Tuple
@@ -73,31 +77,29 @@ class RootBranchReport:
 
 
 def admissible_modulus(xi_factor: Poly) -> Optional[Poly]:
-    """Lift a square-free Alexander factor F(tau) to the t-side modulus
-    F(t^2), with any t = +-1 part removed.  Returns None when nothing
-    of positive degree is left.
+    """The tau-side modulus of a square-free Alexander factor F(tau):
+    F made monic, with any tau = 1 part removed.  Returns None when
+    nothing of positive degree is left.
 
-    F is square-free, so t^2 - 1 divides F(t^2) exactly when tau - 1
-    divides F, and then only once; that factor is stripped before the
-    lift.  A root at t = 0 is left for :class:`ModulusBranch` to
-    refuse."""
+    F is square-free, so tau - 1 divides it at most once.  A root at
+    tau = 0 is left for :class:`ModulusBranch` to refuse."""
     factor = xi_factor.monic()
     if factor(1) == 0:
         factor = factor // Poly([-1, 1])
     if factor.degree < 1:
         return None
-    return factor.inflate(2)
+    return factor
 
 
 def meridian_trace_check(
-    branch: ModulusBranch, intervals: Sequence[Tuple[Fraction, Fraction]]
+    modulus: Poly, intervals: Sequence[Tuple[Fraction, Fraction]]
 ) -> Tuple[bool, ...]:
     """Certify tr^2 = xi + 2 + 1/xi > 4 with xi = t^2 for every real
-    root t of the branch modulus, by refining each of its isolating
-    ``intervals`` until it avoids -1, 0 and 1 so the squared interval
-    misses 1.  The branch has no root at -1, 0 or 1, so the refinement
-    ends."""
-    modulus = branch.modulus
+    root t of the t-side ``modulus`` F(t^2), by refining each of its
+    isolating ``intervals`` until it avoids -1, 0 and 1 so the squared
+    interval misses 1.  F has no root at 0 or 1 (see
+    :class:`ModulusBranch`), so F(t^2) has none at -1, 0 or 1, and the
+    refinement ends."""
     verdicts = []
     for lo, hi in intervals:
         while any(lo < point < hi for point in (-1, 0, 1)):
@@ -112,18 +114,26 @@ def meridian_trace_check(
     return tuple(verdicts)
 
 
+def _inflated(record: SplitRecord) -> SplitRecord:
+    """A split of tau-side moduli as the split of their lifts to t."""
+    return SplitRecord(
+        record.parent.inflate(2), record.factor.inflate(2), record.cofactor.inflate(2)
+    )
+
+
 def check_rigidity(
     pres: KnotPresentation,
     branch: ModulusBranch,
     xi_factor: Poly,
     multiplicity: int,
 ) -> List[RootBranchReport]:
-    """Build the reducible non-abelian representation on the branch and
-    compute the twisted cohomology of the knot group and of the 0-filled
-    group of the presentation ``pres``.  ``xi_factor`` is the Alexander
-    factor, of multiplicity ``multiplicity``, whose lifted modulus the
+    """Build the reducible non-abelian representation on the tau-side
+    branch and compute the twisted cohomology of the knot group and of
+    the 0-filled group of the presentation ``pres``.  ``xi_factor`` is
+    the Alexander factor, of multiplicity ``multiplicity``, that the
     branch modulus divides; both go into the reports.  One report per
-    leaf if dynamic evaluation splits."""
+    leaf if dynamic evaluation splits, with the leaf modulus and lineage
+    lifted to t."""
     rep = burde_de_rham_assignment(branch, pres.relator)
     knot = relator_system([pres.relator], rep)
     longitude = relator_system([pres.longitude], rep)
@@ -133,22 +143,23 @@ def check_rigidity(
         # modulo a factor is a ring homomorphism, so the branch's rows
         # reduced onto the leaf are the rows the leaf's own
         # representation would give, and its relator is the identity.
+        # The knot rows passed the coboundary check on the branch.
         filled = MatrixOverField(knot.entries + longitude.entries, knot_leaf.ring)
-        for filled_leaf in cohomology_dims(filled, rep):
-            final_branch = filled_leaf.branch
-            intervals = tuple(isolate_real_roots(final_branch.modulus))
-            traces = meridian_trace_check(final_branch, intervals)
+        for filled_leaf in cohomology_dims(filled, rep, checked=knot.rows):
+            leaf = filled_leaf.branch
+            modulus = leaf.modulus.inflate(2)
+            intervals = tuple(isolate_real_roots(modulus))
             reports.append(
                 RootBranchReport(
-                    modulus=final_branch.modulus,
-                    lineage=final_branch.lineage,
+                    modulus=modulus,
+                    lineage=tuple([_inflated(record) for record in leaf.lineage]),
                     xi_factor=xi_factor.primitive(),
                     multiplicity=multiplicity,
                     real_root_intervals=intervals,
                     dims_knot=knot_leaf.dims,
                     dims_filled=filled_leaf.dims,
                     rigid=(filled_leaf.dims.h1 == 0),
-                    trace_checks=traces,
+                    trace_checks=meridian_trace_check(modulus, intervals),
                 )
             )
     reports.sort(key=lambda r: (r.modulus.degree, r.modulus.coeffs))

@@ -78,7 +78,7 @@ def build_report(
             "real_root_intervals": [
                 _interval_json(iv) for iv in report.real_root_intervals
             ],
-            # Schema 1 field; ModulusBranch refuses moduli with roots at +-1.
+            # Schema 1 field; ModulusBranch refuses tau = 1, that is t = +-1.
             "contains_pm1": False,
             "dims_knot": _dims_json(report.dims_knot),
             "dims_filled": _dims_json(report.dims_filled),

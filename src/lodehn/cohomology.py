@@ -9,32 +9,49 @@ systems (one 3x6 block per relator, columns ordered z(x) then z(y)).
 The 0-filled group's system is the knot group's relator rows plus the
 longitude rows, both built once on a branch and reduced onto its leaves.
 
+Everything here runs in the basis (v+, t v0, v-) of ``reps``, where the
+adjoint of the meridian representation is defined over Q[tau], tau =
+t^2: the systems live on Q[tau]/(F), F a factor of the Alexander
+polynomial, at half the degree of its lift F(t^2).
+
 The blocks of a word are the signed sums of the adjoints of its
 prefixes.  Under the meridian representation those adjoints are upper
 triangular with monomial diagonals (see ``reps``), so
 :func:`word_value_blocks` sums them in one integer walk over
 Z[t, t^-1] (:func:`_block_terms`).  That walk keeps u = t^n b, for the
 prefix image [[t^n, b], [0, t^-n]], and u^2 as packed ints, sums the
-prefix adjoints per generator and per n at a few bigint operations per
-letter, and maps each of the 12 live entries into Q[t]/(m) (or
-Q[t, t^-1]) once, by evaluation at t.  Evaluation at t is a ring
-homomorphism, so the blocks are exactly the letter-by-letter products
-over that ring; the step-by-step oracles live in the tests.
+prefix adjoints of the basis (v+, v0, v-) per generator and per n at a
+few bigint operations per letter, and returns the 12 live entries as
+Laurent polynomials in t.  Conjugating by diag(1, t, 1) multiplies
+entry 01 by t and divides entry 12 by t; every exponent is then even
+and is halved (:func:`reps.tau_terms`), and each entry is mapped into
+Q[tau]/(F) (or Q[tau, tau^-1]) once, by evaluation at tau.  Evaluation
+is a ring homomorphism, so the blocks are exactly the letter-by-letter
+products over that ring; the step-by-step oracles, in t, live in the
+tests.
 
-Coboundaries are the value pairs ((Ad x - 1) V, (Ad y - 1) V).  Since
-Ad(x) - 1 = diag(t^2 - 1, 0, t^-2 - 1), Ad(x) fixes only the multiples
-of v0 when t^2 - 1 is a unit, and Ad(y) moves v0, as (Ad(y) - 1) v0 =
-(-2t, 0, 0), when t is a unit.  Every modulus branch is coprime to
-t^3 - t, so both are units (see ``quotient.ModulusBranch``), and every
-leaf has H^0 = 0, B^1 = 3 and
+Coboundaries are the value pairs ((Ad x - 1) V, (Ad y - 1) V).  Here
+Ad(x) - 1 = diag(tau - 1, 0, 1/tau - 1), so Ad(x) fixes only the
+multiples of t v0 when tau - 1 is a unit, and Ad(y) moves t v0, as
+(Ad(y) - 1) t v0 = (-2 tau, 0, 0), when tau is a unit.  Every modulus
+branch is coprime to tau^2 - tau, so both are units (see
+``quotient.ModulusBranch``), and every leaf has H^0 = 0, B^1 = 3 and
 
     dim H^1 = dim Z^1 - 3.
 
+A row (a0, a1, a2 | b0, b1, b2) kills every coboundary exactly when
+a (Ad x - 1) + b (Ad y - 1) = 0, that is when (a0 + b0)(tau - 1),
+-2 tau b0 and (a2 + b2)(1/tau - 1) - b0 + b1/tau vanish.  With tau and
+tau - 1 units, that is a0 = b0 = 0 and b1 = (tau - 1)(a2 + b2): one ring
+product per row (:func:`_check_coboundaries_are_cocycles`).
+
 The closed forms of the family cocycle values and the two vanishing
-identities they satisfy are exposed at the end of the module.  On every
-call the forms are checked against the walks over Q[t, t^-1] (the
-blocks of w and v, the images of u and s), and the
-identities are checked symbolically from the forms.
+identities they satisfy are exposed at the end of the module.  They
+are written in t, in the basis (v+, v0, v-).  On every call the forms
+are mapped into the basis (v+, t v0, v-) and into tau and checked
+against the walks over Q[tau, tau^-1] (the blocks of w and v, the
+adjoints of u and s), and the identities are checked symbolically from
+the forms.
 """
 
 from __future__ import annotations
@@ -46,7 +63,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .polynomials import LaurentPoly
 from .quotient import LaurentRing, MatrixOverField, ModulusBranch, QuotientRing, _unpack
-from .reps import IntLaurent, Mat3, MeridianRep, adjoint, f_upper_entry, meridian_walk
+from .reps import IntLaurent, Mat3, MeridianRep, f_upper_entry, tau_terms
 from .twobridge import FAMILY_S, FAMILY_U, family_v, family_word
 from .words import Word
 
@@ -63,8 +80,8 @@ def _terms(packed: int, width: int, slots: int, base: int) -> IntLaurent:
 def _block_terms(word: Word) -> List[IntLaurent]:
     """The integer kernel of :func:`word_value_blocks`: for x, then y,
     the six upper-triangular entries (00, 01, 02, 11, 12, 22) of the
-    signed sum of prefix adjoints, each as an ``{exponent: coefficient}``
-    dict.
+    signed sum of prefix adjoints in the basis (v+, v0, v-), each as an
+    ``{exponent: coefficient}`` dict in t.
 
     A letter g^sign takes the adjoint of the prefix with exponent sum
     m: the prefix before it for sign +1, the prefix ending with it for
@@ -162,15 +179,29 @@ def _block_terms(word: Word) -> List[IntLaurent]:
     return entries
 
 
+# diag(1, t, 1) = diag(t^d_0, t^d_1, t^d_2): in the basis (v+, t v0, v-)
+# the entry ij of a matrix picks up t^(d_j - d_i), the coordinate i of a
+# vector t^-d_i.
+_T_POWERS = (0, 1, 0)
+
+# Those powers on the entries 00, 01, 02, 11, 12, 22 of each block.
+_BLOCK_SHIFTS = tuple([
+    _T_POWERS[c] - _T_POWERS[r] for r in range(3) for c in range(r, 3)
+]) * 2
+
+
 def word_value_blocks(word: Word, rep: MeridianRep) -> Tuple[Mat3, Mat3]:
     """The pair (Mx, My) with z(word) = Mx z(x) + My z(y) for every
-    value assignment z, over ``rep.ring``.  By the cocycle law, a letter
-    g^+1 adds Ad of the prefix before it to Mg and a letter g^-1
-    subtracts Ad of the prefix ending with it; :func:`_block_terms`
-    sums those over Z[t, t^-1] and each entry is mapped into the ring
-    once."""
+    value assignment z, in the basis (v+, t v0, v-) over ``rep.ring``.
+    By the cocycle law, a letter g^+1 adds Ad of the prefix before it to
+    Mg and a letter g^-1 subtracts Ad of the prefix ending with it;
+    :func:`_block_terms` sums those over Z[t, t^-1], and each entry is
+    moved into the basis and into tau and mapped into the ring once."""
     ring = rep.ring
-    values = ring.evaluate(_block_terms(word))
+    values = ring.evaluate([
+        tau_terms(terms, shift)
+        for terms, shift in zip(_block_terms(word), _BLOCK_SHIFTS)
+    ])
     zero = ring.zero
     mx, my = (
         Mat3(((e00, e01, e02), (zero, e11, e12), (zero, zero, e22)))
@@ -210,7 +241,7 @@ class BranchCohomology:
 
 
 def cohomology_dims(
-    system: MatrixOverField, rep: MeridianRep
+    system: MatrixOverField, rep: MeridianRep, checked: int = 0
 ) -> List[BranchCohomology]:
     """Dimensions of Z^1, B^1, H^0 and H^1 for the presentation with
     relator system ``system``, one record per leaf branch.  ``rep`` may
@@ -218,42 +249,33 @@ def cohomology_dims(
 
     Z^1 is the nullity of the system on each leaf, from its rank under
     the fraction-free elimination of :meth:`MatrixOverField.nullspace`;
-    no cocycle basis is built.  t and t^2 - 1 are units on every
+    no cocycle basis is built.  tau and tau - 1 are units on every
     branch, which gives H^0 = 0 and B^1 = 3 (see the module docstring).
-    Every coboundary is checked to be a nullvector of the system on
-    each leaf; a failure would falsify the linear systems and raises.
+    Before the elimination, every row of the system after the first
+    ``checked`` is checked to kill every coboundary; a failure would
+    falsify the linear systems and raises.  A row that passed on a
+    branch passes on every factor of its modulus, so the first
+    ``checked`` rows may be rows that passed on such a branch.
     """
-    results: List[BranchCohomology] = []
-    for leaf in system.nullspace():
-        _check_coboundaries_are_cocycles(system, rep, leaf.ring)
-        dims = CohomologyDims(z1=leaf.dim, b1=3, h0=0, h1=leaf.dim - 3)
-        results.append(BranchCohomology(leaf.ring, dims))
-    return results
+    _check_coboundaries_are_cocycles(system.entries[checked:], system.ring, rep)
+    return [
+        BranchCohomology(
+            leaf.ring, CohomologyDims(z1=leaf.dim, b1=3, h0=0, h1=leaf.dim - 3)
+        )
+        for leaf in system.nullspace()
+    ]
 
 
 def _check_coboundaries_are_cocycles(
-    system: MatrixOverField, rep: MeridianRep, ring: QuotientRing
+    rows: Sequence[Sequence], ring: QuotientRing, rep: MeridianRep
 ) -> None:
-    """The coboundary of the basis vector e_k is the pair of columns k
-    of Ad(x) - 1 and of Ad(y) - 1; each must be a nullvector of
-    ``system`` over ``ring``, onto whose branch the system is reduced
-    when it lives on another."""
-    rows = system.entries
-    if ring.branch is not system.ring.branch and ring.branch != system.ring.branch:
-        rows = [[ring.coerce(e) for e in row] for row in rows]
-    ad_x, ad_y = rep.ad_x, rep.ad_y
-    for k in range(3):
-        column = [
-            ring.coerce(ad.rows[i][k] - (1 if i == k else 0))
-            for ad in (ad_x, ad_y)
-            for i in range(3)
-        ]
-        for row in rows:
-            entry = ring.zero
-            for a, b in zip(row, column):
-                entry = entry + a * b
-            if entry:
-                raise AssertionError("a coboundary escaped the cocycle space")
+    """Each row (a0, a1, a2 | b0, b1, b2) over ``ring`` must kill the
+    coboundary of every V: a0 = b0 = 0 and b1 = (tau - 1)(a2 + b2), with
+    tau from ``rep`` (see the module docstring)."""
+    tau_minus_one = ring.coerce(rep.tau) - 1
+    for a0, _, a2, b0, b1, b2 in rows:
+        if a0 or b0 or b1 != tau_minus_one * (a2 + b2):
+            raise AssertionError("a coboundary escaped the cocycle space")
 
 
 class ClosedFormMismatch(RuntimeError):
@@ -338,52 +360,77 @@ def _family_closed_forms(j: int):
     return omega1_alpha, omega2_beta, nu2_beta, omega3_beta, nu3_beta, sum_u, sum_s
 
 
+def _in_tau(form: LaurentPoly, shift: int) -> LaurentPoly:
+    """t^shift times ``form``, a Laurent polynomial in t, as one in tau."""
+    return LaurentPoly.from_terms(tau_terms(form.terms(), shift))
+
+
+def _in_t(value: LaurentPoly, shift: int) -> LaurentPoly:
+    """t^shift times ``value``, a Laurent polynomial in tau, as one in t."""
+    return LaurentPoly.from_terms({2 * e + shift: c for e, c in value.terms().items()})
+
+
 def _alpha_beta_parts(word: Word, rep: MeridianRep) -> Tuple[Tuple, Tuple]:
-    """The alpha and beta parts of z(word) for z(x) = (0, alpha, beta),
-    z(y) = (0, alpha, 0): column 1 of Mx plus column 1 of My, and
-    column 2 of Mx."""
+    """The alpha and beta parts of z(word) in the basis (v+, t v0, v-),
+    where z(x) = (0, alpha, beta) and z(y) = (0, alpha, 0) in the basis
+    (v+, v0, v-) read z(x) = (0, alpha/t, beta), z(y) = (0, alpha/t, 0):
+    column 1 of Mx plus column 1 of My, per unit of alpha/t, and column
+    2 of Mx."""
     mx, my = word_value_blocks(word, rep)
     alpha = tuple([mx.rows[i][1] + my.rows[i][1] for i in range(3)])
     beta = tuple([mx.rows[i][2] for i in range(3)])
     return alpha, beta
 
 
+def _word_adjoint(word: Word, rep: MeridianRep) -> Mat3:
+    """Ad of the image of ``word``.  A coboundary z(g) = (Ad(g) - 1) V
+    satisfies the cocycle law, so (Ad(word) - 1) V = Mx (Ad(x) - 1) V +
+    My (Ad(y) - 1) V for every V."""
+    mx, my = word_value_blocks(word, rep)
+    one = Mat3.identity()
+    return one + mx @ (rep.ad_x - one) + my @ (rep.ad_y - one)
+
+
 def family_cocycle_forms(j: int) -> FamilyCocycleForms:
     """Closed forms for z(w), z(v) and the two geometric-sum matrices of
-    the family, each verified against the meridian walk over
-    Q[t, t^-1]."""
+    the family, each mapped into the basis (v+, t v0, v-) and into tau
+    and verified against the walks over Q[tau, tau^-1]."""
     if j < 1:
         raise ValueError(f"family index must be >= 1, got {j}")
     (omega1_alpha, omega2_beta, nu2_beta, omega3_beta, nu3_beta,
      sum_u, sum_s) = _family_closed_forms(j)
 
-    rep = MeridianRep(LaurentRing())
-    ring = rep.ring
+    ring = LaurentRing()
+    rep = MeridianRep(ring)
     ew_alpha, ew_beta = _alpha_beta_parts(family_word(j), rep)
     ev_alpha, ev_beta = _alpha_beta_parts(family_v(j), rep)
 
+    # A closed form c_i of coordinate i, per unit of alpha or of beta, is
+    # t^(1 - d_i) c_i or t^-d_i c_i in the basis (v+, t v0, v-).
+    zero = ring.zero
     checks = [
-        ("z(w) v+ alpha part", ew_alpha[0], omega1_alpha),
-        ("z(w) v0 alpha part", ew_alpha[1], ring.zero),
-        ("z(w) v- alpha part", ew_alpha[2], ring.zero),
-        ("z(w) v0 beta part", ew_beta[1], omega2_beta),
-        ("z(w) v- beta part", ew_beta[2], omega3_beta),
-        ("z(v) v0 alpha part", ev_alpha[1], ring.zero),
-        ("z(v) v- alpha part", ev_alpha[2], ring.zero),
-        ("z(v) v0 beta part", ev_beta[1], nu2_beta),
-        ("z(v) v- beta part", ev_beta[2], nu3_beta),
+        ("z(w) v+ alpha part", ew_alpha[0], omega1_alpha, 1),
+        ("z(w) v0 alpha part", ew_alpha[1], zero, 0),
+        ("z(w) v- alpha part", ew_alpha[2], zero, 1),
+        ("z(w) v0 beta part", ew_beta[1], omega2_beta, -1),
+        ("z(w) v- beta part", ew_beta[2], omega3_beta, 0),
+        ("z(v) v0 alpha part", ev_alpha[1], zero, 0),
+        ("z(v) v- alpha part", ev_alpha[2], zero, 1),
+        ("z(v) v0 beta part", ev_beta[1], nu2_beta, -1),
+        ("z(v) v- beta part", ev_beta[2], nu3_beta, 0),
     ]
-    for label, computed, closed in checks:
-        if computed != closed:
+    for label, computed, closed, shift in checks:
+        if computed != _in_tau(closed, shift):
             raise ClosedFormMismatch(
-                f"{label} disagrees at j={j}: {computed!r} != {closed!r}"
+                f"{label} disagrees at j={j}: {_in_t(computed, -shift)!r} != {closed!r}"
             )
-    ad_u = adjoint(meridian_walk(FAMILY_U, rep))
-    ad_s = adjoint(meridian_walk(FAMILY_S, rep))
-    if _geometric_sum(ad_u, j) != sum_u:
-        raise ClosedFormMismatch(f"geometric sum over u disagrees at j={j}")
-    if _geometric_sum(ad_s, j) != sum_s:
-        raise ClosedFormMismatch(f"geometric sum over s disagrees at j={j}")
+    for name, word, closed in (("u", FAMILY_U, sum_u), ("s", FAMILY_S, sum_s)):
+        expected = Mat3([
+            [_in_tau(ring.coerce(e), _T_POWERS[c] - _T_POWERS[r]) for c, e in enumerate(row)]
+            for r, row in enumerate(closed.rows)
+        ])
+        if _geometric_sum(_word_adjoint(word, rep), j) != expected:
+            raise ClosedFormMismatch(f"geometric sum over {name} disagrees at j={j}")
 
     return FamilyCocycleForms(
         omega1_alpha=omega1_alpha,
@@ -393,9 +440,9 @@ def family_cocycle_forms(j: int) -> FamilyCocycleForms:
         nu3_beta=nu3_beta,
         sum_u=sum_u,
         sum_s=sum_s,
-        h_beta=ew_beta[0],
-        nu1_alpha=ev_alpha[0],
-        nu1_beta=ev_beta[0],
+        h_beta=_in_t(ew_beta[0], 0),
+        nu1_alpha=_in_t(ev_alpha[0], -1),
+        nu1_beta=_in_t(ev_beta[0], 0),
     )
 
 

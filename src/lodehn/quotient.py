@@ -1,16 +1,19 @@
-"""The two coefficient rings of the meridian representation, Q[t]/(m)
-and Q[t, t^-1], one class each, and exact linear algebra over Q[t]/(m).
+"""The two coefficient rings of the meridian representation's adjoint,
+Q[tau]/(F) and Q[tau, tau^-1] with tau = t^2, one class each, and exact
+linear algebra over Q[tau]/(F).
 
 Both ring classes offer ``zero``, ``one``, ``coerce`` and ``evaluate``:
-the images of integer Laurent polynomials under the ring homomorphism
-that sends t to t (reduction mod m on Q[t]/(m), the identity on
-Q[t, t^-1]).  :class:`MatrixOverField` eliminates over Q[t]/(m) only;
-Q[t, t^-1] serves the symbolic checks.
+the images of integer Laurent polynomials in the ring's variable under
+the ring homomorphism that sends it to itself (reduction mod F on
+Q[tau]/(F), the identity on Q[tau, tau^-1]).  :class:`MatrixOverField`
+eliminates over Q[tau]/(F) only; Q[tau, tau^-1] serves the symbolic
+checks.  Nothing here depends on what the variable stands for: the
+tests run the same classes over Q[t]/(F(t^2)) and Q[t, t^-1].
 
-The modulus m is kept monic and square-free, and coprime to
-t^3 - t = t (t - 1)(t + 1), so t and t^2 - 1 are units on every branch
-(see :class:`ModulusBranch`).  A zero-divisor pivot in the linear
-algebra below splits m into two coprime factors (D5-style dynamic
+The modulus F is kept monic and square-free, and coprime to
+tau^2 - tau = tau (tau - 1), so tau and tau - 1 are units on every
+branch (see :class:`ModulusBranch`).  A zero-divisor pivot in the linear
+algebra below splits F into two coprime factors (D5-style dynamic
 evaluation); the elimination then forks and reports one result per
 leaf branch, with the split lineage preserved for reporting.  Products
 of leaf moduli always rebuild the original modulus, so no root is ever
@@ -28,10 +31,11 @@ echelon form, so the zero tests, the gcds and hence the splits are
 those of Gauss-Jordan elimination with inverted pivots; that form and
 its kernel basis serve as the test oracle.
 
-Q[t]/(m) runs on integers.  An element is its residue of degree below
-d = deg m, stored as one tuple of integer numerators (constant term
-first, trailing zeros trimmed, empty for zero) over one positive
-denominator, coprime to them as a whole.  Every residue thus has exactly
+Below, m is the modulus and t the ring's variable.  Q[t]/(m) runs on
+integers.  An element is its residue of degree below d = deg m, stored
+as one tuple of integer numerators (constant term first, trailing zeros
+trimmed, empty for zero) over one positive denominator, coprime to them
+as a whole.  Every residue thus has exactly
 one representation, and equality compares integers.  The branch keeps m
 also as a primitive integer polynomial with leading coefficient l > 0.
 
@@ -82,21 +86,22 @@ class SplitRecord:
 
 
 class ModulusBranch:
-    """A monic square-free modulus m, coprime to t^3 - t, together with
-    its split lineage.  It also holds m as a primitive integer
-    polynomial and, once a product needs them, the reduction table and
-    its packed rows (see the module docstring); these live as long as
-    the branch.
+    """A monic square-free modulus F in tau = t^2, coprime to
+    tau^2 - tau, together with its split lineage.  It also holds F as a
+    primitive integer polynomial and, once a product needs them, the
+    reduction table and its packed rows (see the module docstring);
+    these live as long as the branch.
 
     The branch exists only where the reducible non-abelian
-    representation does: t and t^2 - 1 must be units mod m.  On t^2 = 1,
-    Ad(x) = 1, so H^0 would be a line and B^1 = 3 would be wrong; at
-    t = 0 the representation is undefined.  t^3 - t = t (t - 1)(t + 1)
-    has only linear factors, so gcd(m, t^3 - t) = 1 exactly when m(0),
-    m(1) and m(-1) are nonzero, which the constructor tests on the
-    integer modulus (else ValueError).  Every factor of such an m is
-    coprime to t^3 - t too, so the branches that :meth:`split` builds
-    pass the same test."""
+    representation does: tau and tau - 1 must be units mod F.  At
+    tau = 1, Ad(x) = 1, so H^0 would be a line and B^1 = 3 would be
+    wrong; at tau = 0 the representation is undefined.  tau^2 - tau =
+    tau (tau - 1) has only linear factors, so gcd(F, tau^2 - tau) = 1
+    exactly when F(0) and F(1) are nonzero, which the constructor tests
+    on the integer modulus (else ValueError).  A root at tau = -1 is a
+    root t = +-i, where t and t^2 - 1 are units too.  Every factor of
+    such an F is coprime to tau^2 - tau too, so the branches that
+    :meth:`split` builds pass the same test."""
 
     __slots__ = ("modulus", "lineage", "_ints", "_table", "_packed")
 
@@ -107,11 +112,10 @@ class ModulusBranch:
         ints = _int_multiple(modulus)
         if len(_int_gcd(ints, [i * c for i, c in enumerate(ints)][1:])) > 1:
             raise ValueError("modulus must be square-free")
-        at_minus_one = sum(ints[0::2]) - sum(ints[1::2])
-        for point, value in ((0, ints[0]), (1, sum(ints)), (-1, at_minus_one)):
+        for point, value in ((0, ints[0]), (1, sum(ints))):
             if not value:
                 raise ValueError(
-                    f"modulus vanishes at t = {point}: t and t^2 - 1 must be units"
+                    f"modulus vanishes at tau = {point}: tau and tau - 1 must be units"
                 )
         self.modulus = modulus
         self.lineage = lineage
@@ -129,7 +133,8 @@ class ModulusBranch:
         return AlgebraicElement(self, value)
 
     def t(self) -> "AlgebraicElement":
-        """The residue class of the variable t."""
+        """The residue class of the variable (tau on the branches that
+        ``certify`` builds)."""
         return self.element(Poly([0, 1]))
 
     def split(self, factor: Poly) -> Tuple["ModulusBranch", "ModulusBranch"]:
@@ -461,8 +466,8 @@ class QuotientRing:
 
     def evaluate(self, polys: Sequence[Dict[int, int]]) -> List[AlgebraicElement]:
         """The residues of integer Laurent polynomials ``{exponent:
-        coefficient}`` at t mod m (see the module docstring); t is a
-        unit because the branch refuses t | m."""
+        coefficient}`` at the variable t mod m (see the module
+        docstring); t is a unit because the branch refuses t | m."""
         branch = self.branch
         m = branch._ints
         d = len(m) - 1
@@ -495,8 +500,9 @@ class QuotientRing:
 
 
 class LaurentRing:
-    """Q[t, t^-1], with LaurentPoly elements; used for symbolic checks,
-    never for elimination."""
+    """Laurent polynomials in one variable, Q[tau, tau^-1] for the
+    adjoint, with LaurentPoly elements; used for symbolic checks, never
+    for elimination."""
 
     zero = LaurentPoly()
     one = LaurentPoly(0, (1,))
@@ -526,7 +532,7 @@ class NullspaceResult:
 
 
 class MatrixOverField:
-    """Rectangular matrix over one quotient-ring branch."""
+    """Rectangular matrix over one quotient-ring branch, Q[tau]/(F)."""
 
     __slots__ = ("rows", "cols", "entries", "ring")
 

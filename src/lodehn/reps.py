@@ -1,40 +1,34 @@
-"""SL2 matrices over exact rings, the adjoint action on sl2, the
-meridian representation, and two independent Alexander polynomial
-computations.
+"""The meridian representation, its adjoint on sl2 over Q[tau] with
+tau = t^2, and two independent Alexander polynomial computations.
 
-The adjoint is written in the sl2 basis
-
-    v+ = [[0,1],[0,0]],   v0 = [[1,0],[0,-1]],   v- = [[0,0],[1,0]],
-
-so conjugation by [[a,b],[c,d]] becomes the 3x3 matrix
-
-    [ a^2   -2ab       -b^2 ]
-    [ -ac   ad + bc     bd  ]
-    [ -c^2   2cd        d^2 ].
-
-The meridian representation x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]]
-is the only representation here: a :class:`MeridianRep` is that
-representation over Q[t]/(m) or Q[t, t^-1].  Both generator images are
-upper triangular with monomial diagonals, so the image of a prefix is
-[[t^n, b], [0, t^-n]] and its adjoint is
-
-    [ t^2n   -2u   -t^-2n u^2 ]
-    [ 0       1     t^-2n u   ]
-    [ 0       0     t^-2n     ]      with u = t^n b.
-
+The meridian representation is x -> [[t,0],[0,1/t]],
+y -> [[t,1],[0,1/t]].  Both generator images are upper triangular with
+monomial diagonals, so the image of a prefix is [[t^n, b], [0, t^-n]].
 A letter x^+-1 changes only n, and a letter y^+-1 adds the monomial
-+-t^(2n+-1) to u, so a word's image comes from one integer walk over
-Z[t, t^-1] with one dict update per y letter (:func:`_image_terms`).
-No Fraction and no polynomial division is built.  :func:`meridian_walk`
-maps each entry into the ring of the representation once, by
-evaluation at t.  That map is a ring homomorphism (reduction mod m on
-Q[t]/(m), the identity on Q[t, t^-1]), so the image is exactly the
-letter-by-letter product over that ring.  The signed sums of prefix
-adjoints come from a second walk, which packs u and u^2
-(``cohomology.word_value_blocks``).  The representation route of the
-Alexander polynomial reads n and b off the image walk and, like the
-Fox route, stays in integer ``{exponent: coefficient}`` dicts up to
-the shared normalizer.
++-t^(2n+-1) to u = t^n b, so a word's image comes from one integer walk
+over Z[t, t^-1] with one dict update per y letter (:func:`_image_terms`).
+No Fraction and no polynomial division is built.
+
+The adjoint acts on sl2 with the basis
+
+    v+ = [[0,1],[0,0]],   t v0 = t [[1,0],[0,-1]],   v- = [[0,0],[1,0]],
+
+which is the basis (v+, v0, v-) conjugated by diag(1, t, 1).  There the
+adjoint of a prefix image is
+
+    [ tau^n   -2 t u   -tau^-n u^2   ]
+    [ 0        1        tau^-n u / t ]
+    [ 0        0        tau^-n       ]      with u = t^n b,
+
+and u has only odd powers of t, so every entry is a Laurent polynomial
+in tau = t^2: Ad(x) = diag(tau, 1, 1/tau) and Ad(y) = [[tau, -2 tau, -1],
+[0, 1, 1/tau], [0, 0, 1/tau]].  A :class:`MeridianRep` is that adjoint
+over Q[tau]/(F), F a factor of the Alexander polynomial in tau, or over
+Q[tau, tau^-1]; :func:`tau_terms` maps a Laurent polynomial in t into
+tau.  The image itself needs t and has no place there: the
+relator-identity check reads n and b off the integer walk, and the
+representation route of the Alexander polynomial stays in integer
+``{exponent: coefficient}`` dicts up to the shared normalizer.
 """
 
 from __future__ import annotations
@@ -45,44 +39,6 @@ from .polynomials import LaurentPoly, Poly
 from .quotient import LaurentRing, ModulusBranch, QuotientRing
 from .twobridge import TwoBridgeFraction, build_presentation
 from .words import Word
-
-
-class Mat2:
-    """2x2 matrix with entries in any ring supporting + - * and int mixing."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(1, 0, 0, 1)
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return (
-            self.a == other.a and self.b == other.b
-            and self.c == other.c and self.d == other.d
-        )
-
-    def is_identity(self) -> bool:
-        return self.a == 1 and self.b == 0 and self.c == 0 and self.d == 1
-
-    def __repr__(self) -> str:
-        return f"Mat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
 
 class Mat3:
@@ -156,38 +112,44 @@ class Mat3:
         return f"Mat3({self.rows!r})"
 
 
-def adjoint(m: Mat2) -> Mat3:
-    """Conjugation action of a determinant-1 matrix on sl2 in the basis
-    v+, v0, v-."""
-    if m.det() != 1:
-        raise ValueError("adjoint requires determinant 1")
-    a, b, c, d = m.a, m.b, m.c, m.d
-    return Mat3((
-        (a * a, -2 * (a * b), -(b * b)),
-        (-(a * c), a * d + b * c, b * d),
-        (-(c * c), 2 * (c * d), d * d),
-    ))
-
-
 class MeridianRep:
-    """The meridian representation x -> [[t,0],[0,1/t]],
-    y -> [[t,1],[0,1/t]] over ``ring``, Q[t]/(m) or Q[t, t^-1]: the
-    elements t and 1/t of that ring and the adjoints of the two
-    generator images, read off the adjoint formula of the module
-    docstring with b = 0 and b = 1, so no ring product is taken."""
+    """The adjoint of the meridian representation in the basis
+    (v+, t v0, v-) over ``ring``, Q[tau]/(F) or Q[tau, tau^-1]: the
+    elements tau and 1/tau of that ring and the adjoints
+    Ad(x) = diag(tau, 1, 1/tau) and Ad(y) = [[tau, -2 tau, -1],
+    [0, 1, 1/tau], [0, 0, 1/tau]] of the two generator images (see the
+    module docstring); no ring product is taken."""
 
-    __slots__ = ("ring", "t", "t_inverse", "ad_x", "ad_y")
+    __slots__ = ("ring", "tau", "tau_inverse", "ad_x", "ad_y")
 
     def __init__(self, ring: Union[QuotientRing, LaurentRing]):
         self.ring = ring
-        t, t_inverse, t2, t_2 = ring.evaluate([{1: 1}, {-1: 1}, {2: 1}, {-2: 1}])
-        self.t, self.t_inverse = t, t_inverse
+        tau, tau_inverse, minus_two_tau = ring.evaluate([{1: 1}, {-1: 1}, {1: -2}])
+        self.tau, self.tau_inverse = tau, tau_inverse
         zero, one = ring.zero, ring.one
-        self.ad_x = Mat3(((t2, zero, zero), (zero, one, zero), (zero, zero, t_2)))
-        self.ad_y = Mat3(((t2, -2 * t, -one), (zero, one, t_inverse), (zero, zero, t_2)))
+        self.ad_x = Mat3(((tau, zero, zero), (zero, one, zero), (zero, zero, tau_inverse)))
+        self.ad_y = Mat3((
+            (tau, minus_two_tau, -one),
+            (zero, one, tau_inverse),
+            (zero, zero, tau_inverse),
+        ))
 
 
 IntLaurent = Dict[int, int]  # {exponent: coefficient}
+
+
+def tau_terms(terms: IntLaurent, shift: int) -> IntLaurent:
+    """t^shift times the Laurent polynomial ``terms`` in t, as a Laurent
+    polynomial in tau = t^2: every exponent halved.  An odd exponent
+    means the product is not a polynomial in tau and raises
+    AssertionError."""
+    out = {}
+    for e, c in terms.items():
+        e += shift
+        if e & 1:
+            raise AssertionError(f"odd exponent t^{e}: not a Laurent polynomial in tau")
+        out[e >> 1] = c
+    return out
 
 
 def _image_terms(word: Word) -> Tuple[int, IntLaurent]:
@@ -203,17 +165,6 @@ def _image_terms(word: Word) -> Tuple[int, IntLaurent]:
             u[e] = u.get(e, 0) + sign
         n += sign
     return n, {e - n: c for e, c in u.items() if c}
-
-
-def meridian_walk(word: Word, rep: MeridianRep) -> Mat2:
-    """The image of ``word`` under the meridian representation ``rep``
-    (the product of the generator images in word order): one walk over
-    Z[t, t^-1], then one evaluation at t into ``rep.ring`` per entry
-    (see the module docstring)."""
-    n, b = _image_terms(word)
-    ring = rep.ring
-    t_n, b_value, t_minus_n = ring.evaluate([{n: 1}, b, {-n: 1}])
-    return Mat2(t_n, b_value, ring.zero, t_minus_n)
 
 
 def f_upper_entry(j: int) -> LaurentPoly:
@@ -296,20 +247,24 @@ def alexander_polynomial(fraction: TwoBridgeFraction) -> Poly:
 def burde_de_rham_assignment(
     branch: ModulusBranch, relator: Word
 ) -> MeridianRep:
-    """The reducible non-abelian representation x -> [[t,0],[0,1/t]],
-    y -> [[t,1],[0,1/t]] with t the residue class mod the branch.
+    """The adjoint of the reducible non-abelian representation
+    x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] over Q[tau]/(F), F the
+    branch modulus and tau = t^2.
 
-    The defining relator must evaluate to the identity in the quotient
-    ring; a failure means the modulus does not divide the Alexander
-    polynomial evaluated at t^2 (or an upstream bug) and is a hard
-    error.  t and t^2 - 1 are units on every branch, so the
+    The defining relator must map to the identity there: its image
+    [[t^n, b], [0, t^-n]] from the integer walk must have n = 0, and
+    then b has only odd powers of t, so b/t is a polynomial in tau,
+    which must vanish mod F.  A failure means the modulus does not
+    divide the Alexander polynomial (or an upstream bug) and is a hard
+    error.  tau and tau - 1 are units on every branch, so the
     representation is defined and non-abelian (see
     :class:`ModulusBranch`).
     """
+    n, b = _image_terms(relator)
     rep = MeridianRep(QuotientRing(branch))
-    if not meridian_walk(relator, rep).is_identity():
+    if n or rep.ring.evaluate([tau_terms(b, -1)])[0]:
         raise ValueError(
             "relator does not map to the identity on this branch: the "
-            "modulus is not a divisor of the Alexander polynomial at t^2"
+            "modulus does not divide the Alexander polynomial"
         )
     return rep

@@ -1,6 +1,8 @@
-"""Shared test utilities: random generators, the generator images and
-adjoints of the meridian representation, the step-by-step word and
-cocycle oracles, the Q[t, t^-1] Alexander oracle, the dict oracle for
+"""Shared test utilities: random generators, 2x2 matrices and the
+adjoint action, the meridian representation over t in the basis
+(v+, v0, v-) with its generator images and adjoints, the map of its
+blocks into the package's basis (v+, t v0, v-) and into tau = t^2, the
+step-by-step word and cocycle oracles, the Q[t, t^-1] Alexander oracle, the dict oracle for
 Laurent arithmetic, the Sturm chain over Q and the Sturm bisection
 oracle, the floating oracle, the Euclidean gcd over Q, the Fraction
 oracle for Q[t]/(m) arithmetic (with the extended Euclidean algorithm
@@ -18,7 +20,7 @@ import mpmath as mp
 
 from lodehn.polynomials import LaurentPoly, Poly, squarefree_part
 from lodehn.quotient import LaurentRing, MatrixOverField, QuotientRing, SplitRequired
-from lodehn.reps import Mat2, Mat3, MeridianRep, adjoint, meridian_walk
+from lodehn.reps import Mat3, _image_terms
 from lodehn.twobridge import build_presentation
 from lodehn.words import Word
 
@@ -39,6 +41,115 @@ def random_word(rng, length):
         (rng.choice(("x", "y")), rng.choice((1, -1))) for _ in range(length)
     ]
     return Word(letters)
+
+
+class Mat2:
+    """2x2 matrix with entries in any ring supporting + - * and int mixing."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    @classmethod
+    def identity(cls):
+        return cls(1, 0, 0, 1)
+
+    def __matmul__(self, other):
+        return Mat2(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def det(self):
+        return self.a * self.d - self.b * self.c
+
+    def __eq__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        return (
+            self.a == other.a and self.b == other.b
+            and self.c == other.c and self.d == other.d
+        )
+
+    def is_identity(self):
+        return self.a == 1 and self.b == 0 and self.c == 0 and self.d == 1
+
+    def __repr__(self):
+        return f"Mat2({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
+
+
+def adjoint(m):
+    """Conjugation action of a determinant-1 matrix on sl2 in the basis
+    v+ = [[0,1],[0,0]], v0 = [[1,0],[0,-1]], v- = [[0,0],[1,0]]."""
+    if m.det() != 1:
+        raise ValueError("adjoint requires determinant 1")
+    a, b, c, d = m.a, m.b, m.c, m.d
+    return Mat3((
+        (a * a, -2 * (a * b), -(b * b)),
+        (-(a * c), a * d + b * c, b * d),
+        (-(c * c), 2 * (c * d), d * d),
+    ))
+
+
+class TBasisRep:
+    """The meridian representation x -> [[t,0],[0,1/t]],
+    y -> [[t,1],[0,1/t]] over ``ring``, Q[t]/(m) or Q[t, t^-1], with the
+    adjoints of the generator images in the basis (v+, v0, v-): the
+    oracle that ``reps.MeridianRep``, the adjoint in the basis
+    (v+, t v0, v-) over Q[tau], is checked against."""
+
+    __slots__ = ("ring", "t", "t_inverse", "ad_x", "ad_y")
+
+    def __init__(self, ring):
+        self.ring = ring
+        t, t_inverse, t2, t_2 = ring.evaluate([{1: 1}, {-1: 1}, {2: 1}, {-2: 1}])
+        self.t, self.t_inverse = t, t_inverse
+        zero, one = ring.zero, ring.one
+        self.ad_x = Mat3(((t2, zero, zero), (zero, one, zero), (zero, zero, t_2)))
+        self.ad_y = Mat3(((t2, -2 * t, -one), (zero, one, t_inverse), (zero, zero, t_2)))
+
+
+def meridian_walk(word, rep):
+    """The image of ``word`` under the :class:`TBasisRep` ``rep``, from
+    the integer walk ``reps._image_terms`` and one evaluation at t per
+    entry."""
+    n, b = _image_terms(word)
+    ring = rep.ring
+    t_n, b_value, t_minus_n = ring.evaluate([{n: 1}, b, {-n: 1}])
+    return Mat2(t_n, b_value, ring.zero, t_minus_n)
+
+
+def to_tau_basis(matrix, ring=None):
+    """A Mat3 over Q[t, t^-1] or Q[t]/(F(t^2)), in the basis (v+, v0, v-),
+    in the basis (v+, t v0, v-) and in tau = t^2: conjugated by
+    diag(1, t, 1), so entry 01 is multiplied by t and entry 12 divided
+    by t, and then every exponent halved; an odd exponent fails.
+    LaurentPoly entries give LaurentPolys in tau, ring elements give
+    elements of ``ring``, Q[tau]/(F)."""
+    powers = (0, 1, 0)
+    out = []
+    for r, row in enumerate(matrix.rows):
+        mapped = []
+        for c, entry in enumerate(row):
+            shift = powers[c] - powers[r]
+            if isinstance(entry, int):  # entries the oracles never multiplied
+                assert shift == 0 or entry == 0, f"odd exponent in {entry!r}"
+                mapped.append(ring.coerce(entry) if ring is not None else L({0: entry}))
+                continue
+            if isinstance(entry, LaurentPoly):
+                terms = {e + shift: v for e, v in entry.terms().items()}
+                assert all(e % 2 == 0 for e in terms), f"odd exponent in {entry!r}"
+                mapped.append(L({e // 2: v for e, v in terms.items()}))
+                continue
+            (t_shift,) = QuotientRing(entry.branch).evaluate([{shift: 1}])
+            value = (entry * t_shift).value
+            assert not any(value.coeffs[1::2]), f"odd exponent in {value!r}"
+            mapped.append(ring.coerce(Poly(value.coeffs[0::2])))
+        out.append(mapped)
+    return Mat3(out)
 
 
 def generator_images(rep):
@@ -90,12 +201,16 @@ def coboundary_values(v, rep):
 
 def normalized_representative(z, rep):
     """Correct z by a coboundary so that z(x) = (0, a, b) and
-    z(y) = (0, d, 0).
+    z(y) = (0, d, 0), in the basis of ``rep``: a ``TBasisRep`` or a
+    ``reps.MeridianRep`` over a quotient ring.
 
-    t and t^2 - 1 are units on every branch, which makes the three
-    coboundary parameters solvable; the inverses come from
-    ``QuotientOracle``.  For a cocycle of a knot relator the corrected
-    values satisfy d = a; callers verify that rather than assume it.
+    Both bases make Ad(x) - 1 = diag(p - 1, 0, 1/p - 1) and
+    Ad(y) - 1 = [[p - 1, k, -1], [0, 0, l], [0, 0, 1/p - 1]], with
+    (p, k, l) = (t^2, -2t, 1/t) or (tau, -2 tau, 1/tau).  tau and tau - 1
+    are units on every branch, which makes the three coboundary
+    parameters solvable; the inverses come from ``QuotientOracle``.
+    For a cocycle of a knot relator the corrected values satisfy d = a;
+    callers verify that rather than assume it.
     """
     if not isinstance(rep.ring, QuotientRing):
         raise TypeError("normalization needs quotient-ring coefficients")
@@ -104,17 +219,16 @@ def normalized_representative(z, rep):
     def inverse(x):
         return ring.coerce(QuotientOracle(ring.branch, x.value).inverse().value)
 
-    t, tinv = rep.t, rep.t_inverse
-    t2m1 = t * t - 1
-    tinv2m1 = tinv * tinv - 1
-    a = z.z_x[0] * inverse(t2m1)
-    c = z.z_y[2] * inverse(tinv2m1)
-    b = (t2m1 * a - c - z.z_y[0]) * inverse(2 * t)
-    dx = (t2m1 * a, rep.ring.zero, tinv2m1 * c)
-    dy = (t2m1 * a - 2 * t * b - c, tinv * c, tinv2m1 * c)
+    x_minus_1 = (rep.ad_x.rows[0][0] - 1, rep.ad_x.rows[2][2] - 1)
+    k, l = rep.ad_y.rows[0][1], rep.ad_y.rows[1][2]
+    a = z.z_x[0] * inverse(x_minus_1[0])
+    c = z.z_y[2] * inverse(x_minus_1[1])
+    b = (z.z_y[0] - x_minus_1[0] * a + c) * inverse(k)
+    dx = (x_minus_1[0] * a, ring.zero, x_minus_1[1] * c)
+    dy = (x_minus_1[0] * a + k * b - c, l * c, x_minus_1[1] * c)
     out = CocycleValues(
-        tuple(rep.ring.coerce(z.z_x[i]) - dx[i] for i in range(3)),
-        tuple(rep.ring.coerce(z.z_y[i]) - dy[i] for i in range(3)),
+        tuple(ring.coerce(z.z_x[i]) - dx[i] for i in range(3)),
+        tuple(ring.coerce(z.z_y[i]) - dy[i] for i in range(3)),
     )
     if not (out.z_x[0].is_zero and out.z_y[0].is_zero and out.z_y[2].is_zero):
         raise AssertionError("coboundary correction failed to normalize")
@@ -146,7 +260,7 @@ def alexander_via_rep_oracle(fraction):
     of x W - W y as a LaurentPoly, W the image of w, then t^2 -> t and
     the shift, denominators and sign of the canonical representative."""
     pres = build_presentation(fraction)
-    rep = MeridianRep(LaurentRing())
+    rep = TBasisRep(LaurentRing())
     images = generator_images(rep)
     pw = meridian_walk(pres.w, rep)
     difference = (images[("x", 1)] @ pw).b - (pw @ images[("y", 1)]).b

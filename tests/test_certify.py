@@ -52,21 +52,24 @@ def test_analyze_roots_rejects_zero_constant():
 
 def test_admissible_modulus_strips_unit_roots():
     assert admissible_modulus(Poly([-1, 1])) is None
-    assert admissible_modulus(Poly([1, -3, 1])) == Poly([1, 0, -3, 0, 1])
-    # Stripping tau - 1 before the lift leaves what dividing the lift by
-    # its gcd with t^2 - 1 leaves.
+    assert admissible_modulus(Poly([1, -3, 1])) == Poly([1, -3, 1])
+    # Stripping tau - 1 and lifting leaves what dividing the lift by its
+    # gcd with t^2 - 1 leaves.
     for factor in (Poly([1, -3, 1]), Poly([-2, 0, 1]), Poly([3, 1, 2]), Poly([1])):
         for xi_factor in (factor, factor * Poly([-1, 1])):
             lifted = xi_factor.monic().inflate(2)
             expected = lifted // poly_gcd(lifted, Poly([-1, 0, 1]))
             got = admissible_modulus(xi_factor)
-            assert got == (expected.monic() if expected.degree > 0 else None)
+            if expected.degree > 0:
+                assert got.inflate(2) == expected.monic()
+            else:
+                assert got is None
 
 
 def test_check_rigidity_k1():
     reports = check_rigidity(
         build_presentation(TwoBridgeFraction(29, 17)),
-        ModulusBranch(DELTA1.inflate(2)),
+        ModulusBranch(DELTA1),
         DELTA1,
         1,
     )
@@ -89,8 +92,9 @@ def test_check_rigidity_family(j):
         assert report.dims_knot.h1 == 1
 
 
-PHI12 = Poly([1, 0, -1, 0, 1])
-PHI36 = Poly([1, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0, 1])
+# Phi12(t) = Phi6(tau) and Phi36(t) = Phi18(tau), tau = t^2.
+PHI6 = Poly([1, -1, 1])
+PHI18 = Poly([1, 0, 0, -1, 0, 0, 1])
 
 
 def test_relator_is_identity_on_a_proper_factor_of_the_branch():
@@ -101,19 +105,18 @@ def test_relator_is_identity_on_a_proper_factor_of_the_branch():
     # relator burde_de_rham_assignment checks again), and the branch
     # representation gives the leaf's cohomology.
     cases = (
-        # one Alexander factor, whose lifted modulus is Phi12 * Phi36
-        (TwoBridgeFraction(9, 1), (PHI12, PHI36), False),
+        # one Alexander factor, Phi6 * Phi18
+        (TwoBridgeFraction(9, 1), (PHI6, PHI18), False),
         # two Alexander factors; only the filled system splits the branch
-        (TwoBridgeFraction(147, 53), (PHI12, Poly([1, 0, Fraction(-3, 2), 0, 1])),
-         True),
+        (TwoBridgeFraction(147, 53), (PHI6, Poly([1, Fraction(-3, 2), 1])), True),
     )
     for fraction, factors, filled_splits in cases:
         pres = build_presentation(fraction)
         modulus = factors[0] * factors[1]
-        lifted = Poly([1])
+        product = Poly([1])
         for factor, _ in squarefree_decomposition(alexander_via_rep(fraction)):
-            lifted = lifted * admissible_modulus(factor)
-        assert lifted == modulus
+            product = product * admissible_modulus(factor)
+        assert product == modulus
         rep = burde_de_rham_assignment(ModulusBranch(modulus), pres.relator)
         knot = relator_system([pres.relator], rep)
         longitude = relator_system([pres.longitude], rep)
@@ -171,20 +174,21 @@ def test_figure_eight_matches_independent_oracle():
 
 
 def test_meridian_trace_check_k1():
-    branch = ModulusBranch(DELTA1.inflate(2))
-    intervals = tuple(isolate_real_roots(branch.modulus))
-    assert meridian_trace_check(branch, intervals) == (True,) * 8
+    modulus = DELTA1.monic().inflate(2)
+    intervals = tuple(isolate_real_roots(modulus))
+    assert meridian_trace_check(modulus, intervals) == (True,) * 8
 
 
 def test_meridian_trace_check_figure_eight():
-    branch = ModulusBranch(Poly([1, 0, -3, 0, 1]))
-    intervals = tuple(isolate_real_roots(branch.modulus))
-    assert meridian_trace_check(branch, intervals) == (True,) * 4
+    modulus = Poly([1, 0, -3, 0, 1])
+    intervals = tuple(isolate_real_roots(modulus))
+    assert meridian_trace_check(modulus, intervals) == (True,) * 4
 
 
 def test_meridian_trace_check_rejects_unit_roots():
-    # Its refinement would not end on a root at -1, 0 or 1; a branch
-    # with one cannot be built.
+    # Its refinement would not end on a root t at -1, 0 or 1 of F(t^2),
+    # which is a root of F at tau = 0 or 1; a branch with one cannot be
+    # built.
     for modulus in (Poly([-1, 0, 1]), Poly([0, 1, 1])):
         with pytest.raises(ValueError, match="must be units"):
             ModulusBranch(modulus)
@@ -273,7 +277,9 @@ def test_certify_mixed_multiplicity_knot():
 
     pres = build_presentation(TwoBridgeFraction(147, 53))
     for report in result.reports:
-        branch = ModulusBranch(report.modulus)
+        # the report's modulus is F(t^2); the systems live over Q[tau]/(F)
+        branch = ModulusBranch(Poly(report.modulus.coeffs[0::2]))
+        assert branch.modulus.inflate(2) == report.modulus
         rep = burde_de_rham_assignment(branch, pres.relator)
         for relators, dims in (
             ([pres.relator], report.dims_knot),
@@ -281,7 +287,7 @@ def test_certify_mixed_multiplicity_knot():
         ):
             system = relator_system(relators, rep)
             exact_rank = 6 - dims.z1
-            for root in numeric_roots(report.modulus):
+            for root in numeric_roots(branch.modulus):
                 assert system_numeric_rank_at(system, root) == exact_rank
 
 

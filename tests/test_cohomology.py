@@ -5,17 +5,22 @@ import pytest
 from helpers import (
     CocycleValues,
     L,
+    TBasisRep,
+    adjoint,
     coboundary_values,
     eval_cocycle,
     eval_word_matrix,
     geometric_sum_oracle,
     h0_oracle,
+    generator_adjoints,
     leaf_records,
     load_fixture,
     matrix_times,
+    meridian_walk,
     normalized_representative,
     nullspace_oracle,
     random_word,
+    to_tau_basis,
     word_value_blocks_oracle,
 )
 from lodehn.certify import admissible_modulus
@@ -35,15 +40,14 @@ from lodehn.quotient import (
     MatrixOverField,
     ModulusBranch,
     QuotientRing,
+    SplitRecord,
 )
 from lodehn.reps import (
     Mat3,
     MeridianRep,
-    adjoint,
     alexander_via_rep,
     burde_de_rham_assignment,
     f_upper_entry,
-    meridian_walk,
 )
 from lodehn.twobridge import (
     FAMILY_S,
@@ -60,7 +64,22 @@ DELTA1 = Poly([1, -7, 13, -7, 1])
 
 
 def _laurent_rep():
-    return MeridianRep(LaurentRing())
+    """The t-basis oracle representation over Q[t, t^-1]."""
+    return TBasisRep(LaurentRing())
+
+
+def _t_rep(rep):
+    """The t-basis oracle representation on the lift F(t^2) of the
+    modulus F of the tau-side ``rep``."""
+    return TBasisRep(QuotientRing(ModulusBranch(rep.ring.branch.modulus.inflate(2))))
+
+
+def _oracle_blocks(word, rep):
+    """The step-by-step t-basis blocks of ``word`` on the lift of
+    ``rep``'s branch, mapped into the basis (v+, t v0, v-) and into
+    tau on ``rep.ring``."""
+    mx, my = word_value_blocks_oracle(word, _t_rep(rep))
+    return to_tau_basis(mx, rep.ring), to_tau_basis(my, rep.ring)
 
 
 def _normal_values(rep, alpha_only=False):
@@ -137,11 +156,15 @@ def test_cocycle_law_on_random_words():
 
 
 def test_word_value_blocks_match_eval():
+    # The oracle's t-basis blocks extend cocycles as the letter-by-letter
+    # cocycle law does, and map onto the package's tau-basis blocks.
     rng = random.Random(4)
     rep = _laurent_rep()
+    tau_rep = MeridianRep(LaurentRing())
     for _ in range(20):
         w = random_word(rng, 15)
-        mx, my = word_value_blocks(w, rep)
+        mx, my = word_value_blocks_oracle(w, rep)
+        assert word_value_blocks(w, tau_rep) == (to_tau_basis(mx), to_tau_basis(my))
         z = CocycleValues(
             tuple(L({rng.randint(-1, 1): rng.randint(-2, 2)}) for _ in range(3)),
             tuple(L({rng.randint(-1, 1): rng.randint(-2, 2)}) for _ in range(3)),
@@ -167,7 +190,7 @@ def _branch_reps(fraction):
 
 def _assert_blocks_match_oracle(word, rep):
     blocks = word_value_blocks(word, rep)
-    assert blocks == word_value_blocks_oracle(word, rep)
+    assert blocks == _oracle_blocks(word, rep)
     assert all(
         isinstance(e, AlgebraicElement) and e.branch == rep.ring.branch
         for block in blocks for row in block.rows for e in row
@@ -175,14 +198,19 @@ def _assert_blocks_match_oracle(word, rep):
 
 
 def test_word_value_blocks_match_step_by_step_products():
-    # The integer walk maps each entry into Q[t]/(m) once at the end;
-    # the oracle multiplies 3x3 adjoints over Q[t]/(m) letter by letter.
-    # 9/1 has the modulus Phi12 * Phi36, 147/53 has two branches.
+    # The integer walk maps each entry into Q[tau]/(F) once at the end;
+    # the oracle multiplies 3x3 t-basis adjoints over Q[t]/(F(t^2))
+    # letter by letter, and its blocks are mapped into the tau basis.
+    # 9/1 has the modulus Phi6 * Phi18 in tau, 147/53 has two branches;
+    # the last four are the long-word knots.
     for fraction, degrees in (
-        (TwoBridgeFraction(29, 17), [8]),
-        (TwoBridgeFraction(23, 7), [8]),
-        (TwoBridgeFraction(9, 1), [16]),
-        (TwoBridgeFraction(147, 53), [4, 4]),
+        (TwoBridgeFraction(29, 17), [4]),
+        (TwoBridgeFraction(23, 7), [4]),
+        (TwoBridgeFraction(9, 1), [8]),
+        (TwoBridgeFraction(147, 53), [2, 2]),
+        (TwoBridgeFraction(485, 283), [4]),
+        (TwoBridgeFraction(201, 77), [8]),
+        (TwoBridgeFraction(41, 1), [40]),
     ):
         pres, reps = _branch_reps(fraction)
         assert [rep.ring.branch.degree for rep in reps] == degrees
@@ -193,6 +221,17 @@ def test_word_value_blocks_match_step_by_step_products():
     rng = random.Random(201)
     for _ in range(20):
         _assert_blocks_match_oracle(random_word(rng, rng.randint(0, 60)), rep)
+
+
+def test_word_value_blocks_of_random_words_match_the_mapped_oracle():
+    # Over Q[tau, tau^-1] nothing is reduced, so the mapped t-basis
+    # blocks must agree term by term.
+    rng = random.Random(200)
+    t_rep, tau_rep = _laurent_rep(), MeridianRep(LaurentRing())
+    for _ in range(200):
+        word = random_word(rng, rng.randint(0, 60))
+        mx, my = word_value_blocks_oracle(word, t_rep)
+        assert word_value_blocks(word, tau_rep) == (to_tau_basis(mx), to_tau_basis(my))
 
 
 def test_packed_walk_holds_wide_coefficients_and_wide_exponent_spans():
@@ -211,18 +250,19 @@ def test_packed_walk_holds_wide_coefficients_and_wide_exponent_spans():
         Word(),
         x, X, y, Y,
     ]
-    rep = MeridianRep(LaurentRing())
+    rep, tau_rep = _laurent_rep(), MeridianRep(LaurentRing())
     for word in words:
         assert meridian_walk(word, rep) == eval_word_matrix(word, rep)
-        assert word_value_blocks(word, rep) == word_value_blocks_oracle(word, rep)
+        mx, my = word_value_blocks_oracle(word, rep)
+        assert word_value_blocks(word, tau_rep) == (to_tau_basis(mx), to_tau_basis(my))
     for word, squares in zip(words, (499 * 500 * 999 // 6, 500 * 501 * 1001 // 6)):
-        _, my = word_value_blocks(word, rep)
+        _, my = word_value_blocks(word, tau_rep)
         assert [abs(c) for c in my.rows[0][2].terms().values()] == [squares]
 
 
 def _k1_rep():
     pres = build_presentation(TwoBridgeFraction(29, 17))
-    branch = ModulusBranch(DELTA1.inflate(2))
+    branch = ModulusBranch(DELTA1)
     return pres, burde_de_rham_assignment(branch, pres.relator)
 
 
@@ -257,7 +297,7 @@ def test_k1_knot_cohomology_dims():
 def test_family_filled_cohomology_vanishes(j):
     pres = build_presentation(family_fraction(j))
     delta = Poly([j, -(6 * j + 1), 10 * j + 3, -(6 * j + 1), j])
-    branch = ModulusBranch(delta.monic().inflate(2))
+    branch = ModulusBranch(delta.monic())
     rep = burde_de_rham_assignment(branch, pres.relator)
     system = relator_system([pres.relator, pres.longitude], rep)
     for leaf in cohomology_dims(system, rep):
@@ -269,7 +309,7 @@ def test_family_filled_cohomology_vanishes(j):
 def test_no_common_fixed_vector_at_root_branches():
     # each generator image alone fixes the line spanned by its own
     # traceless part, but the pair has trivial common fixed space
-    # whenever t^2 != 1, which is what drives B^1 = 3
+    # whenever tau = t^2 != 1, which is what drives B^1 = 3
     _, rep = _k1_rep()
     for ad in (rep.ad_x, rep.ad_y):
         rows = [
@@ -370,22 +410,25 @@ def test_rank_elimination_matches_the_echelon_oracle():
 
 
 def test_cohomology_dims_rejects_a_branch_where_t_squared_is_one():
-    # At t = +-1, Ad(x) = 1, so H^0 would be a line and B^1 = 3 wrong.
-    # The branch (t^2 - 1)(t^2 - 3t + 1) cannot be built, so
-    # cohomology_dims never sees one; on t^2 - 3t + 1 alone H^0 = 0.
+    # At t = +-1, tau = 1, Ad(x) = 1 in either basis, so H^0 would be a
+    # line and B^1 = 3 wrong.  The branch (tau - 1)(tau^2 - 3tau + 1)
+    # cannot be built, so cohomology_dims never sees one; on
+    # tau^2 - 3tau + 1 alone H^0 = 0.
     ad_x = _laurent_rep().ad_x
     for t in (1, -1):
         assert Mat3([[e(t) for e in row] for row in ad_x.rows]) == Mat3.identity()
+    tau_ad_x = MeridianRep(LaurentRing()).ad_x
+    assert Mat3([[e(1) for e in row] for row in tau_ad_x.rows]) == Mat3.identity()
     factor = Poly([1, -3, 1])
-    with pytest.raises(ValueError, match="t = 1:"):
-        ModulusBranch(Poly([-1, 0, 1]) * factor)
+    with pytest.raises(ValueError, match="tau = 1:"):
+        ModulusBranch(Poly([-1, 1]) * factor)
     rep = MeridianRep(QuotientRing(ModulusBranch(factor)))
     assert [leaf.dim for leaf in h0_oracle(rep.ring, rep)] == [0]
 
 
 def test_trivial_representation_dims():
     # No relator: every value pair is a cocycle, and on a branch with
-    # t^2 != 1 the coboundaries span 3 dimensions.
+    # tau != 1 the coboundaries span 3 dimensions.
     _, rep = _k1_rep()
     leaves = cohomology_dims(relator_system([], rep), rep)
     assert len(leaves) == 1
@@ -405,7 +448,7 @@ def test_coboundaries_lie_in_every_cocycle_space():
 
 def test_coboundary_check_catches_a_corrupted_system():
     # One relator entry off by 1 on the 29/17 branch: row 0 then sends
-    # the coboundary of e_0 to t^2 - 1, a unit on every leaf.
+    # the coboundary of v+ to tau - 1, a unit on every leaf.
     pres, (rep,) = _branch_reps(TwoBridgeFraction(29, 17))
     system = relator_system([pres.relator], rep)
     assert [leaf.dims.h1 for leaf in cohomology_dims(system, rep)] == [1]
@@ -414,6 +457,105 @@ def test_coboundary_check_catches_a_corrupted_system():
     corrupted = MatrixOverField(rows, rep.ring)
     with pytest.raises(AssertionError, match="a coboundary escaped the cocycle space"):
         cohomology_dims(corrupted, rep)
+
+
+def _coboundary_products(rows, rep):
+    """Each row times the coboundary of each basis vector: the pair of
+    columns k of Ad(x) - 1 and Ad(y) - 1, from the t-basis oracle's
+    generator adjoints mapped into the basis (v+, t v0, v-)."""
+    oracle = generator_adjoints(_t_rep(rep))
+    ads = [to_tau_basis(oracle[(gen, 1)], rep.ring) for gen in ("x", "y")]
+    columns = [
+        [ad.rows[i][k] - (1 if i == k else 0) for ad in ads for i in range(3)]
+        for k in range(3)
+    ]
+    return [matrix_times([row], column)[0] for row in rows for column in columns]
+
+
+def test_one_product_check_matches_the_full_coboundary_products():
+    # The check a0 = b0 = 0 and b1 = (tau - 1)(a2 + b2) per row stands
+    # for the 3 x 6 products of the row with the coboundary columns.  On
+    # the census knots' systems every product vanishes and the check
+    # passes; adding 1 to row 0 at column 0 (a0), 3 (b0) or 4 (b1) makes
+    # a product nonzero, and cohomology_dims must raise.  Column 1 (a1)
+    # meets only the zero column 1 of Ad(x) - 1, so no coboundary sees
+    # it and the check must pass.
+    systems = 0
+    for fraction in _fixture_fractions("census_p23.json"):
+        pres, reps = _branch_reps(fraction)
+        for rep in reps:
+            system = relator_system([pres.relator, pres.longitude], rep)
+            assert all(not e for e in _coboundary_products(system.entries, rep))
+            cohomology_dims(system, rep)
+            for column in (0, 1, 3, 4):
+                rows = [list(row) for row in system.entries]
+                rows[0][column] = rows[0][column] + 1
+                corrupted = MatrixOverField(rows, rep.ring)
+                if column == 1:
+                    assert all(not e for e in _coboundary_products(rows, rep))
+                    cohomology_dims(corrupted, rep)
+                    continue
+                assert any(_coboundary_products(rows[:1], rep))
+                with pytest.raises(AssertionError, match="a coboundary escaped"):
+                    cohomology_dims(corrupted, rep)
+                # Rows counted as checked are not checked again.
+                assert cohomology_dims(corrupted, rep, checked=1)
+            systems += 1
+    assert systems >= 37
+
+
+def test_tau_systems_agree_with_the_t_basis_oracle():
+    # The knot and 0-filled systems over Q[tau]/(F), as check_rigidity
+    # builds them, against the RREF oracle on the step-by-step t-basis
+    # rows over Q[t]/(F(t^2)): the same leaves, with moduli and split
+    # lineages inflated by tau -> t^2, and the same ranks.  115/42 splits
+    # its knot system; on the product of 147/53's two branch moduli the
+    # filled system splits.
+    def inflated(branch):
+        return (
+            branch.modulus.inflate(2),
+            tuple(
+                SplitRecord(r.parent.inflate(2), r.factor.inflate(2), r.cofactor.inflate(2))
+                for r in branch.lineage
+            ),
+        )
+
+    def t_rows(words, t_rep):
+        rows = []
+        for word in words:
+            mx, my = word_value_blocks_oracle(word, t_rep)
+            rows += [mx.rows[i] + my.rows[i] for i in range(3)]
+        return rows
+
+    cases = [(pres, rep) for fraction in _fixture_fractions("census_p23.json")
+             for pres, reps in [_branch_reps(fraction)] for rep in reps]
+    for p, q in ((115, 42), (147, 53), (485, 283)):
+        pres, reps = _branch_reps(TwoBridgeFraction(p, q))
+        cases += [(pres, rep) for rep in reps]
+    pres, reps = _branch_reps(TwoBridgeFraction(147, 53))
+    product = reps[0].ring.branch.modulus * reps[1].ring.branch.modulus
+    cases.append((pres, burde_de_rham_assignment(ModulusBranch(product), pres.relator)))
+    splits = 0
+    for pres, rep in cases:
+        t_rep = _t_rep(rep)
+        knot_rows = t_rows([pres.relator], t_rep)
+        filled_rows = knot_rows + t_rows([pres.longitude], t_rep)
+        knot = relator_system([pres.relator], rep)
+        longitude = relator_system([pres.longitude], rep)
+        knot_leaves = knot.nullspace()
+        oracle = nullspace_oracle(knot_rows, t_rep.ring.branch)
+        assert [inflated(r.branch) + (r.rank,) for r in knot_leaves] == leaf_records(oracle)
+        for knot_leaf in knot_leaves:
+            filled = MatrixOverField(knot.entries + longitude.entries, knot_leaf.ring)
+            filled_leaves = filled.nullspace()
+            t_leaf = ModulusBranch(*inflated(knot_leaf.branch))
+            oracle = nullspace_oracle(filled_rows, t_leaf)
+            assert [inflated(r.branch) + (r.rank,) for r in filled_leaves] == (
+                leaf_records(oracle)
+            )
+            splits += len(filled_leaves) - 1
+        splits += len(knot_leaves) - 1
+    assert len(cases) > 40 and splits >= 2
 
 
 def test_cohomology_dims_on_a_system_that_splits():
@@ -479,9 +621,9 @@ def test_normalized_cocycles_satisfy_delta_equals_alpha():
 
 
 def test_normalized_representative_rejects_t2_equal_1():
-    # Normalizing divides by t^2 - 1; a branch where it is not a unit
-    # cannot be built.
-    with pytest.raises(ValueError, match="t = 1:"):
+    # Normalizing divides by tau - 1 = t^2 - 1; a branch where it is not
+    # a unit cannot be built.
+    with pytest.raises(ValueError, match="tau = 1:"):
         ModulusBranch(Poly([-1, 0, 1]))
 
 

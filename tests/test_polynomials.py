@@ -323,7 +323,7 @@ def test_refinement_matches_the_sturm_bisection_oracle():
             cases.append((factor, Fraction(1, 10**32)))
             modulus = admissible_modulus(factor)
             if modulus is not None:
-                cases.append((modulus, Fraction(1, 10**8)))
+                cases.append((modulus.inflate(2), Fraction(1, 10**8)))
     # Bisection midpoints that hit the root itself: 1/2 at once, 3/8 on
     # the third step, and 0 at once, so the interior non-root is nudged.
     nudged = [

@@ -57,13 +57,14 @@ def test_branch_requires_squarefree():
         ModulusBranch(Poly([5]))
 
 
-def test_branch_accepts_exactly_the_moduli_coprime_to_t3_minus_t():
-    # t^3 - t has only linear factors, so the three integer values
-    # m(0), m(1), m(-1) decide what the gcd with it decides.  Seeded
-    # random square-free moduli, half of them with a factor t or t +- 1.
+def test_branch_accepts_exactly_the_moduli_coprime_to_tau2_minus_tau():
+    # tau^2 - tau has only linear factors, so the two integer values
+    # F(0) and F(1) decide what the gcd with it decides.  Seeded random
+    # square-free moduli, half of them with a factor tau, tau - 1 or
+    # tau + 1; a root at tau = -1 (t = +-i) is accepted.
     rng = random.Random(3)
-    t3_minus_t = Poly([0, -1, 0, 1])
-    accepted = refused = 0
+    tau2_minus_tau = Poly([0, -1, 1])
+    accepted = refused = at_minus_one = 0
     for _ in range(300):
         coeffs = [rng.randint(-4, 4) for _ in range(rng.randint(1, 6))]
         modulus = Poly(coeffs + [rng.randint(1, 3)])
@@ -71,14 +72,15 @@ def test_branch_accepts_exactly_the_moduli_coprime_to_t3_minus_t():
             modulus = modulus * Poly([rng.choice((0, 1, -1)), 1])
         if modulus.degree < 1 or poly_gcd(modulus, modulus.derivative()).degree:
             continue
-        if poly_gcd(modulus, t3_minus_t).degree == 0:
+        if poly_gcd(modulus, tau2_minus_tau).degree == 0:
             assert ModulusBranch(modulus).modulus == modulus.monic()
             accepted += 1
+            at_minus_one += modulus(-1) == 0
         else:
             with pytest.raises(ValueError, match="must be units"):
                 ModulusBranch(modulus)
             refused += 1
-    assert accepted > 50 and refused > 50
+    assert accepted > 50 and refused > 50 and at_minus_one > 10
 
 
 def test_branch_on_a_dense_modulus_of_degree_100():
@@ -222,12 +224,12 @@ def _oracle_moduli():
             coeffs.append(Fraction(rng.randint(1, 5), rng.choice((1, 3))))
             try:
                 branches.append(ModulusBranch(Poly(coeffs)))
-            except ValueError:  # not square-free, or a root at 0 or +-1
+            except ValueError:  # not square-free, or a root at 0 or 1
                 continue
             break
     for p, q in ((7, 3), (9, 2)):
         for factor, _ in squarefree_decomposition(alexander_via_rep(TwoBridgeFraction(p, q))):
-            branches.append(ModulusBranch(admissible_modulus(factor)))
+            branches.append(ModulusBranch(admissible_modulus(factor).inflate(2)))
     assert sum(b.modulus.primitive().leading == 2 for b in branches) >= 2
     return branches
 
@@ -325,7 +327,7 @@ def test_zero_divisors_split_like_the_oracle():
     # lifted Alexander factors splits into the two.
     quartic = ModulusBranch(Poly([-4, 0, 1]) * Poly([-9, 0, 1]))
     lifted = [
-        admissible_modulus(alexander_via_rep(TwoBridgeFraction(p, q)))
+        admissible_modulus(alexander_via_rep(TwoBridgeFraction(p, q))).inflate(2)
         for p, q in ((5, 2), (7, 3))
     ]
     product = ModulusBranch(lifted[0] * lifted[1])

@@ -5,26 +5,30 @@ import pytest
 
 from helpers import (
     L,
+    Mat2,
+    TBasisRep,
+    adjoint,
     alexander_via_rep_oracle,
     eval_word_matrix,
     generator_adjoints,
     generator_images,
+    meridian_walk,
     random_unimodular_laurent,
     random_word,
+    to_tau_basis,
 )
 from lodehn.certify import admissible_modulus
 from lodehn.polynomials import Poly
 from lodehn.quotient import LaurentRing, ModulusBranch, QuotientRing
 from lodehn.reps import (
-    Mat2,
     MeridianRep,
-    adjoint,
+    _image_terms,
     alexander_via_fox,
     alexander_via_rep,
     burde_de_rham_assignment,
     f_upper_entry,
-    meridian_walk,
     normalize_alexander,
+    tau_terms,
 )
 from lodehn.twobridge import TwoBridgeFraction, build_presentation, family_fraction, family_word
 from lodehn.words import Word
@@ -42,7 +46,7 @@ def test_adjoint_of_diagonal():
 
 
 def test_adjoint_of_upper_triangular():
-    rep = MeridianRep(LaurentRing())
+    rep = TBasisRep(LaurentRing())
     ad = adjoint(generator_images(rep)[("y", 1)])
     assert ad.rows[0] == (L({2: 1}), L({1: -2}), L({0: -1}))
     assert ad.rows[1] == (L({}), L({0: 1}), L({-1: 1}))
@@ -69,13 +73,13 @@ def test_adjoint_multiplicative_on_random_unimodular_pairs():
 
 
 def test_eval_empty_word_is_identity():
-    rep = MeridianRep(LaurentRing())
+    rep = TBasisRep(LaurentRing())
     assert eval_word_matrix(Word(), rep).is_identity()
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_family_word_image_is_unipotent_with_f(j):
-    rep = MeridianRep(LaurentRing())
+    rep = TBasisRep(LaurentRing())
     m = eval_word_matrix(family_word(j), rep)
     assert m.a == 1 and m.c == 0 and m.d == 1
     assert m.b == f_upper_entry(j)
@@ -83,7 +87,7 @@ def test_family_word_image_is_unipotent_with_f(j):
 
 def test_eval_word_matrix_homomorphism():
     rng = random.Random(77)
-    rep = MeridianRep(LaurentRing())
+    rep = TBasisRep(LaurentRing())
     for _ in range(25):
         w = random_word(rng, 20)
         prod = eval_word_matrix(w, rep) @ eval_word_matrix(w.inverse(), rep)
@@ -199,37 +203,44 @@ def test_normalize_clears_content():
 
 def test_burde_de_rham_on_k1_branch():
     pres = build_presentation(TwoBridgeFraction(29, 17))
-    branch = ModulusBranch(DELTA1.inflate(2))
+    branch = ModulusBranch(DELTA1)
     rep = burde_de_rham_assignment(branch, pres.relator)
-    assert eval_word_matrix(pres.relator, rep).is_identity()
-    # the longitude lies in the second commutator subgroup, so it maps
-    # to the identity as well
-    assert eval_word_matrix(pres.longitude, rep).is_identity()
+    assert rep.ring.branch is branch
+    # Over t, on the lifted branch, the relator maps to the identity; the
+    # longitude lies in the second commutator subgroup, so it maps to the
+    # identity as well.
+    t_rep = TBasisRep(QuotientRing(ModulusBranch(DELTA1.inflate(2))))
+    assert eval_word_matrix(pres.relator, t_rep).is_identity()
+    assert eval_word_matrix(pres.longitude, t_rep).is_identity()
 
 
 def test_adjoints_built_on_first_use_invert_each_other():
     from lodehn.reps import Mat3
 
     # 53/31 is the j = 2 family knot: its integer modulus
-    # 2t^8 - 13t^6 + 23t^4 - 13t^2 + 2 has leading coefficient 2 and
-    # constant term 2, so t^2 and t^-2 reduce to non-integral residues.
-    reps = []
+    # 2tau^4 - 13tau^3 + 23tau^2 - 13tau + 2 has leading coefficient 2
+    # and constant term 2, so 1/tau reduces to a non-integral residue.
+    # Each adjoint is the t-basis oracle's conjugated by diag(1, t, 1)
+    # and written in tau.
+    cases = []
     for fraction in (TwoBridgeFraction(29, 17), TwoBridgeFraction(53, 31)):
         pres = build_presentation(fraction)
-        branch = ModulusBranch(alexander_via_fox(fraction).inflate(2))
+        branch = ModulusBranch(alexander_via_fox(fraction))
         rep = burde_de_rham_assignment(branch, pres.relator)
-        assert rep.t == branch.t() and rep.t * rep.t_inverse == 1
-        reps.append(rep)
-    assert reps[1].ring.branch._ints == [2, 0, -13, 0, 23, 0, -13, 0, 2]
+        assert rep.tau == branch.t() and rep.tau * rep.tau_inverse == 1
+        t_ring = QuotientRing(ModulusBranch(branch.modulus.inflate(2)))
+        cases.append((rep, TBasisRep(t_ring)))
+    assert cases[1][0].ring.branch._ints == [2, -13, 23, -13, 2]
     laurent = MeridianRep(LaurentRing())
-    assert laurent.t == L({1: 1}) and laurent.t_inverse == L({-1: 1})
-    reps.append(laurent)
-    for rep in reps:
-        # oracle[(g, 1)] is adjoint(Mat2(t, 0 or 1, 0, 1/t)) over rep.ring
-        oracle = generator_adjoints(rep)
+    assert laurent.tau == L({1: 1}) and laurent.tau_inverse == L({-1: 1})
+    cases.append((laurent, TBasisRep(LaurentRing())))
+    for rep, t_rep in cases:
+        ring = rep.ring if isinstance(rep.ring, QuotientRing) else None
+        # oracle[(g, 1)] is adjoint(Mat2(t, 0 or 1, 0, 1/t)) over t_rep.ring
+        oracle = generator_adjoints(t_rep)
         for gen, ad in (("x", rep.ad_x), ("y", rep.ad_y)):
-            assert ad == oracle[(gen, 1)]
-            assert ad @ oracle[(gen, -1)] == Mat3.identity()
+            assert ad == to_tau_basis(oracle[(gen, 1)], ring)
+            assert ad @ to_tau_basis(oracle[(gen, -1)], ring) == Mat3.identity()
 
 
 def test_burde_de_rham_rejects_non_root_branch():
@@ -240,7 +251,8 @@ def test_burde_de_rham_rejects_non_root_branch():
 
 def test_meridian_walk_image_matches_eval_word_matrix():
     rng = random.Random(5)
-    branch = ModulusBranch(admissible_modulus(alexander_via_rep(TwoBridgeFraction(201, 77))))
+    modulus = admissible_modulus(alexander_via_rep(TwoBridgeFraction(201, 77)))
+    branch = ModulusBranch(modulus.inflate(2))
     # u cancels back to zero after every commutator; x^7 has no y at
     # all; 151/1's w spreads its y letters over 150 exponent sums.
     edges = [
@@ -248,50 +260,58 @@ def test_meridian_walk_image_matches_eval_word_matrix():
         Word.parse("x") ** 7,
         build_presentation(TwoBridgeFraction(151, 1)).w,
     ]
-    for rep in (MeridianRep(LaurentRing()), MeridianRep(QuotientRing(branch))):
+    for rep in (TBasisRep(LaurentRing()), TBasisRep(QuotientRing(branch))):
         words = [random_word(rng, rng.randint(0, 60)) for _ in range(20)]
         for word in words + edges:
             assert meridian_walk(word, rep) == eval_word_matrix(word, rep)
 
 
 def test_relator_check_rejects_a_nonzero_exponent_sum():
-    # The check is t^n = 1 mod m, not n = 0: on 9/1's branch
-    # Phi12 * Phi36, x^36 maps to the identity and x^12 does not
-    # (the upper-right entry of a power of x is 0, so only t^n decides).
+    # The check is n = 0, not t^n = 1 mod F(t^2): t^n with n odd is not
+    # in Q[tau].  On 9/1's branch Phi6 * Phi18 in tau (Phi12 * Phi36 in
+    # t), x^36 maps to the identity over t, and the check still refuses
+    # it, as it refuses x^12 and y^12 (whose images are not the identity).
     branch = ModulusBranch(admissible_modulus(alexander_via_rep(TwoBridgeFraction(9, 1))))
-    assert branch.degree == 16
-    for word in (Word.parse("x"), Word.parse("x") ** 12, Word.parse("y") ** 12):
+    assert branch.degree == 8
+    t_rep = TBasisRep(QuotientRing(ModulusBranch(branch.modulus.inflate(2))))
+    assert eval_word_matrix(Word.parse("x") ** 36, t_rep).is_identity()
+    for word in (Word.parse("x"), Word.parse("x") ** 12, Word.parse("y") ** 12,
+                 Word.parse("x") ** 36):
         with pytest.raises(ValueError, match="relator"):
             burde_de_rham_assignment(branch, word)
-    rep = burde_de_rham_assignment(branch, Word.parse("x") ** 36)
-    assert eval_word_matrix(Word.parse("x") ** 36, rep).is_identity()
+    relator = build_presentation(TwoBridgeFraction(9, 1)).relator
+    assert burde_de_rham_assignment(branch, relator).ring.branch is branch
 
 
 def test_relator_check_rejects_another_knots_branch():
-    # 29/17's relator on the branch of the figure-eight knot, t^4 - 3t^2 + 1:
-    # the exponent sum is 0 and t^0 = 1, so the nonzero upper-right entry
-    # decides.
+    # 29/17's relator on the branch of the figure-eight knot,
+    # tau^2 - 3 tau + 1: the exponent sum is 0, so the nonzero residue of
+    # b/t, b the upper-right entry of the image, decides.
     pres = build_presentation(TwoBridgeFraction(29, 17))
-    branch = ModulusBranch(Poly([1, 0, -3, 0, 1]))
-    image = meridian_walk(pres.relator, MeridianRep(QuotientRing(branch)))
-    assert image.a == 1 and image.d == 1 and not image.b.is_zero
+    branch = ModulusBranch(Poly([1, -3, 1]))
+    n, b = _image_terms(pres.relator)
+    assert n == 0 and QuotientRing(branch).evaluate([tau_terms(b, -1)])[0]
     with pytest.raises(ValueError, match="relator"):
         burde_de_rham_assignment(branch, pres.relator)
 
 
 def test_burde_de_rham_trefoil():
     pres = build_presentation(TwoBridgeFraction(3, 1))
-    branch = ModulusBranch(Poly([1, 0, -1, 0, 1]))  # t^4 - t^2 + 1
-    rep = burde_de_rham_assignment(branch, pres.relator)
-    assert eval_word_matrix(pres.relator, rep).is_identity()
+    trefoil = Poly([1, -1, 1])  # tau^2 - tau + 1
+    rep = burde_de_rham_assignment(ModulusBranch(trefoil), pres.relator)
+    assert rep.ring.branch.modulus == trefoil
+    t_rep = TBasisRep(QuotientRing(ModulusBranch(trefoil.inflate(2))))
+    assert eval_word_matrix(pres.relator, t_rep).is_identity()
 
 
 def test_burde_de_rham_rejects_t_pm1():
-    # A branch touching t = 0 or t = +-1 cannot be built, so the
-    # assignment never sees one: the trefoil's branch t^4 - t^2 + 1 is
-    # refused with t^2 - 1 or t beside it.
-    trefoil = Poly([1, 0, -1, 0, 1])
-    with pytest.raises(ValueError, match="t = 1:"):
-        ModulusBranch(trefoil * Poly([-1, 0, 1]))
-    with pytest.raises(ValueError, match="t = 0:"):
+    # A branch touching tau = 0 or tau = 1 (t = 0 or t = +-1) cannot be
+    # built, so the assignment never sees one: the trefoil's branch
+    # tau^2 - tau + 1 is refused with tau - 1 or tau beside it.  A root
+    # at tau = -1, t = +-i, is allowed: t and t^2 - 1 are units there.
+    trefoil = Poly([1, -1, 1])
+    with pytest.raises(ValueError, match="tau = 1:"):
+        ModulusBranch(trefoil * Poly([-1, 1]))
+    with pytest.raises(ValueError, match="tau = 0:"):
         ModulusBranch(trefoil * Poly([0, 1]))
+    assert ModulusBranch(trefoil * Poly([1, 1])).degree == 3

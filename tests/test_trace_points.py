@@ -70,7 +70,8 @@ def test_observers_read_a_traced_certify_call():
     assert metrics["reps.burde_de_rham_assignment.calls"] == 1
     assert metrics["reps.burde_de_rham_assignment.calls_per_branch"] == 1.0
     assert metrics["cohomology.word_value_blocks.calls"] == 2
-    assert metrics["cohomology.word_value_blocks.modulus_degree_max"] == 8
+    # deg F for 29/17: the blocks live over Q[tau]/(F), tau = t^2
+    assert metrics["cohomology.word_value_blocks.modulus_degree_max"] == 4
     assert metrics["cohomology.word_value_blocks.letters"] > 0
     assert metrics["quotient.MatrixOverField.nullspace.leaves"] >= 2
     # One elimination per relator system: the knot's and the 0-filled
