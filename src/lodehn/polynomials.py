@@ -9,29 +9,38 @@ every interval endpoint is a rational that is not a root of the query
 polynomial, so counts are unconditional.
 
 The root layer runs on integers from the Sturm chain to the last
-bisection step.  Every sign it needs comes from one integer evaluator,
-``_sign_int``: a polynomial is scaled once by a positive rational to
-coprime integer coefficients, which keeps every sign, and at x = a/b
-with b > 0 the sign of p(x) is that of the integer b^d p(a/b), computed
-by homogeneous Horner.  The Sturm chain is the negated primitive
-pseudo-remainder sequence, each member sign-corrected to a positive
-integer multiple of the chain over Q, so every count is the same.
-Bisection holds an interval as two integer numerators over one
-denominator and divides out their common factor after each step.
-``isolate_real_roots`` builds its chain once and counts every
-sub-interval with it.  ``refine_isolating_interval`` needs no chain:
-its interval holds exactly one root of a square-free polynomial, a root
-of odd (indeed first) multiplicity, so the polynomial has opposite signs
-at the two endpoints, and of the two halves at a non-root midpoint
-exactly the one whose endpoint signs differ holds the root.  That is the
-half a Sturm count picks, so the intervals are the ones per-step Sturm
-counting gives.  Fractions are built only for the arguments and the
-results.
+refinement step.  Every value it needs comes from one integer
+evaluator, ``_eval_int``: a polynomial is scaled once by a positive
+rational to coprime integer coefficients, which keeps every sign, and
+at x = a/b with b > 0 the integer b^d p(a/b), computed by homogeneous
+Horner, has the sign of p(x); ``_sign_int`` is its sign.  The Sturm
+chain is the negated primitive pseudo-remainder sequence, each member
+sign-corrected to a positive integer multiple of the chain over Q, so
+every count is the same.  ``isolate_real_roots`` bisects with integer
+numerators over one denominator, builds its chain once and counts every
+sub-interval with it.
+
+``refine_isolating_interval`` needs no chain: its interval holds
+exactly one root of a square-free polynomial, a root of first
+multiplicity, so the polynomial has opposite signs at the two
+endpoints.  Its result is defined as the interval that bisection on
+those signs returns, which is the half a Sturm count picks at each
+step: the cell of the dyadic subdivision of the interval, at the first
+level no wider than the requested width, that holds the root; or, when
+a grid point of that subdivision is the root itself, the same for the
+interval bisection nudges to when it meets that point as a midpoint.
+It finds that cell by Abbott's quadratic interval refinement
+("Quadratic Interval Refinement for Real Roots"): secant guesses on the
+integer grid indices, with a sub-cell count that squares after each
+guess that lands, so a root to 10^-32 takes about 20 evaluations where
+bisection takes about 108.  Fractions are built only for the arguments
+and the results.
 
 ``poly_gcd`` runs on integers too: the primitive pseudo-remainder
 sequence of integer multiples of its inputs, through ``_pseudo_divmod``,
 the pseudo-division that the Sturm chain and the reduction and pivot
-tests in ``quotient`` share.
+tests in ``quotient`` share.  Yun's ``squarefree_decomposition`` runs on
+primitive integer polynomials with exact integer divisions.
 """
 
 from __future__ import annotations
@@ -262,35 +271,79 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
     while r1:
         _, _, r2 = _pseudo_divmod(r0, r1)
         if r2:
-            content = gcd(*r2)
-            r2 = [c // content for c in r2]
+            r2 = _primitive_part(r2)
         r0, r1 = r1, r2
     return list(r0)
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """a / b for integer polynomials (constant term first) where b is
+    nonzero and divides a with an integer quotient, as it does when b is
+    primitive and divides a over Q (Gauss's lemma): each step of the
+    long division divides exactly."""
+    db = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + db] // lead
+        if c:
+            q[i] = c
+            r[i:i + db] = [x - c * y for x, y in zip(r[i:i + db], b)]
+    return q
+
+
+def _primitive_part(a: Sequence[int]) -> List[int]:
+    """A nonzero integer polynomial divided by its content."""
+    content = gcd(*a)
+    return [c // content for c in a]
+
+
+def _int_derivative(a: Sequence[int]) -> List[int]:
+    return [k * c for k, c in enumerate(a) if k]
+
+
+def _int_difference(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """a - b for integer polynomials, trailing zeros trimmed."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for k, c in enumerate(b):
+        out[k] -= c
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def squarefree_decomposition(a: Poly) -> List[Tuple[Poly, int]]:
     """Yun's algorithm: pairwise-coprime monic square-free factors with
     multiplicities whose product (with multiplicity) rebuilds the input
-    up to its leading unit."""
+    up to its leading unit.
+
+    It runs on integer polynomials.  The input is scaled once to
+    coprime integer coefficients; every gcd is made primitive, so each
+    quotient is an exact integer division (Gauss's lemma), and b and c,
+    which Yun divides by the same gcd, stay the same multiple of their
+    values over Q, so c - b' does too.  Fractions are built only for
+    the monic factors."""
     if a.is_zero:
         raise ValueError("square-free decomposition of the zero polynomial")
-    a = a.monic()
     if a.degree == 0:
         return []
-    d = a.derivative()
-    g = poly_gcd(a, d)
+    b = _int_multiple(a)
+    c = _int_derivative(b)
+    g = _int_gcd(b, c)
+    if len(g) == 1:
+        return [(a.monic(), 1)]
+    g = _primitive_part(g)
+    b, c = _exact_quotient(b, g), _exact_quotient(c, g)
     out: List[Tuple[Poly, int]] = []
-    b = a // g
-    c = d // g
-    z = c - b.derivative()
     i = 1
-    while b.degree > 0:
-        fi = poly_gcd(b, z) if not z.is_zero else b.monic()
-        if fi.degree > 0:
-            out.append((fi, i))
-        b = b // fi
-        c = z // fi
-        z = c - b.derivative()
+    while len(b) > 1:
+        z = _int_difference(c, _int_derivative(b))
+        f = _primitive_part(_int_gcd(b, z)) if z else b
+        if len(f) > 1:
+            out.append((Poly(f).monic(), i))
+        b = _exact_quotient(b, f)
+        c = _exact_quotient(z, f) if z else z
         i += 1
     return out
 
@@ -333,15 +386,23 @@ def primitive_ints(p: Poly) -> List[int]:
     return ints if ints[-1] > 0 else [-c for c in ints]
 
 
-def _sign_int(coeffs: Sequence[int], a: int, b: int) -> int:
-    """Sign of p(a/b) for b > 0, where ``coeffs`` are the integer
-    coefficients (ascending, degree d) of a positive multiple of p: the
-    sign of b^d * p(a/b), by homogeneous Horner over ints."""
+def _eval_int(coeffs: Sequence[int], a: int, b: int) -> int:
+    """The integer b^d * p(a/b), where ``coeffs`` are the integer
+    coefficients (ascending, degree d) of p, by homogeneous Horner over
+    ints.  For b > 0 it has the sign of p(a/b), and at one b its values
+    are those of p times the one factor b^d."""
     acc, power = 0, 1
     for c in reversed(coeffs):
         acc = acc * a + c * power
         power *= b
-    return (acc > 0) - (acc < 0)
+    return acc
+
+
+def _sign_int(coeffs: Sequence[int], a: int, b: int) -> int:
+    """Sign of p(a/b) for b > 0, where ``coeffs`` are the integer
+    coefficients of a positive multiple of p (see :func:`_eval_int`)."""
+    value = _eval_int(coeffs, a, b)
+    return (value > 0) - (value < 0)
 
 
 def _variations(signs: Iterable[int]) -> int:
@@ -362,9 +423,7 @@ def _int_sturm_chain(p: Poly) -> List[List[int]]:
     gcd(p, p') up to a constant factor.
     """
     top = _int_multiple(p)
-    slope = [k * c for k, c in enumerate(top) if k]
-    content = gcd(*slope)
-    chain = [top, [c // content for c in slope]]
+    chain = [top, _primitive_part(_int_derivative(top))]
     while len(chain[-1]) > 1:
         f, _, r = _pseudo_divmod(chain[-2], chain[-1])
         if not r:
@@ -515,17 +574,30 @@ def isolate_real_roots(p: Poly) -> List[Tuple[Fraction, Fraction]]:
 def refine_isolating_interval(
     p: Poly, lo: Fraction, hi: Fraction, max_width: Fraction
 ) -> Tuple[Fraction, Fraction]:
-    """Shrink an isolating interval below ``max_width`` by bisection.
+    """Shrink an isolating interval below ``max_width``: the interval
+    bisection returns, found by Abbott's quadratic interval refinement.
 
     ``p`` must be square-free and the interval must contain exactly one
     root of ``p``.  That root is then simple, so ``p`` has opposite
-    signs at the two endpoints, and each step keeps the half whose
-    endpoint signs differ; no Sturm chain is needed.  Raises
+    signs at the two endpoints, and no Sturm chain is needed.  Raises
     ``ValueError`` when ``max_width`` is not positive, or when the
     endpoints do not bracket a sign change (no root, two roots, or an
     endpoint that is a root).  The returned endpoints are again
-    non-roots.  The steps run on integer numerators over one common
-    denominator; Fractions are built only for the arguments and the
+    non-roots.
+
+    The result is that of bisection, which keeps the half whose
+    endpoint signs differ.  Let k be the least level with
+    ``(hi - lo) / 2^k <= max_width``: bisection ends on the level-k cell
+    of the dyadic subdivision of (lo, hi) that holds the root, unless a
+    grid point of level <= k is the root itself.  It meets such a point
+    g first as the midpoint of a cell (g - h, g + h), nudges the
+    midpoint to g + h/2 and bisects (g - h, g + h/2) on, where g lies
+    at 2/3 and so on no grid point again.  Which cell holds the root
+    does not depend on how it is found, so :func:`_grid_cell` searches
+    the level-k grid by secant guesses instead of halvings and returns
+    the same cell; a root on the grid restarts the search on the nudged
+    interval, at most once.  The search runs on integer numerators over
+    one denominator; Fractions are built only for the arguments and the
     result.
     """
     lo, hi = _frac(lo), _frac(hi)
@@ -536,17 +608,65 @@ def refine_isolating_interval(
     den = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     b = hi.numerator * (den // hi.denominator)
-    sign_lo = _sign_int(coeffs, a, den)
-    if sign_lo * _sign_int(coeffs, b, den) >= 0:
-        raise ValueError(f"p does not change sign across ({lo}, {hi})")
     width_num, width_den = max_width.numerator, max_width.denominator
-    while (b - a) * width_den > width_num * den:
-        a, mid, b, e, sign_mid = _interior_non_root(coeffs, a, b, den)
-        if sign_mid != sign_lo:
-            a, b, den = _lowest(a, mid, e)
-        else:
-            a, b, den = _lowest(mid, b, e)
-    return Fraction(a, den), Fraction(b, den)
+    while True:
+        # Grid point i of level k is (a 2^k + i (b - a)) / (den 2^k).
+        over = -(-(b - a) * width_den // (width_num * den))
+        k = (over - 1).bit_length() if over > 1 else 0
+        a, step, den = a << k, b - a, den << k
+        common = gcd(a, step, den)
+        a, step, den = a // common, step // common, den // common
+        v_lo = _eval_int(coeffs, a, den)
+        v_hi = _eval_int(coeffs, a + (step << k), den)
+        if not (v_lo < 0 < v_hi or v_hi < 0 < v_lo):
+            raise ValueError(f"p does not change sign across ({lo}, {hi})")
+        i, on_root = _grid_cell(coeffs, a, step, den, 1 << k, v_lo, v_hi)
+        if not on_root:
+            return Fraction(a + i * step, den), Fraction(a + (i + 1) * step, den)
+        # Bisection's nudge: from the cell (g - h, g + h) of the coarsest
+        # level holding the root g = x_i, on to (g - h, g + h/2).
+        h = i & -i
+        a, b, den = 2 * (a + (i - h) * step), 2 * a + (2 * i + h) * step, 2 * den
+
+
+def _grid_cell(
+    coeffs: Sequence[int], a: int, step: int, den: int, n: int, v_lo: int, v_hi: int
+) -> Tuple[int, bool]:
+    """``(i, False)`` for the cell (x_i, x_(i+1)) holding the root of
+    the polynomial with integer coefficients ``coeffs``, on the grid
+    x_i = (a + i step) / den, 0 <= i <= n, step > 0, whose end values
+    ``_eval_int`` at x_0 and x_n, ``v_lo`` and ``v_hi``, have opposite
+    signs and bracket exactly one root; ``(i, True)`` when that root is
+    the grid point x_i.
+
+    Abbott's quadratic interval refinement on grid indices: the secant
+    through the bracket's end values is rounded into one of about 2^s
+    sub-cells, and the grid points on both sides of it are evaluated.
+    When the sign changes inside that sub-cell the bracket becomes it
+    and s doubles, so the number of correct bits roughly doubles per
+    step once the secant is accurate; otherwise the bracket keeps the
+    side that holds the root and s halves.  Every bracket holds the
+    root, and none but a single cell holds no grid point inside, so the
+    cell is reached, or the root found on the grid.
+    """
+    lo, hi, s = 0, n, 1
+    positive = v_lo > 0
+    while hi - lo > 1:
+        width = hi - lo
+        cell = width >> s or 1
+        left = lo + width * v_lo // (v_lo - v_hi) // cell * cell
+        for i in (left, left + cell):
+            if lo < i < hi:
+                value = _eval_int(coeffs, a + i * step, den)
+                if not value:
+                    return i, True
+                if (value > 0) == positive:
+                    lo, v_lo = i, value
+                else:
+                    hi, v_hi = i, value
+                    break
+        s = 2 * s if hi - lo <= cell else s // 2 or 1
+    return lo, False
 
 
 class LaurentPoly:

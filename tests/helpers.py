@@ -4,7 +4,8 @@ adjoint action, the meridian representation over t in the basis
 blocks into the package's basis (v+, t v0, v-) and into tau = t^2, the
 step-by-step word and cocycle oracles, the Q[t, t^-1] Alexander oracle, the dict oracle for
 Laurent arithmetic, the Sturm chain over Q and the Sturm bisection
-oracle, the floating oracle, the Euclidean gcd over Q, the Fraction
+oracle, the floating oracle, the Euclidean gcd over Q and Yun's
+square-free split over it, the Fraction
 oracle for Q[t]/(m) arithmetic (with the extended Euclidean algorithm
 over Q), the power-by-power geometric sum, the fixed-space
 elimination for H^0, the reduced row echelon form with its kernel
@@ -541,6 +542,32 @@ def poly_gcd_oracle(a, b):
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
+
+
+def squarefree_decomposition_oracle(a):
+    """``polynomials.squarefree_decomposition``: Yun's algorithm with
+    Fraction divisions and the Euclidean gcd over Q."""
+    if a.is_zero:
+        raise ValueError("square-free decomposition of the zero polynomial")
+    a = a.monic()
+    if a.degree == 0:
+        return []
+    d = a.derivative()
+    g = poly_gcd_oracle(a, d)
+    out = []
+    b = a // g
+    c = d // g
+    z = c - b.derivative()
+    i = 1
+    while b.degree > 0:
+        fi = poly_gcd_oracle(b, z) if not z.is_zero else b.monic()
+        if fi.degree > 0:
+            out.append((fi, i))
+        b = b // fi
+        c = z // fi
+        z = c - b.derivative()
+        i += 1
+    return out
 
 
 def poly_xgcd(a, b):

@@ -11,9 +11,11 @@ from helpers import (
     poly_gcd_oracle,
     poly_xgcd,
     refine_isolating_interval_oracle,
+    squarefree_decomposition_oracle,
     sturm_chain,
     sturm_count_oracle,
 )
+from lodehn import polynomials
 from lodehn.certify import admissible_modulus
 from lodehn.polynomials import (
     LaurentPoly,
@@ -136,6 +138,24 @@ def test_squarefree_reconstructs_random_products():
             assert poly_gcd(factor, factor.derivative()).degree == 0
             rebuilt = rebuilt * factor**mult
         assert rebuilt == product.monic()
+
+
+def test_squarefree_matches_the_fraction_yun_oracle():
+    # Products of up to four random factors (shared roots, constant
+    # and linear factors among them) with multiplicities 1-3 and a
+    # rational scalar: the integer split and Yun over Q give equal lists.
+    rng = random.Random(15)
+    for _ in range(2000):
+        product = Poly([random_fraction(rng) or 1])
+        for _ in range(rng.randint(1, 4)):
+            factor = Poly(
+                [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))]
+                + [rng.randint(1, 3)]
+            )
+            product = product * factor ** rng.randint(1, 3)
+        assert squarefree_decomposition(product) == (
+            squarefree_decomposition_oracle(product)
+        )
 
 
 def test_sturm_delta1_on_0_5():
@@ -336,6 +356,19 @@ def test_refinement_matches_the_sturm_bisection_oracle():
         assert refine_isolating_interval(p, lo, hi, width) == (
             refine_isolating_interval_oracle(p, lo, hi, width)
         )
+    # Dyadic roots r = n / 2^l of depth l = 1..6: on (0, 8) bisection
+    # meets r as a midpoint at step l + 3 and nudges there; on (-1, 8)
+    # and (1/3, 8) a dyadic r is seldom a grid point.
+    nudge_rng = random.Random(17)
+    for depth in range(1, 7):
+        for lo in (Fraction(0), Fraction(-1), Fraction(1, 3)):
+            odd = [n for n in range(1, 2 ** (depth + 3), 2) if Fraction(n, 2**depth) > lo]
+            for n in nudge_rng.sample(odd, min(3, len(odd))):
+                p = Poly([-Fraction(n, 2**depth), 1]) * Poly([-100, 1]) * Poly([3, 0, 1])
+                for width in (Fraction(1, 10**3), Fraction(1, 10**20)):
+                    assert refine_isolating_interval(p, lo, Fraction(8), width) == (
+                        refine_isolating_interval_oracle(p, lo, Fraction(8), width)
+                    )
     refined = 0
     for p, width in cases:
         for lo, hi in isolate_real_roots(p):
@@ -399,6 +432,28 @@ def test_refinement_builds_no_fraction_per_step(monkeypatch):
     assert counts[0] == counts[1]
     for (a, b), width in zip(refined, widths):
         assert 0 < b - a <= width and p(a) < 0 < p(b)
+
+
+def test_refinement_evaluations_grow_like_log_log_of_the_width(monkeypatch):
+    # Bisection evaluates once per halving: about 9.3 times the calls
+    # at 10^-302 as at 10^-32.  Quadratic interval refinement doubles
+    # the bits gained per step, so the count grows far slower.
+    calls = []
+    original = polynomials._eval_int
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(polynomials, "_eval_int", counting)
+    p, lo, hi = Poly([-2, 0, 1]), Fraction(1), Fraction(2)
+    counts = []
+    for width in (Fraction(1, 10**32), Fraction(1, 10**302)):
+        del calls[:]
+        a, b = refine_isolating_interval(p, lo, hi, width)
+        counts.append(len(calls))
+        assert 0 < b - a <= width and p(a) < 0 < p(b)
+    assert counts[1] < 3 * counts[0]
 
 
 def test_integer_sturm_chain_matches_the_fraction_chain():
