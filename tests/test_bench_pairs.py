@@ -33,27 +33,35 @@ def _line(ops, p50, trace_s):
     }
 
 
+def _runs(parent, change, parent_p50=None, change_p50=None):
+    parent_p50 = parent_p50 or [1.0] * len(parent)
+    change_p50 = change_p50 or [1.0] * len(change)
+    return [
+        {"parent": _line(p, pl, 1.0), "change": _line(c, cl, 2.0)}
+        for p, c, pl, cl in zip(parent, change, parent_p50, change_p50)
+    ]
+
+
 def test_summary_counts_wins_and_compares_the_median_gain_with_the_parent_iqr():
     bench_pairs = _load_bench_pairs()
-    parent_ops, change_ops = [300, 310, 320, 330, 340], [350, 305, 400, 410, 420]
-    parent_p50, change_p50 = [4.0, 4.0, 4.0, 4.0, 4.0], [3.0, 3.0, 4.0, 5.0, 3.0]
-    runs = [
-        {"parent": _line(p, pl, 1.0), "change": _line(c, cl, 2.0)}
-        for p, c, pl, cl in zip(parent_ops, change_ops, parent_p50, change_p50)
-    ]
+    parent_ops = [300, 310, 320, 330, 340, 300, 310, 320, 330, 340]
+    change_ops = [350, 305, 400, 410, 420, 350, 350, 400, 410, 420]
+    parent_p50 = [4.0] * 10
+    change_p50 = [3.0, 3.0, 4.0, 5.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0]
+    runs = _runs(parent_ops, change_ops, parent_p50, change_p50)
     summary = bench_pairs.summarize(runs, {"ops_per_s": "higher", "op_p50_s": "lower"})
 
     ops = summary["ops_per_s"]
     assert ops["unit"] == "ops/s" and ops["better"] == "higher"
     assert ops["parent"] == {"median": 320, "q1": 310, "q3": 330, "iqr": 20}
     assert ops["change"] == {"median": 400, "q1": 350, "q3": 410, "iqr": 60}
-    assert ops["change_wins"] == 4  # 305 < 310 loses its pair
-    assert ops["clear_gain"] is True  # 400 - 320 > 20
+    assert ops["change_wins"] == 9  # 305 < 310 loses its pair
+    assert ops["clear_gain"] is True  # 9 of 10 pairs, 400 - 320 > 20
 
     p50 = summary["op_p50_s"]
-    assert p50["change_wins"] == 3  # lower is better; ties do not count
+    assert p50["change_wins"] == 8  # lower is better; ties do not count
     assert p50["change"]["median"] == 3.0
-    assert p50["clear_gain"] is True  # 4.0 - 3.0 > 0
+    assert p50["clear_gain"] is False  # 4.0 - 3.0 > 0, but 8 of 10 pairs
 
     # A metric with no direction gets quartiles but no verdict.
     assert summary["trace_s"]["better"] is None
@@ -63,14 +71,20 @@ def test_summary_counts_wins_and_compares_the_median_gain_with_the_parent_iqr():
 
 def test_summary_refuses_a_gain_inside_the_parent_spread():
     bench_pairs = _load_bench_pairs()
-    runs = [
-        {"parent": _line(p, 1.0, 1.0), "change": _line(c, 1.0, 1.0)}
-        for p, c in zip([200, 300, 400], [310, 320, 330])
-    ]
+    parent = [200, 300, 400, 200, 300, 400, 200, 300, 400, 300]
+    runs = _runs(parent, [p + 20 for p in parent])
     ops = bench_pairs.summarize(runs, {"ops_per_s": "higher"})["ops_per_s"]
-    assert ops["change_wins"] == 2
-    assert ops["parent"]["iqr"] == 100
-    assert ops["clear_gain"] is False  # 320 - 300 < 100
+    assert ops["change_wins"] == 10
+    assert ops["parent"]["iqr"] == 150
+    assert ops["clear_gain"] is False  # 320 - 300 < 150
+
+
+def test_summary_shows_no_gain_from_too_few_pairs():
+    bench_pairs = _load_bench_pairs()
+    runs = _runs([300, 300, 300, 300], [600, 600, 600, 600])
+    ops = bench_pairs.summarize(runs, {"ops_per_s": "higher"})["ops_per_s"]
+    assert ops["change_wins"] == 4  # every pair won, far past the parent IQR of 0
+    assert ops["clear_gain"] is False  # but 4 pairs < MIN_PAIRS
 
 
 def test_quartiles_of_one_value_and_directions_from_the_benchmark():

@@ -3,7 +3,7 @@
 with their summary into BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --n 16 --workload alexander-roots \\
-        --pairs 10 --seed 11 --seconds 40
+        --pairs 10 --seed 11
 
 The parent side is the committed tree of ``--parent`` (default
 ``HEAD``, which measures the uncommitted working tree against the last
@@ -11,7 +11,7 @@ commit; give ``HEAD~1`` once the change is committed), exported with
 ``git archive`` into a temporary directory, so the repository gains no
 worktree entry.  The change side is the working tree as it stands.
 Both run ``perfbench/run.py`` from their own tree, so each imports its
-own ``src/``.  Pair i runs the parent first when i is even and the
+own ``src/``, for the ``run_seconds`` that BENCHMARK.json sets.  Pair i runs the parent first when i is even and the
 change first when i is odd, so a drift of the host's speed does not
 favour one side.
 
@@ -19,9 +19,11 @@ Every run's final JSON line is kept as perfbench printed it.  The
 summary gives, per metric, each side's quartiles, the number of pairs
 the change wins in the metric's better direction (read from
 BENCHMARK.json), and ``clear_gain``: whether the change's median beats
-the parent's by more than the parent's interquartile range.  The file
-holds one such record per workload (traced runs apart from untraced
-ones); a run adds or replaces its own and keeps the others.  It is
+the parent's by more than the parent's interquartile range with at
+least ``MIN_PAIRS`` pairs and the change winning at least
+``MIN_WIN_SHARE`` of them; with fewer pairs no gain is shown.  The file
+holds a list of rounds per workload (traced runs apart from untraced
+ones); a run appends its round and keeps the earlier ones.  It is
 rewritten after every pair.  Standard library only.
 """
 
@@ -40,6 +42,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+MIN_PAIRS = 10
+MIN_WIN_SHARE = 0.9
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -54,8 +58,9 @@ def summarize(runs: Sequence[Dict], better: Dict[str, str]) -> Dict[str, Dict]:
     """Per metric of the runs' final lines: each side's quartiles and
     interquartile range and, for a metric with a direction in
     ``better`` ("higher" or "lower"), the change's wins over its pair's
-    parent run and whether its median gain exceeds the parent's
-    interquartile range.  ``runs`` holds one ``{"parent": line,
+    parent run and ``clear_gain``: at least ``MIN_PAIRS`` pairs, wins in
+    at least ``MIN_WIN_SHARE`` of them, and a median gain above the
+    parent's interquartile range.  ``runs`` holds one ``{"parent": line,
     "change": line}`` per pair."""
     summary = {}
     for name, metric in runs[0]["parent"]["metrics"].items():
@@ -71,7 +76,11 @@ def summarize(runs: Sequence[Dict], better: Dict[str, str]) -> Dict[str, Dict]:
                 (c - p) * direction > 0 for p, c in zip(values["parent"], values["change"])
             )
             gain = (entry["change"]["median"] - entry["parent"]["median"]) * direction
-            entry["clear_gain"] = gain > entry["parent"]["iqr"]
+            entry["clear_gain"] = (
+                len(runs) >= MIN_PAIRS
+                and entry["change_wins"] >= MIN_WIN_SHARE * len(runs)
+                and gain > entry["parent"]["iqr"]
+            )
         summary[name] = entry
     return summary
 
@@ -126,21 +135,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=40)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--parent", default="HEAD")
     args = parser.parse_args(argv)
 
-    better = directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = directions(benchmark)
+    seconds = benchmark["run_seconds"]
     perfbench_argv = ["--workload", args.workload, "--seed", str(args.seed),
-                      "--seconds", str(args.seconds), "--trace", str(args.trace)]
+                      "--seconds", str(seconds), "--trace", str(args.trace)]
     out = ROOT / f"BENCH_{args.n}.json"
     records = json.loads(out.read_text()) if out.exists() else {}
     key = args.workload + (" traced" if args.trace else "")
     record = {
         "workload": args.workload,
         "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "trace": args.trace,
         "command": ["python3", "perfbench/run.py", *perfbench_argv],
         "parent_commit": git("rev-parse", args.parent),
@@ -148,6 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   + (" with uncommitted changes" if git("status", "--porcelain") else ""),
         "runs": [],
     }
+    records.setdefault(key, []).append(record)
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         export(args.parent, trees["parent"])
@@ -162,7 +173,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 ), file=sys.stderr, flush=True)
             record["runs"].append(run)
             record["summary"] = summarize(record["runs"], better)
-            records[key] = record
             out.write_text(json.dumps(records, indent=1) + "\n")
     return 0 if all(
         run[side]["correct"] and not run[side]["failed"]
