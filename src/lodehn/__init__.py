@@ -16,7 +16,6 @@ from .certify import (
 )
 from .cohomology import (
     BranchCohomology,
-    CohomologyDims,
     FamilyCocycleForms,
     cohomology_dims,
     family_cocycle_forms,

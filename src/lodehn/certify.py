@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cohomology import CohomologyDims, cohomology_dims, relator_system
+from .cohomology import cohomology_dims, relator_system
 from .polynomials import (
     Poly,
     isolate_real_roots,
@@ -62,16 +62,17 @@ def analyze_roots(delta: Poly) -> RootAnalysis:
 
 @dataclass(frozen=True)
 class RootBranchReport:
-    """Per-leaf record of the rigidity computation; ``modulus`` and the
-    split records of ``lineage`` are polynomials in t."""
+    """Per-leaf record of the rigidity computation: dim H^1 of the knot
+    group and of the 0-filled group; ``modulus`` and the split records
+    of ``lineage`` are polynomials in t."""
 
     modulus: Poly
     lineage: Tuple
     xi_factor: Poly
     multiplicity: int
     real_root_intervals: Tuple[Tuple[Fraction, Fraction], ...]
-    dims_knot: CohomologyDims
-    dims_filled: CohomologyDims
+    h1_knot: int
+    h1_filled: int
     rigid: bool
     trace_checks: Tuple[bool, ...]
 
@@ -138,14 +139,14 @@ def check_rigidity(
     knot = relator_system([pres.relator], rep)
     longitude = relator_system([pres.longitude], rep)
     reports: List[RootBranchReport] = []
-    for knot_leaf in cohomology_dims(knot, rep):
+    for knot_leaf in cohomology_dims(knot):
         # Every leaf modulus divides the branch modulus, and reducing
         # modulo a factor is a ring homomorphism, so the branch's rows
         # reduced onto the leaf are the rows the leaf's own
-        # representation would give, and its relator is the identity.
-        # The knot rows passed the coboundary check on the branch.
+        # representation would give: they pass the coboundary check
+        # there, and its relator is the identity.
         filled = MatrixOverField(knot.entries + longitude.entries, knot_leaf.ring)
-        for filled_leaf in cohomology_dims(filled, rep, checked=knot.rows):
+        for filled_leaf in cohomology_dims(filled):
             leaf = filled_leaf.branch
             modulus = leaf.modulus.inflate(2)
             intervals = tuple(isolate_real_roots(modulus))
@@ -156,9 +157,9 @@ def check_rigidity(
                     xi_factor=xi_factor.primitive(),
                     multiplicity=multiplicity,
                     real_root_intervals=intervals,
-                    dims_knot=knot_leaf.dims,
-                    dims_filled=filled_leaf.dims,
-                    rigid=(filled_leaf.dims.h1 == 0),
+                    h1_knot=knot_leaf.h1,
+                    h1_filled=filled_leaf.h1,
+                    rigid=(filled_leaf.h1 == 0),
                     trace_checks=meridian_trace_check(modulus, intervals),
                 )
             )

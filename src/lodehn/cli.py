@@ -61,8 +61,11 @@ def _interval_json(interval: Tuple[Fraction, Fraction]) -> List[str]:
     return [_frac_str(lo), _frac_str(hi)]
 
 
-def _dims_json(dims) -> Dict[str, int]:
-    return {"z1": dims.z1, "b1": dims.b1, "h0": dims.h0, "h1": dims.h1}
+def _dims_json(h1: int) -> Dict[str, int]:
+    """A schema-1 ``dims_*`` record.  z1 = h1 + 3, b1 = 3 and h0 = 0 on
+    every leaf, since tau and tau - 1 are units there (see
+    ``cohomology``)."""
+    return {"z1": h1 + 3, "b1": 3, "h0": 0, "h1": h1}
 
 
 def build_report(
@@ -80,8 +83,8 @@ def build_report(
             ],
             # Schema 1 field; ModulusBranch refuses tau = 1, that is t = +-1.
             "contains_pm1": False,
-            "dims_knot": _dims_json(report.dims_knot),
-            "dims_filled": _dims_json(report.dims_filled),
+            "dims_knot": _dims_json(report.h1_knot),
+            "dims_filled": _dims_json(report.h1_filled),
             "rigid": report.rigid,
             "trace_checks": list(report.trace_checks),
             "lineage": [
@@ -234,8 +237,8 @@ def _print_certify_summary(result: CertifyResult) -> None:
         else:
             mod = " ".join(_poly_fracs(report.modulus))
         print(
-            f"branch [{mod}]: H1(knot) = {report.dims_knot.h1}, "
-            f"H1(filled) = {report.dims_filled.h1}, "
+            f"branch [{mod}]: H1(knot) = {report.h1_knot}, "
+            f"H1(filled) = {report.h1_filled}, "
             f"{'rigid' if report.rigid else 'not rigid'}, "
             f"real roots: {len(report.real_root_intervals)}"
         )
@@ -266,7 +269,7 @@ def _root_lines(delta: Poly, digits: int) -> List[str]:
     for lo, hi, multiplicity, factor in entries:
         mid = (lo + hi) / 2
         kind = "positive" if lo >= 0 else "negative"
-        if factor(1) == 0 and lo < 1 < hi:
+        if lo < 1 < hi and factor(1) == 0:
             kind = "equal to 1"
         lines.append(
             f"root in ({_frac_str(lo)}, {_frac_str(hi)})"
@@ -338,10 +341,7 @@ def _check_cohomology(j: int) -> bool:
             return False
         reports = check_rigidity(pres, ModulusBranch(modulus), factor, multiplicity)
         for report in reports:
-            knot, filled = report.dims_knot, report.dims_filled
-            if (knot.z1, knot.b1, knot.h0, knot.h1) != (4, 3, 0, 1):
-                return False
-            if filled.h1 != 0 or filled.h0 != 0 or filled.b1 != 3:
+            if (report.h1_knot, report.h1_filled) != (1, 0):
                 return False
     return True
 

@@ -5,9 +5,10 @@ along a word by z(gh) = z(g) + g.z(h) with g acting through the adjoint
 of the representation, and z(g^-1) = -Ad(g^-1) z(g).  A value pair is a
 genuine cocycle of a presented group exactly when it kills every
 relator, which turns cocycle spaces into nullspaces of explicit linear
-systems (one 3x6 block per relator, columns ordered z(x) then z(y)).
-The 0-filled group's system is the knot group's relator rows plus the
-longitude rows, both built once on a branch and reduced onto its leaves.
+systems (one 3x6 block per relator, columns ordered z(x) then z(y)),
+of which only three columns are kept (see below).  The 0-filled group's
+system is the knot group's relator rows plus the longitude rows, both
+built and checked once on a branch and reduced onto its leaves.
 
 Everything here runs in the basis (v+, t v0, v-) of ``reps``, where the
 adjoint of the meridian representation is defined over Q[tau], tau =
@@ -35,15 +36,29 @@ Ad(x) - 1 = diag(tau - 1, 0, 1/tau - 1), so Ad(x) fixes only the
 multiples of t v0 when tau - 1 is a unit, and Ad(y) moves t v0, as
 (Ad(y) - 1) t v0 = (-2 tau, 0, 0), when tau is a unit.  Every modulus
 branch is coprime to tau^2 - tau, so both are units (see
-``quotient.ModulusBranch``), and every leaf has H^0 = 0, B^1 = 3 and
-
-    dim H^1 = dim Z^1 - 3.
+``quotient.ModulusBranch``), and every leaf has H^0 = 0 and B^1 = 3.
 
 A row (a0, a1, a2 | b0, b1, b2) kills every coboundary exactly when
 a (Ad x - 1) + b (Ad y - 1) = 0, that is when (a0 + b0)(tau - 1),
 -2 tau b0 and (a2 + b2)(1/tau - 1) - b0 + b1/tau vanish.  With tau and
 tau - 1 units, that is a0 = b0 = 0 and b1 = (tau - 1)(a2 + b2): one ring
-product per row (:func:`_check_coboundaries_are_cocycles`).
+product per row, which :func:`relator_system` checks on every row it
+builds, on the branch.
+
+Those rows have zero columns 0 and 3, and column 4 is tau - 1 times
+column 2 plus column 5.  So :func:`relator_system` keeps only the live
+columns (a1, a2, b2), and on every leaf
+
+    dim H^1 = dim Z^1 - 3 = 3 - rank,
+
+the nullity of the three-column system.  The elimination of the six
+columns would give the same rank and the same leaves.  Row operations
+keep the column relation, so once columns 1 and 2 are cleared, a row's
+entry in column 4 is tau - 1, a unit, times its entry in column 5.
+Column 4 then pivots on the row where column 5 would, with the same gcd
+with F, hence the same D5 split, and leaves column 5 nothing to pivot
+on.  A row checked on the branch passes on each leaf, since the leaf
+moduli are coprime and multiply back to F (CRT).
 
 The closed forms of the family cocycle values and the two vanishing
 identities they satisfy are exposed at the end of the module.  They
@@ -211,71 +226,42 @@ def word_value_blocks(word: Word, rep: MeridianRep) -> Tuple[Mat3, Mat3]:
 
 
 def relator_system(relators: Sequence[Word], rep: MeridianRep) -> MatrixOverField:
-    """Stacked 3x6 blocks, one per relator (a single zero row when there
-    are none); the nullspace is the space of cocycle value pairs of the
-    presented group."""
+    """The live columns (a1, a2, b2) of the stacked 3x6 blocks, one per
+    relator (a single zero row when there are none); the nullity is
+    dim H^1 of the presented group.  Every block row (a0, a1, a2 | b0,
+    b1, b2) is checked first to kill every coboundary, a0 = b0 = 0 and
+    b1 = (tau - 1)(a2 + b2); a failure would falsify the system and
+    raises (see the module docstring)."""
+    tau_minus_one = rep.tau - 1
     rows: List[Tuple] = []
     for relator in relators:
         mx, my = word_value_blocks(relator, rep)
-        for i in range(3):
-            rows.append(mx.rows[i] + my.rows[i])
-    return MatrixOverField(rows or [(rep.ring.zero,) * 6], rep.ring)
-
-
-@dataclass(frozen=True)
-class CohomologyDims:
-    z1: int
-    b1: int
-    h0: int
-    h1: int
+        for (a0, a1, a2), (b0, b1, b2) in zip(mx.rows, my.rows):
+            if a0 or b0 or b1 != tau_minus_one * (a2 + b2):
+                raise AssertionError("a coboundary escaped the cocycle space")
+            rows.append((a1, a2, b2))
+    return MatrixOverField(rows or [(rep.ring.zero,) * 3], rep.ring)
 
 
 @dataclass
 class BranchCohomology:
     ring: QuotientRing
-    dims: CohomologyDims
+    h1: int
 
     @property
     def branch(self) -> ModulusBranch:
         return self.ring.branch
 
 
-def cohomology_dims(
-    system: MatrixOverField, rep: MeridianRep, checked: int = 0
-) -> List[BranchCohomology]:
-    """Dimensions of Z^1, B^1, H^0 and H^1 for the presentation with
-    relator system ``system``, one record per leaf branch.  ``rep`` may
-    live on a branch whose modulus the system's modulus divides.
+def cohomology_dims(system: MatrixOverField) -> List[BranchCohomology]:
+    """dim H^1 for the presentation with relator system ``system``, one
+    record per leaf branch: the nullity of the system on the leaf, from
+    its rank under the fraction-free elimination of
+    :meth:`MatrixOverField.nullspace`; no cocycle basis is built.  The
+    system may be a :func:`relator_system` reduced onto a factor of its
+    modulus."""
+    return [BranchCohomology(leaf.ring, leaf.dim) for leaf in system.nullspace()]
 
-    Z^1 is the nullity of the system on each leaf, from its rank under
-    the fraction-free elimination of :meth:`MatrixOverField.nullspace`;
-    no cocycle basis is built.  tau and tau - 1 are units on every
-    branch, which gives H^0 = 0 and B^1 = 3 (see the module docstring).
-    Before the elimination, every row of the system after the first
-    ``checked`` is checked to kill every coboundary; a failure would
-    falsify the linear systems and raises.  A row that passed on a
-    branch passes on every factor of its modulus, so the first
-    ``checked`` rows may be rows that passed on such a branch.
-    """
-    _check_coboundaries_are_cocycles(system.entries[checked:], system.ring, rep)
-    return [
-        BranchCohomology(
-            leaf.ring, CohomologyDims(z1=leaf.dim, b1=3, h0=0, h1=leaf.dim - 3)
-        )
-        for leaf in system.nullspace()
-    ]
-
-
-def _check_coboundaries_are_cocycles(
-    rows: Sequence[Sequence], ring: QuotientRing, rep: MeridianRep
-) -> None:
-    """Each row (a0, a1, a2 | b0, b1, b2) over ``ring`` must kill the
-    coboundary of every V: a0 = b0 = 0 and b1 = (tau - 1)(a2 + b2), with
-    tau from ``rep`` (see the module docstring)."""
-    tau_minus_one = ring.coerce(rep.tau) - 1
-    for a0, _, a2, b0, b1, b2 in rows:
-        if a0 or b0 or b1 != tau_minus_one * (a2 + b2):
-            raise AssertionError("a coboundary escaped the cocycle space")
 
 
 class ClosedFormMismatch(RuntimeError):

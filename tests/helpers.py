@@ -8,8 +8,9 @@ oracle, the floating oracle, the Euclidean gcd over Q and Yun's
 square-free split over it, the Fraction
 oracle for Q[t]/(m) arithmetic (with the extended Euclidean algorithm
 over Q), the power-by-power geometric sum, the fixed-space
-elimination for H^0, the reduced row echelon form with its kernel
-basis, and the cocycle values, coboundaries and normal forms."""
+elimination for H^0, the six-column relator block rows, the reduced
+row echelon form with its kernel basis, and the cocycle values,
+coboundaries and normal forms."""
 
 import json
 import os
@@ -19,6 +20,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
+from lodehn.cohomology import word_value_blocks
 from lodehn.polynomials import LaurentPoly, Poly, squarefree_part
 from lodehn.quotient import LaurentRing, MatrixOverField, QuotientRing, SplitRequired
 from lodehn.reps import Mat3, _image_terms
@@ -328,6 +330,18 @@ def h0_oracle(system_ring, rep):
         for i in range(3)
     ]
     return MatrixOverField(rows, system_ring).nullspace()
+
+
+def relator_block_rows(relators, rep):
+    """The full block rows (a0, a1, a2 | b0, b1, b2) of ``relators``,
+    three per relator, from ``cohomology.word_value_blocks``: the rows
+    that ``relator_system`` checks against the coboundaries before it
+    keeps the columns (a1, a2, b2).  Their nullity is dim Z^1."""
+    rows = []
+    for relator in relators:
+        mx, my = word_value_blocks(relator, rep)
+        rows += [mx.rows[i] + my.rows[i] for i in range(3)]
+    return rows
 
 
 def echelon_oracle(rows, cols):

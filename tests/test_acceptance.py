@@ -23,10 +23,11 @@ from helpers import (
     oracle_rows,
     random_unimodular_laurent,
     random_word,
+    relator_block_rows,
     system_numeric_rank_at,
 )
 from lodehn.certify import admissible_modulus, certify, check_rigidity
-from lodehn.cli import main
+from lodehn.cli import build_report, main
 from lodehn.cohomology import (
     family_cocycle_forms,
     relator_system,
@@ -123,9 +124,7 @@ def test_criterion_6_main_vanishing():
             reports = check_rigidity(build_presentation(fraction), branch, factor, mult)
             assert reports
             for report in reports:
-                knot, filled = report.dims_knot, report.dims_filled
-                assert (knot.z1, knot.b1, knot.h0, knot.h1) == (4, 3, 0, 1)
-                assert filled.h1 == 0 and filled.h0 == 0 and filled.b1 == 3
+                assert (report.h1_knot, report.h1_filled) == (1, 0)
     _report(6, "H1(knot)=1 and H1(filled)=0 on every branch, j=1..20",
             started, budget=300)
 
@@ -175,26 +174,29 @@ def test_criterion_8_property_suites():
         expected = tuple(eval_cocycle(a, z, rep)[i] + step[i] for i in range(3))
         assert eval_cocycle(a * b, z, rep) == expected
 
-    # coboundaries lie in every constructed cocycle space, and exact
-    # ranks agree with high-precision floating elimination at the
-    # isolated roots, for K1 and K2
+    # coboundaries lie in every constructed cocycle space, and the exact
+    # ranks of the three-column systems agree with high-precision
+    # floating elimination of the six-column block rows at the isolated
+    # roots, for K1 and K2
     for j in (1, 2):
         fraction = family_fraction(j)
         pres = build_presentation(fraction)
         branch = ModulusBranch(_family_delta(j).monic())
         branch_rep = burde_de_rham_assignment(branch, pres.relator)
         for relators in ([pres.relator], [pres.relator, pres.longitude]):
-            system = relator_system(relators, branch_rep)
+            block_rows = relator_block_rows(relators, branch_rep)
             for k in range(3):
                 unit = [1 if i == k else 0 for i in range(3)]
                 cb = coboundary_values(unit, branch_rep)
-                image = matrix_times(system.entries, cb.z_x + cb.z_y)
+                image = matrix_times(block_rows, cb.z_x + cb.z_y)
                 assert all(entry.is_zero for entry in image)
+            system = relator_system(relators, branch_rep)
             exact_ranks = {res.rank for res in system.nullspace()}
             assert len(exact_ranks) == 1
             exact_rank = exact_ranks.pop()
+            six = MatrixOverField(block_rows, branch_rep.ring)
             for root in numeric_roots(branch.modulus):
-                assert system_numeric_rank_at(system, root) == exact_rank
+                assert system_numeric_rank_at(six, root) == exact_rank
 
     # reciprocal symmetry of every computed Alexander polynomial
     fractions = [family_fraction(j) for j in range(1, 6)]
@@ -243,14 +245,13 @@ def test_criterion_9_cross_knot_oracles():
     delta = Poly(fixture["alexander"])
     branch = ModulusBranch(admissible_modulus(delta))
     reports = check_rigidity(build_presentation(fig8), branch, delta, 1)
-    assert reports
-    for report in reports:
-        knot, filled = report.dims_knot, report.dims_filled
+    branches = build_report(certify(fig8), {})["branches"]
+    assert reports and len(branches) == len(reports)
+    for report, written in zip(reports, branches):
         for expected in fixture["roots"].values():
-            assert (knot.z1, knot.b1, knot.h0, knot.h1) == tuple(
-                expected["knot"][k] for k in ("z1", "b1", "h0", "h1")
+            assert (report.h1_knot, report.h1_filled) == (
+                expected["knot"]["h1"], expected["filled"]["h1"]
             )
-            assert (filled.z1, filled.b1, filled.h0, filled.h1) == tuple(
-                expected["filled"][k] for k in ("z1", "b1", "h0", "h1")
-            )
+            assert written["dims_knot"] == expected["knot"]
+            assert written["dims_filled"] == expected["filled"]
     _report(9, "figure-eight and trefoil against independent oracles", started)

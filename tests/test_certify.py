@@ -13,6 +13,7 @@ from lodehn.certify import (
     meridian_trace_check,
     verdict_from,
 )
+from lodehn.cli import build_report
 from lodehn.cohomology import cohomology_dims, relator_system
 from lodehn.polynomials import (
     Poly,
@@ -75,9 +76,7 @@ def test_check_rigidity_k1():
     )
     assert len(reports) >= 1
     for report in reports:
-        knot, filled = report.dims_knot, report.dims_filled
-        assert (knot.z1, knot.b1, knot.h0, knot.h1) == (4, 3, 0, 1)
-        assert (filled.z1, filled.b1, filled.h0, filled.h1) == (3, 3, 0, 0)
+        assert (report.h1_knot, report.h1_filled) == (1, 0)
         assert report.rigid
         assert all(report.trace_checks)
 
@@ -89,7 +88,7 @@ def test_check_rigidity_family(j):
     branch = ModulusBranch(admissible_modulus(delta))
     for report in check_rigidity(build_presentation(fraction), branch, delta, 1):
         assert report.rigid
-        assert report.dims_knot.h1 == 1
+        assert report.h1_knot == 1
 
 
 # Phi12(t) = Phi6(tau) and Phi36(t) = Phi18(tau), tau = t^2.
@@ -137,17 +136,17 @@ def test_relator_is_identity_on_a_proper_factor_of_the_branch():
                 (knot.entries, own_knot.entries),
                 (filled.entries, own_knot.entries + own_longitude.entries),
             ):
-                reduced = cohomology_dims(MatrixOverField(rows, ring), rep)
-                own = cohomology_dims(MatrixOverField(own_rows, ring), own_rep)
-                assert [(r.branch, r.dims) for r in reduced] == [
-                    (r.branch, r.dims) for r in own
+                reduced = cohomology_dims(MatrixOverField(rows, ring))
+                own = cohomology_dims(MatrixOverField(own_rows, ring))
+                assert [(r.branch, r.h1) for r in reduced] == [
+                    (r.branch, r.h1) for r in own
                 ]
-                # The oracle's cocycle bases agree as well, one vector
-                # per dimension of Z^1.
+                # The oracle's kernel bases agree as well, one vector
+                # per dimension of H^1.
                 reduced_bases = nullspace_oracle(rows, ring.branch)
                 assert reduced_bases == nullspace_oracle(own_rows, ring.branch)
                 assert [(b.branch, len(b.basis)) for b in reduced_bases] == [
-                    (r.branch, r.dims.z1) for r in reduced
+                    (r.branch, r.h1) for r in reduced
                 ]
 
 
@@ -159,18 +158,16 @@ def test_figure_eight_matches_independent_oracle():
     branch = ModulusBranch(admissible_modulus(delta))
     reports = check_rigidity(build_presentation(fraction), branch, delta, 1)
     # the oracle dims agree at every root, so each leaf (whatever the
-    # split pattern) must carry exactly those dimensions
-    for report in reports:
-        knot, filled = report.dims_knot, report.dims_filled
+    # split pattern) must carry exactly those dimensions, and so must
+    # each branch of the JSON report
+    branches = build_report(certify(fraction), {})["branches"]
+    assert reports and len(branches) == len(reports)
+    for report, written in zip(reports, branches):
         for expected in fixture["roots"].values():
-            assert (knot.z1, knot.b1, knot.h0, knot.h1) == (
-                expected["knot"]["z1"], expected["knot"]["b1"],
-                expected["knot"]["h0"], expected["knot"]["h1"],
-            )
-            assert (filled.z1, filled.b1, filled.h0, filled.h1) == (
-                expected["filled"]["z1"], expected["filled"]["b1"],
-                expected["filled"]["h0"], expected["filled"]["h1"],
-            )
+            assert report.h1_knot == expected["knot"]["h1"]
+            assert report.h1_filled == expected["filled"]["h1"]
+            assert written["dims_knot"] == expected["knot"]
+            assert written["dims_filled"] == expected["filled"]
 
 
 def test_meridian_trace_check_k1():
@@ -264,9 +261,9 @@ def test_certify_mixed_multiplicity_knot():
     assert result.certificate.verdict is Verdict.INAPPLICABLE_NO_ROOT
     by_mult = {r.multiplicity: r for r in result.reports}
     assert set(by_mult) == {1, 2}
-    assert by_mult[1].rigid and by_mult[1].dims_filled.h1 == 0
-    assert not by_mult[2].rigid and by_mult[2].dims_filled.h1 == 1
-    assert all(r.dims_knot.h1 == 1 for r in result.reports)
+    assert by_mult[1].rigid and by_mult[1].h1_filled == 0
+    assert not by_mult[2].rigid and by_mult[2].h1_filled == 1
+    assert all(r.h1_knot == 1 for r in result.reports)
 
     # back the non-rigid dims with the floating oracle at every root
     from helpers import numeric_roots, system_numeric_rank_at
@@ -281,12 +278,12 @@ def test_certify_mixed_multiplicity_knot():
         branch = ModulusBranch(Poly(report.modulus.coeffs[0::2]))
         assert branch.modulus.inflate(2) == report.modulus
         rep = burde_de_rham_assignment(branch, pres.relator)
-        for relators, dims in (
-            ([pres.relator], report.dims_knot),
-            ([pres.relator, pres.longitude], report.dims_filled),
+        for relators, h1 in (
+            ([pres.relator], report.h1_knot),
+            ([pres.relator, pres.longitude], report.h1_filled),
         ):
             system = relator_system(relators, rep)
-            exact_rank = 6 - dims.z1
+            exact_rank = 3 - h1
             for root in numeric_roots(branch.modulus):
                 assert system_numeric_rank_at(system, root) == exact_rank
 

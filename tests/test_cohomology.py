@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,10 +21,12 @@ from helpers import (
     normalized_representative,
     nullspace_oracle,
     random_word,
+    relator_block_rows,
     to_tau_basis,
     word_value_blocks_oracle,
 )
 from lodehn.certify import admissible_modulus
+from lodehn import cohomology
 from lodehn.cohomology import (
     ClosedFormMismatch,
     _geometric_sum,
@@ -273,24 +276,29 @@ def test_trivial_relator_gives_zero_block():
 
 
 def test_k1_relator_system_rank_two():
+    # Three live columns of rank 2 leave H^1 = 1; the six block columns
+    # have the same rank and Z^1 = 4.
     pres, rep = _k1_rep()
     system = relator_system([pres.relator], rep)
-    results = system.nullspace()
-    assert [(r.rank, r.dim) for r in results] == [(2, 4)]
+    assert system.cols == 3
+    assert [(r.rank, r.dim) for r in system.nullspace()] == [(2, 1)]
+    six = MatrixOverField(relator_block_rows([pres.relator], rep), rep.ring)
+    assert [(r.rank, r.dim) for r in six.nullspace()] == [(2, 4)]
 
 
 def test_k1_filled_system_rank_three():
     pres, rep = _k1_rep()
-    system = relator_system([pres.relator, pres.longitude], rep)
-    results = system.nullspace()
-    assert [(r.rank, r.dim) for r in results] == [(3, 3)]
+    relators = [pres.relator, pres.longitude]
+    system = relator_system(relators, rep)
+    assert [(r.rank, r.dim) for r in system.nullspace()] == [(3, 0)]
+    six = MatrixOverField(relator_block_rows(relators, rep), rep.ring)
+    assert [(r.rank, r.dim) for r in six.nullspace()] == [(3, 3)]
 
 
 def test_k1_knot_cohomology_dims():
     pres, rep = _k1_rep()
-    for leaf in cohomology_dims(relator_system([pres.relator], rep), rep):
-        d = leaf.dims
-        assert (d.z1, d.b1, d.h0, d.h1) == (4, 3, 0, 1)
+    leaves = cohomology_dims(relator_system([pres.relator], rep))
+    assert [leaf.h1 for leaf in leaves] == [1]
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
@@ -300,10 +308,9 @@ def test_family_filled_cohomology_vanishes(j):
     branch = ModulusBranch(delta.monic())
     rep = burde_de_rham_assignment(branch, pres.relator)
     system = relator_system([pres.relator, pres.longitude], rep)
-    for leaf in cohomology_dims(system, rep):
-        assert leaf.dims.h1 == 0
-        assert leaf.dims.h0 == 0
-        assert leaf.dims.b1 == 3
+    for leaf in cohomology_dims(system):
+        assert leaf.h1 == 0
+        assert [r.dim for r in h0_oracle(leaf.ring, rep)] == [0]
 
 
 def test_no_common_fixed_vector_at_root_branches():
@@ -335,11 +342,11 @@ def _assert_ranks_match_the_oracle(matrix):
 
 
 def test_h0_vanishes_on_every_census_and_long_word_branch():
-    # cohomology_dims reads H^0 = 0 and B^1 = 3 off the unit check; the
-    # fixed-space elimination must agree on every leaf of the knot and
-    # 0-filled systems, built as check_rigidity builds them.  On each
-    # system the fraction-free elimination gives the leaves and ranks of
-    # the RREF over the Fraction oracle.
+    # H^1 = 3 - rank rests on H^0 = 0, hence B^1 = 3, from the unit
+    # check; the fixed-space elimination must agree on every leaf of the
+    # knot and 0-filled systems, built as check_rigidity builds them.
+    # On each system the fraction-free elimination gives the leaves and
+    # ranks of the RREF over the Fraction oracle.
     leaves = 0
     for name in ("census_p23.json", "long_words.json"):
         for fraction in _fixture_fractions(name):
@@ -348,13 +355,12 @@ def test_h0_vanishes_on_every_census_and_long_word_branch():
                 knot = relator_system([pres.relator], rep)
                 longitude = relator_system([pres.longitude], rep)
                 _assert_ranks_match_the_oracle(knot)
-                for knot_leaf in cohomology_dims(knot, rep):
+                for knot_leaf in cohomology_dims(knot):
                     filled = MatrixOverField(
                         knot.entries + longitude.entries, knot_leaf.ring
                     )
                     _assert_ranks_match_the_oracle(filled)
-                    for leaf in [knot_leaf] + cohomology_dims(filled, rep):
-                        assert (leaf.dims.h0, leaf.dims.b1) == (0, 3)
+                    for leaf in [knot_leaf] + cohomology_dims(filled):
                         assert [r.dim for r in h0_oracle(leaf.ring, rep)] == [0]
                         leaves += 1
     assert leaves > 80
@@ -427,36 +433,51 @@ def test_cohomology_dims_rejects_a_branch_where_t_squared_is_one():
 
 
 def test_trivial_representation_dims():
-    # No relator: every value pair is a cocycle, and on a branch with
-    # tau != 1 the coboundaries span 3 dimensions.
+    # No relator: every value pair is a cocycle (Z^1 = 6), and on a
+    # branch with tau != 1 the coboundaries span 3 dimensions.
     _, rep = _k1_rep()
-    leaves = cohomology_dims(relator_system([], rep), rep)
-    assert len(leaves) == 1
-    d = leaves[0].dims
-    assert (d.z1, d.b1, d.h0, d.h1) == (6, 3, 0, 3)
+    leaves = cohomology_dims(relator_system([], rep))
+    assert [leaf.h1 for leaf in leaves] == [3]
 
 
 def test_coboundaries_lie_in_every_cocycle_space():
     pres, rep = _k1_rep()
-    system = relator_system([pres.relator, pres.longitude], rep)
+    rows = relator_block_rows([pres.relator, pres.longitude], rep)
     for k in range(3):
         unit = [1 if i == k else 0 for i in range(3)]
         cb = coboundary_values(unit, rep)
-        image = matrix_times(system.entries, cb.z_x + cb.z_y)
+        image = matrix_times(rows, cb.z_x + cb.z_y)
         assert all(entry.is_zero for entry in image)
 
 
-def test_coboundary_check_catches_a_corrupted_system():
+def _patch_one_block_entry(monkeypatch, row, column):
+    """Make the first ``word_value_blocks`` call that ``relator_system``
+    makes return its blocks with 1 added at ``row`` and ``column`` of
+    (a0, a1, a2 | b0, b1, b2)."""
+    calls = []
+
+    def patched(word, rep):
+        blocks = list(word_value_blocks(word, rep))
+        calls.append(word)
+        if len(calls) == 1:
+            side, col = divmod(column, 3)
+            rows = [list(r) for r in blocks[side].rows]
+            rows[row][col] = rows[row][col] + 1
+            blocks[side] = Mat3(rows)
+        return tuple(blocks)
+
+    monkeypatch.setattr(cohomology, "word_value_blocks", patched)
+
+
+def test_coboundary_check_catches_a_corrupted_system(monkeypatch):
     # One relator entry off by 1 on the 29/17 branch: row 0 then sends
     # the coboundary of v+ to tau - 1, a unit on every leaf.
     pres, (rep,) = _branch_reps(TwoBridgeFraction(29, 17))
     system = relator_system([pres.relator], rep)
-    assert [leaf.dims.h1 for leaf in cohomology_dims(system, rep)] == [1]
-    rows = [list(row) for row in system.entries]
-    rows[0][0] = rows[0][0] + 1
-    corrupted = MatrixOverField(rows, rep.ring)
+    assert [leaf.h1 for leaf in cohomology_dims(system)] == [1]
+    _patch_one_block_entry(monkeypatch, 0, 0)
     with pytest.raises(AssertionError, match="a coboundary escaped the cocycle space"):
-        cohomology_dims(corrupted, rep)
+        relator_system([pres.relator], rep)
 
 
 def _coboundary_products(rows, rep):
@@ -475,33 +496,34 @@ def _coboundary_products(rows, rep):
 def test_one_product_check_matches_the_full_coboundary_products():
     # The check a0 = b0 = 0 and b1 = (tau - 1)(a2 + b2) per row stands
     # for the 3 x 6 products of the row with the coboundary columns.  On
-    # the census knots' systems every product vanishes and the check
-    # passes; adding 1 to row 0 at column 0 (a0), 3 (b0) or 4 (b1) makes
-    # a product nonzero, and cohomology_dims must raise.  Column 1 (a1)
-    # meets only the zero column 1 of Ad(x) - 1, so no coboundary sees
-    # it and the check must pass.
-    systems = 0
+    # the census knots' block rows every product vanishes and
+    # relator_system passes; adding 1 to one row of the relator's block
+    # at column 0 (a0), 3 (b0) or 4 (b1) makes a product nonzero, and
+    # relator_system must raise.  Column 1 (a1) meets only the zero
+    # column 1 of Ad(x) - 1, so no coboundary sees it and the check must
+    # pass.
+    relators = 0
     for fraction in _fixture_fractions("census_p23.json"):
         pres, reps = _branch_reps(fraction)
+        words = [pres.relator, pres.longitude]
         for rep in reps:
-            system = relator_system([pres.relator, pres.longitude], rep)
-            assert all(not e for e in _coboundary_products(system.entries, rep))
-            cohomology_dims(system, rep)
-            for column in (0, 1, 3, 4):
-                rows = [list(row) for row in system.entries]
-                rows[0][column] = rows[0][column] + 1
-                corrupted = MatrixOverField(rows, rep.ring)
-                if column == 1:
-                    assert all(not e for e in _coboundary_products(rows, rep))
-                    cohomology_dims(corrupted, rep)
-                    continue
-                assert any(_coboundary_products(rows[:1], rep))
-                with pytest.raises(AssertionError, match="a coboundary escaped"):
-                    cohomology_dims(corrupted, rep)
-                # Rows counted as checked are not checked again.
-                assert cohomology_dims(corrupted, rep, checked=1)
-            systems += 1
-    assert systems >= 37
+            block_rows = relator_block_rows(words, rep)
+            assert all(not e for e in _coboundary_products(block_rows, rep))
+            relator_system(words, rep)
+            for row, column in itertools.product(range(3), (0, 1, 3, 4)):
+                rows = [list(r) for r in block_rows]
+                rows[row][column] = rows[row][column] + 1
+                with pytest.MonkeyPatch.context() as patch:
+                    _patch_one_block_entry(patch, row, column)
+                    if column == 1:
+                        assert all(not e for e in _coboundary_products(rows, rep))
+                        relator_system(words, rep)
+                        continue
+                    assert any(_coboundary_products(rows[row:row + 1], rep))
+                    with pytest.raises(AssertionError, match="a coboundary escaped"):
+                        relator_system(words, rep)
+            relators += 1
+    assert relators >= 37
 
 
 def test_tau_systems_agree_with_the_t_basis_oracle():
@@ -558,6 +580,34 @@ def test_tau_systems_agree_with_the_t_basis_oracle():
     assert len(cases) > 40 and splits >= 2
 
 
+def test_three_live_columns_eliminate_like_the_six_block_columns():
+    # relator_system keeps the columns (a1, a2, b2) of the checked block
+    # rows.  Eliminating all six columns gives the same leaf moduli,
+    # lineages and ranks, for the knot system and for the filled system
+    # on each knot leaf, the three knot classes that split included.
+    fractions = list(_fixture_fractions("census_p23.json"))
+    fractions += [TwoBridgeFraction(p, q) for p, q in ((115, 42), (195, 82), (205, 78))]
+    splits = 0
+    for fraction in fractions:
+        pres, reps = _branch_reps(fraction)
+        for rep in reps:
+            knot_rows = relator_block_rows([pres.relator], rep)
+            longitude_rows = relator_block_rows([pres.longitude], rep)
+            knot = relator_system([pres.relator], rep)
+            longitude = relator_system([pres.longitude], rep)
+            knot_leaves = knot.nullspace()
+            six = MatrixOverField(knot_rows, rep.ring).nullspace()
+            assert leaf_records(knot_leaves) == leaf_records(six)
+            for leaf in knot_leaves:
+                filled = MatrixOverField(knot.entries + longitude.entries, leaf.ring)
+                six = MatrixOverField(knot_rows + longitude_rows, leaf.ring)
+                filled_leaves = filled.nullspace()
+                assert leaf_records(filled_leaves) == leaf_records(six.nullspace())
+                splits += len(filled_leaves) - 1
+            splits += len(knot_leaves) - 1
+    assert splits >= 3
+
+
 def test_cohomology_dims_on_a_system_that_splits():
     # On the product of 147/53's two branch moduli the filled system's
     # elimination splits; each leaf's dimensions, including the
@@ -566,15 +616,15 @@ def test_cohomology_dims_on_a_system_that_splits():
     pres, reps = _branch_reps(TwoBridgeFraction(147, 53))
     product = reps[0].ring.branch.modulus * reps[1].ring.branch.modulus
     rep = burde_de_rham_assignment(ModulusBranch(product), pres.relator)
-    leaves = cohomology_dims(relator_system([pres.relator, pres.longitude], rep), rep)
+    leaves = cohomology_dims(relator_system([pres.relator, pres.longitude], rep))
     assert len(leaves) == 2
     assert leaves[0].branch.modulus * leaves[1].branch.modulus == product
     for leaf in leaves:
         (own,) = [r for r in reps if r.ring.branch == leaf.branch]
         (expected,) = cohomology_dims(
-            relator_system([pres.relator, pres.longitude], own), own
+            relator_system([pres.relator, pres.longitude], own)
         )
-        assert leaf.dims == expected.dims
+        assert leaf.h1 == expected.h1
 
 
 def test_normalized_representative_fixes_normal_form():
@@ -603,12 +653,13 @@ def test_normalized_cocycles_satisfy_delta_equals_alpha():
     rng = random.Random(12)
     pres, rep = _k1_rep()
     for relators in ([pres.relator], [pres.relator, pres.longitude]):
-        system = relator_system(relators, rep)
-        for leaf in cohomology_dims(system, rep):
+        rows = relator_block_rows(relators, rep)
+        for leaf in cohomology_dims(relator_system(relators, rep)):
             branch = leaf.branch
             leaf_rep = burde_de_rham_assignment(branch, pres.relator)
-            (oracle,) = nullspace_oracle(system.entries, branch)
-            assert len(oracle.basis) == leaf.dims.z1
+            # Z^1 = H^1 + B^1, and B^1 = 3.
+            (oracle,) = nullspace_oracle(rows, branch)
+            assert len(oracle.basis) == leaf.h1 + 3
             basis = [[branch.element(e.value) for e in vec] for vec in oracle.basis]
             for _ in range(5):
                 coeffs = [rng.randint(-3, 3) for _ in basis]
