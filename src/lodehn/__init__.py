@@ -5,17 +5,14 @@ sl2 group cohomology, all in exact rational arithmetic."""
 from .certify import (
     Certificate,
     CertifyResult,
-    RootAnalysis,
     RootBranchReport,
     Verdict,
-    admissible_modulus,
     analyze_roots,
     certify,
     check_rigidity,
     meridian_trace_check,
 )
 from .cohomology import (
-    BranchCohomology,
     FamilyCocycleForms,
     cohomology_dims,
     family_cocycle_forms,

@@ -10,6 +10,13 @@ defined (see ``reps``).  The reports speak of t: their moduli and split
 lineages are the tau-side ones inflated by tau -> t^2, and the real
 roots t of a leaf modulus F_leaf(t^2) are isolated and trace-checked
 on that polynomial.
+
+The qualifying roots are counted on those intervals.  The leaves of a
+factor F are coprime and multiply back to F, and F(0) != 0 (see
+``ModulusBranch``), so every positive root tau of a simple factor is
+exactly one pair +-t of real roots among its leaves' intervals, and a
+negative tau gives no real t.  tau = 1 is never a root: a knot has
+Delta(1) = +-1, which ``reps.alexander_polynomial`` checks.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .cohomology import cohomology_dims, relator_system
 from .polynomials import (
@@ -25,39 +32,21 @@ from .polynomials import (
     isolate_real_roots,
     refine_isolating_interval,
     squarefree_decomposition,
-    sturm_count,
 )
 from .quotient import MatrixOverField, ModulusBranch, SplitRecord
 from .reps import alexander_polynomial, burde_de_rham_assignment
 from .twobridge import KnotPresentation, TwoBridgeFraction, build_presentation
 
 
-@dataclass(frozen=True)
-class RootAnalysis:
-    """Square-free factor data and the qualifying-root count of an
-    Alexander polynomial."""
-
-    factors: Tuple[Tuple[Poly, int], ...]
-    simple_positive_roots: int
-
-
-def analyze_roots(delta: Poly) -> RootAnalysis:
-    """Count simple positive real roots different from 1.  The input
-    must be normalized (nonzero constant term)."""
+def analyze_roots(delta: Poly) -> Tuple[Tuple[Poly, int], ...]:
+    """The square-free factors of an Alexander polynomial with their
+    multiplicities.  The input must be normalized (nonzero constant
+    term)."""
     if delta.is_zero:
         raise ValueError("cannot analyze the zero polynomial")
     if delta.constant == 0:
         raise ValueError("expected a normalized polynomial (nonzero constant)")
-    factors = tuple(squarefree_decomposition(delta))
-    count = 0
-    for factor, multiplicity in factors:
-        if multiplicity != 1:
-            continue
-        n = sturm_count(factor, (Fraction(0), None))
-        if factor(1) == 0:
-            n -= 1
-        count += n
-    return RootAnalysis(factors=factors, simple_positive_roots=count)
+    return tuple(squarefree_decomposition(delta))
 
 
 @dataclass(frozen=True)
@@ -75,21 +64,6 @@ class RootBranchReport:
     h1_filled: int
     rigid: bool
     trace_checks: Tuple[bool, ...]
-
-
-def admissible_modulus(xi_factor: Poly) -> Optional[Poly]:
-    """The tau-side modulus of a square-free Alexander factor F(tau):
-    F made monic, with any tau = 1 part removed.  Returns None when
-    nothing of positive degree is left.
-
-    F is square-free, so tau - 1 divides it at most once.  A root at
-    tau = 0 is left for :class:`ModulusBranch` to refuse."""
-    factor = xi_factor.monic()
-    if factor(1) == 0:
-        factor = factor // Poly([-1, 1])
-    if factor.degree < 1:
-        return None
-    return factor
 
 
 def meridian_trace_check(
@@ -157,9 +131,9 @@ def check_rigidity(
                     xi_factor=xi_factor.primitive(),
                     multiplicity=multiplicity,
                     real_root_intervals=intervals,
-                    h1_knot=knot_leaf.h1,
-                    h1_filled=filled_leaf.h1,
-                    rigid=(filled_leaf.h1 == 0),
+                    h1_knot=knot_leaf.dim,
+                    h1_filled=filled_leaf.dim,
+                    rigid=(filled_leaf.dim == 0),
                     trace_checks=meridian_trace_check(modulus, intervals),
                 )
             )
@@ -203,40 +177,36 @@ class CertifyResult:
     fraction: TwoBridgeFraction
     presentation: KnotPresentation
     alexander: Poly
-    analysis: RootAnalysis
+    factors: Tuple[Tuple[Poly, int], ...]
     reports: Tuple[RootBranchReport, ...]
     certificate: Certificate
 
 
 def certify(fraction: TwoBridgeFraction) -> CertifyResult:
     """Run the full pipeline: Alexander polynomial by two independent
-    routes, root analysis, and per-branch rigidity.  Each Alexander
-    route builds its own presentation; the rigidity checks and the
-    report share one."""
+    routes, square-free split, and per-branch rigidity; the qualifying
+    roots are counted on the leaves' real root intervals (see the
+    module docstring).  Each Alexander route builds its own
+    presentation; the rigidity checks and the report share one."""
     delta = alexander_polynomial(fraction)
-    analysis = analyze_roots(delta)
+    factors = analyze_roots(delta)
     pres = build_presentation(fraction)
 
     reports: List[RootBranchReport] = []
-    for factor, multiplicity in analysis.factors:
-        modulus = admissible_modulus(factor)
-        if modulus is None:
-            continue
+    for factor, multiplicity in factors:
         reports.extend(
-            check_rigidity(pres, ModulusBranch(modulus), factor, multiplicity)
+            check_rigidity(pres, ModulusBranch(factor), factor, multiplicity)
         )
     reports.sort(
         key=lambda r: (r.xi_factor.coeffs, r.modulus.degree, r.modulus.coeffs)
     )
 
-    qualifying = analysis.simple_positive_roots
     real_leaves = [
         r for r in reports if r.multiplicity == 1 and r.real_root_intervals
     ]
-    any_rigid = qualifying > 0 and any(r.rigid for r in real_leaves)
-    all_rigid = qualifying > 0 and bool(real_leaves) and all(
-        r.rigid for r in real_leaves
-    )
+    qualifying = sum(len(r.real_root_intervals) for r in real_leaves) // 2
+    any_rigid = any(r.rigid for r in real_leaves)
+    all_rigid = bool(real_leaves) and all(r.rigid for r in real_leaves)
     certificate = Certificate(
         fraction=fraction,
         alexander=delta,
@@ -248,7 +218,7 @@ def certify(fraction: TwoBridgeFraction) -> CertifyResult:
         fraction=fraction,
         presentation=pres,
         alexander=delta,
-        analysis=analysis,
+        factors=factors,
         reports=tuple(reports),
         certificate=certificate,
     )

@@ -18,7 +18,7 @@ import traceback
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .certify import CertifyResult, Verdict, certify, check_rigidity, admissible_modulus
+from .certify import CertifyResult, Verdict, certify, check_rigidity
 from .cohomology import ClosedFormMismatch, family_cocycle_forms, vanishing_identity
 from .polynomials import (
     Poly,
@@ -117,7 +117,7 @@ def build_report(
         "alexander": primitive_ints(result.alexander),
         "factors": [
             {"coefficients": primitive_ints(factor), "multiplicity": mult}
-            for factor, mult in result.analysis.factors
+            for factor, mult in result.factors
         ],
         "branches": branches,
         "certificate": certificate,
@@ -263,14 +263,12 @@ def _root_lines(delta: Poly, digits: int) -> List[str]:
         width = Fraction(1, 10 ** (digits + 2))
         for lo, hi in isolate_real_roots(factor):
             lo, hi = refine_isolating_interval(factor, lo, hi, width)
-            entries.append((lo, hi, multiplicity, factor))
+            entries.append((lo, hi, multiplicity))
     entries.sort(key=lambda e: e[0])
     lines = []
-    for lo, hi, multiplicity, factor in entries:
+    for lo, hi, multiplicity in entries:
         mid = (lo + hi) / 2
         kind = "positive" if lo >= 0 else "negative"
-        if lo < 1 < hi and factor(1) == 0:
-            kind = "equal to 1"
         lines.append(
             f"root in ({_frac_str(lo)}, {_frac_str(hi)})"
             f" ~ {decimal_string(mid, digits)}"
@@ -336,10 +334,7 @@ def _check_cohomology(j: int) -> bool:
     pres = build_presentation(family_fraction(j))
     delta = _expected_family_alexander(j)
     for factor, multiplicity in squarefree_decomposition(delta):
-        modulus = admissible_modulus(factor)
-        if modulus is None:
-            return False
-        reports = check_rigidity(pres, ModulusBranch(modulus), factor, multiplicity)
+        reports = check_rigidity(pres, ModulusBranch(factor), factor, multiplicity)
         for report in reports:
             if (report.h1_knot, report.h1_filled) != (1, 0):
                 return False

@@ -77,7 +77,7 @@ from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .polynomials import LaurentPoly
-from .quotient import LaurentRing, MatrixOverField, ModulusBranch, QuotientRing, _unpack
+from .quotient import LaurentRing, MatrixOverField, NullspaceResult, _unpack
 from .reps import IntLaurent, Mat3, MeridianRep, f_upper_entry, tau_terms
 from .twobridge import FAMILY_S, FAMILY_U, family_v, family_word
 from .words import Word
@@ -243,24 +243,14 @@ def relator_system(relators: Sequence[Word], rep: MeridianRep) -> MatrixOverFiel
     return MatrixOverField(rows or [(rep.ring.zero,) * 3], rep.ring)
 
 
-@dataclass
-class BranchCohomology:
-    ring: QuotientRing
-    h1: int
-
-    @property
-    def branch(self) -> ModulusBranch:
-        return self.ring.branch
-
-
-def cohomology_dims(system: MatrixOverField) -> List[BranchCohomology]:
+def cohomology_dims(system: MatrixOverField) -> List[NullspaceResult]:
     """dim H^1 for the presentation with relator system ``system``, one
-    record per leaf branch: the nullity of the system on the leaf, from
-    its rank under the fraction-free elimination of
+    record per leaf branch: the nullity ``dim`` of the system on the
+    leaf, from its rank under the fraction-free elimination of
     :meth:`MatrixOverField.nullspace`; no cocycle basis is built.  The
     system may be a :func:`relator_system` reduced onto a factor of its
     modulus."""
-    return [BranchCohomology(leaf.ring, leaf.dim) for leaf in system.nullspace()]
+    return system.nullspace()
 
 
 

@@ -233,13 +233,20 @@ def alexander_via_fox(fraction: TwoBridgeFraction) -> Poly:
 
 def alexander_polynomial(fraction: TwoBridgeFraction) -> Poly:
     """The Alexander polynomial of ``fraction`` by both routes, which
-    must agree (else :class:`AlexanderMismatch`)."""
+    must agree (else :class:`AlexanderMismatch`).  A knot's has
+    Delta(1) = +-1 (else AssertionError), so tau = 1 is never a root and
+    no factor of it vanishes there."""
     delta = alexander_via_rep(fraction)
     delta_fox = alexander_via_fox(fraction)
     if delta != delta_fox:
         raise AlexanderMismatch(
             f"representation route {delta!r} disagrees with "
             f"free-derivative route {delta_fox!r}"
+        )
+    value = delta(1)
+    if abs(value) != 1:
+        raise AssertionError(
+            f"Alexander polynomial {delta!r} has value {value} at 1, not +-1"
         )
     return delta
 

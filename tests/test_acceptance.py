@@ -26,7 +26,7 @@ from helpers import (
     relator_block_rows,
     system_numeric_rank_at,
 )
-from lodehn.certify import admissible_modulus, certify, check_rigidity
+from lodehn.certify import certify, check_rigidity
 from lodehn.cli import build_report, main
 from lodehn.cohomology import (
     family_cocycle_forms,
@@ -120,7 +120,7 @@ def test_criterion_6_main_vanishing():
         fraction = family_fraction(j)
         delta = _family_delta(j)
         for factor, mult in squarefree_decomposition(delta):
-            branch = ModulusBranch(admissible_modulus(factor))
+            branch = ModulusBranch(factor)
             reports = check_rigidity(build_presentation(fraction), branch, factor, mult)
             assert reports
             for report in reports:
@@ -243,7 +243,7 @@ def test_criterion_9_cross_knot_oracles():
 
     fixture = load_fixture("figure_eight_dims.json")
     delta = Poly(fixture["alexander"])
-    branch = ModulusBranch(admissible_modulus(delta))
+    branch = ModulusBranch(delta)
     reports = check_rigidity(build_presentation(fig8), branch, delta, 1)
     branches = build_report(certify(fig8), {})["branches"]
     assert reports and len(branches) == len(reports)

@@ -6,7 +6,6 @@ import pytest
 from helpers import load_fixture, nullspace_oracle
 from lodehn.certify import (
     Verdict,
-    admissible_modulus,
     analyze_roots,
     certify,
     check_rigidity,
@@ -18,7 +17,6 @@ from lodehn.cohomology import cohomology_dims, relator_system
 from lodehn.polynomials import (
     Poly,
     isolate_real_roots,
-    poly_gcd,
     squarefree_decomposition,
     sturm_count,
 )
@@ -30,20 +28,27 @@ DELTA1 = Poly([1, -7, 13, -7, 1])
 
 
 def test_analyze_roots_k1():
-    analysis = analyze_roots(DELTA1)
-    assert analysis.simple_positive_roots == 4
+    assert analyze_roots(DELTA1) == ((DELTA1, 1),)
+    result = certify(TwoBridgeFraction(29, 17))
+    assert result.factors == ((DELTA1, 1),)
+    assert result.certificate.qualifying_roots == 4
 
 
 def test_analyze_roots_trefoil():
-    analysis = analyze_roots(Poly([1, -1, 1]))
-    assert analysis.simple_positive_roots == 0
+    result = certify(TwoBridgeFraction(3, 1))
+    assert result.factors == ((Poly([1, -1, 1]), 1),)
+    assert result.certificate.qualifying_roots == 0
 
 
 def test_analyze_roots_with_multiplicities():
     p = Poly([-2, 1]) ** 2 * Poly([-3, 1])
-    analysis = analyze_roots(p)
-    assert analysis.simple_positive_roots == 1
-    assert sorted(m for _, m in analysis.factors) == [1, 2]
+    assert sorted(m for _, m in analyze_roots(p)) == [1, 2]
+    # Delta(81/32) = (2 tau^2 - 5 tau + 2)^2: the squared factor has
+    # four real roots t, which do not qualify.
+    result = certify(TwoBridgeFraction(81, 32))
+    assert result.factors == ((Poly([1, Fraction(-5, 2), 1]), 2),)
+    assert [len(r.real_root_intervals) for r in result.reports] == [4]
+    assert result.certificate.qualifying_roots == 0
 
 
 def test_analyze_roots_rejects_zero_constant():
@@ -51,20 +56,33 @@ def test_analyze_roots_rejects_zero_constant():
         analyze_roots(Poly([0, 1]))
 
 
-def test_admissible_modulus_strips_unit_roots():
-    assert admissible_modulus(Poly([-1, 1])) is None
-    assert admissible_modulus(Poly([1, -3, 1])) == Poly([1, -3, 1])
-    # Stripping tau - 1 and lifting leaves what dividing the lift by its
-    # gcd with t^2 - 1 leaves.
-    for factor in (Poly([1, -3, 1]), Poly([-2, 0, 1]), Poly([3, 1, 2]), Poly([1])):
-        for xi_factor in (factor, factor * Poly([-1, 1])):
-            lifted = xi_factor.monic().inflate(2)
-            expected = lifted // poly_gcd(lifted, Poly([-1, 0, 1]))
-            got = admissible_modulus(xi_factor)
-            if expected.degree > 0:
-                assert got.inflate(2) == expected.monic()
-            else:
-                assert got is None
+ORACLE_EXTRA = ("49/17", "81/32", "147/53", "115/42", "195/82", "205/78")
+
+
+def test_qualifying_roots_match_the_sturm_count_of_the_simple_factors():
+    # certify counts the qualifying roots on its leaves' isolating
+    # intervals; the Sturm count of each simple factor on (0, oo) is the
+    # independent count.  A knot has Delta(1) = +-1, so no root is 1.
+    fractions = [
+        row["fraction"]
+        for name in ("census_p23.json", "long_words.json")
+        for row in load_fixture(name)
+    ] + list(ORACLE_EXTRA)
+    for text in fractions:
+        p, q = (int(part) for part in text.split("/"))
+        result = certify(TwoBridgeFraction(p, q))
+        delta = result.alexander
+        assert abs(delta(1)) == 1, text
+        expected = sum(
+            sturm_count(factor, (Fraction(0), None))
+            for factor, multiplicity in squarefree_decomposition(delta)
+            if multiplicity == 1
+        )
+        qualifying = result.certificate.qualifying_roots
+        assert qualifying == expected, text
+        assert (qualifying > 0) == any(
+            r.multiplicity == 1 and r.real_root_intervals for r in result.reports
+        ), text
 
 
 def test_check_rigidity_k1():
@@ -85,7 +103,7 @@ def test_check_rigidity_k1():
 def test_check_rigidity_family(j):
     fraction = family_fraction(j)
     delta = Poly([j, -(6 * j + 1), 10 * j + 3, -(6 * j + 1), j])
-    branch = ModulusBranch(admissible_modulus(delta))
+    branch = ModulusBranch(delta)
     for report in check_rigidity(build_presentation(fraction), branch, delta, 1):
         assert report.rigid
         assert report.h1_knot == 1
@@ -114,7 +132,7 @@ def test_relator_is_identity_on_a_proper_factor_of_the_branch():
         modulus = factors[0] * factors[1]
         product = Poly([1])
         for factor, _ in squarefree_decomposition(alexander_via_rep(fraction)):
-            product = product * admissible_modulus(factor)
+            product = product * factor.monic()
         assert product == modulus
         rep = burde_de_rham_assignment(ModulusBranch(modulus), pres.relator)
         knot = relator_system([pres.relator], rep)
@@ -138,15 +156,15 @@ def test_relator_is_identity_on_a_proper_factor_of_the_branch():
             ):
                 reduced = cohomology_dims(MatrixOverField(rows, ring))
                 own = cohomology_dims(MatrixOverField(own_rows, ring))
-                assert [(r.branch, r.h1) for r in reduced] == [
-                    (r.branch, r.h1) for r in own
+                assert [(r.branch, r.dim) for r in reduced] == [
+                    (r.branch, r.dim) for r in own
                 ]
                 # The oracle's kernel bases agree as well, one vector
                 # per dimension of H^1.
                 reduced_bases = nullspace_oracle(rows, ring.branch)
                 assert reduced_bases == nullspace_oracle(own_rows, ring.branch)
                 assert [(b.branch, len(b.basis)) for b in reduced_bases] == [
-                    (r.branch, r.h1) for r in reduced
+                    (r.branch, r.dim) for r in reduced
                 ]
 
 
@@ -155,7 +173,7 @@ def test_figure_eight_matches_independent_oracle():
     fraction = TwoBridgeFraction(5, 2)
     delta = Poly(fixture["alexander"])
     assert certify(fraction).alexander == delta
-    branch = ModulusBranch(admissible_modulus(delta))
+    branch = ModulusBranch(delta)
     reports = check_rigidity(build_presentation(fraction), branch, delta, 1)
     # the oracle dims agree at every root, so each leaf (whatever the
     # split pattern) must carry exactly those dimensions, and so must
@@ -223,7 +241,7 @@ def test_certify_torus_knot():
     result = certify(TwoBridgeFraction(9, 1))
     assert result.certificate.verdict is Verdict.INAPPLICABLE_NO_ROOT
     product = Poly([1])
-    for factor, mult in result.analysis.factors:
+    for factor, mult in result.factors:
         product = product * factor**mult
     assert product == result.alexander.monic()
 
@@ -232,7 +250,7 @@ def test_certify_with_repeated_alexander_factor():
     # Delta(49/17) = (2 tau^2 - 3 tau + 2)^2
     result = certify(TwoBridgeFraction(49, 17))
     assert result.alexander == Poly([4, -12, 17, -12, 4])
-    assert [mult for _, mult in result.analysis.factors] == [2]
+    assert [mult for _, mult in result.factors] == [2]
     assert result.certificate.qualifying_roots == 0
     assert result.certificate.verdict is Verdict.INAPPLICABLE_NO_ROOT
     assert all(report.multiplicity == 2 for report in result.reports)
@@ -243,7 +261,7 @@ def test_branch_completeness_rebuilds_alexander():
     for fraction in (TwoBridgeFraction(29, 17), TwoBridgeFraction(9, 1)):
         result = certify(fraction)
         product = Poly([1])
-        for factor, mult in result.analysis.factors:
+        for factor, mult in result.factors:
             product = product * factor**mult
         assert product == result.alexander.monic()
         for report in result.reports:
@@ -267,7 +285,6 @@ def test_certify_mixed_multiplicity_knot():
 
     # back the non-rigid dims with the floating oracle at every root
     from helpers import numeric_roots, system_numeric_rank_at
-    from lodehn.certify import admissible_modulus
     from lodehn.cohomology import relator_system
     from lodehn.reps import burde_de_rham_assignment
     from lodehn.twobridge import build_presentation

@@ -279,6 +279,20 @@ def test_alexander_mismatch_exits_2_from_both_commands(monkeypatch, capsys):
         )
 
 
+@pytest.mark.parametrize("delta, value", [(Poly([3, -4, 1]), "0"), (Poly([1, 1, 1]), "3")])
+def test_alexander_value_at_one_exits_2_from_both_commands(delta, value, monkeypatch, capsys):
+    # Both routes agree on a polynomial no knot has: Delta(1) must be +-1.
+    monkeypatch.setattr(reps, "alexander_via_rep", lambda fraction: delta)
+    monkeypatch.setattr(reps, "alexander_via_fox", lambda fraction: delta)
+    for argv in (["certify", "--pq", "29/17", "--quiet"], ["alexander", "--pq", "5/2", "--roots"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: Alexander polynomial {delta!r} has value {value} at 1, not +-1\n"
+        )
+
+
 @pytest.mark.parametrize("digits", ["-1", "-3"])
 def test_alexander_rejects_negative_digits(digits, capsys):
     code = main(["alexander", "--pq", "5/2", "--roots", "--digits", digits])

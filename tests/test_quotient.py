@@ -12,7 +12,6 @@ from helpers import (
     oracle_rows,
     quotient_evaluate_oracle,
 )
-from lodehn.certify import admissible_modulus
 from lodehn.polynomials import Poly, poly_gcd, squarefree_decomposition
 from lodehn.quotient import (
     AlgebraicElement,
@@ -229,7 +228,7 @@ def _oracle_moduli():
             break
     for p, q in ((7, 3), (9, 2)):
         for factor, _ in squarefree_decomposition(alexander_via_rep(TwoBridgeFraction(p, q))):
-            branches.append(ModulusBranch(admissible_modulus(factor).inflate(2)))
+            branches.append(ModulusBranch(factor.monic().inflate(2)))
     assert sum(b.modulus.primitive().leading == 2 for b in branches) >= 2
     return branches
 
@@ -327,7 +326,7 @@ def test_zero_divisors_split_like_the_oracle():
     # lifted Alexander factors splits into the two.
     quartic = ModulusBranch(Poly([-4, 0, 1]) * Poly([-9, 0, 1]))
     lifted = [
-        admissible_modulus(alexander_via_rep(TwoBridgeFraction(p, q))).inflate(2)
+        alexander_via_rep(TwoBridgeFraction(p, q)).monic().inflate(2)
         for p, q in ((5, 2), (7, 3))
     ]
     product = ModulusBranch(lifted[0] * lifted[1])

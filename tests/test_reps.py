@@ -17,7 +17,6 @@ from helpers import (
     random_word,
     to_tau_basis,
 )
-from lodehn.certify import admissible_modulus
 from lodehn.polynomials import Poly
 from lodehn.quotient import LaurentRing, ModulusBranch, QuotientRing
 from lodehn.reps import (
@@ -251,7 +250,7 @@ def test_burde_de_rham_rejects_non_root_branch():
 
 def test_meridian_walk_image_matches_eval_word_matrix():
     rng = random.Random(5)
-    modulus = admissible_modulus(alexander_via_rep(TwoBridgeFraction(201, 77)))
+    modulus = alexander_via_rep(TwoBridgeFraction(201, 77)).monic()
     branch = ModulusBranch(modulus.inflate(2))
     # u cancels back to zero after every commutator; x^7 has no y at
     # all; 151/1's w spreads its y letters over 150 exponent sums.
@@ -271,7 +270,7 @@ def test_relator_check_rejects_a_nonzero_exponent_sum():
     # in Q[tau].  On 9/1's branch Phi6 * Phi18 in tau (Phi12 * Phi36 in
     # t), x^36 maps to the identity over t, and the check still refuses
     # it, as it refuses x^12 and y^12 (whose images are not the identity).
-    branch = ModulusBranch(admissible_modulus(alexander_via_rep(TwoBridgeFraction(9, 1))))
+    branch = ModulusBranch(alexander_via_rep(TwoBridgeFraction(9, 1)))
     assert branch.degree == 8
     t_rep = TBasisRep(QuotientRing(ModulusBranch(branch.modulus.inflate(2))))
     assert eval_word_matrix(Word.parse("x") ** 36, t_rep).is_identity()

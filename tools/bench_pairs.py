@@ -21,10 +21,15 @@ the change wins in the metric's better direction (read from
 BENCHMARK.json), and ``clear_gain``: whether the change's median beats
 the parent's by more than the parent's interquartile range with at
 least ``MIN_PAIRS`` pairs and the change winning at least
-``MIN_WIN_SHARE`` of them; with fewer pairs no gain is shown.  The file
-holds a list of rounds per workload (traced runs apart from untraced
-ones); a run appends its round and keeps the earlier ones.  It is
-rewritten after every pair.  Standard library only.
+``MIN_WIN_SHARE`` of them; with fewer pairs no gain is shown.  For an
+end-to-end metric it also gives ``regressed``: the change's median is
+worse than the parent's by more than the metric's ``bound`` (from
+BENCHMARK.json) times the parent's median; and ``unresolved``: the
+parent's interquartile range exceeds that same margin, so its runs
+spread too widely to tell, unless every change run beats every parent
+run.  The file holds a list of rounds per workload (traced runs apart
+from untraced ones); a run appends its round and keeps the earlier
+ones.  It is rewritten after every pair.  Standard library only.
 """
 
 from __future__ import annotations
@@ -54,13 +59,19 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarize(runs: Sequence[Dict], better: Dict[str, str]) -> Dict[str, Dict]:
+def summarize(
+    runs: Sequence[Dict],
+    better: Dict[str, str],
+    bounds: Dict[str, float],
+) -> Dict[str, Dict]:
     """Per metric of the runs' final lines: each side's quartiles and
     interquartile range and, for a metric with a direction in
     ``better`` ("higher" or "lower"), the change's wins over its pair's
     parent run and ``clear_gain``: at least ``MIN_PAIRS`` pairs, wins in
     at least ``MIN_WIN_SHARE`` of them, and a median gain above the
-    parent's interquartile range.  ``runs`` holds one ``{"parent": line,
+    parent's interquartile range.  A metric that also has a relative
+    bound in ``bounds`` gets ``regressed`` and ``unresolved`` (see the
+    module docstring).  ``runs`` holds one ``{"parent": line,
     "change": line}`` per pair."""
     summary = {}
     for name, metric in runs[0]["parent"]["metrics"].items():
@@ -81,6 +92,14 @@ def summarize(runs: Sequence[Dict], better: Dict[str, str]) -> Dict[str, Dict]:
                 and entry["change_wins"] >= MIN_WIN_SHARE * len(runs)
                 and gain > entry["parent"]["iqr"]
             )
+            bound = bounds.get(name)
+            if bound is not None:
+                margin = bound * abs(entry["parent"]["median"])
+                entry["regressed"] = -gain > margin
+                entry["unresolved"] = entry["parent"]["iqr"] > margin and not all(
+                    (c - p) * direction > 0
+                    for p in values["parent"] for c in values["change"]
+                )
         summary[name] = entry
     return summary
 
@@ -92,6 +111,11 @@ def directions(benchmark: Dict) -> Dict[str, str]:
         for group in ("end_to_end", "per_layer")
         for metric in benchmark.get(group, ())
     }
+
+
+def bounds(benchmark: Dict) -> Dict[str, float]:
+    """End-to-end metric name -> relative bound, from BENCHMARK.json."""
+    return {metric["name"]: metric["bound"] for metric in benchmark.get("end_to_end", ())}
 
 
 def git(*args: str) -> str:
@@ -141,6 +165,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = directions(benchmark)
+    limits = bounds(benchmark)
     seconds = benchmark["run_seconds"]
     perfbench_argv = ["--workload", args.workload, "--seed", str(args.seed),
                       "--seconds", str(seconds), "--trace", str(args.trace)]
@@ -172,7 +197,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     f"{name} {metric['value']:.6g}" for name, metric in metrics.items()
                 ), file=sys.stderr, flush=True)
             record["runs"].append(run)
-            record["summary"] = summarize(record["runs"], better)
+            record["summary"] = summarize(record["runs"], better, limits)
             out.write_text(json.dumps(records, indent=1) + "\n")
     return 0 if all(
         run[side]["correct"] and not run[side]["failed"]
