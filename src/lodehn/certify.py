@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .cohomology import cohomology_dims, relator_system
+from .cohomology import cohomology_dims, longitude_row, relator_system
 from .polynomials import (
     Poly,
     isolate_real_roots,
@@ -34,7 +34,7 @@ from .polynomials import (
     squarefree_decomposition,
 )
 from .quotient import MatrixOverField, ModulusBranch, SplitRecord
-from .reps import alexander_polynomial, burde_de_rham_assignment
+from .reps import alexander_polynomial, burde_de_rham_assignment, require_identity
 from .twobridge import KnotPresentation, TwoBridgeFraction, build_presentation
 
 
@@ -108,18 +108,31 @@ def check_rigidity(
     the Alexander factor, of multiplicity ``multiplicity``, that the
     branch modulus divides; both go into the reports.  One report per
     leaf if dynamic evaluation splits, with the leaf modulus and lineage
-    lifted to t."""
+    lifted to t.
+
+    The relator and the longitude must map to the identity on the
+    branch (else ValueError).  The 0-filled system is then the knot
+    rows plus the longitude's row 1 (see ``cohomology``): on each knot
+    leaf its elimination resumes from the leaf's echelon rows, so only
+    the one new row is reduced and tested."""
     rep = burde_de_rham_assignment(branch, pres.relator)
+    require_identity(
+        pres.longitude, rep.ring,
+        "longitude does not map to the identity on this branch: its rows "
+        "0 and 2 would not vanish on the knot cocycles",
+    )
     knot = relator_system([pres.relator], rep)
-    longitude = relator_system([pres.longitude], rep)
+    row = longitude_row(pres.longitude, rep)
     reports: List[RootBranchReport] = []
     for knot_leaf in cohomology_dims(knot):
         # Every leaf modulus divides the branch modulus, and reducing
         # modulo a factor is a ring homomorphism, so the branch's rows
         # reduced onto the leaf are the rows the leaf's own
         # representation would give: they pass the coboundary check
-        # there, and its relator is the identity.
-        filled = MatrixOverField(knot.entries + longitude.entries, knot_leaf.ring)
+        # there, and its relator and longitude are the identity.
+        filled = MatrixOverField(
+            knot_leaf.echelon + (row,), knot_leaf.ring, knot_leaf.rank
+        )
         for filled_leaf in cohomology_dims(filled):
             leaf = filled_leaf.branch
             modulus = leaf.modulus.inflate(2)

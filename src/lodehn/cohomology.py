@@ -6,9 +6,21 @@ of the representation, and z(g^-1) = -Ad(g^-1) z(g).  A value pair is a
 genuine cocycle of a presented group exactly when it kills every
 relator, which turns cocycle spaces into nullspaces of explicit linear
 systems (one 3x6 block per relator, columns ordered z(x) then z(y)),
-of which only three columns are kept (see below).  The 0-filled group's
-system is the knot group's relator rows plus the longitude rows, both
-built and checked once on a branch and reduced onto its leaves.
+of which only three columns are kept (see below).  The knot group's
+system is the relator's three rows.  The 0-filled group adds the
+longitude lambda as a relator, and of its rows only row 1 counts.  The
+preferred longitude lies in the second commutator subgroup of the knot
+group (Burde-Zieschang, *Knots*), and the representation is upper
+triangular, hence metabelian, so lambda maps to the identity: the
+caller checks that on the branch, as it checks the relator
+(``reps.require_identity``).  lambda commutes with x, so for a knot
+cocycle z, z(x lambda) = z(lambda x) gives
+(Ad x - 1) z(lambda) = (Ad lambda - 1) z(x) = 0: z(lambda) lies in the
+line t v0 that Ad(x) fixes (see below), so its coordinates 0 and 2,
+longitude rows 0 and 2 applied to z, vanish on every knot cocycle.  The
+filled system is the knot rows plus longitude row 1
+(:func:`longitude_row`), all built and checked once on a branch and
+reduced onto its leaves.
 
 Everything here runs in the basis (v+, t v0, v-) of ``reps``, where the
 adjoint of the meridian representation is defined over Q[tau], tau =
@@ -42,8 +54,8 @@ A row (a0, a1, a2 | b0, b1, b2) kills every coboundary exactly when
 a (Ad x - 1) + b (Ad y - 1) = 0, that is when (a0 + b0)(tau - 1),
 -2 tau b0 and (a2 + b2)(1/tau - 1) - b0 + b1/tau vanish.  With tau and
 tau - 1 units, that is a0 = b0 = 0 and b1 = (tau - 1)(a2 + b2): one ring
-product per row, which :func:`relator_system` checks on every row it
-builds, on the branch.
+product per row, which :func:`relator_system` and :func:`longitude_row`
+check on every row they build, on the branch.
 
 Those rows have zero columns 0 and 3, and column 4 is tau - 1 times
 column 2 plus column 5.  So :func:`relator_system` keeps only the live
@@ -92,6 +104,19 @@ def _terms(packed: int, width: int, slots: int, base: int) -> IntLaurent:
     return {base + 2 * j: c for j, c in enumerate(coeffs) if c}
 
 
+def _exponent_range(letters) -> Tuple[int, int]:
+    """The least and greatest exponent sums of the prefixes of a word
+    with ``letters``, the empty prefix included."""
+    n = low = high = 0
+    for _, sign in letters:
+        n += sign
+        if n < low:
+            low = n
+        elif n > high:
+            high = n
+    return low, high
+
+
 def _block_terms(word: Word) -> List[IntLaurent]:
     """The integer kernel of :func:`word_value_blocks`: for x, then y,
     the six upper-triangular entries (00, 01, 02, 11, 12, 22) of the
@@ -125,13 +150,7 @@ def _block_terms(word: Word) -> List[IntLaurent]:
     value; a slot of w bits holds signed values below 2^(w-1).
     """
     letters = word.letters
-    n = low = high = 0
-    for _, sign in letters:
-        n += sign
-        if n < low:
-            low = n
-        elif n > high:
-            high = n
+    low, high = _exponent_range(letters)
     width = ((len(letters) ** 3).bit_length() + 8) & -8
     span = high - low
     # Slot j of u, 2^(width j), is t^(2(low + j) + 1); its square is
@@ -194,6 +213,44 @@ def _block_terms(word: Word) -> List[IntLaurent]:
     return entries
 
 
+def _row_terms(word: Word) -> Tuple[IntLaurent, IntLaurent]:
+    """Entry 12 of the x block and of the y block of ``word`` in the
+    basis (v+, v0, v-), in t: the walk of :func:`_block_terms` without
+    u^2.  The accumulator of (g, m) holds the signed sum U_m of the
+    values of u, and entry 12 of g is the sum of t^-2m U_m.  The
+    absolute coefficients of u sum to at most L for a word of L
+    letters, and each letter adds at most one u to the sums, so no
+    packed coefficient exceeds L^2 in absolute value."""
+    letters = word.letters
+    low, high = _exponent_range(letters)
+    width = ((len(letters) ** 2).bit_length() + 8) & -8
+    span = high - low
+    ones = [1 << (width * j) for j in range(span)]
+    n = u = 0
+    groups: Dict[str, Dict[int, int]] = {"x": {}, "y": {}}
+    for gen, sign in letters:
+        group = groups[gen]
+        if sign > 0:
+            group[n] = group.get(n, 0) + u
+            if gen == "y":
+                u += ones[n - low]
+            n += 1
+        else:
+            n -= 1
+            if gen == "y":
+                u -= ones[n - low]
+            group[n] = group.get(n, 0) - u
+    top = high - 1
+    x12, y12 = (
+        _terms(
+            sum([u_m << (width * (top - m)) for m, u_m in group.items()]),
+            width, 2 * span - 1, 2 * (low - top) + 1,
+        )
+        for group in groups.values()
+    )
+    return x12, y12
+
+
 # diag(1, t, 1) = diag(t^d_0, t^d_1, t^d_2): in the basis (v+, t v0, v-)
 # the entry ij of a matrix picks up t^(d_j - d_i), the coordinate i of a
 # vector t^-d_i.
@@ -243,13 +300,29 @@ def relator_system(relators: Sequence[Word], rep: MeridianRep) -> MatrixOverFiel
     return MatrixOverField(rows or [(rep.ring.zero,) * 3], rep.ring)
 
 
+def longitude_row(longitude: Word, rep: MeridianRep) -> Tuple:
+    """The live columns (x11, x12, y12) of row 1 of the blocks of the
+    longitude, the one longitude row of the 0-filled system (see the
+    module docstring).  x11 and y11 are the exponent sums of x and y in
+    the longitude; x12 and y12 come from :func:`_row_terms`, moved into
+    the basis (v+, t v0, v-) and into tau and mapped into the ring.  The
+    row is checked first to kill every coboundary,
+    y11 = (tau - 1)(x12 + y12) (its entries 10 vanish in every block); a
+    failure would falsify the system and raises."""
+    x12, y12 = rep.ring.evaluate([tau_terms(terms, -1) for terms in _row_terms(longitude)])
+    if (rep.tau - 1) * (x12 + y12) != longitude.exponent_sum("y"):
+        raise AssertionError("a coboundary escaped the cocycle space")
+    return longitude.exponent_sum("x"), x12, y12
+
+
 def cohomology_dims(system: MatrixOverField) -> List[NullspaceResult]:
     """dim H^1 for the presentation with relator system ``system``, one
     record per leaf branch: the nullity ``dim`` of the system on the
     leaf, from its rank under the fraction-free elimination of
     :meth:`MatrixOverField.nullspace`; no cocycle basis is built.  The
     system may be a :func:`relator_system` reduced onto a factor of its
-    modulus."""
+    modulus, or a leaf's echelon rows with a :func:`longitude_row`
+    below them, from which the elimination resumes."""
     return system.nullspace()
 
 

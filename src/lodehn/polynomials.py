@@ -492,8 +492,14 @@ def root_bound(p: Poly) -> Fraction:
     """A rational B with every real root strictly inside (-B, B)."""
     if p.is_zero:
         raise ValueError("root bound of the zero polynomial")
-    lead = abs(p.leading)
-    return 1 + max((abs(c) / lead for c in p.coeffs[:-1]), default=Fraction(0))
+    return _cauchy_bound(_int_multiple(p))
+
+
+def _cauchy_bound(coeffs: Sequence[int]) -> Fraction:
+    """The Cauchy bound 1 + max |c_i| / |c_d| of the polynomial with
+    integer coefficients ``coeffs`` (degree d, ascending), which is the
+    same for every nonzero multiple of it."""
+    return 1 + Fraction(max(map(abs, coeffs[:-1]), default=0), abs(coeffs[-1]))
 
 
 def _interior_non_root(
@@ -547,7 +553,7 @@ def isolate_real_roots(p: Poly) -> List[Tuple[Fraction, Fraction]]:
     if len(chain[-1]) > 1:
         raise ValueError("input must be square-free")
 
-    bound = root_bound(p)
+    bound = _cauchy_bound(chain[0])
     n, den = bound.numerator, bound.denominator
     var_lo, var_hi = _int_variations(chain, -n, den), _int_variations(chain, n, den)
     total = var_lo - var_hi

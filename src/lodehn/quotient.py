@@ -19,17 +19,19 @@ leaf branch, with the split lineage preserved for reporting.  Products
 of leaf moduli always rebuild the original modulus, so no root is ever
 lost or duplicated.
 
-The elimination reports the rank on each leaf, and nothing else.  It is
-fraction-free: each pivot, the first nonzero entry of its column in row
-order, is tested for a unit by one gcd with m, a primitive
-pseudo-remainder sequence on the pivot's integer numerators and the
-integer modulus (a proper gcd is the split), and the rows below it are
-cleared by
+The elimination reports the rank on each leaf and the echelon rows it
+ended with, from which a larger system resumes.  It is fraction-free:
+each pivot, the first nonzero entry of its column in row order, is
+tested for a unit by one gcd with m, a primitive pseudo-remainder
+sequence on the pivot's integer numerators and the integer modulus (a
+proper gcd is the split), and the rows below it are cleared by
 row <- pivot * row - f * pivot_row, with no inverse and no division.
 Every entry is a unit multiple of its counterpart in the reduced row
 echelon form, so the zero tests, the gcds and hence the splits are
 those of Gauss-Jordan elimination with inverted pivots; that form and
-its kernel basis serve as the test oracle.
+its kernel basis serve as the test oracle.  Resumed from known echelon
+rows, the elimination pivots on them in their columns and takes no gcd
+for them: a unit mod m is a unit mod every factor of m.
 
 Below, m is the modulus and t the ring's variable.  Q[t]/(m) runs on
 integers.  An element is its residue of degree below d = deg m, stored
@@ -522,9 +524,14 @@ class LaurentRing:
 
 @dataclass
 class NullspaceResult:
+    """Rank and nullity of a system on one leaf branch, with the
+    echelon rows its elimination ended with: each row zero left of its
+    pivot, a unit, and no two pivots in one column."""
+
     ring: QuotientRing
     rank: int
     dim: int
+    echelon: Tuple[Tuple[AlgebraicElement, ...], ...]
 
     @property
     def branch(self) -> ModulusBranch:
@@ -532,15 +539,20 @@ class NullspaceResult:
 
 
 class MatrixOverField:
-    """Rectangular matrix over one quotient-ring branch, Q[tau]/(F)."""
+    """Rectangular matrix over one quotient-ring branch, Q[tau]/(F).
+    Its first ``known`` rows may be known echelon rows (a
+    :attr:`NullspaceResult.echelon`, or its rows reduced onto a factor
+    of its modulus, where every unit stays a unit); the elimination
+    then resumes from them."""
 
-    __slots__ = ("rows", "cols", "entries", "ring")
+    __slots__ = ("rows", "cols", "entries", "ring", "known")
 
-    def __init__(self, entries: Sequence[Sequence], ring: QuotientRing):
+    def __init__(self, entries: Sequence[Sequence], ring: QuotientRing, known: int = 0):
         self.ring = ring
         self.entries = tuple([tuple([ring.coerce(e) for e in row]) for row in entries])
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
+        self.known = known
         if any(len(row) != self.cols for row in self.entries):
             raise ValueError("matrix rows have unequal lengths")
 
@@ -550,49 +562,64 @@ class MatrixOverField:
         return _nullspace(self)
 
 
-def _rank(rows, cols: int, branch: ModulusBranch) -> int:
-    """The rank of ``rows`` over Q[t]/(m) by fraction-free forward
-    elimination.  For every column the pivot is the first nonzero entry
-    in row order from the pivot row; one gcd with m, on the pivot's
-    integer numerators and the integer modulus, tests it for a unit,
-    and the rows below it are cleared on the columns to its right by
-    row_r <- piv * row_r - f * row_pivot.  Raises :class:`SplitRequired`
-    on the gcd if a pivot is a zero divisor."""
-    work = [list(row) for row in rows]
+def _echelon(rows, cols: int, branch: ModulusBranch, known: int) -> List[Sequence]:
+    """Echelon rows spanning ``rows`` over Q[t]/(m), by fraction-free
+    forward elimination resumed from the ``known`` leading rows, which
+    must already be echelon rows with unit pivots.  For every column the
+    pivot row is the known row with its pivot there, else the first of
+    the other rows, in row order from the pivot row, with a nonzero
+    entry there; one gcd with m, on the entry's integer numerators and
+    the integer modulus, tests that entry for a unit.  The other rows
+    below it are cleared by row_r <- piv * row_r - f * row_pivot, a
+    product skipped where an operand is zero.  Raises
+    :class:`SplitRequired` on the gcd if a pivot is a zero divisor."""
+    zero = _make(branch, (), 1)
+    out = list(rows[:known])
+    pivots = {next(c for c, e in enumerate(row) if e): row for row in out}
+    work = [list(row) for row in rows[known:]]
     pr = 0
     for col in range(cols):
         if pr == len(work):
             break
-        sel = None
-        for r in range(pr, len(work)):
-            if work[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        piv = work[sel][col]
-        g = _int_gcd(branch._ints, piv.num)
-        if len(g) > 1:
-            raise SplitRequired(*branch.split(Poly(g)))
-        work[pr], work[sel] = work[sel], work[pr]
-        top = work[pr][col + 1:]
-        for r in range(pr + 1, len(work)):
-            row = work[r]
+        top = pivots.get(col)
+        if top is None:
+            sel = next((r for r in range(pr, len(work)) if work[r][col]), None)
+            if sel is None:
+                continue
+            top = work[sel]
+            g = _int_gcd(branch._ints, top[col].num)
+            if len(g) > 1:
+                raise SplitRequired(*branch.split(Poly(g)))
+            work[pr], work[sel] = top, work[pr]
+            pr += 1
+            out.append(top)
+        piv = top[col]
+        tail = top[col + 1:]
+        for row in work[pr:]:
             f = row[col]
             if f:
-                row[col + 1:] = [piv * a - f * b for a, b in zip(row[col + 1:], top)]
-        pr += 1
-    return pr
+                row[col] = zero
+                row[col + 1:] = [
+                    (piv * a - f * b if b else piv * a) if a else -(f * b) if b else a
+                    for a, b in zip(row[col + 1:], tail)
+                ]
+    return out
 
 
 def _nullspace(matrix: MatrixOverField) -> List[NullspaceResult]:
     ring = matrix.ring
     try:
-        rank = _rank(matrix.entries, matrix.cols, ring.branch)
+        echelon = _echelon(matrix.entries, matrix.cols, ring.branch, matrix.known)
     except SplitRequired as split:
         out: List[NullspaceResult] = []
         for sub in (split.low, split.high):
-            out.extend(_nullspace(MatrixOverField(matrix.entries, QuotientRing(sub))))
+            out.extend(_nullspace(
+                MatrixOverField(matrix.entries, QuotientRing(sub), matrix.known)
+            ))
         out.sort(key=lambda res: res.branch.sort_key())
         return out
-    return [NullspaceResult(ring=ring, rank=rank, dim=matrix.cols - rank)]
+    rank = len(echelon)
+    return [NullspaceResult(
+        ring=ring, rank=rank, dim=matrix.cols - rank,
+        echelon=tuple([tuple(row) for row in echelon]),
+    )]

@@ -25,10 +25,10 @@ in tau = t^2: Ad(x) = diag(tau, 1, 1/tau) and Ad(y) = [[tau, -2 tau, -1],
 [0, 1, 1/tau], [0, 0, 1/tau]].  A :class:`MeridianRep` is that adjoint
 over Q[tau]/(F), F a factor of the Alexander polynomial in tau, or over
 Q[tau, tau^-1]; :func:`tau_terms` maps a Laurent polynomial in t into
-tau.  The image itself needs t and has no place there: the
-relator-identity check reads n and b off the integer walk, and the
-representation route of the Alexander polynomial stays in integer
-``{exponent: coefficient}`` dicts up to the shared normalizer.
+tau.  The image itself needs t and has no place there: the identity
+checks of the relator and the longitude read n and b off the integer
+walk, and the representation route of the Alexander polynomial stays in
+integer ``{exponent: coefficient}`` dicts up to the shared normalizer.
 """
 
 from __future__ import annotations
@@ -251,6 +251,16 @@ def alexander_polynomial(fraction: TwoBridgeFraction) -> Poly:
     return delta
 
 
+def require_identity(word: Word, ring: QuotientRing, failure: str) -> None:
+    """Raise ValueError(``failure``) unless ``word`` maps to the identity
+    over ``ring``, Q[tau]/(F): its image [[t^n, b], [0, t^-n]] from the
+    integer walk must have n = 0, and then b has only odd powers of t,
+    so b/t is a polynomial in tau, which must vanish mod F."""
+    n, b = _image_terms(word)
+    if n or ring.evaluate([tau_terms(b, -1)])[0]:
+        raise ValueError(failure)
+
+
 def burde_de_rham_assignment(
     branch: ModulusBranch, relator: Word
 ) -> MeridianRep:
@@ -258,20 +268,17 @@ def burde_de_rham_assignment(
     x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] over Q[tau]/(F), F the
     branch modulus and tau = t^2.
 
-    The defining relator must map to the identity there: its image
-    [[t^n, b], [0, t^-n]] from the integer walk must have n = 0, and
-    then b has only odd powers of t, so b/t is a polynomial in tau,
-    which must vanish mod F.  A failure means the modulus does not
+    The defining relator must map to the identity there
+    (:func:`require_identity`).  A failure means the modulus does not
     divide the Alexander polynomial (or an upstream bug) and is a hard
     error.  tau and tau - 1 are units on every branch, so the
     representation is defined and non-abelian (see
     :class:`ModulusBranch`).
     """
-    n, b = _image_terms(relator)
     rep = MeridianRep(QuotientRing(branch))
-    if n or rep.ring.evaluate([tau_terms(b, -1)])[0]:
-        raise ValueError(
-            "relator does not map to the identity on this branch: the "
-            "modulus does not divide the Alexander polynomial"
-        )
+    require_identity(
+        relator, rep.ring,
+        "relator does not map to the identity on this branch: the "
+        "modulus does not divide the Alexander polynomial",
+    )
     return rep

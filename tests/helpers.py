@@ -8,9 +8,9 @@ oracle, the floating oracle, the Euclidean gcd over Q and Yun's
 square-free split over it, the Fraction
 oracle for Q[t]/(m) arithmetic (with the extended Euclidean algorithm
 over Q), the power-by-power geometric sum, the fixed-space
-elimination for H^0, the six-column relator block rows, the reduced
-row echelon form with its kernel basis, and the cocycle values,
-coboundaries and normal forms."""
+elimination for H^0, the six-column relator block rows, the six-row
+0-filled system, the reduced row echelon form with its kernel basis,
+and the cocycle values, coboundaries and normal forms."""
 
 import json
 import os
@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from lodehn.cohomology import word_value_blocks
+from lodehn.cohomology import relator_system, word_value_blocks
 from lodehn.polynomials import LaurentPoly, Poly, squarefree_part
 from lodehn.quotient import LaurentRing, MatrixOverField, QuotientRing, SplitRequired
 from lodehn.reps import Mat3, _image_terms
@@ -342,6 +342,21 @@ def relator_block_rows(relators, rep):
         mx, my = word_value_blocks(relator, rep)
         rows += [mx.rows[i] + my.rows[i] for i in range(3)]
     return rows
+
+
+def six_row_filled_leaves(pres, rep):
+    """(leaf modulus, split lineage, dim H^1) per leaf of the six-row
+    0-filled system: on each leaf of the knot rows, the knot rows and
+    all three longitude rows of ``relator_system``, eliminated from
+    scratch.  Moduli and lineages are in tau, sorted by leaf modulus."""
+    knot = relator_system([pres.relator], rep)
+    longitude = relator_system([pres.longitude], rep)
+    leaves = []
+    for knot_leaf in knot.nullspace():
+        filled = MatrixOverField(knot.entries + longitude.entries, knot_leaf.ring)
+        leaves += filled.nullspace()
+    leaves.sort(key=lambda leaf: leaf.branch.sort_key())
+    return [(leaf.branch.modulus, leaf.branch.lineage, leaf.dim) for leaf in leaves]
 
 
 def echelon_oracle(rows, cols):

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import load_fixture, nullspace_oracle
+from helpers import load_fixture, nullspace_oracle, six_row_filled_leaves
 from lodehn.certify import (
     Verdict,
+    _inflated,
     analyze_roots,
     certify,
     check_rigidity,
@@ -107,6 +108,41 @@ def test_check_rigidity_family(j):
     for report in check_rigidity(build_presentation(fraction), branch, delta, 1):
         assert report.rigid
         assert report.h1_knot == 1
+
+
+def test_longitude_row_one_fills_like_the_six_row_system():
+    # check_rigidity fills with the longitude's row 1 alone, resumed
+    # from each knot leaf's echelon rows.  The six-row system, rebuilt
+    # from scratch on each knot leaf, gives the same leaf moduli, split
+    # lineages and H^1 on every factor of the census and long-word
+    # fixtures, on 9/1 (Phi6 * Phi18 in tau), on 147/53 (a squared
+    # factor) and on the three knot classes whose knot rows split; and
+    # on the product of 147/53's two factors, where the filled step
+    # splits and resumes on each part.
+    fractions = [
+        row["fraction"]
+        for name in ("census_p23.json", "long_words.json")
+        for row in load_fixture(name)
+    ] + ["9/1", "115/42", "195/82", "205/78", "147/53"]
+    cases = []
+    for text in fractions:
+        fraction = TwoBridgeFraction(*(int(part) for part in text.split("/")))
+        pres = build_presentation(fraction)
+        factors = squarefree_decomposition(alexander_via_rep(fraction))
+        cases += [(pres, factor, multiplicity) for factor, multiplicity in factors]
+    product = factors[0][0].monic() * factors[1][0].monic()
+    cases.append((pres, product, 1))
+    leaves = 0
+    for pres, factor, multiplicity in cases:
+        branch = ModulusBranch(factor)
+        reports = check_rigidity(pres, branch, factor, multiplicity)
+        rep = burde_de_rham_assignment(branch, pres.relator)
+        assert [(r.modulus, r.lineage, r.h1_filled) for r in reports] == [
+            (modulus.inflate(2), tuple(_inflated(rec) for rec in lineage), h1)
+            for modulus, lineage, h1 in six_row_filled_leaves(pres, rep)
+        ]
+        leaves += len(reports)
+    assert (len(cases), leaves) == (49, 53)
 
 
 # Phi12(t) = Phi6(tau) and Phi36(t) = Phi18(tau), tau = t^2.

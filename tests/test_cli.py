@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -8,11 +10,14 @@ from math import gcd
 import pytest
 
 from lodehn import cli, reps
-from lodehn.certify import certify
+from lodehn.certify import analyze_roots, certify, check_rigidity
 from lodehn.cli import build_parser, canonical_report, decimal_string, main
 from lodehn.cohomology import ClosedFormMismatch
 from lodehn.polynomials import LaurentPoly, Poly
-from lodehn.twobridge import TwoBridgeFraction
+from lodehn.quotient import ModulusBranch
+from lodehn.reps import alexander_polynomial
+from lodehn.twobridge import TwoBridgeFraction, build_presentation
+from lodehn.words import Word
 from fractions import Fraction
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -291,6 +296,29 @@ def test_alexander_value_at_one_exits_2_from_both_commands(delta, value, monkeyp
         assert captured.err == (
             f"error: Alexander polynomial {delta!r} has value {value} at 1, not +-1\n"
         )
+
+
+@pytest.mark.parametrize("longitude", ["x", "xyx^-1y^-1"])
+def test_longitude_off_the_identity_exits_2(longitude, monkeypatch, capsys):
+    # Filling with the longitude's row 1 alone rests on rho(longitude) = I.
+    # A longitude with a nonzero exponent sum (x) or with n = 0 and b/t
+    # not 0 mod F (the commutator) must raise in check_rigidity, and
+    # certify must exit 2 with one error line.
+    pres = build_presentation(TwoBridgeFraction(29, 17))
+    patched = dataclasses.replace(pres, longitude=Word.parse(longitude))
+    (factor, multiplicity), = analyze_roots(alexander_polynomial(pres.fraction))
+    with pytest.raises(ValueError, match="longitude does not map to the identity"):
+        check_rigidity(patched, ModulusBranch(factor), factor, multiplicity)
+    # The package exports the function certify under the module's name.
+    certify_module = importlib.import_module("lodehn.certify")
+    monkeypatch.setattr(certify_module, "build_presentation", lambda fraction: patched)
+    assert main(["certify", "--pq", "29/17", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: longitude does not map to the identity on this branch: its "
+        "rows 0 and 2 would not vanish on the knot cocycles"
+    ]
 
 
 @pytest.mark.parametrize("digits", ["-1", "-3"])

@@ -25,12 +25,15 @@ from helpers import (
     to_tau_basis,
     word_value_blocks_oracle,
 )
-from lodehn import cohomology
+from lodehn import cli, cohomology
 from lodehn.cohomology import (
     ClosedFormMismatch,
+    _block_terms,
     _geometric_sum,
+    _row_terms,
     cohomology_dims,
     family_cocycle_forms,
+    longitude_row,
     relator_system,
     vanishing_identity,
     word_value_blocks,
@@ -475,6 +478,56 @@ def test_coboundary_check_catches_a_corrupted_system(monkeypatch):
     _patch_one_block_entry(monkeypatch, 0, 0)
     with pytest.raises(AssertionError, match="a coboundary escaped the cocycle space"):
         relator_system([pres.relator], rep)
+
+
+def test_longitude_row_is_row_one_of_the_blocks():
+    # The walk without u^2 gives entries 12 of both blocks as the full
+    # walk does, on random words and on the wide words of the packed
+    # walk's test; entries 11 are the exponent sums.  On every census
+    # and long-word branch, longitude_row passes its check and is
+    # (x11, x12, y12) of the longitude's blocks, with y11 as checked.
+    rng = random.Random(12)
+    x, y = Word.parse("x"), Word.parse("y")
+    X, Y = x.inverse(), y.inverse()
+    words = [random_word(rng, rng.randint(0, 60)) for _ in range(100)]
+    words += [(y * X) ** 500, (Y * x) ** 500, x**150 * y * X**300 * Y * x**150, Word()]
+    for word in words:
+        terms = _block_terms(word)
+        assert _row_terms(word) == (terms[4], terms[10])
+        for entry, gen in ((terms[3], "x"), (terms[9], "y")):
+            assert entry == ({0: word.exponent_sum(gen)} if word.exponent_sum(gen) else {})
+    rows = 0
+    for name in ("census_p23.json", "long_words.json"):
+        for fraction in _fixture_fractions(name):
+            pres, reps = _branch_reps(fraction)
+            for rep in reps:
+                mx, my = word_value_blocks(pres.longitude, rep)
+                assert longitude_row(pres.longitude, rep) == (
+                    mx.rows[1][1], mx.rows[1][2], my.rows[1][2]
+                )
+                assert my.rows[1][1] == (rep.tau - 1) * (mx.rows[1][2] + my.rows[1][2])
+                rows += 1
+    assert rows > 40
+
+
+def test_coboundary_check_catches_a_corrupted_longitude_row(monkeypatch, capsys):
+    # x12 off by t (1 in tau after the shift into the basis): the check
+    # y11 = (tau - 1)(x12 + y12) then misses by tau - 1, a unit, and
+    # certify exits 2 with one error line instead of a verdict.
+    pres, (rep,) = _branch_reps(TwoBridgeFraction(29, 17))
+    assert len(longitude_row(pres.longitude, rep)) == 3
+
+    def corrupted(word):
+        x12, y12 = _row_terms(word)
+        return {**x12, 1: x12.get(1, 0) + 1}, y12
+
+    monkeypatch.setattr(cohomology, "_row_terms", corrupted)
+    with pytest.raises(AssertionError, match="a coboundary escaped the cocycle space"):
+        longitude_row(pres.longitude, rep)
+    assert cli.main(["certify", "--pq", "29/17", "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a coboundary escaped the cocycle space\n"
 
 
 def _coboundary_products(rows, rep):

@@ -397,9 +397,26 @@ def test_refinement_rejects_a_width_that_is_not_positive():
             refine_isolating_interval(p, Fraction(1), Fraction(2), width)
 
 
+def test_root_bound_is_the_cauchy_bound_of_the_rational_coefficients():
+    # root_bound reads 1 + max |c_i| / |c_d| off the integer multiple of
+    # p, as isolate_real_roots reads it off its Sturm chain's first
+    # member; the value is that of the rational coefficients.
+    rng = random.Random(31)
+    for _ in range(200):
+        p = Poly([random_fraction(rng, 50, 9) for _ in range(rng.randint(1, 7))])
+        if p.is_zero:
+            continue
+        lead = abs(p.leading)
+        expected = 1 + max((abs(c) / lead for c in p.coeffs[:-1]), default=Fraction(0))
+        assert root_bound(p) == expected
+
+
 def test_refinement_builds_no_fraction_per_step(monkeypatch):
-    # Refining the same interval to 10^-302 takes about ten times the
-    # steps of 10^-32; the Fractions built must not grow with them.
+    # Refining the same interval to 10^-302 ends on a dyadic grid ten
+    # times as deep as for 10^-32 (level 1004 against 107), which
+    # quadratic interval refinement searches by secant guesses on
+    # integer numerators; it builds Fractions only for its arguments and
+    # its result, so their count must not grow with the level.
     constructed = []
     original_new = Fraction.__new__
 

@@ -20,7 +20,7 @@ from lodehn.quotient import (
     QuotientRing,
     SplitRequired,
     _pack,
-    _rank,
+    _echelon,
     _slot_width,
     _unpack,
 )
@@ -189,6 +189,52 @@ def test_nullspace_dim_invariant_under_row_shuffles():
         assert MatrixOverField(shuffled, ring).nullspace()[0].dim == base
 
 
+def test_resumed_elimination_matches_the_oracle_on_the_stacked_rows():
+    # Each leaf of a head system keeps echelon rows: zero left of a unit
+    # pivot, one per pivot column, as many as the rank.  Resumed from
+    # them with tail rows, every leaf has the rank of the RREF oracle on
+    # head and tail stacked, on every leaf of the oracle's own splits,
+    # and the leaves' moduli multiply back.  Seeded matrices over a
+    # product of six factors, so the resumed step splits too.
+    rng = random.Random(59)
+    factors = [
+        Poly([-2, 1]), Poly([3, 1]), Poly([-2, 0, 1]), Poly([1, 1, 1]),
+        Poly([5, 0, 0, 1]), Poly([-1, 1, 0, 2]),
+    ]
+    modulus = Poly([1])
+    for factor in factors:
+        modulus = modulus * factor
+    branch = ModulusBranch(modulus)
+
+    def entry():
+        value = Poly([rng.randint(-2, 2), rng.randint(-2, 2)])
+        for factor in rng.sample(factors, rng.randint(0, 3)):
+            value = value * factor
+        return value
+
+    resumed_splits = 0
+    for _ in range(30):
+        cols = rng.randint(3, 4)
+        head = [[entry() for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+        tail = [[entry() for _ in range(cols)] for _ in range(rng.randint(1, 2))]
+        leaves = []
+        for head_leaf in MatrixOverField(head, QuotientRing(branch)).nullspace():
+            pivots = [next(c for c, e in enumerate(row) if e) for row in head_leaf.echelon]
+            assert len(set(pivots)) == len(pivots) == head_leaf.rank
+            for row, col in zip(head_leaf.echelon, pivots):
+                assert poly_gcd(head_leaf.branch.modulus, row[col].value).degree == 0
+            resumed = MatrixOverField(
+                head_leaf.echelon + tuple(tail), head_leaf.ring, head_leaf.rank
+            ).nullspace()
+            resumed_splits += len(resumed) - 1
+            leaves += resumed
+        for leaf in leaves:
+            oracle = nullspace_oracle(head + tail, leaf.branch)
+            assert {o.rank for o in oracle} == {leaf.rank}
+        assert _product_of_moduli(leaves) == branch.modulus
+    assert resumed_splits >= 5
+
+
 def test_rational_matrix_rejects_bad_entries():
     with pytest.raises(TypeError):
         MatrixOverField([[object()]], _rationals())
@@ -197,7 +243,7 @@ def test_rational_matrix_rejects_bad_entries():
 def test_split_required_reports_both_leaves():
     branch = ModulusBranch(T2_MINUS_4)
     with pytest.raises(SplitRequired) as err:
-        _rank([[branch.element(Poly([-2, 1]))]], 1, branch)
+        _echelon([[branch.element(Poly([-2, 1]))]], 1, branch, 0)
     assert err.value.low.modulus * err.value.high.modulus == T2_MINUS_4
 
 
