@@ -34,7 +34,7 @@ from .polynomials import (
     squarefree_decomposition,
 )
 from .quotient import MatrixOverField, ModulusBranch, SplitRecord
-from .reps import alexander_polynomial, burde_de_rham_assignment, require_identity
+from .reps import alexander_polynomial, burde_de_rham_assignment
 from .twobridge import KnotPresentation, TwoBridgeFraction, build_presentation
 
 
@@ -111,16 +111,12 @@ def check_rigidity(
     lifted to t.
 
     The relator and the longitude must map to the identity on the
-    branch (else ValueError).  The 0-filled system is then the knot
-    rows plus the longitude's row 1 (see ``cohomology``): on each knot
-    leaf its elimination resumes from the leaf's echelon rows, so only
-    the one new row is reduced and tested."""
+    branch (else ValueError; ``longitude_row`` checks the longitude).
+    The 0-filled system is then the knot rows plus the longitude's row
+    1 (see ``cohomology``): on each knot leaf its elimination resumes
+    from the leaf's echelon rows, so only the one new row is reduced
+    and tested."""
     rep = burde_de_rham_assignment(branch, pres.relator)
-    require_identity(
-        pres.longitude, rep.ring,
-        "longitude does not map to the identity on this branch: its rows "
-        "0 and 2 would not vanish on the knot cocycles",
-    )
     knot = relator_system([pres.relator], rep)
     row = longitude_row(pres.longitude, rep)
     reports: List[RootBranchReport] = []
@@ -199,8 +195,9 @@ def certify(fraction: TwoBridgeFraction) -> CertifyResult:
     """Run the full pipeline: Alexander polynomial by two independent
     routes, square-free split, and per-branch rigidity; the qualifying
     roots are counted on the leaves' real root intervals (see the
-    module docstring).  Each Alexander route builds its own
-    presentation; the rigidity checks and the report share one."""
+    module docstring).  Both Alexander routes, the rigidity checks and
+    the report share one presentation, which ``build_presentation``
+    keeps from the routes' requests."""
     delta = alexander_polynomial(fraction)
     factors = analyze_roots(delta)
     pres = build_presentation(fraction)

@@ -11,10 +11,11 @@ system is the relator's three rows.  The 0-filled group adds the
 longitude lambda as a relator, and of its rows only row 1 counts.  The
 preferred longitude lies in the second commutator subgroup of the knot
 group (Burde-Zieschang, *Knots*), and the representation is upper
-triangular, hence metabelian, so lambda maps to the identity: the
-caller checks that on the branch, as it checks the relator
-(``reps.require_identity``).  lambda commutes with x, so for a knot
-cocycle z, z(x lambda) = z(lambda x) gives
+triangular, hence metabelian, so lambda maps to the identity:
+:func:`longitude_row` checks that on the branch, off the walk that
+builds its row, as ``reps.burde_de_rham_assignment`` checks the
+relator.  lambda commutes with x, so for a knot cocycle z,
+z(x lambda) = z(lambda x) gives
 (Ad x - 1) z(lambda) = (Ad lambda - 1) z(x) = 0: z(lambda) lies in the
 line t v0 that Ad(x) fixes (see below), so its coordinates 0 and 2,
 longitude rows 0 and 2 applied to z, vanish on every knot cocycle.  The
@@ -213,14 +214,16 @@ def _block_terms(word: Word) -> List[IntLaurent]:
     return entries
 
 
-def _row_terms(word: Word) -> Tuple[IntLaurent, IntLaurent]:
-    """Entry 12 of the x block and of the y block of ``word`` in the
+def _row_terms(word: Word) -> Tuple[int, IntLaurent, IntLaurent, IntLaurent]:
+    """n and u = t^n b of the image [[t^n, b], [0, t^-n]] of ``word``,
+    and entry 12 of the x block and of the y block of ``word`` in the
     basis (v+, v0, v-), in t: the walk of :func:`_block_terms` without
-    u^2.  The accumulator of (g, m) holds the signed sum U_m of the
-    values of u, and entry 12 of g is the sum of t^-2m U_m.  The
-    absolute coefficients of u sum to at most L for a word of L
-    letters, and each letter adds at most one u to the sums, so no
-    packed coefficient exceeds L^2 in absolute value."""
+    u^2, whose final n and u are those of the whole word.  The
+    accumulator of (g, m) holds the signed sum U_m of the values of u,
+    and entry 12 of g is the sum of t^-2m U_m.  The absolute
+    coefficients of u sum to at most L for a word of L letters, and
+    each letter adds at most one u to the sums, so no packed
+    coefficient exceeds L^2 in absolute value."""
     letters = word.letters
     low, high = _exponent_range(letters)
     width = ((len(letters) ** 2).bit_length() + 8) & -8
@@ -248,7 +251,7 @@ def _row_terms(word: Word) -> Tuple[IntLaurent, IntLaurent]:
         )
         for group in groups.values()
     )
-    return x12, y12
+    return n, _terms(u, width, span, 2 * low + 1), x12, y12
 
 
 # diag(1, t, 1) = diag(t^d_0, t^d_1, t^d_2): in the basis (v+, t v0, v-)
@@ -300,16 +303,33 @@ def relator_system(relators: Sequence[Word], rep: MeridianRep) -> MatrixOverFiel
     return MatrixOverField(rows or [(rep.ring.zero,) * 3], rep.ring)
 
 
+_LONGITUDE_OFF_IDENTITY = (
+    "longitude does not map to the identity on this branch: its rows 0 "
+    "and 2 would not vanish on the knot cocycles"
+)
+
+
 def longitude_row(longitude: Word, rep: MeridianRep) -> Tuple:
     """The live columns (x11, x12, y12) of row 1 of the blocks of the
     longitude, the one longitude row of the 0-filled system (see the
     module docstring).  x11 and y11 are the exponent sums of x and y in
     the longitude; x12 and y12 come from :func:`_row_terms`, moved into
-    the basis (v+, t v0, v-) and into tau and mapped into the ring.  The
-    row is checked first to kill every coboundary,
+    the basis (v+, t v0, v-) and into tau and mapped into the ring.
+
+    The row rests on rho(longitude) = I, which is read off the same
+    walk first: the image [[t^n, b], [0, t^-n]] must have n = 0, and
+    then b = u has only odd powers of t, so b/t is a polynomial in tau
+    that must vanish mod F (else ValueError); one ``evaluate`` maps it
+    into the ring with x12 and y12.  The row is then checked to kill
+    every coboundary,
     y11 = (tau - 1)(x12 + y12) (its entries 10 vanish in every block); a
-    failure would falsify the system and raises."""
-    x12, y12 = rep.ring.evaluate([tau_terms(terms, -1) for terms in _row_terms(longitude)])
+    failure would falsify the system and raises AssertionError."""
+    n, u, x12, y12 = _row_terms(longitude)
+    if n:
+        raise ValueError(_LONGITUDE_OFF_IDENTITY)
+    b, x12, y12 = rep.ring.evaluate([tau_terms(terms, -1) for terms in (u, x12, y12)])
+    if b:
+        raise ValueError(_LONGITUDE_OFF_IDENTITY)
     if (rep.tau - 1) * (x12 + y12) != longitude.exponent_sum("y"):
         raise AssertionError("a coboundary escaped the cocycle space")
     return longitude.exponent_sum("x"), x12, y12

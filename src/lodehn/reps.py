@@ -26,13 +26,14 @@ in tau = t^2: Ad(x) = diag(tau, 1, 1/tau) and Ad(y) = [[tau, -2 tau, -1],
 over Q[tau]/(F), F a factor of the Alexander polynomial in tau, or over
 Q[tau, tau^-1]; :func:`tau_terms` maps a Laurent polynomial in t into
 tau.  The image itself needs t and has no place there: the identity
-checks of the relator and the longitude read n and b off the integer
-walk, and the representation route of the Alexander polynomial stays in
+checks of the relator and the longitude read n and b off integer
+walks, and the representation route of the Alexander polynomial stays in
 integer ``{exponent: coefficient}`` dicts up to the shared normalizer.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Dict, Tuple, Union
 
 from .polynomials import LaurentPoly, Poly
@@ -187,8 +188,13 @@ def normalize_alexander(value: IntLaurent) -> Poly:
     terms = {e: c for e, c in value.items() if c}
     if not terms:
         raise ValueError("cannot normalize the zero polynomial")
-    low = min(terms)
-    return Poly([terms.get(e, 0) for e in range(low, max(terms) + 1)]).primitive()
+    coeffs = [terms.get(e, 0) for e in range(min(terms), max(terms) + 1)]
+    den = lcm(*[c.denominator for c in coeffs])
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return Poly([c // g for c in ints])
 
 
 def alexander_via_rep(fraction: TwoBridgeFraction) -> Poly:
@@ -251,16 +257,6 @@ def alexander_polynomial(fraction: TwoBridgeFraction) -> Poly:
     return delta
 
 
-def require_identity(word: Word, ring: QuotientRing, failure: str) -> None:
-    """Raise ValueError(``failure``) unless ``word`` maps to the identity
-    over ``ring``, Q[tau]/(F): its image [[t^n, b], [0, t^-n]] from the
-    integer walk must have n = 0, and then b has only odd powers of t,
-    so b/t is a polynomial in tau, which must vanish mod F."""
-    n, b = _image_terms(word)
-    if n or ring.evaluate([tau_terms(b, -1)])[0]:
-        raise ValueError(failure)
-
-
 def burde_de_rham_assignment(
     branch: ModulusBranch, relator: Word
 ) -> MeridianRep:
@@ -268,17 +264,20 @@ def burde_de_rham_assignment(
     x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] over Q[tau]/(F), F the
     branch modulus and tau = t^2.
 
-    The defining relator must map to the identity there
-    (:func:`require_identity`).  A failure means the modulus does not
-    divide the Alexander polynomial (or an upstream bug) and is a hard
-    error.  tau and tau - 1 are units on every branch, so the
-    representation is defined and non-abelian (see
+    The defining relator must map to the identity there, else
+    ValueError: its image [[t^n, b], [0, t^-n]] from the integer walk
+    must have n = 0, and then b has only odd powers of t, so b/t is a
+    polynomial in tau, which must vanish mod F.  A failure means the
+    modulus does not divide the Alexander polynomial (or an upstream
+    bug) and is a hard error.  tau and tau - 1 are units on every
+    branch, so the representation is defined and non-abelian (see
     :class:`ModulusBranch`).
     """
     rep = MeridianRep(QuotientRing(branch))
-    require_identity(
-        relator, rep.ring,
-        "relator does not map to the identity on this branch: the "
-        "modulus does not divide the Alexander polynomial",
-    )
+    n, b = _image_terms(relator)
+    if n or rep.ring.evaluate([tau_terms(b, -1)])[0]:
+        raise ValueError(
+            "relator does not map to the identity on this branch: the "
+            "modulus does not divide the Alexander polynomial"
+        )
     return rep

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Sequence, Tuple
 
@@ -97,27 +98,47 @@ class KnotPresentation:
     meridian: Word
 
 
+# The letters g^e of each generator, indexed by the exponent e = +-1.
+_X_LETTERS = {e: _LETTERS["x", e] for e in (1, -1)}
+_Y_LETTERS = {e: _LETTERS["y", e] for e in (1, -1)}
+
+
+@lru_cache(maxsize=1)
 def build_presentation(fraction: TwoBridgeFraction) -> KnotPresentation:
     """Assemble the Riley presentation and the homological longitude.
 
-    The longitude correction ``x^(-2e)`` makes the longitude
+    ``w`` is spelled from the Riley exponents: the even positions are
+    y letters and the odd ones x letters, so each half is read through
+    a two-entry letter table.  ``v`` is ``w`` spelled backwards, so the
+    total exponent sum of ``w v`` is twice that of ``w``, and the
+    longitude correction ``x^(-2e)`` makes the longitude
     null-homologous (both generators map to the meridian class, so the
     total exponent sum vanishes).  For the [1,1,2,2,2j] family the
     exponent signs cancel and the correction is empty.
+
+    One command asks for the presentation of one fraction two or three
+    times in a row: each Alexander route builds it, and ``certify``'s
+    rigidity checks read it too.  The last result is therefore kept
+    (``lru_cache``; the fraction is frozen and hashable and the
+    presentation immutable), so those requests share one object.  One
+    entry is enough for that, and a larger cache would only serve a
+    process that repeats whole commands.
     """
     exps = riley_exponents(fraction)
     # Alternating generators never cancel, so w is spelled reduced, from
     # the shared letter tuples that word products compare by identity.
-    w = Word._of(tuple([_LETTERS["yx"[i % 2], e] for i, e in enumerate(exps)]))
+    letters = list(exps)
+    letters[0::2] = map(_Y_LETTERS.__getitem__, exps[0::2])
+    letters[1::2] = map(_X_LETTERS.__getitem__, exps[1::2])
+    w = Word._of(tuple(letters))
     if len(w) != fraction.p - 1:
         raise AssertionError("alternating word unexpectedly reduced")
     v = w.spelled_backwards()
     x, y = Word.generator("x"), Word.generator("y")
     relator = x * w * y.inverse() * w.inverse()
-    wv = w * v
-    total = wv.total_exponent_sum()
+    total = 2 * sum(exps)
     correction = Word.generator("x", -1 if total > 0 else 1) ** abs(total)
-    longitude = correction * wv
+    longitude = correction * w * v
     if longitude.total_exponent_sum() != 0:
         raise AssertionError("longitude failed the null-homology check")
     return KnotPresentation(fraction, w, v, relator, longitude, meridian=x)

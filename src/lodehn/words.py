@@ -15,6 +15,7 @@ ignored.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, Tuple
 
 Letter = Tuple[str, int]
@@ -159,7 +160,7 @@ class Word:
         return letters.count(_LETTERS[gen, 1]) - letters.count(_LETTERS[gen, -1])
 
     def total_exponent_sum(self) -> int:
-        return self.exponent_sum("x") + self.exponent_sum("y")
+        return sum(map(itemgetter(1), self.letters))
 
     def is_identity(self) -> bool:
         return not self.letters

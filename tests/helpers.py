@@ -1,4 +1,5 @@
-"""Shared test utilities: random generators, 2x2 matrices and the
+"""Shared test utilities: the knot census, the letter-by-letter
+presentation oracle, random generators, 2x2 matrices and the
 adjoint action, the meridian representation over t in the basis
 (v+, v0, v-) with its generator images and adjoints, the map of its
 blocks into the package's basis (v+, t v0, v-) and into tau = t^2, the
@@ -17,6 +18,7 @@ import os
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import mpmath as mp
 
@@ -24,7 +26,7 @@ from lodehn.cohomology import relator_system, word_value_blocks
 from lodehn.polynomials import LaurentPoly, Poly, squarefree_part
 from lodehn.quotient import LaurentRing, MatrixOverField, QuotientRing, SplitRequired
 from lodehn.reps import Mat3, _image_terms
-from lodehn.twobridge import build_presentation
+from lodehn.twobridge import KnotPresentation, build_presentation, riley_exponents
 from lodehn.words import Word
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -33,6 +35,38 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 def load_fixture(name):
     with open(os.path.join(FIXTURES, name), encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def census(p_max):
+    """One fraction per knot with p <= p_max: the smallest q of its
+    class under q ~ -q and q ~ q^-1 mod p."""
+    out = []
+    for p in range(3, p_max + 1, 2):
+        seen = set()
+        for q in range(1, p):
+            if gcd(p, q) != 1 or q in seen:
+                continue
+            inv = pow(q, -1, p)
+            orbit = {q, p - q, inv, p - inv}
+            seen |= orbit
+            out.append(f"{p}/{min(orbit)}")
+    return out
+
+
+def presentation_oracle(fraction):
+    """``twobridge.build_presentation`` letter by letter: w from the
+    validating word constructor, one letter per Riley exponent, the
+    relator and the longitude as word products, and the correction
+    from the exponent sums of w v counted per generator."""
+    exps = riley_exponents(fraction)
+    w = Word([("yx"[i % 2], e) for i, e in enumerate(exps)])
+    v = w.spelled_backwards()
+    x, y = Word.generator("x"), Word.generator("y")
+    relator = x * w * y.inverse() * w.inverse()
+    wv = w * v
+    total = wv.exponent_sum("x") + wv.exponent_sum("y")
+    longitude = Word.generator("x", -1 if total > 0 else 1) ** abs(total) * wv
+    return KnotPresentation(fraction, w, v, relator, longitude, meridian=x)
 
 
 def L(terms):

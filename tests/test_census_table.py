@@ -16,9 +16,8 @@ with
 
 import json
 import os
-from math import gcd
 
-from helpers import FIXTURES, load_fixture
+from helpers import FIXTURES, census, load_fixture
 from lodehn.cli import build_report
 from lodehn.certify import certify
 from lodehn.twobridge import TwoBridgeFraction
@@ -27,22 +26,6 @@ FIXTURE = "census_p23.json"
 P_MAX = 23
 LONG_WORDS_FIXTURE = "long_words.json"
 LONG_WORDS = ("485/283", "201/77", "147/53", "41/1")
-
-
-def census(p_max):
-    """One fraction per knot with p <= p_max: the smallest q of its
-    class under q ~ -q and q ~ q^-1 mod p."""
-    out = []
-    for p in range(3, p_max + 1, 2):
-        seen = set()
-        for q in range(1, p):
-            if gcd(p, q) != 1 or q in seen:
-                continue
-            inv = pow(q, -1, p)
-            orbit = {q, p - q, inv, p - inv}
-            seen |= orbit
-            out.append(f"{p}/{min(orbit)}")
-    return out
 
 
 def verdict_row(fraction):

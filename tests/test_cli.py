@@ -9,7 +9,7 @@ from math import gcd
 
 import pytest
 
-from lodehn import cli, reps
+from lodehn import cli, reps, twobridge
 from lodehn.certify import analyze_roots, certify, check_rigidity
 from lodehn.cli import build_parser, canonical_report, decimal_string, main
 from lodehn.cohomology import ClosedFormMismatch
@@ -178,6 +178,27 @@ def test_alexander_and_certify_construct_no_laurent_poly(monkeypatch, capsys):
     assert len(constructed) == 0
     assert main(["certify", "--pq", "485/283", "--quiet"]) == 0
     assert len(constructed) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["alexander", "--pq", "201/77", "--roots"],
+    ["certify", "--pq", "29/17", "--quiet"],
+])
+def test_one_command_builds_the_presentation_once(argv, monkeypatch):
+    # Both Alexander routes, and certify's rigidity checks, ask for the
+    # presentation of the same fraction; build_presentation keeps its
+    # last result, so the Riley exponents are computed once per command.
+    calls = []
+    original = twobridge.riley_exponents
+
+    def counting(fraction):
+        calls.append(fraction)
+        return original(fraction)
+
+    monkeypatch.setattr(twobridge, "riley_exponents", counting)
+    build_presentation.cache_clear()
+    assert main(argv) == 0
+    assert len(calls) == 1
 
 
 def test_alexander_cf_equals_pq(capsys):

@@ -50,6 +50,7 @@ from lodehn.quotient import (
 from lodehn.reps import (
     Mat3,
     MeridianRep,
+    _image_terms,
     alexander_via_rep,
     burde_de_rham_assignment,
     f_upper_entry,
@@ -482,10 +483,11 @@ def test_coboundary_check_catches_a_corrupted_system(monkeypatch):
 
 def test_longitude_row_is_row_one_of_the_blocks():
     # The walk without u^2 gives entries 12 of both blocks as the full
-    # walk does, on random words and on the wide words of the packed
-    # walk's test; entries 11 are the exponent sums.  On every census
-    # and long-word branch, longitude_row passes its check and is
-    # (x11, x12, y12) of the longitude's blocks, with y11 as checked.
+    # walk does, and n and u = t^n b as the image walk does, on random
+    # words and on the wide words of the packed walk's test; entries 11
+    # are the exponent sums.  On every census and long-word branch,
+    # longitude_row passes its checks and is (x11, x12, y12) of the
+    # longitude's blocks, with y11 as checked.
     rng = random.Random(12)
     x, y = Word.parse("x"), Word.parse("y")
     X, Y = x.inverse(), y.inverse()
@@ -493,7 +495,10 @@ def test_longitude_row_is_row_one_of_the_blocks():
     words += [(y * X) ** 500, (Y * x) ** 500, x**150 * y * X**300 * Y * x**150, Word()]
     for word in words:
         terms = _block_terms(word)
-        assert _row_terms(word) == (terms[4], terms[10])
+        n, b = _image_terms(word)
+        assert _row_terms(word) == (
+            n, {e + n: c for e, c in b.items()}, terms[4], terms[10]
+        )
         for entry, gen in ((terms[3], "x"), (terms[9], "y")):
             assert entry == ({0: word.exponent_sum(gen)} if word.exponent_sum(gen) else {})
     rows = 0
@@ -518,8 +523,8 @@ def test_coboundary_check_catches_a_corrupted_longitude_row(monkeypatch, capsys)
     assert len(longitude_row(pres.longitude, rep)) == 3
 
     def corrupted(word):
-        x12, y12 = _row_terms(word)
-        return {**x12, 1: x12.get(1, 0) + 1}, y12
+        n, u, x12, y12 = _row_terms(word)
+        return n, u, {**x12, 1: x12.get(1, 0) + 1}, y12
 
     monkeypatch.setattr(cohomology, "_row_terms", corrupted)
     with pytest.raises(AssertionError, match="a coboundary escaped the cocycle space"):

@@ -1,11 +1,13 @@
 """The knot list and the digests of ``tools/same_reports.py``; the
 parent export is not run."""
 
+import hashlib
 import importlib.util
 import json
 import os
 
 from helpers import load_fixture
+from lodehn.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -30,17 +32,29 @@ def test_classes_list_one_fraction_per_knot(monkeypatch):
     assert set(tool.NAMED) <= set(knots)
 
 
-def test_worker_digests_match_the_benchmark_reference(monkeypatch):
+def test_worker_digests_match_the_benchmark_reference(monkeypatch, capsys):
     # The worker runs certify as the benchmark does, and the digest is
     # the gate's: each digest is the one perfbench/reference.json pins.
+    # It also runs alexander --roots --digits 30, which the benchmark
+    # checks without a reference; its exit code and the digest of its
+    # stdout are those of the same command run in this process.
     tool = _load_tool(monkeypatch)
     with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="utf-8") as handle:
         reference = json.load(handle)
-    fractions = ["29/17", "3/1", "9/1"]
+    real_roots = {"29/17": 4, "3/1": 0, "9/1": 0}
+    fractions = list(real_roots)
     outcomes = tool.outcomes(tool.ROOT / "src", fractions)
-    assert outcomes == {
-        pq: (0 if reference[pq]["verdict"] == "APPLIES" else 1, reference[pq]["sha256"])
-        for pq in fractions
-    }
+    expected = {}
+    for pq in fractions:
+        code = main(["alexander", "--pq", pq, "--roots", "--digits", "30"])
+        out = capsys.readouterr().out
+        assert out.count("root in ") == real_roots[pq]
+        expected[pq] = (
+            0 if reference[pq]["verdict"] == "APPLIES" else 1,
+            reference[pq]["sha256"],
+            code,
+            hashlib.sha256(out.encode("utf-8")).hexdigest(),
+        )
+    assert outcomes == expected
     report = {"timings": {"total_seconds": 1.0}, "b": [1, 2], "a": {"y": 1, "x": 2}}
     assert tool.report_digest(report) == tool.report_digest({"a": {"x": 2, "y": 1}, "b": [1, 2]})

@@ -98,8 +98,10 @@ def test_observers_read_the_lineage_of_a_split():
 
 
 def test_observers_read_a_traced_alexander_roots_call(capsys):
-    # The alexander-roots workload's operation: each route builds the
-    # presentation, and each printed root is refined once.
+    # The alexander-roots workload's operation: each route asks for the
+    # presentation, so the traced calls are 2, but only the first builds
+    # it and the second is a hit of build_presentation's one-entry memo;
+    # each printed root is refined once.
     cli = importlib.import_module("lodehn.cli")
     argv = ["alexander", "--pq", "101/42", "--roots", "--digits", "30"]
     # cli.main is looked up at call time, so the traced wrapper runs.

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from helpers import census, presentation_oracle
 from lodehn.twobridge import (
     FAMILY_S,
     FAMILY_U,
@@ -118,6 +119,20 @@ def test_presentation_words_match_full_reduction():
             assert pres.longitude == Word(correction + w + w[::-1])
             for word in (pres.w, pres.v, pres.relator, pres.longitude):
                 assert all(id(letter) in shared for letter in word)
+
+
+def test_presentation_matches_the_letter_by_letter_oracle():
+    # build_presentation spells w from the exponents' even and odd
+    # slices and takes the longitude correction from 2 * sum(exps); the
+    # letter-by-letter construction must give the same five words on
+    # every knot class with p <= 151 and on the family up to j = 20.
+    fractions = [TwoBridgeFraction(*map(int, pq.split("/"))) for pq in census(151)]
+    fractions += [family_fraction(j) for j in range(1, 21)]
+    for fraction in fractions:
+        pres, oracle = build_presentation(fraction), presentation_oracle(fraction)
+        for name in ("w", "v", "relator", "longitude", "meridian"):
+            assert getattr(pres, name) == getattr(oracle, name), (fraction, name)
+    assert len(fractions) == 1242 + 20
 
 
 @pytest.mark.parametrize("j", range(1, 7))

@@ -10,12 +10,15 @@ The knots are one fraction per two-bridge knot class with p <= P_MAX
 squared Alexander factor, and the long-word knots.  The parent side is
 the committed tree of ``--parent`` (default ``HEAD``), exported with
 ``git archive`` into a temporary directory as ``bench_pairs.py`` does.
-Each side runs ``certify --pq P/Q --json FILE --quiet`` in one fresh
-interpreter with only its own ``src/`` on the path, and each report is
+Each side runs ``certify --pq P/Q --json FILE --quiet`` and
+``alexander --pq P/Q --roots --digits 30`` on every knot in one fresh
+interpreter with only its own ``src/`` on the path.  Each report is
 reduced to its digest, the SHA-256 of the canonical JSON without
-``timings`` (the digest that ``perfbench/gate.py`` compares).  Every
-fraction whose exit code or digest differs is printed, and the exit
-code is 1 if any does.  Standard library only.
+``timings`` (the digest that ``perfbench/gate.py`` compares), and the
+``alexander`` output to the SHA-256 of its stdout: the benchmark's
+gate checks that command only without a reference.  Every fraction
+whose exit codes or digests differ is printed, and the exit code is 1
+if any does.  Standard library only.
 """
 
 from __future__ import annotations
@@ -40,9 +43,10 @@ NAMED = (
 )
 
 # Run in a fresh interpreter: reads fractions from argv and prints, per
-# fraction, one JSON line [exit code, report or null].
+# fraction, one JSON line [certify exit code, report or null, alexander
+# exit code, alexander stdout].
 WORKER = """
-import json, os, sys, tempfile
+import contextlib, io, json, os, sys, tempfile
 from lodehn.cli import main
 with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "report.json")
@@ -53,7 +57,10 @@ with tempfile.TemporaryDirectory() as tmp:
             with open(path, encoding="utf-8") as handle:
                 report = json.load(handle)
             os.remove(path)
-        print(json.dumps([code, report]), flush=True)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            roots_code = main(["alexander", "--pq", pq, "--roots", "--digits", "30"])
+        print(json.dumps([code, report, roots_code, out.getvalue()]), flush=True)
 """
 
 
@@ -89,9 +96,13 @@ def knots(p_max: int) -> List[str]:
     return out + [pq for pq in NAMED if pq not in listed]
 
 
-def outcomes(src: Path, fractions: List[str]) -> Dict[str, Tuple[int, Optional[str]]]:
-    """Exit code and report digest (None without a report) of
-    ``certify`` on each fraction, with ``src`` alone on the path."""
+Outcome = Tuple[int, Optional[str], int, str]
+
+
+def outcomes(src: Path, fractions: List[str]) -> Dict[str, Outcome]:
+    """Per fraction, with ``src`` alone on the path: the exit code and
+    report digest (None without a report) of ``certify``, and the exit
+    code and stdout digest of ``alexander --roots --digits 30``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", WORKER, *fractions], cwd=src.parent, env=env,
@@ -99,8 +110,10 @@ def outcomes(src: Path, fractions: List[str]) -> Dict[str, Tuple[int, Optional[s
     )
     out = {}
     for pq, line in zip(fractions, proc.stdout.splitlines()):
-        code, report = json.loads(line)
-        out[pq] = (code, None if report is None else report_digest(report))
+        code, report, roots_code, roots_out = json.loads(line)
+        digest = None if report is None else report_digest(report)
+        roots_digest = hashlib.sha256(roots_out.encode("utf-8")).hexdigest()
+        out[pq] = (code, digest, roots_code, roots_digest)
     if len(out) != len(fractions):
         raise SystemExit(f"same_reports: {len(out)} of {len(fractions)} reports from {src}")
     return out
@@ -120,8 +133,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     differ = [pq for pq in fractions if parent[pq] != change[pq]]
     for pq in differ:
         print(f"{pq}: parent {parent[pq]}, change {change[pq]}")
-    print(f"{len(fractions) - len(differ)} of {len(fractions)} knots: "
-          "identical exit code and canonical report")
+    print(f"{len(fractions) - len(differ)} of {len(fractions)} knots: identical "
+          "exit codes, canonical report and alexander --roots output")
     return 1 if differ else 0
 
 
