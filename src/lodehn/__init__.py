@@ -23,9 +23,11 @@ from .polynomials import (
     LaurentPoly,
     Poly,
     RootAtEndpoint,
+    RootForm,
     isolate_real_roots,
     poly_gcd,
     refine_isolating_interval,
+    root_form,
     squarefree_decomposition,
     squarefree_part,
     sturm_count,

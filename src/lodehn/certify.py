@@ -24,13 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from .cohomology import cohomology_dims, longitude_row, relator_system
 from .polynomials import (
     Poly,
+    RootForm,
     isolate_real_roots,
     refine_isolating_interval,
+    root_form,
     squarefree_decomposition,
 )
 from .quotient import MatrixOverField, ModulusBranch, SplitRecord
@@ -67,14 +69,14 @@ class RootBranchReport:
 
 
 def meridian_trace_check(
-    modulus: Poly, intervals: Sequence[Tuple[Fraction, Fraction]]
+    modulus: Union[Poly, RootForm], intervals: Sequence[Tuple[Fraction, Fraction]]
 ) -> Tuple[bool, ...]:
     """Certify tr^2 = xi + 2 + 1/xi > 4 with xi = t^2 for every real
-    root t of the t-side ``modulus`` F(t^2), by refining each of its
-    isolating ``intervals`` until it avoids -1, 0 and 1 so the squared
-    interval misses 1.  F has no root at 0 or 1 (see
-    :class:`ModulusBranch`), so F(t^2) has none at -1, 0 or 1, and the
-    refinement ends."""
+    root t of the t-side ``modulus`` F(t^2), a Poly or its
+    :class:`RootForm`, by refining each of its isolating ``intervals``
+    until it avoids -1, 0 and 1 so the squared interval misses 1.  F
+    has no root at 0 or 1 (see :class:`ModulusBranch`), so F(t^2) has
+    none at -1, 0 or 1, and the refinement ends."""
     verdicts = []
     for lo, hi in intervals:
         while any(lo < point < hi for point in (-1, 0, 1)):
@@ -132,7 +134,9 @@ def check_rigidity(
         for filled_leaf in cohomology_dims(filled):
             leaf = filled_leaf.branch
             modulus = leaf.modulus.inflate(2)
-            intervals = tuple(isolate_real_roots(modulus))
+            # One even-lift form serves the isolation and the trace check.
+            form = root_form(modulus)
+            intervals = tuple(isolate_real_roots(form))
             reports.append(
                 RootBranchReport(
                     modulus=modulus,
@@ -143,7 +147,7 @@ def check_rigidity(
                     h1_knot=knot_leaf.dim,
                     h1_filled=filled_leaf.dim,
                     rigid=(filled_leaf.dim == 0),
-                    trace_checks=meridian_trace_check(modulus, intervals),
+                    trace_checks=meridian_trace_check(form, intervals),
                 )
             )
     reports.sort(key=lambda r: (r.modulus.degree, r.modulus.coeffs))

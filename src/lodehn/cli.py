@@ -16,6 +16,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from .certify import CertifyResult, Verdict, certify, check_rigidity
@@ -25,6 +26,7 @@ from .polynomials import (
     isolate_real_roots,
     primitive_ints,
     refine_isolating_interval,
+    root_form,
     squarefree_decomposition,
     sturm_count,
 )
@@ -140,6 +142,8 @@ def decimal_string(value: Fraction, digits: int) -> str:
 
 
 def _parse_pq(text: str) -> TwoBridgeFraction:
+    """The knot p/q with q reduced mod p: q + p names the same knot,
+    and -q the mirror image, which is p/(p - q)."""
     parts = text.split("/")
     if len(parts) != 2:
         raise ValueError(f"expected p/q, got {text!r}")
@@ -147,7 +151,9 @@ def _parse_pq(text: str) -> TwoBridgeFraction:
         p, q = int(parts[0]), int(parts[1])
     except ValueError:
         raise ValueError(f"expected integers in p/q, got {text!r}") from None
-    return TwoBridgeFraction(p, q)
+    if p > 0 and gcd(p, q) != 1:
+        raise ValueError(f"p and q must be coprime, got {text!r}")
+    return TwoBridgeFraction(p, q % p if p > 0 else q)
 
 
 def _parse_cf(text: str) -> List[int]:
@@ -194,14 +200,16 @@ def _check_json_path(path: str) -> None:
 
 def _write_json(path: str, report: Dict) -> None:
     """Write the report to a temporary file next to ``path`` and rename
-    it onto ``path``, so a failed write leaves no partial file."""
+    it onto ``path``, so a failed write leaves no partial file.  The
+    report is encoded before the file is opened, so a report that
+    cannot be encoded creates no file."""
     directory, name = os.path.split(os.path.abspath(path))
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    text = json.dumps(report, indent=2) + "\n"
     handle = open(temporary, "x", encoding="utf-8")
     try:
         with handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+            handle.write(text)
         os.replace(temporary, path)
     except BaseException:
         os.unlink(temporary)
@@ -258,9 +266,21 @@ def cmd_alexander(args) -> int:
 
 
 def _root_lines(delta: Poly, digits: int) -> List[str]:
+    """One line per real root of ``delta``.  Its root form tells whether
+    ``delta`` is square-free (the chain of its core ends in a constant);
+    only when it is not does Yun's split run, with one form per factor.
+    Each form serves the isolation and the refinement of its roots."""
+    form = root_form(delta)
+    if form.squarefree:
+        factors = [(form, 1)]
+    else:
+        factors = [
+            (root_form(factor), multiplicity)
+            for factor, multiplicity in squarefree_decomposition(delta)
+        ]
+    width = Fraction(1, 10 ** (digits + 2))
     entries = []
-    for factor, multiplicity in squarefree_decomposition(delta):
-        width = Fraction(1, 10 ** (digits + 2))
+    for factor, multiplicity in factors:
         for lo, hi in isolate_real_roots(factor):
             lo, hi = refine_isolating_interval(factor, lo, hi, width)
             entries.append((lo, hi, multiplicity))

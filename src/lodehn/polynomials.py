@@ -17,8 +17,26 @@ Horner, has the sign of p(x); ``_sign_int`` is its sign.  The Sturm
 chain is the negated primitive pseudo-remainder sequence, each member
 sign-corrected to a positive integer multiple of the chain over Q, so
 every count is the same.  ``isolate_real_roots`` bisects with integer
-numerators over one denominator, builds its chain once and counts every
-sub-interval with it.
+numerators over one denominator and counts every sub-interval with the
+one chain of its root form.
+
+Isolation, refinement and the trace check take a polynomial's root
+form (:class:`RootForm`), built once by :func:`root_form`: its coprime
+integer coefficients, the smaller polynomial a symmetry gives, and that
+polynomial's Sturm chain.  Two identities halve the degree of every
+chain and evaluation:
+
+- an even lift p(x) = F(x^2) has b^(2d) p(a/b) = b'^d F(a'/b') with
+  a' = a^2, b' = b^2, the same integer ``_eval_int`` gives;
+- a palindrome p(x) = x^k g(x + 1/x) of degree 2k with p(+-1) != 0 has
+  b^(2k) p(a/b) = (ab)^k g((a^2 + b^2)/(ab)), again the same integer.
+
+Every form gives the same signs and the same root counts, read from
+the small chain piecewise (at x^2, or at s = x + 1/x on each of
+(-oo, -1), (-1, 0), (0, 1) and (1, oo)), so the results are those of
+p's own chain.  Alexander factors are palindromes (Delta(t) and
+t^(2k) Delta(1/t) agree, and Delta(+-1) != 0), and a certify leaf is
+an even lift.
 
 ``refine_isolating_interval`` needs no chain: its interval holds
 exactly one root of a square-free polynomial, a root of first
@@ -46,8 +64,9 @@ primitive integer polynomials with exact integer divisions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -413,17 +432,22 @@ def _variations(signs: Iterable[int]) -> int:
 def _int_sturm_chain(p: Poly) -> List[List[int]]:
     """The Sturm chain of ``p`` (degree >= 1), each member a positive
     integer multiple of the Sturm member over Q, which keeps every sign
-    and so every count.
+    and so every count (see :func:`_sturm_chain`)."""
+    return _sturm_chain(_int_multiple(p))
 
-    It is the negated primitive pseudo-remainder sequence of
-    ``_int_multiple(p)`` and its content-free derivative.  With
-    f prev = q cur + r, the remainder r is f times a positive multiple of
-    prev mod cur, so -r / content(r) is a positive multiple of the next
-    member when f > 0 and r / content(r) when f < 0.  The last member is
-    gcd(p, p') up to a constant factor.
+
+def _sturm_chain(top: Sequence[int]) -> List[List[int]]:
+    """The Sturm chain of the integer polynomial ``top`` (degree >= 1),
+    each member a positive integer multiple of the Sturm member over Q.
+
+    It is the negated primitive pseudo-remainder sequence of ``top``
+    and its content-free derivative.  With f prev = q cur + r, the
+    remainder r is f times a positive multiple of prev mod cur, so
+    -r / content(r) is a positive multiple of the next member when
+    f > 0 and r / content(r) when f < 0.  The last member is
+    gcd(top, top') up to a constant factor.
     """
-    top = _int_multiple(p)
-    chain = [top, _primitive_part(_int_derivative(top))]
+    chain = [list(top), _primitive_part(_int_derivative(top))]
     while len(chain[-1]) > 1:
         f, _, r = _pseudo_divmod(chain[-2], chain[-1])
         if not r:
@@ -453,8 +477,16 @@ def _chain_variations(
 
 
 def _int_variations(chain: Sequence[Sequence[int]], a: int, b: int) -> int:
-    """Sign variations of an integer Sturm chain at a/b, b > 0."""
-    return _variations(_sign_int(q, a, b) for q in chain)
+    """Sign variations of an integer Sturm chain at a/b, b > 0, counted
+    in one pass over the members' values."""
+    count, last = 0, 0
+    for q in chain:
+        value = _eval_int(q, a, b)
+        if value:
+            if last and (value < 0) != (last < 0):
+                count += 1
+            last = value
+    return count
 
 
 def sturm_count(p: Poly, interval: Tuple[Endpoint, Endpoint]) -> int:
@@ -502,25 +534,167 @@ def _cauchy_bound(coeffs: Sequence[int]) -> Fraction:
     return 1 + Fraction(max(map(abs, coeffs[:-1]), default=0), abs(coeffs[-1]))
 
 
+class RootForm:
+    """A polynomial p built once for root isolation, refinement and the
+    trace check: ``ints``, the coprime integer coefficients of a
+    positive multiple of p; ``small``, the polynomial that a symmetry of
+    p reduces it to; and ``chain``, the Sturm chain of ``small``.  This
+    base form uses no symmetry, so ``small`` is ``ints``;
+    :func:`root_form` picks the form.
+
+    Every form answers two questions about p at x = a/b, b > 0.
+    ``value(a, b)`` is the integer ``_eval_int(ints, a, b)``, computed
+    from ``small``, so its sign is that of p(x) and refinement takes
+    the same path on every form.  ``_below(a, b)`` is the number of
+    distinct real roots of p below x, for x not a root, read off
+    ``chain``.  ``squarefree`` tells whether p is square-free."""
+
+    __slots__ = ("ints", "small", "chain", "squarefree", "_low")
+
+    def __init__(self, ints: List[int], small: List[int]):
+        self.ints = ints
+        self.small = small
+        self.chain = _sturm_chain(small) if len(small) > 1 else [small]
+        self.squarefree = len(self.chain[-1]) == 1
+        self._low = _chain_variations(self.chain, None)
+
+    def value(self, a: int, b: int) -> int:
+        return _eval_int(self.ints, a, b)
+
+    def _below(self, a: int, b: int) -> int:
+        return self._low - _int_variations(self.chain, a, b)
+
+
+class _EvenLift(RootForm):
+    """p(x) = F(x^2), with ``small`` = F: b^(2d) p(a/b) is
+    ``_eval_int(F, a^2, b^2)``.  The real roots of p are the pairs
+    +-sqrt(r) over the positive roots r of F, so below x >= 0 lie the
+    negative ones and those in [0, x), which are the roots of F in
+    (0, x^2), and below x < 0 lie those whose square exceeds x^2.  p is
+    square-free exactly when F is and F(0) != 0."""
+
+    __slots__ = ("_zero", "_high")
+
+    def __init__(self, small: List[int]):
+        ints = [0] * (2 * len(small) - 1)
+        ints[::2] = small
+        super().__init__(ints, small)
+        self.squarefree = self.squarefree and small[0] != 0
+        self._zero = _int_variations(self.chain, 0, 1)
+        self._high = _chain_variations(self.chain, None, at_plus_infinity=True)
+
+    def value(self, a: int, b: int) -> int:
+        return _eval_int(self.small, a * a, b * b)
+
+    def _below(self, a: int, b: int) -> int:
+        square = _int_variations(self.chain, a * a, b * b)
+        if a < 0:
+            return square - self._high
+        return 2 * self._zero - self._high - square
+
+
+class _Palindrome(RootForm):
+    """p(x) = x^k g(x + 1/x) of degree 2k with p(1) and p(-1) nonzero,
+    with ``small`` = g: b^(2k) p(a/b) is ``_eval_int(g, a^2 + b^2, ab)``.
+    s = x + 1/x maps (-oo, -1) increasing and (-1, 0) decreasing onto
+    (-oo, -2), and (0, 1) decreasing and (1, oo) increasing onto
+    (2, oo).  So each root s of g below -2 gives one root of p in each
+    of the first two pieces, each root above 2 one in each of the last
+    two, and the other roots of g give none; x = -1, 0, 1 are never
+    roots.  p is square-free exactly when g is, since p'(x) =
+    x^k (1 - 1/x^2) g'(s) at a root."""
+
+    __slots__ = ("_ends",)
+
+    def __init__(self, ints: List[int]):
+        super().__init__(ints, _palindrome_core(ints))
+        chain = self.chain
+        self._ends = (
+            self._low,
+            _int_variations(chain, -2, 1),
+            _int_variations(chain, 2, 1),
+            _chain_variations(chain, None, at_plus_infinity=True),
+        )
+
+    def value(self, a: int, b: int) -> int:
+        return _eval_int(self.small, a * a + b * b, a * b)
+
+    def _below(self, a: int, b: int) -> int:
+        low, minus_two, two, high = self._ends
+        # Roots of p in (-oo, -1), and in (0, 1).
+        left, right = low - minus_two, two - high
+        if a == -b:
+            return left
+        if a == 0:
+            return 2 * left
+        if a == b:
+            return 2 * left + right
+        num, den = a * a + b * b, a * b
+        if den < 0:
+            num, den = -num, -den
+        s = _int_variations(self.chain, num, den)
+        if a < -b:
+            return low - s
+        if a < 0:
+            return left + s - minus_two
+        if a < b:
+            return 2 * left + s - high
+        return 2 * left + right + two - s
+
+
+def _palindrome_core(ints: Sequence[int]) -> List[int]:
+    """The integer polynomial g with p(x) = x^k g(x + 1/x), for the
+    palindromic integer polynomial p of degree 2k.  x^-k p(x) is
+    c_k + sum_j c_(k+j) (x^j + x^-j), and x^j + x^-j = P_j(x + 1/x) with
+    P_0 = 2, P_1 = s and P_(j+1) = s P_j - P_(j-1).  The coefficients of
+    p are integer combinations of those of g, so g is primitive when p
+    is."""
+    k = len(ints) // 2
+    core = [ints[k]] + [0] * k
+    prev, cur = [2], [0, 1]
+    for j in range(1, k + 1):
+        for i, c in enumerate(cur):
+            core[i] += ints[k + j] * c
+        prev, cur = cur, _int_difference([0] + cur, prev)
+    return core
+
+
+def root_form(p: Poly) -> RootForm:
+    """The :class:`RootForm` of the nonzero ``p``: an even lift F(x^2)
+    when p of degree >= 2 has only even powers; else the core g of
+    p(x) = x^k g(x + 1/x) when p is palindromic of even degree >= 2
+    with p(1) and p(-1) nonzero; else p itself.  Each symmetric form
+    halves the degree of the chain and of every evaluation."""
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no root form")
+    ints = _int_multiple(p)
+    if len(ints) >= 3:
+        if not any(ints[1::2]):
+            return _EvenLift(ints[::2])
+        if (len(ints) % 2 and ints == ints[::-1] and sum(ints)
+                and sum(ints[::2]) != sum(ints[1::2])):
+            return _Palindrome(ints)
+    return RootForm(ints, ints)
+
+
 def _interior_non_root(
-    coeffs: Sequence[int], a: int, b: int, den: int
-) -> Tuple[int, int, int, int, int]:
+    evaluate: Callable[[int, int], int], a: int, b: int, den: int
+) -> Tuple[int, int, int, int]:
     """An interior point of (a/den, b/den), den > 0, that is not a root
-    of the polynomial whose positive multiple has integer coefficients
-    ``coeffs``, with the polynomial's (nonzero) sign there.
+    of the polynomial whose integer values ``evaluate`` gives (see
+    :class:`RootForm`).
 
     The point is the midpoint, nudged by ``mid += step; step /= 2`` from
     ``step`` a quarter of the width while it is a root.  All three
     points are held as numerators over one denominator ``e``, a multiple
     of ``den`` that doubles whenever the next step would not be an
-    integer, and come back as ``(a, mid, b, e, sign)``; no Fraction is
+    integer, and come back as ``(a, mid, b, e)``; no Fraction is
     built."""
     a, b, e = 4 * a, 4 * b, 4 * den
     mid, step = (a + b) // 2, (b - a) // 4
     while True:
-        sign = _sign_int(coeffs, mid, e)
-        if sign:
-            return a, mid, b, e, sign
+        if evaluate(mid, e):
+            return a, mid, b, e
         mid += step
         if step & 1:
             a, b, mid, step, e = 2 * a, 2 * b, 2 * mid, 2 * step, 2 * e
@@ -536,56 +710,71 @@ def _lowest(a: int, b: int, den: int) -> Tuple[int, int, int]:
     return a // g, b // g, den // g
 
 
-def isolate_real_roots(p: Poly) -> List[Tuple[Fraction, Fraction]]:
-    """Disjoint rational open intervals, one distinct real root each.
-
-    Requires square-free input; endpoints are never roots.  Intervals
-    come back sorted left to right.  The bisection runs on integer
-    numerators over a common denominator per interval, and each
-    endpoint's sign variations are computed once.
-    """
-    if p.is_zero:
-        raise ValueError("cannot isolate roots of the zero polynomial")
-    if p.degree == 0:
-        return []
-    chain = _int_sturm_chain(p)
-    # The chain's last member is gcd(p, p') up to a constant factor.
-    if len(chain[-1]) > 1:
-        raise ValueError("input must be square-free")
-
-    bound = _cauchy_bound(chain[0])
-    n, den = bound.numerator, bound.denominator
-    var_lo, var_hi = _int_variations(chain, -n, den), _int_variations(chain, n, den)
-    total = var_lo - var_hi
+def _bisect(form: RootForm, a: int, b: int, den: int) -> List[Tuple[int, int, int]]:
+    """Isolating intervals ``(a', b', den')`` of the real roots in
+    (a/den, b/den), whose endpoints are not roots, by bisection on the
+    root counts of ``form``."""
+    below = form._below
     found: List[Tuple[int, int, int]] = []
-    stack = [(-n, n, den, var_lo, var_hi)]
+    stack = [(a, b, den, below(a, den), below(b, den))]
     while stack:
-        a, b, den, var_lo, var_hi = stack.pop()
-        count = var_lo - var_hi
+        a, b, den, below_lo, below_hi = stack.pop()
+        count = below_hi - below_lo
         if count == 0:
             continue
         if count == 1:
             found.append((a, b, den))
             continue
-        a, mid, b, e, _ = _interior_non_root(chain[0], a, b, den)
-        var_mid = _int_variations(chain, mid, e)
-        stack.append((*_lowest(mid, b, e), var_mid, var_hi))
-        stack.append((*_lowest(a, mid, e), var_lo, var_mid))
+        a, mid, b, e = _interior_non_root(form.value, a, b, den)
+        below_mid = below(mid, e)
+        stack.append((*_lowest(mid, b, e), below_mid, below_hi))
+        stack.append((*_lowest(a, mid, e), below_lo, below_mid))
+    return found
+
+
+def isolate_real_roots(p: Union[Poly, RootForm]) -> List[Tuple[Fraction, Fraction]]:
+    """Disjoint rational open intervals, one distinct real root each.
+
+    ``p`` is a Poly or its :class:`RootForm`; a caller that also refines
+    or trace-checks the roots builds the form once and passes it.
+    Requires square-free input; endpoints are never roots.  Intervals
+    come back sorted left to right.  The bisection runs on integer
+    numerators over a common denominator per interval, and each
+    endpoint's root count is computed once, from the form's chain.
+
+    The intervals are those of bisection on the Cauchy bound (-B, B)
+    with p's own Sturm chain: every form gives the same counts and the
+    same signs.
+    """
+    if isinstance(p, Poly):
+        if p.is_zero:
+            raise ValueError("cannot isolate roots of the zero polynomial")
+        p = root_form(p)
+    if len(p.ints) == 1:
+        return []
+    if not p.squarefree:
+        raise ValueError("input must be square-free")
+
+    bound = _cauchy_bound(p.ints)
+    n, den = bound.numerator, bound.denominator
+    found = _bisect(p, -n, n, den)
     out = sorted([(Fraction(a, d), Fraction(b, d)) for a, b, d in found])
-    if len(out) != total:
+    if len(out) != p._below(n, den) - p._below(-n, den):
         raise AssertionError("isolation lost a root")
     return out
 
 
 def refine_isolating_interval(
-    p: Poly, lo: Fraction, hi: Fraction, max_width: Fraction
+    p: Union[Poly, RootForm], lo: Fraction, hi: Fraction, max_width: Fraction
 ) -> Tuple[Fraction, Fraction]:
     """Shrink an isolating interval below ``max_width``: the interval
     bisection returns, found by Abbott's quadratic interval refinement.
 
-    ``p`` must be square-free and the interval must contain exactly one
-    root of ``p``.  That root is then simple, so ``p`` has opposite
-    signs at the two endpoints, and no Sturm chain is needed.  Raises
+    ``p`` is a Poly or its :class:`RootForm`; every form gives the same
+    integer values, so the result does not depend on the form.  ``p``
+    must be square-free and the interval must contain exactly one root
+    of ``p``.  That root is then simple, so ``p`` has opposite signs at
+    the two endpoints, and no Sturm chain is needed.  Raises
     ``ValueError`` when ``max_width`` is not positive, or when the
     endpoints do not bracket a sign change (no root, two roots, or an
     endpoint that is a root).  The returned endpoints are again
@@ -610,7 +799,10 @@ def refine_isolating_interval(
     max_width = _frac(max_width)
     if max_width <= 0:
         raise ValueError(f"max_width must be positive, got {max_width}")
-    coeffs = _int_multiple(p)
+    if isinstance(p, RootForm):
+        evaluate = p.value
+    else:
+        evaluate = partial(_eval_int, _int_multiple(p))
     den = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     b = hi.numerator * (den // hi.denominator)
@@ -622,11 +814,11 @@ def refine_isolating_interval(
         a, step, den = a << k, b - a, den << k
         common = gcd(a, step, den)
         a, step, den = a // common, step // common, den // common
-        v_lo = _eval_int(coeffs, a, den)
-        v_hi = _eval_int(coeffs, a + (step << k), den)
+        v_lo = evaluate(a, den)
+        v_hi = evaluate(a + (step << k), den)
         if not (v_lo < 0 < v_hi or v_hi < 0 < v_lo):
             raise ValueError(f"p does not change sign across ({lo}, {hi})")
-        i, on_root = _grid_cell(coeffs, a, step, den, 1 << k, v_lo, v_hi)
+        i, on_root = _grid_cell(evaluate, a, step, den, 1 << k, v_lo, v_hi)
         if not on_root:
             return Fraction(a + i * step, den), Fraction(a + (i + 1) * step, den)
         # Bisection's nudge: from the cell (g - h, g + h) of the coarsest
@@ -636,14 +828,14 @@ def refine_isolating_interval(
 
 
 def _grid_cell(
-    coeffs: Sequence[int], a: int, step: int, den: int, n: int, v_lo: int, v_hi: int
+    evaluate: Callable[[int, int], int],
+    a: int, step: int, den: int, n: int, v_lo: int, v_hi: int,
 ) -> Tuple[int, bool]:
     """``(i, False)`` for the cell (x_i, x_(i+1)) holding the root of
-    the polynomial with integer coefficients ``coeffs``, on the grid
+    the polynomial whose integer values ``evaluate`` gives, on the grid
     x_i = (a + i step) / den, 0 <= i <= n, step > 0, whose end values
-    ``_eval_int`` at x_0 and x_n, ``v_lo`` and ``v_hi``, have opposite
-    signs and bracket exactly one root; ``(i, True)`` when that root is
-    the grid point x_i.
+    ``v_lo`` and ``v_hi`` have opposite signs and bracket exactly one
+    root; ``(i, True)`` when that root is the grid point x_i.
 
     Abbott's quadratic interval refinement on grid indices: the secant
     through the bracket's end values is rounded into one of about 2^s
@@ -663,7 +855,7 @@ def _grid_cell(
         left = lo + width * v_lo // (v_lo - v_hi) // cell * cell
         for i in (left, left + cell):
             if lo < i < hi:
-                value = _eval_int(coeffs, a + i * step, den)
+                value = evaluate(a + i * step, den)
                 if not value:
                     return i, True
                 if (value > 0) == positive:

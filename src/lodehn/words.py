@@ -166,7 +166,7 @@ class Word:
         return not self.letters
 
     def __str__(self) -> str:
-        return "".join(g + ("" if s > 0 else "^-1") for g, s in self.letters)
+        return "".join([g if s > 0 else g + "^-1" for g, s in self.letters])
 
     def __repr__(self) -> str:
         return f"Word.parse({str(self)!r})"

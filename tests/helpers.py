@@ -5,7 +5,7 @@ adjoint action, the meridian representation over t in the basis
 blocks into the package's basis (v+, t v0, v-) and into tau = t^2, the
 step-by-step word and cocycle oracles, the Q[t, t^-1] Alexander oracle, the dict oracle for
 Laurent arithmetic, the Sturm chain over Q and the Sturm bisection
-oracle, the floating oracle, the Euclidean gcd over Q and Yun's
+oracles of isolation and refinement, the floating oracle, the Euclidean gcd over Q and Yun's
 square-free split over it, the Fraction
 oracle for Q[t]/(m) arithmetic (with the extended Euclidean algorithm
 over Q), the power-by-power geometric sum, the fixed-space
@@ -498,6 +498,35 @@ def sturm_count_oracle(p, lo, hi):
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
     return variations(lo) - variations(hi)
+
+
+def isolate_real_roots_oracle(p):
+    """``polynomials.isolate_real_roots`` as bisection of the Cauchy
+    interval (-B, B) with the Sturm chain of ``p`` itself, at full
+    degree and in Fraction arithmetic, with the same choice of interior
+    non-root."""
+    chain = sturm_chain(p)
+    if chain[-1].degree > 0:
+        raise ValueError("input must be square-free")
+
+    def variations(x):
+        signs = [s for s in ((q(x) > 0) - (q(x) < 0) for q in chain) if s]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    bound = 1 + max(abs(c) for c in p.coeffs[:-1]) / abs(p.leading)
+    found, stack = [], [(-bound, bound)]
+    while stack:
+        lo, hi = stack.pop()
+        count = variations(lo) - variations(hi)
+        if count == 1:
+            found.append((lo, hi))
+        elif count > 1:
+            mid, step = (lo + hi) / 2, (hi - lo) / 4
+            while p(mid) == 0:
+                mid += step
+                step /= 2
+            stack += [(mid, hi), (lo, mid)]
+    return sorted(found)
 
 
 def refine_isolating_interval_oracle(p, lo, hi, max_width):

@@ -209,6 +209,27 @@ def test_alexander_cf_equals_pq(capsys):
     assert via_cf == via_pq == "1 -7 13 -7 1\n"
 
 
+@pytest.mark.parametrize("given, same", [("29/46", "29/17"), ("29/-17", "29/12")])
+def test_pq_reads_q_mod_p(given, same, tmp_path, capsys):
+    # q + p names the same knot and -q its mirror image p/(p - q); both
+    # commands read the reduced fraction.
+    runs = []
+    for pq in (given, same):
+        out = tmp_path / "report.json"
+        code = main(["certify", "--pq", pq, "--json", str(out), "--quiet"])
+        report = canonical_report(json.loads(out.read_text()))
+        assert main(["alexander", "--pq", pq, "--roots"]) == 0
+        runs.append((code, report.pop("input"), report, capsys.readouterr().out))
+    (code, echo, report, roots), expected = runs
+    assert echo == {"mode": "pq", "value": given, "fraction": same}
+    assert (code, report, roots) == (expected[0], expected[2], expected[3])
+
+
+def test_pq_with_a_common_factor_exits_2(capsys):
+    assert main(["certify", "--pq", "29/58", "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: p and q must be coprime, got '29/58'\n"
+
+
 def test_alexander_digits_flag(capsys):
     code = main(["alexander", "--pq", "5/2", "--roots", "--digits", "3"])
     assert code == 0
@@ -251,17 +272,48 @@ def test_json_path_without_directory_exits_2_before_computing(
         assert capsys.readouterr().err.startswith("error: --json")
 
 
-def test_failed_json_write_leaves_no_file(tmp_path, monkeypatch, capsys):
-    def fail(report, handle, **kwargs):
-        handle.write("{")
+class _FailingFile:
+    """A text file whose write puts down the first character and then
+    fails, as a full disk does."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[:1])
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(cli.json, "dump", fail)
+
+def test_failed_json_write_leaves_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(
+        cli, "open", lambda *args, **kwargs: _FailingFile(open(*args, **kwargs)),
+        raising=False,
+    )
     out = tmp_path / "report.json"
     code = main(["certify", "--pq", "5/2", "--json", str(out), "--quiet"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: no space left")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unencodable_report_opens_no_file(tmp_path, monkeypatch, capsys):
+    # The report is encoded before the temporary file is opened, so an
+    # encoding failure leaves nothing to clean up.
+    opened = []
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: opened.append(args),
+                        raising=False)
+    monkeypatch.setattr(cli, "build_report", lambda *args: {"value": object()})
+    out = tmp_path / "report.json"
+    code = main(["certify", "--pq", "5/2", "--json", str(out), "--quiet"])
+    assert code == 2
+    assert "error: internal failure (TypeError)" in capsys.readouterr().err
+    assert opened == [] and list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -35,9 +35,10 @@ def test_classes_list_one_fraction_per_knot(monkeypatch):
 def test_worker_digests_match_the_benchmark_reference(monkeypatch, capsys):
     # The worker runs certify as the benchmark does, and the digest is
     # the gate's: each digest is the one perfbench/reference.json pins.
-    # It also runs alexander --roots --digits 30, which the benchmark
-    # checks without a reference; its exit code and the digest of its
-    # stdout are those of the same command run in this process.
+    # It also runs alexander --roots at 30 digits, which the benchmark
+    # checks without a reference, and at the default 6; their exit codes
+    # and the digests of their stdout are those of the same commands run
+    # in this process.
     tool = _load_tool(monkeypatch)
     with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="utf-8") as handle:
         reference = json.load(handle)
@@ -46,15 +47,15 @@ def test_worker_digests_match_the_benchmark_reference(monkeypatch, capsys):
     outcomes = tool.outcomes(tool.ROOT / "src", fractions)
     expected = {}
     for pq in fractions:
-        code = main(["alexander", "--pq", pq, "--roots", "--digits", "30"])
-        out = capsys.readouterr().out
-        assert out.count("root in ") == real_roots[pq]
         expected[pq] = (
             0 if reference[pq]["verdict"] == "APPLIES" else 1,
             reference[pq]["sha256"],
-            code,
-            hashlib.sha256(out.encode("utf-8")).hexdigest(),
         )
+        for digits in (["--digits", "30"], []):
+            code = main(["alexander", "--pq", pq, "--roots", *digits])
+            out = capsys.readouterr().out
+            assert out.count("root in ") == real_roots[pq]
+            expected[pq] += (code, hashlib.sha256(out.encode("utf-8")).hexdigest())
     assert outcomes == expected
     report = {"timings": {"total_seconds": 1.0}, "b": [1, 2], "a": {"y": 1, "x": 2}}
     assert tool.report_digest(report) == tool.report_digest({"a": {"x": 2, "y": 1}, "b": [1, 2]})

@@ -10,11 +10,12 @@ The knots are one fraction per two-bridge knot class with p <= P_MAX
 squared Alexander factor, and the long-word knots.  The parent side is
 the committed tree of ``--parent`` (default ``HEAD``), exported with
 ``git archive`` into a temporary directory as ``bench_pairs.py`` does.
-Each side runs ``certify --pq P/Q --json FILE --quiet`` and
-``alexander --pq P/Q --roots --digits 30`` on every knot in one fresh
+Each side runs ``certify --pq P/Q --json FILE --quiet``,
+``alexander --pq P/Q --roots --digits 30`` and ``alexander --pq P/Q
+--roots`` (the default 6 digits) on every knot in one fresh
 interpreter with only its own ``src/`` on the path.  Each report is
 reduced to its digest, the SHA-256 of the canonical JSON without
-``timings`` (the digest that ``perfbench/gate.py`` compares), and the
+``timings`` (the digest that ``perfbench/gate.py`` compares), and each
 ``alexander`` output to the SHA-256 of its stdout: the benchmark's
 gate checks that command only without a reference.  Every fraction
 whose exit codes or digests differ is printed, and the exit code is 1
@@ -43,8 +44,8 @@ NAMED = (
 )
 
 # Run in a fresh interpreter: reads fractions from argv and prints, per
-# fraction, one JSON line [certify exit code, report or null, alexander
-# exit code, alexander stdout].
+# fraction, one JSON line [certify exit code, report or null, then the
+# exit code and stdout of alexander --roots at 30 and at 6 digits].
 WORKER = """
 import contextlib, io, json, os, sys, tempfile
 from lodehn.cli import main
@@ -57,10 +58,13 @@ with tempfile.TemporaryDirectory() as tmp:
             with open(path, encoding="utf-8") as handle:
                 report = json.load(handle)
             os.remove(path)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            roots_code = main(["alexander", "--pq", pq, "--roots", "--digits", "30"])
-        print(json.dumps([code, report, roots_code, out.getvalue()]), flush=True)
+        line = [code, report]
+        for digits in (["--digits", "30"], []):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                line.append(main(["alexander", "--pq", pq, "--roots", *digits]))
+            line.append(out.getvalue())
+        print(json.dumps(line), flush=True)
 """
 
 
@@ -96,13 +100,14 @@ def knots(p_max: int) -> List[str]:
     return out + [pq for pq in NAMED if pq not in listed]
 
 
-Outcome = Tuple[int, Optional[str], int, str]
+Outcome = Tuple[int, Optional[str], int, str, int, str]
 
 
 def outcomes(src: Path, fractions: List[str]) -> Dict[str, Outcome]:
     """Per fraction, with ``src`` alone on the path: the exit code and
     report digest (None without a report) of ``certify``, and the exit
-    code and stdout digest of ``alexander --roots --digits 30``."""
+    code and stdout digest of ``alexander --roots --digits 30`` and of
+    ``alexander --roots``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", WORKER, *fractions], cwd=src.parent, env=env,
@@ -110,10 +115,11 @@ def outcomes(src: Path, fractions: List[str]) -> Dict[str, Outcome]:
     )
     out = {}
     for pq, line in zip(fractions, proc.stdout.splitlines()):
-        code, report, roots_code, roots_out = json.loads(line)
+        code, report, *roots = json.loads(line)
         digest = None if report is None else report_digest(report)
-        roots_digest = hashlib.sha256(roots_out.encode("utf-8")).hexdigest()
-        out[pq] = (code, digest, roots_code, roots_digest)
+        for i in (1, 3):
+            roots[i] = hashlib.sha256(roots[i].encode("utf-8")).hexdigest()
+        out[pq] = (code, digest, *roots)
     if len(out) != len(fractions):
         raise SystemExit(f"same_reports: {len(out)} of {len(fractions)} reports from {src}")
     return out
@@ -134,7 +140,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for pq in differ:
         print(f"{pq}: parent {parent[pq]}, change {change[pq]}")
     print(f"{len(fractions) - len(differ)} of {len(fractions)} knots: identical "
-          "exit codes, canonical report and alexander --roots output")
+          "exit codes, canonical report and alexander --roots outputs")
     return 1 if differ else 0
 
 
