@@ -25,11 +25,9 @@ from .polynomials import (
     RootAtEndpoint,
     RootForm,
     isolate_real_roots,
-    poly_gcd,
     refine_isolating_interval,
     root_form,
     squarefree_decomposition,
-    squarefree_part,
     sturm_count,
 )
 from .quotient import (

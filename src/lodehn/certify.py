@@ -199,9 +199,9 @@ def certify(fraction: TwoBridgeFraction) -> CertifyResult:
     """Run the full pipeline: Alexander polynomial by two independent
     routes, square-free split, and per-branch rigidity; the qualifying
     roots are counted on the leaves' real root intervals (see the
-    module docstring).  Both Alexander routes, the rigidity checks and
-    the report share one presentation, which ``build_presentation``
-    keeps from the routes' requests."""
+    module docstring).  The Alexander routes read the Riley exponents,
+    so the one presentation built here is the rigidity checks' and the
+    report's."""
     delta = alexander_polynomial(fraction)
     factors = analyze_roots(delta)
     pres = build_presentation(fraction)

@@ -54,11 +54,11 @@ guess that lands, so a root to 10^-32 takes about 20 evaluations where
 bisection takes about 108.  Fractions are built only for the arguments
 and the results.
 
-``poly_gcd`` runs on integers too: the primitive pseudo-remainder
-sequence of integer multiples of its inputs, through ``_pseudo_divmod``,
-the pseudo-division that the Sturm chain and the reduction and pivot
-tests in ``quotient`` share.  Yun's ``squarefree_decomposition`` runs on
-primitive integer polynomials with exact integer divisions.
+Yun's ``squarefree_decomposition`` runs on integers too: the gcds are
+primitive pseudo-remainder sequences (``_int_gcd``), through
+``_pseudo_divmod``, the pseudo-division that the Sturm chain and the
+reduction and pivot tests in ``quotient`` share, and every division is
+an exact integer division of primitive polynomials.
 """
 
 from __future__ import annotations
@@ -267,18 +267,6 @@ def _pseudo_divmod(
     return f, q, r
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd, by the primitive pseudo-remainder sequence: both inputs
-    are scaled to integer polynomials and every pseudo-remainder is
-    divided by its content, so the whole sequence runs on integers and
-    only the final monic division builds Fractions."""
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero or b.is_zero:
-        return (b if a.is_zero else a).monic()
-    return Poly(_int_gcd(_int_multiple(a), _int_multiple(b))).monic()
-
-
 def _int_gcd(a: Sequence[int], b: Sequence[int]) -> List[int]:
     """An integer multiple of the gcd of two nonzero integer polynomials
     (constant term first), by the primitive pseudo-remainder sequence:
@@ -365,16 +353,6 @@ def squarefree_decomposition(a: Poly) -> List[Tuple[Poly, int]]:
         c = _exact_quotient(z, f) if z else z
         i += 1
     return out
-
-
-def squarefree_part(a: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of ``a``."""
-    if a.is_zero:
-        raise ValueError("square-free part of the zero polynomial")
-    a = a.monic()
-    if a.degree == 0:
-        return a
-    return a // poly_gcd(a, a.derivative())
 
 
 class RootAtEndpoint(ValueError):
@@ -518,13 +496,6 @@ def sturm_count(p: Poly, interval: Tuple[Endpoint, Endpoint]) -> int:
             raise RootAtEndpoint(endpoint)
     return (_chain_variations(chain, lo)
             - _chain_variations(chain, hi, at_plus_infinity=True))
-
-
-def root_bound(p: Poly) -> Fraction:
-    """A rational B with every real root strictly inside (-B, B)."""
-    if p.is_zero:
-        raise ValueError("root bound of the zero polynomial")
-    return _cauchy_bound(_int_multiple(p))
 
 
 def _cauchy_bound(coeffs: Sequence[int]) -> Fraction:

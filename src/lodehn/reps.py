@@ -27,8 +27,15 @@ over Q[tau]/(F), F a factor of the Alexander polynomial in tau, or over
 Q[tau, tau^-1]; :func:`tau_terms` maps a Laurent polynomial in t into
 tau.  The image itself needs t and has no place there: the identity
 checks of the relator and the longitude read n and b off integer
-walks, and the representation route of the Alexander polynomial stays in
-integer ``{exponent: coefficient}`` dicts up to the shared normalizer.
+walks.
+
+The two Alexander routes build no word.  Both read the Riley exponents
+of w (``twobridge.riley_exponents``), whose even 0-based positions are
+y letters and odd ones x letters: the representation route walks the y
+exponents into the image of w, the Fox route the x exponents into
+dw/dx.  Each stays in integer ``{exponent: coefficient}`` dicts up to
+the shared normalizer, and ``alexander_polynomial`` checks Delta(1) as
+the sum of the normalized integer coefficients.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Dict, Tuple, Union
 
 from .polynomials import LaurentPoly, Poly
 from .quotient import LaurentRing, ModulusBranch, QuotientRing
-from .twobridge import TwoBridgeFraction, build_presentation
+from .twobridge import TwoBridgeFraction, riley_exponents
 from .words import Word
 
 
@@ -199,16 +206,29 @@ def normalize_alexander(value: IntLaurent) -> Poly:
 
 def alexander_via_rep(fraction: TwoBridgeFraction) -> Poly:
     """Alexander polynomial from the meridian representation.  With the
-    image [[t^n, b], [0, t^-n]] of w from the integer walk, the
-    upper-right entry of x W - W y is (t - 1/t) b - t^n; the two sides
-    of the defining relation agree exactly when t^2 is a root, so that
-    difference is the polynomial evaluated at t^2, up to a unit."""
-    pres = build_presentation(fraction)
-    n, b = _image_terms(pres.w)
-    difference: IntLaurent = {n: -1}
-    for k, c in b.items():
-        difference[k + 1] = difference.get(k + 1, 0) + c
-        difference[k - 1] = difference.get(k - 1, 0) - c
+    image [[t^n, b], [0, t^-n]] of w, the upper-right entry of
+    x W - W y is (t - 1/t) b - t^n; the two sides of the defining
+    relation agree exactly when t^2 is a root, so that difference is the
+    polynomial evaluated at t^2, up to a unit.
+
+    The image is :func:`_image_terms` of w read off the Riley exponents
+    with no word built: the y letters of w are its even 0-based
+    positions, and a y exponent e at prefix exponent sum m adds
+    e t^(2m+e) to u = t^n b."""
+    exps = riley_exponents(fraction)
+    m = 0
+    u: IntLaurent = {}
+    for ye, xe in zip(exps[0::2], exps[1::2]):
+        e = 2 * m + ye
+        u[e] = u.get(e, 0) + ye
+        m += ye + xe
+    # m is now n; b = t^-n u, and (t - 1/t) b = t^-n (t u - u / t).
+    difference: IntLaurent = {m: -1}
+    for e, c in u.items():
+        if c:
+            k = e - m
+            difference[k + 1] = difference.get(k + 1, 0) + c
+            difference[k - 1] = difference.get(k - 1, 0) - c
     difference = {e: c for e, c in difference.items() if c}
     if not difference:
         raise AssertionError("degenerate relator difference")
@@ -220,18 +240,25 @@ def alexander_via_rep(fraction: TwoBridgeFraction) -> Poly:
 
 
 def alexander_via_fox(fraction: TwoBridgeFraction) -> Poly:
-    """Alexander polynomial by the classical free-derivative route,
-    abelianizing the derivative of the relator with respect to x."""
-    pres = build_presentation(fraction)
-    terms: IntLaurent = {}
-    total = 0
-    for gen, sign in pres.relator:
-        if gen == "x":
-            if sign > 0:
-                terms[total] = terms.get(total, 0) + 1
-            else:
-                terms[total - 1] = terms.get(total - 1, 0) - 1
-        total += sign
+    """Alexander polynomial by the classical free-derivative route: the
+    derivative of the relator x w y^-1 w^-1 with respect to x,
+    abelianized, which is 1 + (t - 1) dw/dx.
+
+    dw/dx is read off the Riley exponents with no word built: the x
+    letters of w are its odd 0-based positions, and at prefix exponent
+    sum m an x letter adds t^m, an x^-1 letter -t^(m-1)."""
+    exps = riley_exponents(fraction)
+    m = 0
+    derivative: IntLaurent = {}
+    for ye, xe in zip(exps[0::2], exps[1::2]):
+        m += ye
+        e = m if xe > 0 else m - 1
+        derivative[e] = derivative.get(e, 0) + xe
+        m += xe
+    terms: IntLaurent = {0: 1}
+    for e, c in derivative.items():
+        terms[e + 1] = terms.get(e + 1, 0) + c
+        terms[e] = terms.get(e, 0) - c
     if not any(terms.values()):
         raise AssertionError("vanishing free derivative: presentation bug")
     return normalize_alexander(terms)
@@ -249,7 +276,7 @@ def alexander_polynomial(fraction: TwoBridgeFraction) -> Poly:
             f"representation route {delta!r} disagrees with "
             f"free-derivative route {delta_fox!r}"
         )
-    value = delta(1)
+    value = sum([c.numerator for c in delta.coeffs])  # integer coefficients
     if abs(value) != 1:
         raise AssertionError(
             f"Alexander polynomial {delta!r} has value {value} at 1, not +-1"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Sequence, Tuple
 
@@ -103,7 +102,6 @@ _X_LETTERS = {e: _LETTERS["x", e] for e in (1, -1)}
 _Y_LETTERS = {e: _LETTERS["y", e] for e in (1, -1)}
 
 
-@lru_cache(maxsize=1)
 def build_presentation(fraction: TwoBridgeFraction) -> KnotPresentation:
     """Assemble the Riley presentation and the homological longitude.
 
@@ -116,13 +114,9 @@ def build_presentation(fraction: TwoBridgeFraction) -> KnotPresentation:
     total exponent sum vanishes).  For the [1,1,2,2,2j] family the
     exponent signs cancel and the correction is empty.
 
-    One command asks for the presentation of one fraction two or three
-    times in a row: each Alexander route builds it, and ``certify``'s
-    rigidity checks read it too.  The last result is therefore kept
-    (``lru_cache``; the fraction is frozen and hashable and the
-    presentation immutable), so those requests share one object.  One
-    entry is enough for that, and a larger cache would only serve a
-    process that repeats whole commands.
+    The words are what the cohomology and the report read; the
+    Alexander routes read the Riley exponents themselves, so
+    ``certify`` builds one presentation and ``alexander`` none.
     """
     exps = riley_exponents(fraction)
     # Alternating generators never cancel, so w is spelled reduced, from

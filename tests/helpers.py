@@ -3,9 +3,13 @@ presentation oracle, random generators, 2x2 matrices and the
 adjoint action, the meridian representation over t in the basis
 (v+, v0, v-) with its generator images and adjoints, the map of its
 blocks into the package's basis (v+, t v0, v-) and into tau = t^2, the
-step-by-step word and cocycle oracles, the Q[t, t^-1] Alexander oracle, the dict oracle for
+step-by-step word and cocycle oracles, the Q[t, t^-1] Alexander oracle,
+the two Alexander routes walked over the presentation's words and
+Hartley's formula, the dict oracle for
 Laurent arithmetic, the Sturm chain over Q and the Sturm bisection
-oracles of isolation and refinement, the floating oracle, the Euclidean gcd over Q and Yun's
+oracles of isolation and refinement, the floating oracle, the gcd by
+integer pseudo-remainders with the square-free part and the root bound
+it gives, the Euclidean gcd over Q and Yun's
 square-free split over it, the Fraction
 oracle for Q[t]/(m) arithmetic (with the extended Euclidean algorithm
 over Q), the power-by-power geometric sum, the fixed-space
@@ -23,9 +27,9 @@ from math import gcd
 import mpmath as mp
 
 from lodehn.cohomology import relator_system, word_value_blocks
-from lodehn.polynomials import LaurentPoly, Poly, squarefree_part
+from lodehn.polynomials import LaurentPoly, Poly, _cauchy_bound, _int_gcd, _int_multiple
 from lodehn.quotient import LaurentRing, MatrixOverField, QuotientRing, SplitRequired
-from lodehn.reps import Mat3, _image_terms
+from lodehn.reps import Mat3, _image_terms, normalize_alexander
 from lodehn.twobridge import KnotPresentation, build_presentation, riley_exponents
 from lodehn.words import Word
 
@@ -305,6 +309,52 @@ def alexander_via_rep_oracle(fraction):
     assert terms and all(e % 2 == 0 for e in terms)
     deflated = LaurentPoly.from_terms({e // 2: c for e, c in terms.items()})
     return deflated.shift(-deflated.valuation).to_poly().primitive()
+
+
+def alexander_via_rep_word(fraction):
+    """``reps.alexander_via_rep`` on the word: the image of the
+    presentation's ``w`` through ``reps._image_terms``, then the
+    upper-right entry (t - 1/t) b - t^n of x W - W y, halved exponents
+    and the shared normalizer."""
+    n, b = _image_terms(build_presentation(fraction).w)
+    difference = {n: -1}
+    for k, c in b.items():
+        difference[k + 1] = difference.get(k + 1, 0) + c
+        difference[k - 1] = difference.get(k - 1, 0) - c
+    difference = {e: c for e, c in difference.items() if c}
+    assert difference and all(e % 2 == 0 for e in difference)
+    return normalize_alexander({e // 2: c for e, c in difference.items()})
+
+
+def alexander_via_fox_word(fraction):
+    """``reps.alexander_via_fox`` on the word: the free derivative of
+    the presentation's relator x w y^-1 w^-1 with respect to x,
+    abelianized letter by letter (t^m for x at prefix exponent sum m,
+    -t^(m-1) for x^-1)."""
+    terms = {}
+    total = 0
+    for gen, sign in build_presentation(fraction).relator:
+        if gen == "x":
+            if sign > 0:
+                terms[total] = terms.get(total, 0) + 1
+            else:
+                terms[total - 1] = terms.get(total - 1, 0) - 1
+        total += sign
+    return normalize_alexander(terms)
+
+
+def alexander_hartley(fraction):
+    """The Alexander polynomial by Hartley's formula for two-bridge
+    knots (Hartley, "On two-bridged knot polynomials", J. Austral. Math.
+    Soc. 1979): Delta(t) = sum over i = 0..p-1 of (-1)^i t^(s_i), up to
+    a unit, with s_0 = 0 and s_i = e_1 + ... + e_i the partial sums of
+    the Riley exponents."""
+    terms = {0: 1}
+    s = 0
+    for i, e in enumerate(riley_exponents(fraction), 1):
+        s += e
+        terms[s] = terms.get(s, 0) + (-1) ** i
+    return normalize_alexander(terms)
 
 
 def laurent_dict_add(a, b):
@@ -626,9 +676,40 @@ def system_numeric_rank_at(system, root):
     return numeric_rank(rows)
 
 
+def poly_gcd(a, b):
+    """Monic gcd, by the primitive pseudo-remainder sequence of
+    ``polynomials._int_gcd``: both inputs are scaled to integer
+    polynomials and every pseudo-remainder is divided by its content, so
+    the whole sequence runs on integers and only the final monic
+    division builds Fractions."""
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).monic()
+    return Poly(_int_gcd(_int_multiple(a), _int_multiple(b))).monic()
+
+
+def squarefree_part(a):
+    """Monic product of the distinct irreducible factors of ``a``."""
+    if a.is_zero:
+        raise ValueError("square-free part of the zero polynomial")
+    a = a.monic()
+    if a.degree == 0:
+        return a
+    return a // poly_gcd(a, a.derivative())
+
+
+def root_bound(p):
+    """A rational B with every real root strictly inside (-B, B): the
+    Cauchy bound that ``isolate_real_roots`` reads off a root form."""
+    if p.is_zero:
+        raise ValueError("root bound of the zero polynomial")
+    return _cauchy_bound(_int_multiple(p))
+
+
 def poly_gcd_oracle(a, b):
-    """``polynomials.poly_gcd`` by the Euclidean algorithm over Q in
-    Fraction arithmetic."""
+    """``poly_gcd`` by the Euclidean algorithm over Q in Fraction
+    arithmetic."""
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
     while not b.is_zero:

@@ -185,20 +185,20 @@ def test_alexander_and_certify_construct_no_laurent_poly(monkeypatch, capsys):
     ["certify", "--pq", "29/17", "--quiet"],
 ])
 def test_one_command_builds_the_presentation_once(argv, monkeypatch):
-    # Both Alexander routes, and certify's rigidity checks, ask for the
-    # presentation of the same fraction; build_presentation keeps its
-    # last result, so the Riley exponents are computed once per command.
+    # The Alexander routes read the Riley exponents and build no
+    # presentation, so alexander builds none and certify builds one,
+    # for its rigidity checks and its report.
     calls = []
-    original = twobridge.riley_exponents
+    original = twobridge.build_presentation
 
     def counting(fraction):
         calls.append(fraction)
         return original(fraction)
 
-    monkeypatch.setattr(twobridge, "riley_exponents", counting)
-    build_presentation.cache_clear()
+    for module in (twobridge, importlib.import_module("lodehn.certify"), cli):
+        monkeypatch.setattr(module, "build_presentation", counting)
     assert main(argv) == 0
-    assert len(calls) == 1
+    assert len(calls) == {"alexander": 0, "certify": 1}[argv[0]]
 
 
 def test_alexander_cf_equals_pq(capsys):

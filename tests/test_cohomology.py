@@ -20,6 +20,7 @@ from helpers import (
     meridian_walk,
     normalized_representative,
     nullspace_oracle,
+    poly_gcd,
     random_word,
     relator_block_rows,
     to_tau_basis,
@@ -38,7 +39,7 @@ from lodehn.cohomology import (
     vanishing_identity,
     word_value_blocks,
 )
-from lodehn.polynomials import LaurentPoly, Poly, poly_gcd, squarefree_decomposition
+from lodehn.polynomials import LaurentPoly, Poly, squarefree_decomposition
 from lodehn.quotient import (
     AlgebraicElement,
     LaurentRing,

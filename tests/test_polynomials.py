@@ -8,10 +8,13 @@ from helpers import (
     laurent_dict_add,
     laurent_dict_mul,
     laurent_dict_value,
+    poly_gcd,
     poly_gcd_oracle,
     poly_xgcd,
     refine_isolating_interval_oracle,
+    root_bound,
     squarefree_decomposition_oracle,
+    squarefree_part,
     sturm_chain,
     sturm_count_oracle,
 )
@@ -25,11 +28,8 @@ from lodehn.polynomials import (
     _int_sturm_chain,
     _sign_int,
     isolate_real_roots,
-    poly_gcd,
     refine_isolating_interval,
-    root_bound,
     squarefree_decomposition,
-    squarefree_part,
     sturm_count,
 )
 from lodehn.reps import alexander_via_rep

@@ -10,9 +10,10 @@ from helpers import (
     matrix_times,
     nullspace_oracle,
     oracle_rows,
+    poly_gcd,
     quotient_evaluate_oracle,
 )
-from lodehn.polynomials import Poly, poly_gcd, squarefree_decomposition
+from lodehn.polynomials import Poly, squarefree_decomposition
 from lodehn.quotient import (
     AlgebraicElement,
     MatrixOverField,

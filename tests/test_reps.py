@@ -8,7 +8,10 @@ from helpers import (
     Mat2,
     TBasisRep,
     adjoint,
+    alexander_hartley,
+    alexander_via_fox_word,
     alexander_via_rep_oracle,
+    alexander_via_rep_word,
     eval_word_matrix,
     generator_adjoints,
     generator_images,
@@ -128,6 +131,26 @@ def test_alexander_via_rep_matches_the_laurent_route_oracle():
         seen += 1
         fraction = TwoBridgeFraction(p, q)
         assert alexander_via_rep(fraction) == alexander_via_rep_oracle(fraction)
+
+
+def test_every_alexander_route_agrees_with_the_word_walks_and_hartley():
+    # Both routes read the Riley exponents; the walks over the words of
+    # the presentation and Hartley's formula are independent of them.
+    from math import gcd
+
+    count = 0
+    for p in range(3, 102, 2):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            fraction = TwoBridgeFraction(p, q)
+            delta = alexander_hartley(fraction)
+            assert alexander_via_rep(fraction) == delta, fraction
+            assert alexander_via_fox(fraction) == delta, fraction
+            assert alexander_via_rep_word(fraction) == delta, fraction
+            assert alexander_via_fox_word(fraction) == delta, fraction
+            count += 1
+    assert count == 2106
 
 
 def test_alexander_via_fox_values():

@@ -98,10 +98,9 @@ def test_observers_read_the_lineage_of_a_split():
 
 
 def test_observers_read_a_traced_alexander_roots_call(capsys):
-    # The alexander-roots workload's operation: each route asks for the
-    # presentation, so the traced calls are 2, but only the first builds
-    # it and the second is a hit of build_presentation's one-entry memo;
-    # each printed root is refined once.
+    # The alexander-roots workload's operation: both routes read the
+    # Riley exponents, so no presentation is built, each route runs
+    # once, and each printed root is refined once.
     cli = importlib.import_module("lodehn.cli")
     argv = ["alexander", "--pq", "101/42", "--roots", "--digits", "30"]
     # cli.main is looked up at call time, so the traced wrapper runs.
@@ -110,7 +109,7 @@ def test_observers_read_a_traced_alexander_roots_call(capsys):
     roots = [line for line in lines if line.startswith("root in ")]
     assert lines[0] == "4 -25 43 -25 4" and len(roots) == 4
     assert metrics["cli.main.calls"] == 1
-    assert metrics["twobridge.build_presentation.calls"] == 2
+    assert metrics["twobridge.build_presentation.calls"] == 0
     assert metrics["reps.alexander_via_rep.calls"] == 1
     assert metrics["reps.alexander_via_fox.calls"] == 1
     assert metrics["polynomials.refine_isolating_interval.calls"] == len(roots)
