@@ -14,9 +14,11 @@ from .certify import (
 )
 from .cohomology import (
     FamilyCocycleForms,
+    KnotWalk,
     cohomology_dims,
     family_cocycle_forms,
-    relator_system,
+    knot_rows,
+    knot_walk,
     vanishing_identity,
 )
 from .polynomials import (

@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
-from .cohomology import cohomology_dims, longitude_row, relator_system
+from .cohomology import KnotWalk, cohomology_dims, knot_rows, knot_walk
 from .polynomials import (
     Poly,
     RootForm,
@@ -36,7 +36,7 @@ from .polynomials import (
     squarefree_decomposition,
 )
 from .quotient import MatrixOverField, ModulusBranch, SplitRecord
-from .reps import alexander_polynomial, burde_de_rham_assignment
+from .reps import alexander_polynomial
 from .twobridge import KnotPresentation, TwoBridgeFraction, build_presentation
 
 
@@ -99,28 +99,27 @@ def _inflated(record: SplitRecord) -> SplitRecord:
 
 
 def check_rigidity(
-    pres: KnotPresentation,
+    walk: KnotWalk,
     branch: ModulusBranch,
     xi_factor: Poly,
     multiplicity: int,
 ) -> List[RootBranchReport]:
     """Build the reducible non-abelian representation on the tau-side
     branch and compute the twisted cohomology of the knot group and of
-    the 0-filled group of the presentation ``pres``.  ``xi_factor`` is
-    the Alexander factor, of multiplicity ``multiplicity``, that the
-    branch modulus divides; both go into the reports.  One report per
-    leaf if dynamic evaluation splits, with the leaf modulus and lineage
-    lifted to t.
+    the 0-filled group, from the knot's walk (``cohomology.knot_walk``).
+    ``xi_factor`` is the Alexander factor, of multiplicity
+    ``multiplicity``, that the branch modulus divides; both go into the
+    reports.  One report per leaf if dynamic evaluation splits, with the
+    leaf modulus and lineage lifted to t.
 
-    The relator and the longitude must map to the identity on the
-    branch (else ValueError; ``longitude_row`` checks the longitude).
-    The 0-filled system is then the knot rows plus the longitude's row
-    1 (see ``cohomology``): on each knot leaf its elimination resumes
-    from the leaf's echelon rows, so only the one new row is reduced
-    and tested."""
-    rep = burde_de_rham_assignment(branch, pres.relator)
-    knot = relator_system([pres.relator], rep)
-    row = longitude_row(pres.longitude, rep)
+    ``cohomology.knot_rows`` maps the walk into the ring and checks that
+    the relator and the longitude map to the identity on the branch
+    (else ValueError) and that every row kills the coboundaries.  The
+    0-filled system is the knot rows plus the longitude's row 1 (see
+    ``cohomology``): on each knot leaf its elimination resumes from the
+    leaf's echelon rows, so only the one new row is reduced and
+    tested."""
+    knot, row = knot_rows(walk, branch)
     reports: List[RootBranchReport] = []
     for knot_leaf in cohomology_dims(knot):
         # Every leaf modulus divides the branch modulus, and reducing
@@ -200,16 +199,17 @@ def certify(fraction: TwoBridgeFraction) -> CertifyResult:
     routes, square-free split, and per-branch rigidity; the qualifying
     roots are counted on the leaves' real root intervals (see the
     module docstring).  The Alexander routes read the Riley exponents,
-    so the one presentation built here is the rigidity checks' and the
-    report's."""
+    so the one presentation built here is the report's, and its w is
+    walked once for the rigidity checks of every factor."""
     delta = alexander_polynomial(fraction)
     factors = analyze_roots(delta)
     pres = build_presentation(fraction)
+    walk = knot_walk(pres)
 
     reports: List[RootBranchReport] = []
     for factor, multiplicity in factors:
         reports.extend(
-            check_rigidity(pres, ModulusBranch(factor), factor, multiplicity)
+            check_rigidity(walk, ModulusBranch(factor), factor, multiplicity)
         )
     reports.sort(
         key=lambda r: (r.xi_factor.coeffs, r.modulus.degree, r.modulus.coeffs)

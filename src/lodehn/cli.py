@@ -20,7 +20,12 @@ from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from .certify import CertifyResult, Verdict, certify, check_rigidity
-from .cohomology import ClosedFormMismatch, family_cocycle_forms, vanishing_identity
+from .cohomology import (
+    ClosedFormMismatch,
+    family_cocycle_forms,
+    knot_walk,
+    vanishing_identity,
+)
 from .polynomials import (
     Poly,
     isolate_real_roots,
@@ -307,6 +312,7 @@ def _check_words(j: int) -> bool:
         family_word(j) == pres.w
         and family_v(j) == pres.v
         and pres.v == pres.w.spelled_backwards()
+        and pres.v == pres.w.generators_exchanged()
         and parity_period_holds(j)
         and pres.longitude.exponent_sum("x") == 0
         and pres.longitude.exponent_sum("y") == 0
@@ -351,10 +357,10 @@ def _check_vanishing_identity(j: int) -> bool:
 
 
 def _check_cohomology(j: int) -> bool:
-    pres = build_presentation(family_fraction(j))
+    walk = knot_walk(build_presentation(family_fraction(j)))
     delta = _expected_family_alexander(j)
     for factor, multiplicity in squarefree_decomposition(delta):
-        reports = check_rigidity(pres, ModulusBranch(factor), factor, multiplicity)
+        reports = check_rigidity(walk, ModulusBranch(factor), factor, multiplicity)
         for report in reports:
             if (report.h1_knot, report.h1_filled) != (1, 0):
                 return False

@@ -12,16 +12,14 @@ longitude lambda as a relator, and of its rows only row 1 counts.  The
 preferred longitude lies in the second commutator subgroup of the knot
 group (Burde-Zieschang, *Knots*), and the representation is upper
 triangular, hence metabelian, so lambda maps to the identity:
-:func:`longitude_row` checks that on the branch, off the walk that
-builds its row, as ``reps.burde_de_rham_assignment`` checks the
-relator.  lambda commutes with x, so for a knot cocycle z,
-z(x lambda) = z(lambda x) gives
-(Ad x - 1) z(lambda) = (Ad lambda - 1) z(x) = 0: z(lambda) lies in the
-line t v0 that Ad(x) fixes (see below), so its coordinates 0 and 2,
-longitude rows 0 and 2 applied to z, vanish on every knot cocycle.  The
-filled system is the knot rows plus longitude row 1
-(:func:`longitude_row`), all built and checked once on a branch and
-reduced onto its leaves.
+:func:`knot_rows` checks that on the branch, as it checks the relator.
+lambda commutes with x, so for a knot cocycle z, z(x lambda) =
+z(lambda x) gives (Ad x - 1) z(lambda) = (Ad lambda - 1) z(x) = 0:
+z(lambda) lies in the line t v0 that Ad(x) fixes (see below), so its
+coordinates 0 and 2, longitude rows 0 and 2 applied to z, vanish on
+every knot cocycle.  The filled system is the knot rows plus longitude
+row 1, all built and checked once on a branch and reduced onto its
+leaves.
 
 Everything here runs in the basis (v+, t v0, v-) of ``reps``, where the
 adjoint of the meridian representation is defined over Q[tau], tau =
@@ -44,6 +42,47 @@ is a ring homomorphism, so the blocks are exactly the letter-by-letter
 products over that ring; the step-by-step oracles, in t, live in the
 tests.
 
+The rigidity checks take no word's blocks: one walk of w per knot
+(:func:`knot_walk`) gives every relator and longitude row.  The
+relator is r = x w y^-1 w^-1 and the longitude lambda = c w v with
+c = x^-2n, n the exponent sum of w, so for W the image of w the
+cocycle law gives
+
+    Mx(r) = I + (Ad x - Ad r) Mx(w),
+    My(r) = (Ad x - Ad r) My(w) - Ad(x W y^-1),
+    M(lambda) = M(c) + Ad(c) (M(w) + Ad(W) M(v)).
+
+On a branch the relator maps to the identity, so Ad r = 1 and
+x W y^-1 = W: Ad(x) - 1 and Ad(W), read off n, u and u^2 of w, turn
+w's blocks into the relator's rows.  Row 1 of Ad(c) = diag(tau^-2n, 1,
+tau^2n) is (0, 1, 0), and row 1 of M(c) is -2n in entry 11 of Mx
+alone, so row 1 of M(lambda) is that plus row 1 of M(w) + Ad(W) M(v):
+x11 = -n, y11 = n and
+x12(lambda) = x12(w) + x12(v) + tau^-n (u/t) x22(v), the same with y,
+in the basis (v+, t v0, v-).
+
+v is w spelled backwards, and e_i = e_(p-i) (see ``twobridge``), so v
+is w with x and y exchanged (``Word.generators_exchanged``, which
+``verify-family`` checks): v's letter at each position has the sign
+and the prefix exponent sum of w's.  One pass over w's letters
+(:func:`_riley_walk`) therefore sums the prefix adjoints of both, and
+v's counts are w's exchanged, so x22(v) = y22(w) and y22(v) = x22(w).
+The walk's p - 1 letters replace the 2p of the relator, walked twice
+(for its blocks and its identity check), and the about 2p of the
+longitude, and every factor of the Alexander polynomial reads the same
+walk.
+
+Every check the word walks made is kept (:func:`knot_rows`), on every
+branch: the relator residue (tau - 1) u/t - tau^n, exactly b/t of the
+relator's image, must vanish mod F (ValueError, from
+``reps.burde_de_rham_assignment``); every knot row must kill every
+coboundary (AssertionError); the longitude's image, composed as
+c W V, must be the identity, with exponent sum x11 + y11 = 0 and
+b/t = tau^-n u_v/t + tau^-2n u/t = 0 mod F, u_v = t^n b_v for v
+(ValueError); and its row must kill every coboundary.  The relator
+and longitude words, walked letter by letter, are the oracles of the
+tests.
+
 Coboundaries are the value pairs ((Ad x - 1) V, (Ad y - 1) V).  Here
 Ad(x) - 1 = diag(tau - 1, 0, 1/tau - 1), so Ad(x) fixes only the
 multiples of t v0 when tau - 1 is a unit, and Ad(y) moves t v0, as
@@ -55,11 +94,11 @@ A row (a0, a1, a2 | b0, b1, b2) kills every coboundary exactly when
 a (Ad x - 1) + b (Ad y - 1) = 0, that is when (a0 + b0)(tau - 1),
 -2 tau b0 and (a2 + b2)(1/tau - 1) - b0 + b1/tau vanish.  With tau and
 tau - 1 units, that is a0 = b0 = 0 and b1 = (tau - 1)(a2 + b2): one ring
-product per row, which :func:`relator_system` and :func:`longitude_row`
-check on every row they build, on the branch.
+product per row, which :func:`knot_rows` checks on every row it builds,
+on the branch.
 
 Those rows have zero columns 0 and 3, and column 4 is tau - 1 times
-column 2 plus column 5.  So :func:`relator_system` keeps only the live
+column 2 plus column 5.  So :func:`knot_rows` keeps only the live
 columns (a1, a2, b2), and on every leaf
 
     dim H^1 = dim Z^1 - 3 = 3 - rank,
@@ -87,12 +126,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .polynomials import LaurentPoly
-from .quotient import LaurentRing, MatrixOverField, NullspaceResult, _unpack
-from .reps import IntLaurent, Mat3, MeridianRep, f_upper_entry, tau_terms
-from .twobridge import FAMILY_S, FAMILY_U, family_v, family_word
+from .quotient import (
+    LaurentRing,
+    MatrixOverField,
+    ModulusBranch,
+    NullspaceResult,
+    _unpack,
+)
+from .reps import (
+    IntLaurent,
+    Mat3,
+    MeridianRep,
+    burde_de_rham_assignment,
+    f_upper_entry,
+    tau_terms,
+)
+from .twobridge import FAMILY_S, FAMILY_U, KnotPresentation, family_v, family_word
 from .words import Word
 
 
@@ -214,46 +266,6 @@ def _block_terms(word: Word) -> List[IntLaurent]:
     return entries
 
 
-def _row_terms(word: Word) -> Tuple[int, IntLaurent, IntLaurent, IntLaurent]:
-    """n and u = t^n b of the image [[t^n, b], [0, t^-n]] of ``word``,
-    and entry 12 of the x block and of the y block of ``word`` in the
-    basis (v+, v0, v-), in t: the walk of :func:`_block_terms` without
-    u^2, whose final n and u are those of the whole word.  The
-    accumulator of (g, m) holds the signed sum U_m of the values of u,
-    and entry 12 of g is the sum of t^-2m U_m.  The absolute
-    coefficients of u sum to at most L for a word of L letters, and
-    each letter adds at most one u to the sums, so no packed
-    coefficient exceeds L^2 in absolute value."""
-    letters = word.letters
-    low, high = _exponent_range(letters)
-    width = ((len(letters) ** 2).bit_length() + 8) & -8
-    span = high - low
-    ones = [1 << (width * j) for j in range(span)]
-    n = u = 0
-    groups: Dict[str, Dict[int, int]] = {"x": {}, "y": {}}
-    for gen, sign in letters:
-        group = groups[gen]
-        if sign > 0:
-            group[n] = group.get(n, 0) + u
-            if gen == "y":
-                u += ones[n - low]
-            n += 1
-        else:
-            n -= 1
-            if gen == "y":
-                u -= ones[n - low]
-            group[n] = group.get(n, 0) - u
-    top = high - 1
-    x12, y12 = (
-        _terms(
-            sum([u_m << (width * (top - m)) for m, u_m in group.items()]),
-            width, 2 * span - 1, 2 * (low - top) + 1,
-        )
-        for group in groups.values()
-    )
-    return n, _terms(u, width, span, 2 * low + 1), x12, y12
-
-
 # diag(1, t, 1) = diag(t^d_0, t^d_1, t^d_2): in the basis (v+, t v0, v-)
 # the entry ij of a matrix picks up t^(d_j - d_i), the coordinate i of a
 # vector t^-d_i.
@@ -285,22 +297,212 @@ def word_value_blocks(word: Word, rep: MeridianRep) -> Tuple[Mat3, Mat3]:
     return mx, my
 
 
-def relator_system(relators: Sequence[Word], rep: MeridianRep) -> MatrixOverField:
-    """The live columns (a1, a2, b2) of the stacked 3x6 blocks, one per
-    relator (a single zero row when there are none); the nullity is
-    dim H^1 of the presented group.  Every block row (a0, a1, a2 | b0,
-    b1, b2) is checked first to kill every coboundary, a0 = b0 = 0 and
-    b1 = (tau - 1)(a2 + b2); a failure would falsify the system and
-    raises (see the module docstring)."""
-    tau_minus_one = rep.tau - 1
-    rows: List[Tuple] = []
-    for relator in relators:
-        mx, my = word_value_blocks(relator, rep)
-        for (a0, a1, a2), (b0, b1, b2) in zip(mx.rows, my.rows):
-            if a0 or b0 or b1 != tau_minus_one * (a2 + b2):
-                raise AssertionError("a coboundary escaped the cocycle space")
-            rows.append((a1, a2, b2))
-    return MatrixOverField(rows or [(rep.ring.zero,) * 3], rep.ring)
+class _WalkSums(NamedTuple):
+    """The sums of :func:`_riley_walk`, indexed by j = m - low for the
+    prefix exponent sums m of w in [low, high - 1].  ``u``, the packed
+    sums and the entries of ``u_sums`` and ``v_u_sums`` are in the odd
+    layout, ``u_squared`` and the entries of ``u_squared_sums`` in the
+    even one (see :func:`_block_terms`); each pair is (x, y)."""
+
+    low: int
+    n: int
+    width: int
+    u: int
+    u_squared: int
+    u_v: int
+    counts: Tuple[List[int], List[int]]
+    u_sums: Tuple[List[int], List[int]]
+    u_squared_sums: Tuple[List[int], List[int]]
+    v_u_sums: Tuple[List[int], List[int]]
+
+
+def _riley_walk(letters) -> _WalkSums:
+    """One integer walk of the letters of w, y^e1 x^e2 ... x^e(p-1),
+    that sums the prefix adjoints of w and of v, as :func:`_block_terms`
+    does for one word.
+
+    v is w with x and y exchanged (see the module docstring), so its
+    letter at each position has the sign and the prefix exponent sum m
+    of w's letter there: a y letter of w is an x letter of v and the
+    reverse.  One pass over the exponent pairs (y^e, x^e') keeps u and
+    u^2 for w and u_v = t^n b_v for v, and adds, per generator g of w
+    and per m, the count c_m and the signed sums U_m of u and V_m of
+    u^2, and, per generator of v, the signed sum of u_v.  v's counts
+    are w's with x and y exchanged and need no sum of their own.  One
+    slot width serves everything that :func:`knot_walk` builds from the
+    sums: for w of L letters no packed coefficient there exceeds 4 L^3
+    in absolute value (the sums of V_m reach L^3, as in
+    :func:`_block_terms`)."""
+    low, high = _exponent_range(letters)
+    span = high - low
+    width = ((4 * len(letters) ** 3).bit_length() + 8) & -8
+    ones = [1 << (width * j) for j in range(span)]
+    squares = [1 << (2 * width * j) for j in range(span)]
+    shifts = [width * j + 1 for j in range(span)]
+    cx, cy = [0] * span, [0] * span  # counts of w's x and y letters
+    ux, uy = [0] * span, [0] * span  # sums of u
+    sx, sy = [0] * span, [0] * span  # sums of u^2
+    vx, vy = [0] * span, [0] * span  # sums of u_v at v's x and y letters
+    j = -low
+    u = u_squared = u_v = 0
+    for (_, a), (_, b) in zip(letters[0::2], letters[1::2]):
+        # w's y^a is v's x^a; only w's u moves.
+        if a > 0:
+            cy[j] += 1
+            uy[j] += u
+            sy[j] += u_squared
+            vx[j] += u_v
+            u_squared += (u << shifts[j]) + squares[j]
+            u += ones[j]
+            j += 1
+        else:
+            j -= 1
+            u -= ones[j]
+            u_squared -= (u << shifts[j]) + squares[j]
+            cy[j] -= 1
+            uy[j] -= u
+            sy[j] -= u_squared
+            vx[j] -= u_v
+        # w's x^b is v's y^b; only v's u moves.
+        if b > 0:
+            cx[j] += 1
+            ux[j] += u
+            sx[j] += u_squared
+            vy[j] += u_v
+            u_v += ones[j]
+            j += 1
+        else:
+            j -= 1
+            u_v -= ones[j]
+            cx[j] -= 1
+            ux[j] -= u
+            sx[j] -= u_squared
+            vy[j] -= u_v
+    return _WalkSums(
+        low, j + low, width, u, u_squared, u_v,
+        (cx, cy), (ux, uy), (sx, sy), (vx, vy),
+    )
+
+
+def _unpack_terms(polys: Sequence[Tuple[int, int]], width: int) -> List[IntLaurent]:
+    """The Laurent polynomials in tau of the packed ``polys``, pairs
+    (packed, base) whose slot j holds the coefficient of tau^(base + j),
+    all unpacked at once: each takes the next k slots of one sum, where a
+    nonzero top slot k - 1 makes |packed| at least 2^(width (k-1) - 1)
+    and below 2^(width k), so k = bit_length // width + 1 slots hold
+    it, and each slot of the sum holds one coefficient."""
+    total = offset = 0
+    spans = []
+    for packed, base in polys:
+        k = abs(packed).bit_length() // width + 1
+        total += packed << (width * offset)
+        spans.append((offset, k, base))
+        offset += k
+    coeffs = _unpack(total, width, offset)
+    return [
+        {base + j: c for j, c in enumerate(coeffs[start:start + k]) if c}
+        for start, k, base in spans
+    ]
+
+
+def _aligned(a: int, base_a: int, b: int, base_b: int, width: int) -> Tuple[int, int]:
+    """The sum of the packed polynomials ``a`` and ``b`` whose slots 0
+    hold tau^base_a and tau^base_b, with the lower base: one shift."""
+    if base_a > base_b:
+        return (a << (width * (base_a - base_b))) + b, base_b
+    return a + (b << (width * (base_b - base_a))), base_a
+
+
+class KnotWalk(NamedTuple):
+    """What the rigidity checks of a knot read off its presentation, one
+    walk of w for all its branches (see :func:`knot_walk`): the exponent
+    sums x11 = -n and y11 = n of the longitude, for n that of w, and
+    integer Laurent polynomials in tau, all in the basis (v+, t v0, v-):
+    the relator residue, b/t for the longitude image
+    [[1, b], [0, 1]], the knot rows (a0, a1, a2, b0, b1, b2 of row 0,
+    b2 of row 1, a2 and b2 of row 2; the other entries are constants),
+    and the entries x12 and y12 of the longitude row."""
+
+    x11: int
+    y11: int
+    relator: IntLaurent
+    longitude: IntLaurent
+    rows: Tuple[IntLaurent, ...]
+    row: Tuple[IntLaurent, IntLaurent]
+
+
+def knot_walk(pres: KnotPresentation) -> KnotWalk:
+    """The relator and longitude rows of ``pres`` over Z[tau, tau^-1]
+    from one walk of w (:func:`_riley_walk`), by the cocycle law (see
+    the module docstring).  With n, u = t^n b and u^2 from w's image
+    and the (tau - 1) and (1/tau - 1) of Ad(x) - 1, each is a packed
+    sum of the walk's sums, shifted by a slot and subtracted where a
+    factor tau - 1 or 1/tau - 1 stands, and all are unpacked together:
+
+    - the relator residue (tau - 1) u/t - tau^n;
+    - row 0: a0 = 1 + (tau - 1) x00, a1 = (tau - 1) x01, a2 = (tau - 1)
+      x02, b0 = (tau - 1) y00 - tau^n, b1 = (tau - 1) y01 + 2 t u and
+      b2 = (tau - 1) y02 + tau^-n u^2;
+    - row 1: (0, 1, 0 | 0, -1, -tau^-n u/t);
+    - row 2: a2 = 1 + (1/tau - 1) x22, b2 = (1/tau - 1) y22 - tau^-n;
+    - the longitude image b/t = tau^-n u_v/t + tau^-2n u/t;
+    - the longitude row x12(w) + x12(v) + tau^-n (u/t) x22(v), and the
+      same with y, where x22(v) = y22(w) and y22(v) = x22(w), and the
+      product is one packed multiply.
+
+    x_ij and y_ij are the entries of w's blocks in the basis
+    (v+, t v0, v-)."""
+    sums = _riley_walk(pres.w.letters)
+    low, n, width = sums.low, sums.n, sums.width
+    u, u_squared, u_v = sums.u, sums.u_squared, sums.u_v
+    (cx, cy), (ux, uy), (sx, sy), (vx, vy) = (
+        sums.counts, sums.u_sums, sums.u_squared_sums, sums.v_u_sums
+    )
+    high = low + len(cx)
+    top = high - 1
+    # The sums over m of t^-2m S_m, by Horner from m = low: slot top - m
+    # holds S_m.
+    x12 = y12 = x02 = y02 = x22 = y22 = 0
+    for a, b, c, d, e, f, g, h in zip(ux, vx, uy, vy, sx, sy, cx, cy):
+        x12 = (x12 << width) + a + b
+        y12 = (y12 << width) + c + d
+        x02 = (x02 << width) + e
+        y02 = (y02 << width) + f
+        x22 = (x22 << width) + g
+        y22 = (y22 << width) + h
+    # The sums over m of t^2m c_m, from m = top down: slot m - low holds
+    # c_m.
+    x00 = y00 = 0
+    for g, h in zip(reversed(cx), reversed(cy)):
+        x00 = (x00 << width) + g
+        y00 = (y00 << width) + h
+    x01, y01 = sum(ux), sum(uy)
+
+    def one(k: int) -> int:
+        return 1 << (width * k)
+
+    def tau_minus_one(p: int) -> int:
+        return (p << width) - p
+
+    # Bases, as powers of tau: low for u/t and for entries 00, low + 1
+    # for t u and entries 01, 2 low + 1 - top for entries 02,
+    # 2 low + 1 for u^2, -top for entries 22 and low - top for 12.
+    relator, longitude, *rows, x12_row, y12_row = _unpack_terms([
+        (tau_minus_one(u) - one(n - low), low),
+        _aligned(u_v, low - n, u, low - 2 * n, width),
+        (tau_minus_one(x00) + one(-low), low),
+        (-2 * tau_minus_one(x01), low + 1),
+        (-tau_minus_one(x02), 2 * low + 1 - top),
+        (tau_minus_one(y00) - one(n - low), low),
+        (2 * (u - tau_minus_one(y01)), low + 1),
+        _aligned(-tau_minus_one(y02), 2 * low + 1 - top, u_squared, 2 * low + 1 - n, width),
+        (-u, low - n),
+        (x22 - (x22 << width) + one(high), -high),
+        (y22 - (y22 << width) - one(high - n), -high),
+        _aligned(x12, low - top, u * y22, low - top - n, width),
+        _aligned(y12, low - top, u * x22, low - top - n, width),
+    ], width)
+    return KnotWalk(-n, n, relator, longitude, tuple(rows), (x12_row, y12_row))
 
 
 _LONGITUDE_OFF_IDENTITY = (
@@ -309,30 +511,40 @@ _LONGITUDE_OFF_IDENTITY = (
 )
 
 
-def longitude_row(longitude: Word, rep: MeridianRep) -> Tuple:
-    """The live columns (x11, x12, y12) of row 1 of the blocks of the
-    longitude, the one longitude row of the 0-filled system (see the
-    module docstring).  x11 and y11 are the exponent sums of x and y in
-    the longitude; x12 and y12 come from :func:`_row_terms`, moved into
-    the basis (v+, t v0, v-) and into tau and mapped into the ring.
+def knot_rows(walk: KnotWalk, branch: ModulusBranch) -> Tuple[MatrixOverField, Tuple]:
+    """The knot's relator system over Q[tau]/(F), F the modulus of
+    ``branch``, and the longitude's row 1, both in the live columns
+    (a1, a2, b2), from the walk of :func:`knot_walk`.
 
-    The row rests on rho(longitude) = I, which is read off the same
-    walk first: the image [[t^n, b], [0, t^-n]] must have n = 0, and
-    then b = u has only odd powers of t, so b/t is a polynomial in tau
-    that must vanish mod F (else ValueError); one ``evaluate`` maps it
-    into the ring with x12 and y12.  The row is then checked to kill
-    every coboundary,
-    y11 = (tau - 1)(x12 + y12) (its entries 10 vanish in every block); a
-    failure would falsify the system and raises AssertionError."""
-    n, u, x12, y12 = _row_terms(longitude)
-    if n:
+    ``reps.burde_de_rham_assignment`` maps every polynomial of the walk
+    into the ring in one ``evaluate`` and checks the relator residue
+    first (else ValueError).  Every knot row (a0, a1, a2 | b0, b1, b2)
+    is then checked to kill every coboundary, a0 = b0 = 0 and
+    b1 = (tau - 1)(a2 + b2) (else AssertionError).  The longitude must
+    map to the identity: its exponent sum x11 + y11 must vanish, and b/t
+    mod F (else ValueError).  Last its row is checked, y11 =
+    (tau - 1)(x12 + y12) (its entries 10 vanish in every block)."""
+    rep, values = burde_de_rham_assignment(
+        branch, (walk.relator, walk.longitude, *walk.rows, *walk.row)
+    )
+    longitude, a0, a1, a2, b0, b1, b2, b2_1, a2_2, b2_2, x12, y12 = values
+    ring = rep.ring
+    zero, one = ring.zero, ring.one
+    tau_minus_one = rep.tau - 1
+    rows = (
+        (a0, a1, a2, b0, b1, b2),
+        (zero, one, zero, zero, -one, b2_1),
+        (zero, zero, a2_2, zero, zero, b2_2),
+    )
+    for a0, a1, a2, b0, b1, b2 in rows:
+        if a0 or b0 or b1 != tau_minus_one * (a2 + b2):
+            raise AssertionError("a coboundary escaped the cocycle space")
+    if walk.x11 + walk.y11 or longitude:
         raise ValueError(_LONGITUDE_OFF_IDENTITY)
-    b, x12, y12 = rep.ring.evaluate([tau_terms(terms, -1) for terms in (u, x12, y12)])
-    if b:
-        raise ValueError(_LONGITUDE_OFF_IDENTITY)
-    if (rep.tau - 1) * (x12 + y12) != longitude.exponent_sum("y"):
+    if tau_minus_one * (x12 + y12) != walk.y11:
         raise AssertionError("a coboundary escaped the cocycle space")
-    return longitude.exponent_sum("x"), x12, y12
+    knot = MatrixOverField([(a1, a2, b2) for _, a1, a2, _, _, b2 in rows], ring)
+    return knot, (walk.x11, x12, y12)
 
 
 def cohomology_dims(system: MatrixOverField) -> List[NullspaceResult]:
@@ -340,8 +552,8 @@ def cohomology_dims(system: MatrixOverField) -> List[NullspaceResult]:
     record per leaf branch: the nullity ``dim`` of the system on the
     leaf, from its rank under the fraction-free elimination of
     :meth:`MatrixOverField.nullspace`; no cocycle basis is built.  The
-    system may be a :func:`relator_system` reduced onto a factor of its
-    modulus, or a leaf's echelon rows with a :func:`longitude_row`
+    system may be the knot system of :func:`knot_rows` reduced onto a
+    factor of its modulus, or a leaf's echelon rows with its longitude row
     below them, from which the elimination resumes."""
     return system.nullspace()
 

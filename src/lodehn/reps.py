@@ -6,8 +6,8 @@ y -> [[t,1],[0,1/t]].  Both generator images are upper triangular with
 monomial diagonals, so the image of a prefix is [[t^n, b], [0, t^-n]].
 A letter x^+-1 changes only n, and a letter y^+-1 adds the monomial
 +-t^(2n+-1) to u = t^n b, so a word's image comes from one integer walk
-over Z[t, t^-1] with one dict update per y letter (:func:`_image_terms`).
-No Fraction and no polynomial division is built.
+over Z[t, t^-1] with one update per y letter.  No Fraction and no
+polynomial division is built.
 
 The adjoint acts on sl2 with the basis
 
@@ -26,8 +26,9 @@ in tau = t^2: Ad(x) = diag(tau, 1, 1/tau) and Ad(y) = [[tau, -2 tau, -1],
 over Q[tau]/(F), F a factor of the Alexander polynomial in tau, or over
 Q[tau, tau^-1]; :func:`tau_terms` maps a Laurent polynomial in t into
 tau.  The image itself needs t and has no place there: the identity
-checks of the relator and the longitude read n and b off integer
-walks.
+checks of the relator and the longitude read n and b off the one
+integer walk of w (``cohomology.knot_walk``), whose relator residue
+:func:`burde_de_rham_assignment` checks.
 
 The two Alexander routes build no word.  Both read the Riley exponents
 of w (``twobridge.riley_exponents``), whose even 0-based positions are
@@ -41,12 +42,11 @@ the sum of the normalized integer coefficients.
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .polynomials import LaurentPoly, Poly
-from .quotient import LaurentRing, ModulusBranch, QuotientRing
+from .quotient import AlgebraicElement, LaurentRing, ModulusBranch, QuotientRing
 from .twobridge import TwoBridgeFraction, riley_exponents
-from .words import Word
 
 
 class Mat3:
@@ -160,21 +160,6 @@ def tau_terms(terms: IntLaurent, shift: int) -> IntLaurent:
     return out
 
 
-def _image_terms(word: Word) -> Tuple[int, IntLaurent]:
-    """n and the upper-right entry b of the image [[t^n, b], [0, t^-n]]
-    of ``word``.  A letter y^sign at prefix exponent sum m adds
-    sign t^(2m+1) to u = t^n b, with m taken before the letter for
-    sign +1 and after it for sign -1; at the end b = t^-n u."""
-    n = 0
-    u: IntLaurent = {}
-    for gen, sign in word.letters:
-        if gen == "y":
-            e = 2 * n + sign  # 2m + 1 for either sign
-            u[e] = u.get(e, 0) + sign
-        n += sign
-    return n, {e - n: c for e, c in u.items() if c}
-
-
 def f_upper_entry(j: int) -> LaurentPoly:
     """Closed form of the upper-right entry of the family word image:
     -j t^3 + (5j+1) t - (5j+1) t^-1 + j t^-3."""
@@ -211,10 +196,9 @@ def alexander_via_rep(fraction: TwoBridgeFraction) -> Poly:
     relation agree exactly when t^2 is a root, so that difference is the
     polynomial evaluated at t^2, up to a unit.
 
-    The image is :func:`_image_terms` of w read off the Riley exponents
-    with no word built: the y letters of w are its even 0-based
-    positions, and a y exponent e at prefix exponent sum m adds
-    e t^(2m+e) to u = t^n b."""
+    The image of w is read off the Riley exponents with no word built:
+    the y letters of w are its even 0-based positions, and a y exponent
+    e at prefix exponent sum m adds e t^(2m+e) to u = t^n b."""
     exps = riley_exponents(fraction)
     m = 0
     u: IntLaurent = {}
@@ -285,26 +269,29 @@ def alexander_polynomial(fraction: TwoBridgeFraction) -> Poly:
 
 
 def burde_de_rham_assignment(
-    branch: ModulusBranch, relator: Word
-) -> MeridianRep:
+    branch: ModulusBranch, terms: Sequence[IntLaurent]
+) -> Tuple[MeridianRep, List[AlgebraicElement]]:
     """The adjoint of the reducible non-abelian representation
     x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] over Q[tau]/(F), F the
-    branch modulus and tau = t^2.
+    branch modulus and tau = t^2, with the integer Laurent polynomials
+    ``terms`` in tau mapped into that ring by one ``evaluate``; the
+    residues of all but the first are returned with it.
 
-    The defining relator must map to the identity there, else
-    ValueError: its image [[t^n, b], [0, t^-n]] from the integer walk
-    must have n = 0, and then b has only odd powers of t, so b/t is a
-    polynomial in tau, which must vanish mod F.  A failure means the
-    modulus does not divide the Alexander polynomial (or an upstream
-    bug) and is a hard error.  tau and tau - 1 are units on every
-    branch, so the representation is defined and non-abelian (see
+    The first is the relator residue (tau - 1) u/t - tau^n of the image
+    [[t^n, b], [0, t^-n]] of w, u = t^n b.  The relator x w y^-1 w^-1
+    maps to [[1, t^(n+1) r], [0, 1]] with r = (t - 1/t) b - t^n, the
+    obstruction that :func:`alexander_via_rep` normalizes, and t^n r is
+    that residue.  It must vanish mod F, else ValueError: a failure
+    means the modulus does not divide the Alexander polynomial (or an
+    upstream bug) and is a hard error.  tau and tau - 1 are units on
+    every branch, so the representation is defined and non-abelian (see
     :class:`ModulusBranch`).
     """
     rep = MeridianRep(QuotientRing(branch))
-    n, b = _image_terms(relator)
-    if n or rep.ring.evaluate([tau_terms(b, -1)])[0]:
+    residue, *values = rep.ring.evaluate(terms)
+    if residue:
         raise ValueError(
             "relator does not map to the identity on this branch: the "
             "modulus does not divide the Alexander polynomial"
         )
-    return rep
+    return rep, values

@@ -8,6 +8,8 @@ presentation ``<x, y | x w = w y>`` where
 
 and the homological longitude is ``x^(-2e) w v`` with ``v`` equal to
 ``w`` spelled backwards and ``2e`` the total exponent sum of ``w v``.
+Since e_i = e_(p-i), ``v`` is also ``w`` with x and y exchanged, so one
+walk of ``w`` reads both (``cohomology.knot_walk``).
 The knots with continued fraction [1, 1, 2, 2, 2j] have fraction
 (24j+5)/(14j+3); for that family the meridian correction is empty and
 ``w`` has the closed form ``(y x^-1 y^-1 x) u^j`` for a fixed 24-letter

@@ -5,8 +5,9 @@ A letter is a pair ``(gen, sign)`` with ``gen`` in ``{"x", "y"}`` and
 ever adjacent to its inverse.  The empty word is the group identity.
 The public constructor validates and reduces its letters; a product of
 two words is already reduced on each side, so it cancels letters only
-at the junction, and the inverse, the backwards spelling and the powers
-of a reduced word are built reduced without another pass.
+at the junction, and the inverse, the backwards spelling, the exchange
+of the generators and the powers of a reduced word are built reduced
+without another pass.
 
 Surface syntax: ``x``, ``y``, each optionally followed by ``^-1``;
 uppercase ``X``, ``Y`` are shorthand for the inverses.  Whitespace is
@@ -34,6 +35,10 @@ class WordParseError(ValueError):
 # The four letters; words share these tuples instead of one per letter.
 _LETTERS = {(gen, sign): (gen, sign) for gen in GENERATORS for sign in (1, -1)}
 _INVERSE = {letter: _LETTERS[letter[0], -letter[1]] for letter in _LETTERS.values()}
+_EXCHANGED = {
+    letter: _LETTERS["y" if letter[0] == "x" else "x", letter[1]]
+    for letter in _LETTERS.values()
+}
 
 
 def _reduced(letters: Iterable[Letter]) -> Tuple[Letter, ...]:
@@ -152,6 +157,10 @@ class Word:
     def spelled_backwards(self) -> "Word":
         """Reversed letter sequence with signs kept (not the inverse)."""
         return Word._of(self.letters[::-1])
+
+    def generators_exchanged(self) -> "Word":
+        """The word with x and y exchanged, signs and order kept."""
+        return Word._of(tuple([_EXCHANGED[letter] for letter in self.letters]))
 
     def exponent_sum(self, gen: str) -> int:
         if gen not in GENERATORS:

@@ -3,7 +3,9 @@ presentation oracle, random generators, 2x2 matrices and the
 adjoint action, the meridian representation over t in the basis
 (v+, v0, v-) with its generator images and adjoints, the map of its
 blocks into the package's basis (v+, t v0, v-) and into tau = t^2, the
-step-by-step word and cocycle oracles, the Q[t, t^-1] Alexander oracle,
+step-by-step word and cocycle oracles, the word walks of the image and
+of a longitude row, the relator system, the longitude row and the
+relator check built from the words, the Q[t, t^-1] Alexander oracle,
 the two Alexander routes walked over the presentation's words and
 Hartley's formula, the dict oracle for
 Laurent arithmetic, the Sturm chain over Q and the Sturm bisection
@@ -26,10 +28,16 @@ from math import gcd
 
 import mpmath as mp
 
-from lodehn.cohomology import relator_system, word_value_blocks
+from lodehn import cohomology
+from lodehn.cohomology import (
+    _LONGITUDE_OFF_IDENTITY,
+    _exponent_range,
+    _terms,
+    word_value_blocks,
+)
 from lodehn.polynomials import LaurentPoly, Poly, _cauchy_bound, _int_gcd, _int_multiple
 from lodehn.quotient import LaurentRing, MatrixOverField, QuotientRing, SplitRequired
-from lodehn.reps import Mat3, _image_terms, normalize_alexander
+from lodehn.reps import Mat3, MeridianRep, normalize_alexander, tau_terms
 from lodehn.twobridge import KnotPresentation, build_presentation, riley_exponents
 from lodehn.words import Word
 
@@ -153,11 +161,119 @@ class TBasisRep:
         self.ad_y = Mat3(((t2, -2 * t, -one), (zero, one, t_inverse), (zero, zero, t_2)))
 
 
+def image_terms(word):
+    """n and the upper-right entry b of the image [[t^n, b], [0, t^-n]]
+    of ``word``.  A letter y^sign at prefix exponent sum m adds
+    sign t^(2m+1) to u = t^n b, with m taken before the letter for
+    sign +1 and after it for sign -1; at the end b = t^-n u."""
+    n = 0
+    u = {}
+    for gen, sign in word.letters:
+        if gen == "y":
+            e = 2 * n + sign  # 2m + 1 for either sign
+            u[e] = u.get(e, 0) + sign
+        n += sign
+    return n, {e - n: c for e, c in u.items() if c}
+
+
+def row_terms(word):
+    """n and u = t^n b of the image [[t^n, b], [0, t^-n]] of ``word``,
+    and entry 12 of the x block and of the y block of ``word`` in the
+    basis (v+, v0, v-), in t: the walk of ``cohomology._block_terms``
+    without u^2, whose final n and u are those of the whole word.  The
+    accumulator of (g, m) holds the signed sum U_m of the values of u,
+    and entry 12 of g is the sum of t^-2m U_m.  The absolute
+    coefficients of u sum to at most L for a word of L letters, and
+    each letter adds at most one u to the sums, so no packed
+    coefficient exceeds L^2 in absolute value."""
+    letters = word.letters
+    low, high = _exponent_range(letters)
+    width = ((len(letters) ** 2).bit_length() + 8) & -8
+    span = high - low
+    ones = [1 << (width * j) for j in range(span)]
+    n = u = 0
+    groups = {"x": {}, "y": {}}
+    for gen, sign in letters:
+        group = groups[gen]
+        if sign > 0:
+            group[n] = group.get(n, 0) + u
+            if gen == "y":
+                u += ones[n - low]
+            n += 1
+        else:
+            n -= 1
+            if gen == "y":
+                u -= ones[n - low]
+            group[n] = group.get(n, 0) - u
+    top = high - 1
+    x12, y12 = (
+        _terms(
+            sum([u_m << (width * (top - m)) for m, u_m in group.items()]),
+            width, 2 * span - 1, 2 * (low - top) + 1,
+        )
+        for group in groups.values()
+    )
+    return n, _terms(u, width, span, 2 * low + 1), x12, y12
+
+
+def burde_de_rham_oracle(branch, relator):
+    """The representation of ``reps.burde_de_rham_assignment`` on
+    ``branch``, with the relator's identity checked on the word: its
+    image [[t^n, b], [0, t^-n]] from :func:`image_terms` must have
+    n = 0 and b/t = 0 mod F, else the same ValueError."""
+    rep = MeridianRep(QuotientRing(branch))
+    n, b = image_terms(relator)
+    if n or rep.ring.evaluate([tau_terms(b, -1)])[0]:
+        raise ValueError(
+            "relator does not map to the identity on this branch: the "
+            "modulus does not divide the Alexander polynomial"
+        )
+    return rep
+
+
+def relator_system(relators, rep):
+    """The knot system of ``cohomology.knot_rows`` from the words: the
+    live columns (a1, a2, b2) of the stacked 3x6 blocks of
+    ``cohomology.word_value_blocks``, one per relator (a single zero row
+    when there are none); the nullity is dim H^1 of the presented
+    group.  Every block row (a0, a1, a2 | b0, b1, b2) is checked first
+    to kill every coboundary, a0 = b0 = 0 and b1 = (tau - 1)(a2 + b2),
+    else the same AssertionError.  The blocks are looked up in
+    ``cohomology`` at call time, where a test may patch them."""
+    tau_minus_one = rep.tau - 1
+    rows = []
+    for relator in relators:
+        mx, my = cohomology.word_value_blocks(relator, rep)
+        for (a0, a1, a2), (b0, b1, b2) in zip(mx.rows, my.rows):
+            if a0 or b0 or b1 != tau_minus_one * (a2 + b2):
+                raise AssertionError("a coboundary escaped the cocycle space")
+            rows.append((a1, a2, b2))
+    return MatrixOverField(rows or [(rep.ring.zero,) * 3], rep.ring)
+
+
+def longitude_row(longitude, rep):
+    """The longitude row of ``cohomology.knot_rows`` from the word: the
+    live columns (x11, x12, y12) of row 1 of the longitude's blocks,
+    x11 and y11 its exponent sums and x12, y12 from :func:`row_terms`
+    in the basis (v+, t v0, v-) and in tau.  Its image must have n = 0
+    and b/t = 0 mod F (else the same ValueError), and its row must pass
+    y11 = (tau - 1)(x12 + y12) (else the same AssertionError)."""
+    n, u, x12, y12 = row_terms(longitude)
+    if n:
+        raise ValueError(_LONGITUDE_OFF_IDENTITY)
+    b, x12, y12 = rep.ring.evaluate([tau_terms(terms, -1) for terms in (u, x12, y12)])
+    if b:
+        raise ValueError(_LONGITUDE_OFF_IDENTITY)
+    if (rep.tau - 1) * (x12 + y12) != longitude.exponent_sum("y"):
+        raise AssertionError("a coboundary escaped the cocycle space")
+    return longitude.exponent_sum("x"), x12, y12
+
+
 def meridian_walk(word, rep):
     """The image of ``word`` under the :class:`TBasisRep` ``rep``, from
-    the integer walk ``reps._image_terms`` and one evaluation at t per
+    the integer walk ``image_terms`` and one evaluation at t per
     entry."""
-    n, b = _image_terms(word)
+    n, b = image_terms(word)
     ring = rep.ring
     t_n, b_value, t_minus_n = ring.evaluate([{n: 1}, b, {-n: 1}])
     return Mat2(t_n, b_value, ring.zero, t_minus_n)
@@ -313,10 +429,10 @@ def alexander_via_rep_oracle(fraction):
 
 def alexander_via_rep_word(fraction):
     """``reps.alexander_via_rep`` on the word: the image of the
-    presentation's ``w`` through ``reps._image_terms``, then the
+    presentation's ``w`` through ``image_terms``, then the
     upper-right entry (t - 1/t) b - t^n of x W - W y, halved exponents
     and the shared normalizer."""
-    n, b = _image_terms(build_presentation(fraction).w)
+    n, b = image_terms(build_presentation(fraction).w)
     difference = {n: -1}
     for k, c in b.items():
         difference[k + 1] = difference.get(k + 1, 0) + c

@@ -13,6 +13,7 @@ from helpers import (
     CocycleValues,
     TBasisRep,
     adjoint,
+    burde_de_rham_oracle,
     coboundary_values,
     eval_cocycle,
     eval_word_matrix,
@@ -24,22 +25,19 @@ from helpers import (
     random_unimodular_laurent,
     random_word,
     relator_block_rows,
+    relator_system,
     system_numeric_rank_at,
 )
 from lodehn.certify import certify, check_rigidity
 from lodehn.cli import build_report, main
 from lodehn.cohomology import (
     family_cocycle_forms,
-    relator_system,
+    knot_walk,
     vanishing_identity,
 )
 from lodehn.polynomials import LaurentPoly, Poly, squarefree_decomposition, sturm_count
 from lodehn.quotient import LaurentRing, MatrixOverField, ModulusBranch, QuotientRing
-from lodehn.reps import (
-    alexander_via_fox,
-    alexander_via_rep,
-    burde_de_rham_assignment,
-)
+from lodehn.reps import alexander_via_fox, alexander_via_rep
 from lodehn.twobridge import (
     TwoBridgeFraction,
     build_presentation,
@@ -117,11 +115,11 @@ def test_criterion_5_vanishing_identities():
 def test_criterion_6_main_vanishing():
     started = time.monotonic()
     for j in range(1, 21):
-        fraction = family_fraction(j)
+        walk = knot_walk(build_presentation(family_fraction(j)))
         delta = _family_delta(j)
         for factor, mult in squarefree_decomposition(delta):
             branch = ModulusBranch(factor)
-            reports = check_rigidity(build_presentation(fraction), branch, factor, mult)
+            reports = check_rigidity(walk, branch, factor, mult)
             assert reports
             for report in reports:
                 assert (report.h1_knot, report.h1_filled) == (1, 0)
@@ -182,7 +180,7 @@ def test_criterion_8_property_suites():
         fraction = family_fraction(j)
         pres = build_presentation(fraction)
         branch = ModulusBranch(_family_delta(j).monic())
-        branch_rep = burde_de_rham_assignment(branch, pres.relator)
+        branch_rep = burde_de_rham_oracle(branch, pres.relator)
         for relators in ([pres.relator], [pres.relator, pres.longitude]):
             block_rows = relator_block_rows(relators, branch_rep)
             for k in range(3):
@@ -244,7 +242,7 @@ def test_criterion_9_cross_knot_oracles():
     fixture = load_fixture("figure_eight_dims.json")
     delta = Poly(fixture["alexander"])
     branch = ModulusBranch(delta)
-    reports = check_rigidity(build_presentation(fig8), branch, delta, 1)
+    reports = check_rigidity(knot_walk(build_presentation(fig8)), branch, delta, 1)
     branches = build_report(certify(fig8), {})["branches"]
     assert reports and len(branches) == len(reports)
     for report, written in zip(reports, branches):

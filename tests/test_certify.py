@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import load_fixture, nullspace_oracle, six_row_filled_leaves
+from helpers import (
+    burde_de_rham_oracle,
+    load_fixture,
+    nullspace_oracle,
+    six_row_filled_leaves,
+)
 from lodehn.certify import (
     Verdict,
     _inflated,
@@ -14,7 +19,7 @@ from lodehn.certify import (
     verdict_from,
 )
 from lodehn.cli import build_report
-from lodehn.cohomology import cohomology_dims, relator_system
+from lodehn.cohomology import cohomology_dims, knot_rows, knot_walk
 from lodehn.polynomials import (
     Poly,
     isolate_real_roots,
@@ -22,7 +27,7 @@ from lodehn.polynomials import (
     sturm_count,
 )
 from lodehn.quotient import MatrixOverField, ModulusBranch, QuotientRing
-from lodehn.reps import alexander_via_rep, burde_de_rham_assignment
+from lodehn.reps import alexander_via_rep
 from lodehn.twobridge import TwoBridgeFraction, build_presentation, family_fraction
 
 DELTA1 = Poly([1, -7, 13, -7, 1])
@@ -88,7 +93,7 @@ def test_qualifying_roots_match_the_sturm_count_of_the_simple_factors():
 
 def test_check_rigidity_k1():
     reports = check_rigidity(
-        build_presentation(TwoBridgeFraction(29, 17)),
+        knot_walk(build_presentation(TwoBridgeFraction(29, 17))),
         ModulusBranch(DELTA1),
         DELTA1,
         1,
@@ -105,7 +110,7 @@ def test_check_rigidity_family(j):
     fraction = family_fraction(j)
     delta = Poly([j, -(6 * j + 1), 10 * j + 3, -(6 * j + 1), j])
     branch = ModulusBranch(delta)
-    for report in check_rigidity(build_presentation(fraction), branch, delta, 1):
+    for report in check_rigidity(knot_walk(build_presentation(fraction)), branch, delta, 1):
         assert report.rigid
         assert report.h1_knot == 1
 
@@ -135,8 +140,8 @@ def test_longitude_row_one_fills_like_the_six_row_system():
     leaves = 0
     for pres, factor, multiplicity in cases:
         branch = ModulusBranch(factor)
-        reports = check_rigidity(pres, branch, factor, multiplicity)
-        rep = burde_de_rham_assignment(branch, pres.relator)
+        reports = check_rigidity(knot_walk(pres), branch, factor, multiplicity)
+        rep = burde_de_rham_oracle(branch, pres.relator)
         assert [(r.modulus, r.lineage, r.h1_filled) for r in reports] == [
             (modulus.inflate(2), tuple(_inflated(rec) for rec in lineage), h1)
             for modulus, lineage, h1 in six_row_filled_leaves(pres, rep)
@@ -155,7 +160,7 @@ def test_relator_is_identity_on_a_proper_factor_of_the_branch():
     # branch and reduces them onto each leaf.  Every leaf modulus divides
     # the branch modulus and reduction is a ring homomorphism, so the
     # reduced rows are the rows of the leaf's own representation (whose
-    # relator burde_de_rham_assignment checks again), and the branch
+    # relator residue knot_rows checks again), and the branch
     # representation gives the leaf's cohomology.
     cases = (
         # one Alexander factor, Phi6 * Phi18
@@ -164,31 +169,24 @@ def test_relator_is_identity_on_a_proper_factor_of_the_branch():
         (TwoBridgeFraction(147, 53), (PHI6, Poly([1, Fraction(-3, 2), 1])), True),
     )
     for fraction, factors, filled_splits in cases:
-        pres = build_presentation(fraction)
+        walk = knot_walk(build_presentation(fraction))
         modulus = factors[0] * factors[1]
         product = Poly([1])
         for factor, _ in squarefree_decomposition(alexander_via_rep(fraction)):
             product = product * factor.monic()
         assert product == modulus
-        rep = burde_de_rham_assignment(ModulusBranch(modulus), pres.relator)
-        knot = relator_system([pres.relator], rep)
-        longitude = relator_system([pres.longitude], rep)
-        filled = MatrixOverField(knot.entries + longitude.entries, rep.ring)
+        knot, row = knot_rows(walk, ModulusBranch(modulus))
+        filled = MatrixOverField(knot.entries + (row,), knot.ring)
         assert len(knot.nullspace()) == 1
         assert (len(filled.nullspace()) > 1) == filled_splits
         for factor in factors:
             ring = QuotientRing(ModulusBranch(factor))
-            own_rep = burde_de_rham_assignment(ring.branch, pres.relator)
-            own_knot = relator_system([pres.relator], own_rep)
-            own_longitude = relator_system([pres.longitude], own_rep)
+            own_knot, own_row = knot_rows(walk, ring.branch)
             assert MatrixOverField(knot.entries, ring).entries == own_knot.entries
-            assert (
-                MatrixOverField(longitude.entries, ring).entries
-                == own_longitude.entries
-            )
+            assert MatrixOverField([row], ring).entries == (own_row,)
             for rows, own_rows in (
                 (knot.entries, own_knot.entries),
-                (filled.entries, own_knot.entries + own_longitude.entries),
+                (filled.entries, own_knot.entries + (own_row,)),
             ):
                 reduced = cohomology_dims(MatrixOverField(rows, ring))
                 own = cohomology_dims(MatrixOverField(own_rows, ring))
@@ -210,7 +208,7 @@ def test_figure_eight_matches_independent_oracle():
     delta = Poly(fixture["alexander"])
     assert certify(fraction).alexander == delta
     branch = ModulusBranch(delta)
-    reports = check_rigidity(build_presentation(fraction), branch, delta, 1)
+    reports = check_rigidity(knot_walk(build_presentation(fraction)), branch, delta, 1)
     # the oracle dims agree at every root, so each leaf (whatever the
     # split pattern) must carry exactly those dimensions, and so must
     # each branch of the JSON report
@@ -320,17 +318,14 @@ def test_certify_mixed_multiplicity_knot():
     assert all(r.h1_knot == 1 for r in result.reports)
 
     # back the non-rigid dims with the floating oracle at every root
-    from helpers import numeric_roots, system_numeric_rank_at
-    from lodehn.cohomology import relator_system
-    from lodehn.reps import burde_de_rham_assignment
-    from lodehn.twobridge import build_presentation
+    from helpers import numeric_roots, relator_system, system_numeric_rank_at
 
     pres = build_presentation(TwoBridgeFraction(147, 53))
     for report in result.reports:
         # the report's modulus is F(t^2); the systems live over Q[tau]/(F)
         branch = ModulusBranch(Poly(report.modulus.coeffs[0::2]))
         assert branch.modulus.inflate(2) == report.modulus
-        rep = burde_de_rham_assignment(branch, pres.relator)
+        rep = burde_de_rham_oracle(branch, pres.relator)
         for relators, h1 in (
             ([pres.relator], report.h1_knot),
             ([pres.relator, pres.longitude], report.h1_filled),

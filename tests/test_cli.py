@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import os
@@ -9,13 +8,14 @@ from math import gcd
 
 import pytest
 
+from helpers import image_terms
 from lodehn import cli, reps, twobridge
 from lodehn.certify import analyze_roots, certify, check_rigidity
 from lodehn.cli import build_parser, canonical_report, decimal_string, main
-from lodehn.cohomology import ClosedFormMismatch
+from lodehn.cohomology import ClosedFormMismatch, knot_walk
 from lodehn.polynomials import LaurentPoly, Poly
 from lodehn.quotient import ModulusBranch
-from lodehn.reps import alexander_polynomial
+from lodehn.reps import alexander_polynomial, tau_terms
 from lodehn.twobridge import TwoBridgeFraction, build_presentation
 from lodehn.words import Word
 from fractions import Fraction
@@ -374,17 +374,25 @@ def test_alexander_value_at_one_exits_2_from_both_commands(delta, value, monkeyp
 @pytest.mark.parametrize("longitude", ["x", "xyx^-1y^-1"])
 def test_longitude_off_the_identity_exits_2(longitude, monkeypatch, capsys):
     # Filling with the longitude's row 1 alone rests on rho(longitude) = I.
-    # A longitude with a nonzero exponent sum (x) or with n = 0 and b/t
-    # not 0 mod F (the commutator) must raise in check_rigidity, and
-    # certify must exit 2 with one error line.
+    # The walk of 29/17 corrupted to describe the longitude lambda g, for
+    # g = x (a nonzero exponent sum) or the commutator (n = 0, and b/t,
+    # here from the word walk of lambda g, not 0 mod F), must raise in
+    # check_rigidity, and certify must exit 2 with one error line.
     pres = build_presentation(TwoBridgeFraction(29, 17))
-    patched = dataclasses.replace(pres, longitude=Word.parse(longitude))
+    g = Word.parse(longitude)
+    n, b = image_terms(pres.longitude * g)
+    walk = knot_walk(pres)
+    patched = walk._replace(
+        x11=walk.x11 + g.exponent_sum("x"),
+        y11=walk.y11 + g.exponent_sum("y"),
+        longitude=walk.longitude if n else tau_terms(b, -1),
+    )
     (factor, multiplicity), = analyze_roots(alexander_polynomial(pres.fraction))
     with pytest.raises(ValueError, match="longitude does not map to the identity"):
         check_rigidity(patched, ModulusBranch(factor), factor, multiplicity)
     # The package exports the function certify under the module's name.
     certify_module = importlib.import_module("lodehn.certify")
-    monkeypatch.setattr(certify_module, "build_presentation", lambda fraction: patched)
+    monkeypatch.setattr(certify_module, "knot_walk", lambda pres: patched)
     assert main(["certify", "--pq", "29/17", "--quiet"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

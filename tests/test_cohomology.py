@@ -8,14 +8,18 @@ from helpers import (
     L,
     TBasisRep,
     adjoint,
+    burde_de_rham_oracle,
+    census,
     coboundary_values,
     eval_cocycle,
     eval_word_matrix,
     geometric_sum_oracle,
     h0_oracle,
     generator_adjoints,
+    image_terms,
     leaf_records,
     load_fixture,
+    longitude_row,
     matrix_times,
     meridian_walk,
     normalized_representative,
@@ -23,6 +27,8 @@ from helpers import (
     poly_gcd,
     random_word,
     relator_block_rows,
+    relator_system,
+    row_terms,
     to_tau_basis,
     word_value_blocks_oracle,
 )
@@ -31,11 +37,10 @@ from lodehn.cohomology import (
     ClosedFormMismatch,
     _block_terms,
     _geometric_sum,
-    _row_terms,
     cohomology_dims,
     family_cocycle_forms,
-    longitude_row,
-    relator_system,
+    knot_rows,
+    knot_walk,
     vanishing_identity,
     word_value_blocks,
 )
@@ -51,10 +56,9 @@ from lodehn.quotient import (
 from lodehn.reps import (
     Mat3,
     MeridianRep,
-    _image_terms,
     alexander_via_rep,
-    burde_de_rham_assignment,
     f_upper_entry,
+    tau_terms,
 )
 from lodehn.twobridge import (
     FAMILY_S,
@@ -189,7 +193,7 @@ def _branch_reps(fraction):
     pres = build_presentation(fraction)
     reps = []
     for factor, _ in squarefree_decomposition(alexander_via_rep(fraction)):
-        reps.append(burde_de_rham_assignment(ModulusBranch(factor), pres.relator))
+        reps.append(burde_de_rham_oracle(ModulusBranch(factor), pres.relator))
     return pres, reps
 
 
@@ -268,7 +272,7 @@ def test_packed_walk_holds_wide_coefficients_and_wide_exponent_spans():
 def _k1_rep():
     pres = build_presentation(TwoBridgeFraction(29, 17))
     branch = ModulusBranch(DELTA1)
-    return pres, burde_de_rham_assignment(branch, pres.relator)
+    return pres, burde_de_rham_oracle(branch, pres.relator)
 
 
 def test_trivial_relator_gives_zero_block():
@@ -308,7 +312,7 @@ def test_family_filled_cohomology_vanishes(j):
     pres = build_presentation(family_fraction(j))
     delta = Poly([j, -(6 * j + 1), 10 * j + 3, -(6 * j + 1), j])
     branch = ModulusBranch(delta.monic())
-    rep = burde_de_rham_assignment(branch, pres.relator)
+    rep = burde_de_rham_oracle(branch, pres.relator)
     system = relator_system([pres.relator, pres.longitude], rep)
     for leaf in cohomology_dims(system):
         assert leaf.dim == 0
@@ -401,7 +405,7 @@ def test_rank_elimination_matches_the_echelon_oracle():
 
     pres, reps = _branch_reps(TwoBridgeFraction(147, 53))
     product = reps[0].ring.branch.modulus * reps[1].ring.branch.modulus
-    rep = burde_de_rham_assignment(ModulusBranch(product), pres.relator)
+    rep = burde_de_rham_oracle(ModulusBranch(product), pres.relator)
     _assert_ranks_match_the_oracle(relator_system([pres.relator], rep))
     filled = relator_system([pres.relator, pres.longitude], rep)
     assert len(_assert_ranks_match_the_oracle(filled)) == 2
@@ -471,15 +475,127 @@ def _patch_one_block_entry(monkeypatch, row, column):
     monkeypatch.setattr(cohomology, "word_value_blocks", patched)
 
 
+def test_knot_walk_rows_match_the_word_oracles():
+    # knot_walk reads every row off one walk of w by the cocycle law and
+    # rho(relator) = I; the oracles walk the relator and the longitude
+    # words.  The two identity residues agree as Laurent polynomials in
+    # tau: the relator's b/t is t^n ((t - 1/t) b - t^n) for w's image,
+    # and the longitude's b/t is that of x^-2n W V.  On each branch the
+    # knot rows, all six entries of each, and the longitude row agree
+    # entry by entry: on every branch of the census and long-word
+    # fixtures, on 115/42 (a split), 289/38 (knot rank 1), 343/123 (a
+    # cubed factor) and on the family for j <= 20.
+    fractions = list(_fixture_fractions("census_p23.json"))
+    fractions += _fixture_fractions("long_words.json")
+    fractions += [TwoBridgeFraction(p, q) for p, q in ((115, 42), (289, 38), (343, 123))]
+    fractions += [family_fraction(j) for j in range(1, 21)]
+    branches = 0
+    for fraction in fractions:
+        pres, reps = _branch_reps(fraction)
+        walk = knot_walk(pres)
+        n, b = image_terms(pres.relator)
+        assert n == 0 and walk.relator == tau_terms(b, -1)
+        n, u, _, _ = row_terms(pres.longitude)
+        assert n == 0 and walk.longitude == tau_terms(u, -1)
+        longitude = pres.longitude
+        assert (walk.x11, walk.y11) == (longitude.exponent_sum("x"), longitude.exponent_sum("y"))
+        for rep in reps:
+            zero, one = rep.ring.zero, rep.ring.one
+            a0, a1, a2, b0, b1, b2, b2_1, a2_2, b2_2 = rep.ring.evaluate(walk.rows)
+            assert relator_block_rows([pres.relator], rep) == [
+                (a0, a1, a2, b0, b1, b2),
+                (zero, one, zero, zero, -one, b2_1),
+                (zero, zero, a2_2, zero, zero, b2_2),
+            ]
+            knot, row = knot_rows(walk, rep.ring.branch)
+            assert knot.entries == relator_system([pres.relator], rep).entries
+            assert row == longitude_row(longitude, rep)
+            branches += 1
+    assert (len(fractions), branches) == (64, 65)
+
+
+def _walk_blocks(sums, counts, u_sums, u_squared_sums):
+    """Entries 00, 01, 02, 11, 12 and 22 of one generator's block from
+    the per-m sums of ``cohomology._riley_walk``, in t, term by term."""
+    low, width = sums.low, sums.width
+    span = len(counts)
+    entries = [{}, {}, {}, {}, {}, {}]
+
+    def add(entry, terms, shift, scale=1):
+        for e, c in terms.items():
+            entry[e + shift] = entry.get(e + shift, 0) + scale * c
+
+    for j, (c, u_m, v_m) in enumerate(zip(counts, u_sums, u_squared_sums)):
+        m = low + j
+        add(entries[0], {2 * m: c}, 0)
+        add(entries[3], {0: c}, 0)
+        add(entries[5], {-2 * m: c}, 0)
+        u_terms = cohomology._terms(u_m, width, span, 2 * low + 1)
+        add(entries[1], u_terms, 0, -2)
+        add(entries[4], u_terms, -2 * m)
+        v_terms = cohomology._terms(v_m, width, 2 * span - 1, 4 * low + 2)
+        add(entries[2], v_terms, -2 * m, -1)
+    return [{e: c for e, c in entry.items() if c} for entry in entries]
+
+
+def test_riley_walk_sums_w_and_v_in_one_pass():
+    # One pass over w's letters keeps w's image and sums, and v's u and
+    # sums read at the same letters with x and y exchanged.  w's blocks
+    # from those sums are _block_terms(w); v's image and entries 12 are
+    # row_terms(v), and v's counts, w's exchanged, give its entries 22.
+    fractions = [TwoBridgeFraction(*map(int, f.split("/"))) for f in census(41)]
+    fractions += _fixture_fractions("long_words.json")
+    fractions += [TwoBridgeFraction(p, q) for p, q in ((115, 42), (289, 38), (343, 123))]
+    for fraction in fractions:
+        pres = build_presentation(fraction)
+        sums = cohomology._riley_walk(pres.w.letters)
+        span = len(sums.counts[0])
+        w_blocks = []
+        for g in (0, 1):
+            w_blocks += _walk_blocks(
+                sums, sums.counts[g], sums.u_sums[g], sums.u_squared_sums[g]
+            )
+        assert w_blocks == _block_terms(pres.w)
+        n, b = image_terms(pres.w)
+        u = cohomology._terms(sums.u, sums.width, span, 2 * sums.low + 1)
+        assert (sums.n, u) == (n, {e + n: c for e, c in b.items()})
+        no_squares = [0] * span
+        v_blocks = [
+            _walk_blocks(sums, sums.counts[1 - g], sums.v_u_sums[g], no_squares)
+            for g in (0, 1)
+        ]
+        u_v = cohomology._terms(sums.u_v, sums.width, span, 2 * sums.low + 1)
+        assert row_terms(pres.v) == (sums.n, u_v, v_blocks[0][4], v_blocks[1][4])
+        v_terms = _block_terms(pres.v)
+        assert (v_blocks[0][5], v_blocks[1][5]) == (v_terms[5], v_terms[11])
+
+
+def _patch_one_walk_term(monkeypatch, index):
+    """Make every ``knot_walk`` return its polynomial ``index``, in the
+    order it unpacks them (the relator residue, the longitude image, the
+    nine knot row entries, x12 and y12), with 1 added at tau^0."""
+    unpacked = cohomology._unpack_terms
+
+    def patched(polys, width):
+        terms = unpacked(polys, width)
+        terms[index] = {**terms[index], 0: terms[index].get(0, 0) + 1}
+        return terms
+
+    monkeypatch.setattr(cohomology, "_unpack_terms", patched)
+
+
 def test_coboundary_check_catches_a_corrupted_system(monkeypatch):
     # One relator entry off by 1 on the 29/17 branch: row 0 then sends
     # the coboundary of v+ to tau - 1, a unit on every leaf.
-    pres, (rep,) = _branch_reps(TwoBridgeFraction(29, 17))
-    system = relator_system([pres.relator], rep)
+    pres = build_presentation(TwoBridgeFraction(29, 17))
+    walk = knot_walk(pres)
+    branch = ModulusBranch(DELTA1)
+    system, _ = knot_rows(walk, branch)
     assert [leaf.dim for leaf in cohomology_dims(system)] == [1]
-    _patch_one_block_entry(monkeypatch, 0, 0)
+    # Entry a0 of row 0, the first of the knot rows.
+    _patch_one_walk_term(monkeypatch, 2)
     with pytest.raises(AssertionError, match="a coboundary escaped the cocycle space"):
-        relator_system([pres.relator], rep)
+        knot_rows(knot_walk(pres), branch)
 
 
 def test_longitude_row_is_row_one_of_the_blocks():
@@ -496,8 +612,8 @@ def test_longitude_row_is_row_one_of_the_blocks():
     words += [(y * X) ** 500, (Y * x) ** 500, x**150 * y * X**300 * Y * x**150, Word()]
     for word in words:
         terms = _block_terms(word)
-        n, b = _image_terms(word)
-        assert _row_terms(word) == (
+        n, b = image_terms(word)
+        assert row_terms(word) == (
             n, {e + n: c for e, c in b.items()}, terms[4], terms[10]
         )
         for entry, gen in ((terms[3], "x"), (terms[9], "y")):
@@ -520,16 +636,13 @@ def test_coboundary_check_catches_a_corrupted_longitude_row(monkeypatch, capsys)
     # x12 off by t (1 in tau after the shift into the basis): the check
     # y11 = (tau - 1)(x12 + y12) then misses by tau - 1, a unit, and
     # certify exits 2 with one error line instead of a verdict.
-    pres, (rep,) = _branch_reps(TwoBridgeFraction(29, 17))
-    assert len(longitude_row(pres.longitude, rep)) == 3
-
-    def corrupted(word):
-        n, u, x12, y12 = _row_terms(word)
-        return n, u, {**x12, 1: x12.get(1, 0) + 1}, y12
-
-    monkeypatch.setattr(cohomology, "_row_terms", corrupted)
+    pres = build_presentation(TwoBridgeFraction(29, 17))
+    branch = ModulusBranch(DELTA1)
+    assert len(knot_rows(knot_walk(pres), branch)[1]) == 3
+    # x12 of the longitude row, the last but one.
+    _patch_one_walk_term(monkeypatch, 11)
     with pytest.raises(AssertionError, match="a coboundary escaped the cocycle space"):
-        longitude_row(pres.longitude, rep)
+        knot_rows(knot_walk(pres), branch)
     assert cli.main(["certify", "--pq", "29/17", "--quiet"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -612,7 +725,7 @@ def test_tau_systems_agree_with_the_t_basis_oracle():
         cases += [(pres, rep) for rep in reps]
     pres, reps = _branch_reps(TwoBridgeFraction(147, 53))
     product = reps[0].ring.branch.modulus * reps[1].ring.branch.modulus
-    cases.append((pres, burde_de_rham_assignment(ModulusBranch(product), pres.relator)))
+    cases.append((pres, burde_de_rham_oracle(ModulusBranch(product), pres.relator)))
     splits = 0
     for pres, rep in cases:
         t_rep = _t_rep(rep)
@@ -671,7 +784,7 @@ def test_cohomology_dims_on_a_system_that_splits():
     # branch.
     pres, reps = _branch_reps(TwoBridgeFraction(147, 53))
     product = reps[0].ring.branch.modulus * reps[1].ring.branch.modulus
-    rep = burde_de_rham_assignment(ModulusBranch(product), pres.relator)
+    rep = burde_de_rham_oracle(ModulusBranch(product), pres.relator)
     leaves = cohomology_dims(relator_system([pres.relator, pres.longitude], rep))
     assert len(leaves) == 2
     assert leaves[0].branch.modulus * leaves[1].branch.modulus == product
@@ -712,7 +825,7 @@ def test_normalized_cocycles_satisfy_delta_equals_alpha():
         rows = relator_block_rows(relators, rep)
         for leaf in cohomology_dims(relator_system(relators, rep)):
             branch = leaf.branch
-            leaf_rep = burde_de_rham_assignment(branch, pres.relator)
+            leaf_rep = burde_de_rham_oracle(branch, pres.relator)
             # Z^1 = H^1 + B^1, and B^1 = 3.
             (oracle,) = nullspace_oracle(rows, branch)
             assert len(oracle.basis) == leaf.dim + 3

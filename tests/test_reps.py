@@ -12,19 +12,21 @@ from helpers import (
     alexander_via_fox_word,
     alexander_via_rep_oracle,
     alexander_via_rep_word,
+    burde_de_rham_oracle,
     eval_word_matrix,
     generator_adjoints,
     generator_images,
+    image_terms,
     meridian_walk,
     random_unimodular_laurent,
     random_word,
     to_tau_basis,
 )
+from lodehn.cohomology import knot_walk
 from lodehn.polynomials import Poly
 from lodehn.quotient import LaurentRing, ModulusBranch, QuotientRing
 from lodehn.reps import (
     MeridianRep,
-    _image_terms,
     alexander_via_fox,
     alexander_via_rep,
     burde_de_rham_assignment,
@@ -226,8 +228,8 @@ def test_normalize_clears_content():
 def test_burde_de_rham_on_k1_branch():
     pres = build_presentation(TwoBridgeFraction(29, 17))
     branch = ModulusBranch(DELTA1)
-    rep = burde_de_rham_assignment(branch, pres.relator)
-    assert rep.ring.branch is branch
+    rep, values = burde_de_rham_assignment(branch, [knot_walk(pres).relator])
+    assert rep.ring.branch is branch and values == []
     # Over t, on the lifted branch, the relator maps to the identity; the
     # longitude lies in the second commutator subgroup, so it maps to the
     # identity as well.
@@ -248,7 +250,7 @@ def test_adjoints_built_on_first_use_invert_each_other():
     for fraction in (TwoBridgeFraction(29, 17), TwoBridgeFraction(53, 31)):
         pres = build_presentation(fraction)
         branch = ModulusBranch(alexander_via_fox(fraction))
-        rep = burde_de_rham_assignment(branch, pres.relator)
+        rep, _ = burde_de_rham_assignment(branch, [knot_walk(pres).relator])
         assert rep.tau == branch.t() and rep.tau * rep.tau_inverse == 1
         t_ring = QuotientRing(ModulusBranch(branch.modulus.inflate(2)))
         cases.append((rep, TBasisRep(t_ring)))
@@ -268,7 +270,7 @@ def test_adjoints_built_on_first_use_invert_each_other():
 def test_burde_de_rham_rejects_non_root_branch():
     pres = build_presentation(TwoBridgeFraction(3, 1))
     with pytest.raises(ValueError, match="relator"):
-        burde_de_rham_assignment(ModulusBranch(Poly([-2, 1])), pres.relator)
+        burde_de_rham_assignment(ModulusBranch(Poly([-2, 1])), [knot_walk(pres).relator])
 
 
 def test_meridian_walk_image_matches_eval_word_matrix():
@@ -289,10 +291,12 @@ def test_meridian_walk_image_matches_eval_word_matrix():
 
 
 def test_relator_check_rejects_a_nonzero_exponent_sum():
-    # The check is n = 0, not t^n = 1 mod F(t^2): t^n with n odd is not
-    # in Q[tau].  On 9/1's branch Phi6 * Phi18 in tau (Phi12 * Phi36 in
-    # t), x^36 maps to the identity over t, and the check still refuses
-    # it, as it refuses x^12 and y^12 (whose images are not the identity).
+    # The word oracle's check is n = 0, not t^n = 1 mod F(t^2): t^n with
+    # n odd is not in Q[tau].  On 9/1's branch Phi6 * Phi18 in tau
+    # (Phi12 * Phi36 in t), x^36 maps to the identity over t, and the
+    # check still refuses it, as it refuses x^12 and y^12 (whose images
+    # are not the identity).  The walk's residue needs no such check:
+    # x w y^-1 w^-1 has exponent sum 0 for every w.
     branch = ModulusBranch(alexander_via_rep(TwoBridgeFraction(9, 1)))
     assert branch.degree == 8
     t_rep = TBasisRep(QuotientRing(ModulusBranch(branch.modulus.inflate(2))))
@@ -300,27 +304,35 @@ def test_relator_check_rejects_a_nonzero_exponent_sum():
     for word in (Word.parse("x"), Word.parse("x") ** 12, Word.parse("y") ** 12,
                  Word.parse("x") ** 36):
         with pytest.raises(ValueError, match="relator"):
-            burde_de_rham_assignment(branch, word)
-    relator = build_presentation(TwoBridgeFraction(9, 1)).relator
-    assert burde_de_rham_assignment(branch, relator).ring.branch is branch
+            burde_de_rham_oracle(branch, word)
+    pres = build_presentation(TwoBridgeFraction(9, 1))
+    assert burde_de_rham_oracle(branch, pres.relator).ring.branch is branch
+    rep, _ = burde_de_rham_assignment(branch, [knot_walk(pres).relator])
+    assert rep.ring.branch is branch
 
 
 def test_relator_check_rejects_another_knots_branch():
     # 29/17's relator on the branch of the figure-eight knot,
     # tau^2 - 3 tau + 1: the exponent sum is 0, so the nonzero residue of
-    # b/t, b the upper-right entry of the image, decides.
+    # b/t, b the upper-right entry of the image, decides.  The walk's
+    # residue (tau - 1) u/t - tau^n of w is that b/t.
     pres = build_presentation(TwoBridgeFraction(29, 17))
     branch = ModulusBranch(Poly([1, -3, 1]))
-    n, b = _image_terms(pres.relator)
+    n, b = image_terms(pres.relator)
     assert n == 0 and QuotientRing(branch).evaluate([tau_terms(b, -1)])[0]
-    with pytest.raises(ValueError, match="relator"):
-        burde_de_rham_assignment(branch, pres.relator)
+    assert knot_walk(pres).relator == tau_terms(b, -1)
+    for check in (
+        lambda: burde_de_rham_oracle(branch, pres.relator),
+        lambda: burde_de_rham_assignment(branch, [knot_walk(pres).relator]),
+    ):
+        with pytest.raises(ValueError, match="relator"):
+            check()
 
 
 def test_burde_de_rham_trefoil():
     pres = build_presentation(TwoBridgeFraction(3, 1))
     trefoil = Poly([1, -1, 1])  # tau^2 - tau + 1
-    rep = burde_de_rham_assignment(ModulusBranch(trefoil), pres.relator)
+    rep, _ = burde_de_rham_assignment(ModulusBranch(trefoil), [knot_walk(pres).relator])
     assert rep.ring.branch.modulus == trefoil
     t_rep = TBasisRep(QuotientRing(ModulusBranch(trefoil.inflate(2))))
     assert eval_word_matrix(pres.relator, t_rep).is_identity()

@@ -69,11 +69,11 @@ def test_observers_read_a_traced_certify_call():
     metrics = _traced_certify(29, 17)
     assert metrics["reps.burde_de_rham_assignment.calls"] == 1
     assert metrics["reps.burde_de_rham_assignment.calls_per_branch"] == 1.0
-    # The relator's blocks only: the longitude's one row has its own walk.
-    assert metrics["cohomology.word_value_blocks.calls"] == 1
-    # deg F for 29/17: the blocks live over Q[tau]/(F), tau = t^2
-    assert metrics["cohomology.word_value_blocks.modulus_degree_max"] == 4
-    assert metrics["cohomology.word_value_blocks.letters"] > 0
+    # No word's blocks: one walk of w (cohomology.knot_walk) gives every
+    # relator and longitude row, so the block observers read nothing.
+    assert metrics["cohomology.word_value_blocks.calls"] == 0
+    assert metrics["cohomology.word_value_blocks.modulus_degree_max"] == 0
+    assert metrics["cohomology.word_value_blocks.letters"] == 0
     assert metrics["quotient.MatrixOverField.nullspace.leaves"] >= 2
     # One elimination per relator system: the knot's and the 0-filled
     # group's on the one branch.

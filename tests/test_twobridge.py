@@ -121,6 +121,22 @@ def test_presentation_words_match_full_reduction():
                 assert all(id(letter) in shared for letter in word)
 
 
+def test_v_is_w_with_the_generators_exchanged():
+    # w = y^e1 x^e2 ... x^e(p-1) and e_i = e_(p-i), so w spelled
+    # backwards, v, is w with x and y exchanged: the premise of the one
+    # walk of w that gives v's entries too (cohomology.knot_walk).  Every
+    # fraction with p <= 151, every q, even q (q - p) included.
+    fractions = 0
+    for p in range(3, 152, 2):
+        for q in range(1, p):
+            if gcd(p, q) != 1:
+                continue
+            pres = build_presentation(TwoBridgeFraction(p, q))
+            assert pres.v == pres.w.generators_exchanged()
+            fractions += 1
+    assert fractions == 4700
+
+
 def test_presentation_matches_the_letter_by_letter_oracle():
     # build_presentation spells w from the exponents' even and odd
     # slices and takes the longitude correction from 2 * sum(exps); the

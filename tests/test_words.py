@@ -155,6 +155,20 @@ def test_products_powers_and_inverses_match_full_reduction():
             assert {id(letter) for letter in derived} <= shared
 
 
+def test_generators_exchanged_keeps_signs_and_order():
+    # x <-> y letter by letter, from the shared letter tuples; a reduced
+    # word stays reduced, and exchanging twice gives the word back.
+    shared = {id(letter) for letter in Word.parse("xyXY")}
+    assert Word.parse("xy^-1Xyy").generators_exchanged() == Word.parse("yx^-1Yxx")
+    rng = random.Random(41)
+    for a in [Word()] + [random_word(rng, rng.randint(0, 30)) for _ in range(100)]:
+        exchanged = a.generators_exchanged()
+        swap = {"x": "y", "y": "x"}
+        assert exchanged == Word([(swap[gen], sign) for gen, sign in a.letters])
+        assert {id(letter) for letter in exchanged} <= shared
+        assert exchanged.generators_exchanged() == a
+
+
 def test_constructor_rejects_unknown_generators_and_signs():
     for letters in ([("z", 1)], [("x", 1), ("X", -1)], [("x", 2)], [("y", 0)]):
         with pytest.raises(ValueError):
