@@ -31,7 +31,6 @@ from .polynomials import (
     Poly,
     RootForm,
     isolate_real_roots,
-    refine_isolating_interval,
     root_form,
     squarefree_decomposition,
 )
@@ -73,21 +72,41 @@ def meridian_trace_check(
 ) -> Tuple[bool, ...]:
     """Certify tr^2 = xi + 2 + 1/xi > 4 with xi = t^2 for every real
     root t of the t-side ``modulus`` F(t^2), a Poly or its
-    :class:`RootForm`, by refining each of its isolating ``intervals``
-    until it avoids -1, 0 and 1 so the squared interval misses 1.  F
-    has no root at 0 or 1 (see :class:`ModulusBranch`), so F(t^2) has
-    none at -1, 0 or 1, and the refinement ends."""
+    :class:`RootForm`, on each of its isolating ``intervals``, by exact
+    integer signs and no refinement.
+
+    The modulus must change sign across each interval (else
+    ValueError).  Each of -1, 0 and 1 inside the interval is then
+    evaluated exactly: a root there raises AssertionError (F would have
+    a root at tau = 0 or 1, which :class:`ModulusBranch` refuses), and
+    otherwise the side whose end values differ in sign, which holds the
+    root, is kept.  The interval left holds no unit point inside, so
+    its square misses 1 and xi != 1, which is tr^2 > 4 for real
+    t != 0."""
+    evaluate = (modulus if isinstance(modulus, RootForm) else root_form(modulus)).value
     verdicts = []
     for lo, hi in intervals:
-        while any(lo < point < hi for point in (-1, 0, 1)):
-            lo, hi = refine_isolating_interval(modulus, lo, hi, (hi - lo) / 2)
+        v_lo = evaluate(lo.numerator, lo.denominator)
+        v_hi = evaluate(hi.numerator, hi.denominator)
+        if not (v_lo < 0 < v_hi or v_hi < 0 < v_lo):
+            raise ValueError(f"the modulus does not change sign across ({lo}, {hi})")
+        for point in (-1, 0, 1):
+            if lo < point < hi:
+                value = evaluate(point, 1)
+                if not value:
+                    raise AssertionError(f"t = {point} is a root of the modulus")
+                if (value < 0) == (v_lo < 0):
+                    lo, v_lo = point, value
+                else:
+                    hi = point
+                    break
         if hi <= 0:
             lo, hi = -hi, -lo
         # xi now lies in a positive interval missing 1, so (xi-1)^2 > 0.
         xi_lo, xi_hi = lo * lo, hi * hi
         verdicts.append(xi_hi <= 1 or xi_lo >= 1)
     if not all(verdicts):
-        raise AssertionError("trace certification failed on a refined interval")
+        raise AssertionError("trace certification failed on an interval")
     return tuple(verdicts)
 
 

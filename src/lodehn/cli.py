@@ -139,10 +139,19 @@ def canonical_report(report: Dict) -> Dict:
 
 
 def decimal_string(value: Fraction, digits: int) -> str:
-    scaled = round(value * 10**digits)
+    """``value`` to ``digits`` decimals, rounded half to even."""
+    return _ratio_decimal(value.numerator, value.denominator, digits)
+
+
+def _ratio_decimal(num: int, den: int, digits: int) -> str:
+    """num/den, den > 0, to ``digits`` decimals, rounded half to even as
+    ``round`` rounds a Fraction, from integers alone."""
+    scaled, twice_rest = divmod(num * 10**digits, den)
+    twice_rest *= 2
+    if twice_rest > den or (twice_rest == den and scaled & 1):
+        scaled += 1
     sign = "-" if scaled < 0 else ""
-    scaled = abs(scaled)
-    whole, frac = divmod(scaled, 10**digits)
+    whole, frac = divmod(abs(scaled), 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
 
 
@@ -274,7 +283,10 @@ def _root_lines(delta: Poly, digits: int) -> List[str]:
     """One line per real root of ``delta``.  Its root form tells whether
     ``delta`` is square-free (the chain of its core ends in a constant);
     only when it is not does Yun's split run, with one form per factor.
-    Each form serves the isolation and the refinement of its roots."""
+    Each form serves the isolation and the refinement of its roots.  A
+    line reads the refined interval and the decimal of its midpoint off
+    the endpoints' numerators and denominators, with no Fraction
+    arithmetic."""
     form = root_form(delta)
     if form.squarefree:
         factors = [(form, 1)]
@@ -292,11 +304,11 @@ def _root_lines(delta: Poly, digits: int) -> List[str]:
     entries.sort(key=lambda e: e[0])
     lines = []
     for lo, hi, multiplicity in entries:
-        mid = (lo + hi) / 2
-        kind = "positive" if lo >= 0 else "negative"
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        kind = "positive" if ln >= 0 else "negative"
         lines.append(
-            f"root in ({_frac_str(lo)}, {_frac_str(hi)})"
-            f" ~ {decimal_string(mid, digits)}"
+            f"root in ({ln}/{ld}, {hn}/{hd})"
+            f" ~ {_ratio_decimal(ln * hd + hn * ld, 2 * ld * hd, digits)}"
             f"  {kind}, multiplicity {multiplicity}"
         )
     return lines

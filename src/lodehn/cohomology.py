@@ -516,21 +516,20 @@ def knot_rows(walk: KnotWalk, branch: ModulusBranch) -> Tuple[MatrixOverField, T
     ``branch``, and the longitude's row 1, both in the live columns
     (a1, a2, b2), from the walk of :func:`knot_walk`.
 
-    ``reps.burde_de_rham_assignment`` maps every polynomial of the walk
-    into the ring in one ``evaluate`` and checks the relator residue
+    ``reps.burde_de_rham_assignment`` maps tau and every polynomial of
+    the walk into the ring in one ``evaluate`` and checks the relator residue
     first (else ValueError).  Every knot row (a0, a1, a2 | b0, b1, b2)
     is then checked to kill every coboundary, a0 = b0 = 0 and
     b1 = (tau - 1)(a2 + b2) (else AssertionError).  The longitude must
     map to the identity: its exponent sum x11 + y11 must vanish, and b/t
     mod F (else ValueError).  Last its row is checked, y11 =
     (tau - 1)(x12 + y12) (its entries 10 vanish in every block)."""
-    rep, values = burde_de_rham_assignment(
+    ring, tau, values = burde_de_rham_assignment(
         branch, (walk.relator, walk.longitude, *walk.rows, *walk.row)
     )
     longitude, a0, a1, a2, b0, b1, b2, b2_1, a2_2, b2_2, x12, y12 = values
-    ring = rep.ring
     zero, one = ring.zero, ring.one
-    tau_minus_one = rep.tau - 1
+    tau_minus_one = tau - 1
     rows = (
         (a0, a1, a2, b0, b1, b2),
         (zero, one, zero, zero, -one, b2_1),

@@ -50,9 +50,11 @@ interval bisection nudges to when it meets that point as a midpoint.
 It finds that cell by Abbott's quadratic interval refinement
 ("Quadratic Interval Refinement for Real Roots"): secant guesses on the
 integer grid indices, with a sub-cell count that squares after each
-guess that lands, so a root to 10^-32 takes about 20 evaluations where
-bisection takes about 108.  Fractions are built only for the arguments
-and the results.
+guess that lands, so a root to 10^-32 takes about 18 evaluations where
+bisection takes about 108, and about 8 when a float estimate of the
+root proposes the first guess on a deep grid.  Floats only choose which
+grid points are evaluated, so the cell is the same.  Fractions are
+built only for the arguments and the results.
 
 Yun's ``squarefree_decomposition`` runs on integers too: the gcds are
 primitive pseudo-remainder sequences (``_int_gcd``), through
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import gcd, inf, lcm, nan
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -739,7 +741,8 @@ def refine_isolating_interval(
     p: Union[Poly, RootForm], lo: Fraction, hi: Fraction, max_width: Fraction
 ) -> Tuple[Fraction, Fraction]:
     """Shrink an isolating interval below ``max_width``: the interval
-    bisection returns, found by Abbott's quadratic interval refinement.
+    bisection returns, found by Abbott's quadratic interval refinement
+    from a float seed checked by exact signs.
 
     ``p`` is a Poly or its :class:`RootForm`; every form gives the same
     integer values, so the result does not depend on the form.  ``p``
@@ -765,15 +768,26 @@ def refine_isolating_interval(
     interval, at most once.  The search runs on integer numerators over
     one denominator; Fractions are built only for the arguments and the
     result.
+
+    On a grid deeper than ``_SEED_LEVEL`` levels, safeguarded Newton in
+    floats (:func:`_seed_guess`) proposes the first guess: the bracket
+    of 2^(k - ``_SEED_BITS``) cells on each side of its estimate.  Its
+    two grid points are evaluated exactly, like every secant guess, and
+    the search goes on from wherever their signs put the root; a float
+    overflow or a run that does not converge gives no guess and the
+    search of the whole grid.  Every cell rests on exact signs, and the
+    seed changes only the number of evaluations: about 8 per root at
+    10^-32 in place of 18.
     """
     lo, hi = _frac(lo), _frac(hi)
     max_width = _frac(max_width)
     if max_width <= 0:
         raise ValueError(f"max_width must be positive, got {max_width}")
     if isinstance(p, RootForm):
-        evaluate = p.value
+        ints, evaluate = p.ints, p.value
     else:
-        evaluate = partial(_eval_int, _int_multiple(p))
+        ints = _int_multiple(p)
+        evaluate = partial(_eval_int, ints)
     den = lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (den // lo.denominator)
     b = hi.numerator * (den // hi.denominator)
@@ -789,7 +803,10 @@ def refine_isolating_interval(
         v_hi = evaluate(a + (step << k), den)
         if not (v_lo < 0 < v_hi or v_hi < 0 < v_lo):
             raise ValueError(f"p does not change sign across ({lo}, {hi})")
-        i, on_root = _grid_cell(evaluate, a, step, den, 1 << k, v_lo, v_hi)
+        first = None
+        if k > _SEED_LEVEL:
+            first = _seed_guess(ints, a, step << k, den, k, v_lo, v_hi)
+        i, on_root = _grid_cell(evaluate, a, step, den, 1 << k, v_lo, v_hi, first)
         if not on_root:
             return Fraction(a + i * step, den), Fraction(a + (i + 1) * step, den)
         # Bisection's nudge: from the cell (g - h, g + h) of the coarsest
@@ -798,9 +815,79 @@ def refine_isolating_interval(
         a, b, den = 2 * (a + (i - h) * step), 2 * a + (2 * i + h) * step, 2 * den
 
 
+# The seed's bracket, 2^-(_SEED_BITS - 1) of the grid, leaves room for
+# a float estimate good to about 2^-46 of the interval; the secant
+# through a bracket that holds the root is good to about _SEED_S bits.
+_SEED_BITS = 40
+_SEED_LEVEL = _SEED_BITS + 8
+_SEED_S = 32
+_NEWTON_TOLERANCE = 2.0**-46
+_NEWTON_STEPS = 40
+
+
+def _seed_guess(
+    ints: Sequence[int], a: int, width: int, den: int, k: int, v_lo: int, v_hi: int
+) -> Optional[Tuple[int, int]]:
+    """The first guess ``(left, cell)`` of :func:`_grid_cell` on the
+    level-k grid of (a/den, (a + width)/den), whose end values are
+    ``v_lo`` and ``v_hi``: the bracket of the 2^(k - ``_SEED_BITS``)
+    cells on each side of the float estimate of :func:`_float_root`,
+    rounded to ``_SEED_BITS`` bits of the interval and kept inside it.
+    None when the floats overflow or the estimate is not a point of the
+    interval (NaN included)."""
+    try:
+        x_lo, span = a / den, width / den
+        x = _float_root(ints, x_lo, x_lo + span, v_lo > 0, v_lo / (v_lo - v_hi))
+        t = (x - x_lo) / span
+    except (OverflowError, ZeroDivisionError):
+        return None
+    if not 0 <= t <= 1:
+        return None
+    top = 1 << _SEED_BITS
+    m = min(max(round(t * top), 1), top - 1)
+    shift = k - _SEED_BITS
+    return (m - 1) << shift, 2 << shift
+
+
+def _float_root(
+    ints: Sequence[int], lo: float, hi: float, positive: bool, t: float
+) -> float:
+    """A float estimate of the root in (lo, hi) of the polynomial with
+    integer coefficients ``ints`` (ascending), which is positive at
+    ``lo`` when ``positive`` and changes sign once across the interval:
+    Newton from the regula falsi point lo + t (hi - lo), safeguarded by
+    the bracket that the float signs keep, whose midpoint replaces a
+    step that leaves it.  It stops when a Newton step is below
+    ``_NEWTON_TOLERANCE`` of the interval and returns NaN when none is
+    within ``_NEWTON_STEPS`` steps.  Float signs near the root may be
+    wrong, so the estimate is only a proposal (see
+    :func:`_seed_guess`)."""
+    tolerance = (hi - lo) * _NEWTON_TOLERANCE
+    x = lo + t * (hi - lo)
+    for _ in range(_NEWTON_STEPS):
+        value = slope = 0.0
+        for c in reversed(ints):
+            slope = slope * x + value
+            value = value * x + c
+        if not value:
+            return x
+        if (value > 0) == positive:
+            lo = x
+        else:
+            hi = x
+        step = value / slope if slope else inf
+        if abs(step) <= tolerance:
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = (lo + hi) / 2
+    return nan
+
+
 def _grid_cell(
     evaluate: Callable[[int, int], int],
     a: int, step: int, den: int, n: int, v_lo: int, v_hi: int,
+    first: Optional[Tuple[int, int]] = None,
 ) -> Tuple[int, bool]:
     """``(i, False)`` for the cell (x_i, x_(i+1)) holding the root of
     the polynomial whose integer values ``evaluate`` gives, on the grid
@@ -817,13 +904,24 @@ def _grid_cell(
     side that holds the root and s halves.  Every bracket holds the
     root, and none but a single cell holds no grid point inside, so the
     cell is reached, or the root found on the grid.
+
+    ``first``, a sub-cell ``(left, cell)`` of the grid, replaces the
+    first secant guess (see :func:`_seed_guess`).  Its two grid points
+    are evaluated as any guess's are; when the root lies between them
+    the search goes on at s = ``_SEED_S``, else at s = 1 from the side
+    that holds the root.
     """
     lo, hi, s = 0, n, 1
     positive = v_lo > 0
     while hi - lo > 1:
-        width = hi - lo
-        cell = width >> s or 1
-        left = lo + width * v_lo // (v_lo - v_hi) // cell * cell
+        if first:
+            (left, cell), first = first, None
+            next_s = _SEED_S
+        else:
+            width = hi - lo
+            cell = width >> s or 1
+            left = lo + width * v_lo // (v_lo - v_hi) // cell * cell
+            next_s = 2 * s
         for i in (left, left + cell):
             if lo < i < hi:
                 value = evaluate(a + i * step, den)
@@ -834,7 +932,7 @@ def _grid_cell(
                 else:
                     hi, v_hi = i, value
                     break
-        s = 2 * s if hi - lo <= cell else s // 2 or 1
+        s = next_s if hi - lo <= cell else s // 2 or 1
     return lo, False
 
 

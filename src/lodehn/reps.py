@@ -28,7 +28,8 @@ Q[tau, tau^-1]; :func:`tau_terms` maps a Laurent polynomial in t into
 tau.  The image itself needs t and has no place there: the identity
 checks of the relator and the longitude read n and b off the one
 integer walk of w (``cohomology.knot_walk``), whose relator residue
-:func:`burde_de_rham_assignment` checks.
+:func:`burde_de_rham_assignment` checks in the same ``evaluate`` that
+maps tau and the walk's rows into the ring.
 
 The two Alexander routes build no word.  Both read the Riley exponents
 of w (``twobridge.riley_exponents``), whose even 0-based positions are
@@ -270,28 +271,31 @@ def alexander_polynomial(fraction: TwoBridgeFraction) -> Poly:
 
 def burde_de_rham_assignment(
     branch: ModulusBranch, terms: Sequence[IntLaurent]
-) -> Tuple[MeridianRep, List[AlgebraicElement]]:
-    """The adjoint of the reducible non-abelian representation
-    x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]] over Q[tau]/(F), F the
-    branch modulus and tau = t^2, with the integer Laurent polynomials
-    ``terms`` in tau mapped into that ring by one ``evaluate``; the
-    residues of all but the first are returned with it.
+) -> Tuple[QuotientRing, AlgebraicElement, List[AlgebraicElement]]:
+    """The ring Q[tau]/(F) of the reducible non-abelian representation
+    x -> [[t,0],[0,1/t]], y -> [[t,1],[0,1/t]], F the branch modulus and
+    tau = t^2, with the residue of tau and those of the integer Laurent
+    polynomials ``terms`` in tau, all mapped into that ring by one
+    ``evaluate``; the residues of all but the first of ``terms`` are
+    returned.  The adjoints themselves are not built: the rows read
+    only tau (see :class:`MeridianRep` for them).
 
-    The first is the relator residue (tau - 1) u/t - tau^n of the image
-    [[t^n, b], [0, t^-n]] of w, u = t^n b.  The relator x w y^-1 w^-1
-    maps to [[1, t^(n+1) r], [0, 1]] with r = (t - 1/t) b - t^n, the
-    obstruction that :func:`alexander_via_rep` normalizes, and t^n r is
-    that residue.  It must vanish mod F, else ValueError: a failure
-    means the modulus does not divide the Alexander polynomial (or an
-    upstream bug) and is a hard error.  tau and tau - 1 are units on
-    every branch, so the representation is defined and non-abelian (see
+    The first of ``terms`` is the relator residue (tau - 1) u/t - tau^n
+    of the image [[t^n, b], [0, t^-n]] of w, u = t^n b.  The relator
+    x w y^-1 w^-1 maps to [[1, t^(n+1) r], [0, 1]] with
+    r = (t - 1/t) b - t^n, the obstruction that
+    :func:`alexander_via_rep` normalizes, and t^n r is that residue.  It
+    must vanish mod F, else ValueError: a failure means the modulus does
+    not divide the Alexander polynomial (or an upstream bug) and is a
+    hard error.  tau and tau - 1 are units on every branch, so the
+    representation is defined and non-abelian (see
     :class:`ModulusBranch`).
     """
-    rep = MeridianRep(QuotientRing(branch))
-    residue, *values = rep.ring.evaluate(terms)
+    ring = QuotientRing(branch)
+    tau, residue, *values = ring.evaluate([{1: 1}, *terms])
     if residue:
         raise ValueError(
             "relator does not map to the identity on this branch: the "
             "modulus does not divide the Alexander polynomial"
         )
-    return rep, values
+    return ring, tau, values

@@ -9,7 +9,8 @@ relator check built from the words, the Q[t, t^-1] Alexander oracle,
 the two Alexander routes walked over the presentation's words and
 Hartley's formula, the dict oracle for
 Laurent arithmetic, the Sturm chain over Q and the Sturm bisection
-oracles of isolation and refinement, the floating oracle, the gcd by
+oracles of isolation and refinement, the trace check by refinement,
+the decimal rounding by Fraction, the floating oracle, the gcd by
 integer pseudo-remainders with the square-free part and the root bound
 it gives, the Euclidean gcd over Q and Yun's
 square-free split over it, the Fraction
@@ -35,7 +36,14 @@ from lodehn.cohomology import (
     _terms,
     word_value_blocks,
 )
-from lodehn.polynomials import LaurentPoly, Poly, _cauchy_bound, _int_gcd, _int_multiple
+from lodehn.polynomials import (
+    LaurentPoly,
+    Poly,
+    _cauchy_bound,
+    _int_gcd,
+    _int_multiple,
+    refine_isolating_interval,
+)
 from lodehn.quotient import LaurentRing, MatrixOverField, QuotientRing, SplitRequired
 from lodehn.reps import Mat3, MeridianRep, normalize_alexander, tau_terms
 from lodehn.twobridge import KnotPresentation, build_presentation, riley_exponents
@@ -653,17 +661,19 @@ def sturm_chain(p):
     return chain
 
 
+def sturm_variations_oracle(chain, x):
+    """Sign variations of a Sturm chain of Polys at the rational x, each
+    member evaluated once in Fraction arithmetic."""
+    signs = [s for s in (((v > 0) - (v < 0)) for v in (q(x) for q in chain)) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
 def sturm_count_oracle(p, lo, hi):
     """Distinct real roots of ``p`` in the open interval (lo, hi), both
     finite and non-roots, from the Sturm chain of its square-free part
     evaluated member by member in Fraction arithmetic."""
     chain = sturm_chain(squarefree_part(p))
-
-    def variations(x):
-        signs = [s for s in ((q(x) > 0) - (q(x) < 0) for q in chain) if s]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return variations(lo) - variations(hi)
+    return sturm_variations_oracle(chain, lo) - sturm_variations_oracle(chain, hi)
 
 
 def isolate_real_roots_oracle(p):
@@ -697,19 +707,51 @@ def isolate_real_roots_oracle(p):
 
 def refine_isolating_interval_oracle(p, lo, hi, max_width):
     """``polynomials.refine_isolating_interval`` by bisection that
-    recounts the roots of the left half with a fresh Sturm chain at
-    every step, with the same choice of interior non-root."""
+    recounts the roots of the left half at every step, from the Sturm
+    chain over Q of p's square-free part, with the same choice of
+    interior non-root."""
+    chain = sturm_chain(squarefree_part(p))
+    var_lo = sturm_variations_oracle(chain, lo)
     while hi - lo > max_width:
         mid = (lo + hi) / 2
         step = (hi - lo) / 4
         while p(mid) == 0:
             mid += step
             step /= 2
-        if sturm_count_oracle(p, lo, mid) == 1:
+        var_mid = sturm_variations_oracle(chain, mid)
+        if var_lo - var_mid == 1:
             hi = mid
         else:
-            lo = mid
+            lo, var_lo = mid, var_mid
     return lo, hi
+
+
+def meridian_trace_check_oracle(modulus, intervals):
+    """``certify.meridian_trace_check`` by refinement: each isolating
+    interval is refined by ``polynomials.refine_isolating_interval``,
+    halving its width, until it avoids -1, 0 and 1, so the squared
+    interval misses 1.  On a modulus with a root at a unit point the
+    refinement never ends."""
+    verdicts = []
+    for lo, hi in intervals:
+        while any(lo < point < hi for point in (-1, 0, 1)):
+            lo, hi = refine_isolating_interval(modulus, lo, hi, (hi - lo) / 2)
+        if hi <= 0:
+            lo, hi = -hi, -lo
+        xi_lo, xi_hi = lo * lo, hi * hi
+        verdicts.append(xi_hi <= 1 or xi_lo >= 1)
+    if not all(verdicts):
+        raise AssertionError("trace certification failed on a refined interval")
+    return tuple(verdicts)
+
+
+def decimal_string_oracle(value, digits):
+    """``cli.decimal_string`` by Fraction arithmetic: ``value`` times
+    10^digits rounded half to even by ``round``."""
+    scaled = round(value * 10**digits)
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), 10**digits)
+    return f"{sign}{whole}.{frac:0{digits}d}" if digits else f"{sign}{whole}"
 
 
 def random_laurent(rng, max_terms=2, span=2, coeff=3):

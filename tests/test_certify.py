@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     burde_de_rham_oracle,
     load_fixture,
+    meridian_trace_check_oracle,
     nullspace_oracle,
     six_row_filled_leaves,
 )
@@ -23,6 +24,7 @@ from lodehn.cohomology import cohomology_dims, knot_rows, knot_walk
 from lodehn.polynomials import (
     Poly,
     isolate_real_roots,
+    root_form,
     squarefree_decomposition,
     sturm_count,
 )
@@ -232,6 +234,55 @@ def test_meridian_trace_check_figure_eight():
     modulus = Poly([1, 0, -3, 0, 1])
     intervals = tuple(isolate_real_roots(modulus))
     assert meridian_trace_check(modulus, intervals) == (True,) * 4
+
+
+def _parse_modulus(coefficients):
+    return Poly([Fraction(c) for c in coefficients])
+
+
+def test_meridian_trace_check_matches_the_refinement_oracle():
+    # Every leaf modulus of the census and long-word fixtures and of
+    # the family for j <= 20, on its isolating intervals and on each
+    # interval widened by 1 on both sides where it still holds exactly
+    # one root, so that it straddles unit points: the exact signs at
+    # -1, 0 and 1 give the verdicts that refining the interval off them
+    # gives.
+    moduli = [
+        _parse_modulus(branch["modulus"])
+        for name in ("census_p23.json", "long_words.json")
+        for row in load_fixture(name)
+        for branch in row["branches"]
+    ]
+    for j in range(1, 21):
+        moduli += [report.modulus for report in certify(family_fraction(j)).reports]
+    checked = straddling = 0
+    for modulus in moduli:
+        form = root_form(modulus)
+        intervals = isolate_real_roots(form)
+        widened = [
+            (lo - 1, hi + 1) for lo, hi in intervals
+            if sturm_count(modulus, (lo - 1, hi + 1)) == 1
+        ]
+        for interval in intervals + widened:
+            expected = meridian_trace_check_oracle(modulus, [interval])
+            assert meridian_trace_check(form, [interval]) == expected
+            assert meridian_trace_check(modulus, [interval]) == expected
+            checked += 1
+            straddling += any(interval[0] < u < interval[1] for u in (-1, 0, 1))
+    assert checked > 200 and straddling > 50
+
+
+def test_meridian_trace_check_stops_on_a_unit_root():
+    # A root at t = -1, 0 or 1 is found by its exact value, where the
+    # refinement of the oracle could never move the interval off it.
+    cases = (
+        (Poly([-1, 0, 1]), (Fraction(1, 2), Fraction(3, 2)), 1),
+        (Poly([0, 1]), (Fraction(-1, 2), Fraction(1, 2)), 0),
+        (Poly([1, 1]) * Poly([-3, 1]), (Fraction(-3, 2), Fraction(2)), -1),
+    )
+    for modulus, interval, point in cases:
+        with pytest.raises(AssertionError, match=f"t = {point} is a root"):
+            meridian_trace_check(modulus, [interval])
 
 
 def test_meridian_trace_check_rejects_unit_roots():

@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 
-from helpers import image_terms
+from helpers import decimal_string_oracle, image_terms
 from lodehn import cli, reps, twobridge
 from lodehn.certify import analyze_roots, certify, check_rigidity
 from lodehn.cli import build_parser, canonical_report, decimal_string, main
@@ -419,6 +419,28 @@ def test_decimal_string():
     assert decimal_string(Fraction(381966, 10**6), 6) == "0.381966"
     assert decimal_string(Fraction(-5, 2), 3) == "-2.500"
     assert decimal_string(Fraction(7), 0) == "7"
+
+
+def test_integer_decimals_round_half_to_even_as_fractions_do():
+    # The root lines print the midpoint (lo + hi)/2 as num/den with no
+    # common factor divided out.  Exact ties of both signs, at 0 digits
+    # and at 3, go to the even neighbour, as round() takes a Fraction.
+    ties = [(5, 2), (7, 2), (1, 2), (3, 2), (25, 2000), (35, 2000), (1, 2000)]
+    cases = [(n, d, digits) for n, d in ties for digits in (0, 3)]
+    cases += [(-n, d, digits) for n, d, digits in cases]
+    # Unreduced ratios and the midpoints of refined intervals.
+    cases += [(10, 4, 0), (-30, 12, 0), (2 * 1255, 2 * 100000, 3), (0, 7, 2)]
+    for lo, hi in ((Fraction(-3, 8), Fraction(-1, 4)), (Fraction(1, 3), Fraction(5, 7))):
+        num = lo.numerator * hi.denominator + hi.numerator * lo.denominator
+        den = 2 * lo.denominator * hi.denominator
+        cases += [(num, den, digits) for digits in (0, 1, 2, 30)]
+    for num, den, digits in cases:
+        expected = decimal_string_oracle(Fraction(num, den), digits)
+        assert cli._ratio_decimal(num, den, digits) == expected, (num, den, digits)
+        assert decimal_string(Fraction(num, den), digits) == expected
+    assert [cli._ratio_decimal(n, 2, 0) for n in (-5, -3, -1, 1, 3, 5)] == (
+        ["-2", "-2", "0", "0", "2", "2"]
+    )
 
 
 def test_parser_help_mentions_subcommands():

@@ -228,8 +228,8 @@ def test_normalize_clears_content():
 def test_burde_de_rham_on_k1_branch():
     pres = build_presentation(TwoBridgeFraction(29, 17))
     branch = ModulusBranch(DELTA1)
-    rep, values = burde_de_rham_assignment(branch, [knot_walk(pres).relator])
-    assert rep.ring.branch is branch and values == []
+    ring, tau, values = burde_de_rham_assignment(branch, [knot_walk(pres).relator])
+    assert ring.branch is branch and tau == branch.t() and values == []
     # Over t, on the lifted branch, the relator maps to the identity; the
     # longitude lies in the second commutator subgroup, so it maps to the
     # identity as well.
@@ -248,9 +248,8 @@ def test_adjoints_built_on_first_use_invert_each_other():
     # and written in tau.
     cases = []
     for fraction in (TwoBridgeFraction(29, 17), TwoBridgeFraction(53, 31)):
-        pres = build_presentation(fraction)
         branch = ModulusBranch(alexander_via_fox(fraction))
-        rep, _ = burde_de_rham_assignment(branch, [knot_walk(pres).relator])
+        rep = MeridianRep(QuotientRing(branch))
         assert rep.tau == branch.t() and rep.tau * rep.tau_inverse == 1
         t_ring = QuotientRing(ModulusBranch(branch.modulus.inflate(2)))
         cases.append((rep, TBasisRep(t_ring)))
@@ -307,8 +306,8 @@ def test_relator_check_rejects_a_nonzero_exponent_sum():
             burde_de_rham_oracle(branch, word)
     pres = build_presentation(TwoBridgeFraction(9, 1))
     assert burde_de_rham_oracle(branch, pres.relator).ring.branch is branch
-    rep, _ = burde_de_rham_assignment(branch, [knot_walk(pres).relator])
-    assert rep.ring.branch is branch
+    ring, _, _ = burde_de_rham_assignment(branch, [knot_walk(pres).relator])
+    assert ring.branch is branch
 
 
 def test_relator_check_rejects_another_knots_branch():
@@ -332,8 +331,8 @@ def test_relator_check_rejects_another_knots_branch():
 def test_burde_de_rham_trefoil():
     pres = build_presentation(TwoBridgeFraction(3, 1))
     trefoil = Poly([1, -1, 1])  # tau^2 - tau + 1
-    rep, _ = burde_de_rham_assignment(ModulusBranch(trefoil), [knot_walk(pres).relator])
-    assert rep.ring.branch.modulus == trefoil
+    ring, _, _ = burde_de_rham_assignment(ModulusBranch(trefoil), [knot_walk(pres).relator])
+    assert ring.branch.modulus == trefoil
     t_rep = TBasisRep(QuotientRing(ModulusBranch(trefoil.inflate(2))))
     assert eval_word_matrix(pres.relator, t_rep).is_identity()
 

@@ -36,9 +36,9 @@ def test_worker_digests_match_the_benchmark_reference(monkeypatch, capsys):
     # The worker runs certify as the benchmark does, and the digest is
     # the gate's: each digest is the one perfbench/reference.json pins.
     # It also runs alexander --roots at 30 digits, which the benchmark
-    # checks without a reference, and at the default 6; their exit codes
-    # and the digests of their stdout are those of the same commands run
-    # in this process.
+    # checks without a reference, at 100 and at the default 6; their
+    # exit codes and the digests of their stdout are those of the same
+    # commands run in this process.
     tool = _load_tool(monkeypatch)
     with open(os.path.join(ROOT, "perfbench", "reference.json"), encoding="utf-8") as handle:
         reference = json.load(handle)
@@ -51,7 +51,7 @@ def test_worker_digests_match_the_benchmark_reference(monkeypatch, capsys):
             0 if reference[pq]["verdict"] == "APPLIES" else 1,
             reference[pq]["sha256"],
         )
-        for digits in (["--digits", "30"], []):
+        for digits in (["--digits", "30"], ["--digits", "100"], []):
             code = main(["alexander", "--pq", pq, "--roots", *digits])
             out = capsys.readouterr().out
             assert out.count("root in ") == real_roots[pq]

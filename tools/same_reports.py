@@ -10,10 +10,12 @@ The knots are one fraction per two-bridge knot class with p <= P_MAX
 squared Alexander factor, and the long-word knots.  The parent side is
 the committed tree of ``--parent`` (default ``HEAD``), exported with
 ``git archive`` into a temporary directory as ``bench_pairs.py`` does.
-Each side runs ``certify --pq P/Q --json FILE --quiet``,
-``alexander --pq P/Q --roots --digits 30`` and ``alexander --pq P/Q
---roots`` (the default 6 digits) on every knot in one fresh
-interpreter with only its own ``src/`` on the path.  Each report is
+Each side runs ``certify --pq P/Q --json FILE --quiet`` and
+``alexander --pq P/Q --roots`` at 30, at 100 and at the default 6
+digits on every knot in one fresh interpreter with only its own
+``src/`` on the path.  At 100 digits every root is refined on a grid
+some 340 levels deep, where the refinement's float seed proposes a
+bracket far narrower than at 30.  Each report is
 reduced to its digest, the SHA-256 of the canonical JSON without
 ``timings`` (the digest that ``perfbench/gate.py`` compares), and each
 ``alexander`` output to the SHA-256 of its stdout: the benchmark's
@@ -45,7 +47,7 @@ NAMED = (
 
 # Run in a fresh interpreter: reads fractions from argv and prints, per
 # fraction, one JSON line [certify exit code, report or null, then the
-# exit code and stdout of alexander --roots at 30 and at 6 digits].
+# exit code and stdout of alexander --roots at 30, 100 and 6 digits].
 WORKER = """
 import contextlib, io, json, os, sys, tempfile
 from lodehn.cli import main
@@ -59,7 +61,7 @@ with tempfile.TemporaryDirectory() as tmp:
                 report = json.load(handle)
             os.remove(path)
         line = [code, report]
-        for digits in (["--digits", "30"], []):
+        for digits in (["--digits", "30"], ["--digits", "100"], []):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 line.append(main(["alexander", "--pq", pq, "--roots", *digits]))
@@ -100,14 +102,14 @@ def knots(p_max: int) -> List[str]:
     return out + [pq for pq in NAMED if pq not in listed]
 
 
-Outcome = Tuple[int, Optional[str], int, str, int, str]
+Outcome = Tuple[int, Optional[str], int, str, int, str, int, str]
 
 
 def outcomes(src: Path, fractions: List[str]) -> Dict[str, Outcome]:
     """Per fraction, with ``src`` alone on the path: the exit code and
     report digest (None without a report) of ``certify``, and the exit
-    code and stdout digest of ``alexander --roots --digits 30`` and of
-    ``alexander --roots``."""
+    code and stdout digest of ``alexander --roots --digits 30``,
+    ``--digits 100`` and of ``alexander --roots``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(
         [sys.executable, "-c", WORKER, *fractions], cwd=src.parent, env=env,
@@ -117,7 +119,7 @@ def outcomes(src: Path, fractions: List[str]) -> Dict[str, Outcome]:
     for pq, line in zip(fractions, proc.stdout.splitlines()):
         code, report, *roots = json.loads(line)
         digest = None if report is None else report_digest(report)
-        for i in (1, 3):
+        for i in (1, 3, 5):
             roots[i] = hashlib.sha256(roots[i].encode("utf-8")).hexdigest()
         out[pq] = (code, digest, *roots)
     if len(out) != len(fractions):
